@@ -82,15 +82,15 @@ type TxConfig struct {
 	// (default 8192 = 1 kB, the paper's average packet size). Wire frames
 	// are sized from their IP total-length field instead.
 	DefaultBits int
-	// Now is the transmit clock, an offset from some fixed origin.
-	// Defaults to wall time since NewTxQueue; tests inject a virtual
-	// clock for deterministic pacing.
+	// Now is the transmit clock, an offset from some fixed origin, read
+	// once per Transmit batch and once per Send. Defaults to wall time
+	// since NewTxQueue; tests inject a virtual clock for deterministic
+	// pacing.
 	Now func() time.Duration
 	// Metrics, when non-nil, publishes transmit telemetry into the
-	// registry: the tx.* counters (collected from the per-dart state at
-	// snapshot time, so the Send hot path stays untouched) and a
-	// tx.queue_wait_ns histogram of the queueing delay each sent packet
-	// paid behind its link's serialiser.
+	// registry: the tx.* counters and a tx.queue_wait_ns histogram of the
+	// queueing delay each sent packet paid behind its link's serialiser,
+	// both flushed once per Transmit batch (once per Send).
 	Metrics *telemetry.Registry
 }
 
@@ -111,60 +111,81 @@ func TxDropped(s *telemetry.Snapshot) uint64 {
 	return s.Counter(MetricTxDropQueueFull) + s.Counter(MetricTxDropLinkDown) + s.Counter(MetricTxDropStaleDart)
 }
 
-// txTotals is the summed per-dart transmit account, collected into the
-// registry at snapshot time.
-type txTotals struct {
-	sent, sentBits, dropFull, dropDown, dropStale uint64
-}
-
 // TxQueue is the engine's built-in Egress: one bounded, link-rate-paced
 // transmit queue per dart (link direction), mirroring the simulator's
 // linkFree serialisation model. Each dart keeps a virtual
-// transmitter-idle instant; a packet starts serialising at
-// max(now, free) and advances free by its serialisation time, so
-// packets on one dart depart strictly in the order they were handed in
-// — per-dart FIFO link-order delivery — while different darts proceed
-// independently. A packet that would wait longer than MaxBacklog is
-// dropped and counted, never silently discarded.
+// transmitter-idle instant, free; a packet starts serialising at
+// max(now, free) and advances free by its serialisation time. A packet
+// that would wait longer than MaxBacklog is dropped and counted, never
+// silently discarded.
 //
-// The hot path takes one per-dart mutex, does integer/float arithmetic
-// and allocates nothing; contention is per link direction, not global,
-// so shards transmitting onto different links never serialise against
-// each other.
+// The packet path takes no lock. free is one atomic word: a sender reads
+// it, computes start = max(now, free) and installs start+tx by
+// compare-and-swap, retrying if another shard got there first. Each
+// successful swap therefore claims an interval [start, start+tx) that
+// begins no earlier than the previous claim on that dart ended: claims
+// are disjoint and leave in the order their swaps landed — per-dart
+// FIFO, link-order delivery — while different darts never share a word.
+// The link-down test reads the immutable LinkState snapshot the batch
+// was decided under.
 //
-// The dart slice lives behind an atomically swapped generation pointer
-// so RebindDarts (structural hot-swaps) can replace the dart space
-// while shards are mid-Transmit: a send that loads the old generation
-// finishes against it, retired generations are retained for the totals, and
-// a dart outside the current space is a counted TxDropStaleDart, never
-// an index panic.
+// free counts link bit-times, not nanoseconds, so serialising a packet
+// is free += bits, exactly: no link runs fast by a truncated fraction of
+// a nanosecond and no runt serialises for free, at any bandwidth. Only
+// clock readings and reported delays (Backlog, the queue-wait
+// histogram) convert. An int64 of bit-times is 2.9 years of queue clock
+// at 100 Gb/s.
+//
+// Everything but pacing is per batch: Transmit loads the dart generation
+// and reads the clock once, tallies verdicts and queue waits on its
+// stack and flushes them once; Send is the one-packet batch. The packets
+// of a batch thus share one clock reading: one late in the batch may
+// start serialising up to the batch's own service time (a few µs)
+// early, and its wait is measured from that reading — a NIC doorbell's
+// granularity, three orders below MaxBacklog, and exact under an
+// injected clock. A queue-full verdict alone insists on a fresh reading,
+// so a batch preempted mid-way cannot drop on a stale one. Nothing on
+// the path allocates.
+//
+// The darts live behind an atomically swapped generation pointer so
+// RebindDarts (structural hot-swaps) can replace the dart space while
+// shards are mid-Transmit: a batch that loaded the old generation
+// finishes against it, counted like any other, and a dart outside the
+// current space is a counted TxDropStaleDart, never an index panic.
 type TxQueue struct {
-	bandwidth   float64
-	maxBacklog  time.Duration
+	nsPerBit    float64 // one bit-time: 1e9 / BandwidthBps
+	maxBacklog  int64   // bit-times
 	defaultBits int64
 	now         func() time.Duration
-	wait        *telemetry.Histogram // nil when uninstrumented
+	bank        *telemetry.CounterBank // nil when uninstrumented
+	wait        *telemetry.Histogram   // nil when uninstrumented
 	cur         atomic.Pointer[txGen]
-	rebindMu    sync.Mutex // serialises RebindDarts; guards retired
-	retired     []*txGen
-	dropStale   atomic.Uint64
+	rebindMu    sync.Mutex // serialises RebindDarts
 }
 
-// txGen is one generation of the dart space: the per-dart transmit
-// state alive between two structural rebinds.
+// txGen is one generation of the dart space, alive between two
+// structural rebinds: per dart, the instant (in link bit-times) its
+// transmitter goes idle. Unpadded: shards spread over every dart, and a
+// cache line per dart measured no better for eight times the footprint.
 type txGen struct {
-	darts []txDart
+	free []atomic.Int64
 }
 
-// txDart is one link direction's transmit state, padded so neighbouring
-// darts' counters do not false-share cache lines.
-type txDart struct {
-	mu   sync.Mutex
-	free time.Duration // virtual instant the transmitter goes idle
-	// counters, updated under mu
-	sent, sentBits, dropFull, dropDown uint64
-	_                                  [64]byte
+// txTally is one batch's transmit account, kept on the sender's stack
+// and flushed once: verdict counts and the queue waits of packets sent.
+type txTally struct {
+	n    telemetry.Tally
+	wait telemetry.HistogramTally
 }
+
+// Slots of txTally.n, in the order NewTxQueueDarts binds the bank.
+const (
+	txSent = iota
+	txSentBits
+	txDropFull
+	txDropDown
+	txDropStale
+)
 
 // NewTxQueue builds transmit queues for a FIB's 2×NumLinks darts.
 func NewTxQueue(fib *FIB, cfg TxConfig) *TxQueue {
@@ -183,12 +204,12 @@ func NewTxQueueDarts(numDarts int, cfg TxConfig) *TxQueue {
 		cfg.DefaultBits = 8192
 	}
 	q := &TxQueue{
-		bandwidth:   cfg.BandwidthBps,
-		maxBacklog:  cfg.MaxBacklog,
+		nsPerBit:    1e9 / cfg.BandwidthBps,
 		defaultBits: int64(cfg.DefaultBits),
 		now:         cfg.Now,
 	}
-	q.cur.Store(&txGen{darts: make([]txDart, numDarts)})
+	q.maxBacklog = q.toBits(cfg.MaxBacklog)
+	q.cur.Store(&txGen{free: make([]atomic.Int64, numDarts)})
 	if q.now == nil {
 		start := time.Now()
 		q.now = func() time.Duration { return time.Since(start) }
@@ -197,19 +218,24 @@ func NewTxQueueDarts(numDarts int, cfg TxConfig) *TxQueue {
 		// 1 µs .. ~1 s queue-wait buckets; a zero wait (idle link) lands
 		// in the first.
 		q.wait = cfg.Metrics.Histogram(MetricTxQueueWaitNs, telemetry.ExponentialBuckets(1000, 4, 10))
-		// Accumulate, don't set: several TxQueues can share a registry
-		// (an engine rebuild, a soak restart), and each must contribute
-		// its totals instead of overwriting the previous collector's.
-		cfg.Metrics.RegisterCollector(telemetry.CollectorFunc(func(s *telemetry.Snapshot) {
-			st := q.totals()
-			s.AddCounter(MetricTxSent, st.sent)
-			s.AddCounter(MetricTxSentBits, st.sentBits)
-			s.AddCounter(MetricTxDropQueueFull, st.dropFull)
-			s.AddCounter(MetricTxDropLinkDown, st.dropDown)
-			s.AddCounter(MetricTxDropStaleDart, st.dropStale)
-		}))
+		// Registry counters are get-or-create by name, so several
+		// TxQueues sharing a registry (an engine rebuild, a soak restart)
+		// sum into the same tx.* totals.
+		q.bank = telemetry.NewCounterBank(cfg.Metrics,
+			MetricTxSent, MetricTxSentBits, MetricTxDropQueueFull, MetricTxDropLinkDown, MetricTxDropStaleDart)
 	}
 	return q
+}
+
+// toBits converts a clock reading or delay to whole link bit-times.
+func (q *TxQueue) toBits(d time.Duration) int64 {
+	return int64(float64(d) / q.nsPerBit)
+}
+
+// toDelay reports a non-negative span of bit-times as a delay, to the
+// nearest nanosecond.
+func (q *TxQueue) toDelay(bits int64) time.Duration {
+	return time.Duration(float64(bits)*q.nsPerBit + 0.5)
 }
 
 // Transmit implements Egress: every successfully decided packet in the
@@ -217,6 +243,8 @@ func NewTxQueueDarts(numDarts int, cfg TxConfig) *TxQueue {
 // locally or refused (OK false / a non-forward wire verdict) never reach
 // a transmitter and are not counted here.
 func (q *TxQueue) Transmit(b *Batch, st *LinkState) {
+	gen, now := q.cur.Load(), q.toBits(q.now())
+	var t txTally
 	for i := range b.Pkts {
 		p := &b.Pkts[i]
 		if !p.OK {
@@ -226,53 +254,82 @@ func (q *TxQueue) Transmit(b *Batch, st *LinkState) {
 		if bits == 0 {
 			bits = q.defaultBits
 		}
-		q.Send(p.Egress, bits, st)
+		q.sendAt(gen, now, p.Egress, bits, st, &t)
 	}
 	for i := range b.Wire {
 		p := &b.Wire[i]
 		if p.Verdict != WireForward {
 			continue
 		}
-		q.Send(p.Egress, wireFrameBits(p.Buf), st)
+		q.sendAt(gen, now, p.Egress, wireFrameBits(p.Buf), st, &t)
 	}
+	q.flush(&t)
 }
 
 // Send queues one packet of the given size onto dart d, returning the
-// transmit verdict. It is the single-packet core of Transmit, exported
-// for callers that pace individual packets (the simulator bridge,
-// tests).
+// transmit verdict: Transmit for a batch of one, exported for callers
+// that pace individual packets (the simulator bridge, tests).
 func (q *TxQueue) Send(d rotation.DartID, bits int64, st *LinkState) TxVerdict {
-	gen := q.cur.Load()
-	if d < 0 || int(d) >= len(gen.darts) {
-		q.dropStale.Add(1)
+	var t txTally
+	v := q.sendAt(q.cur.Load(), q.toBits(q.now()), d, bits, st, &t)
+	q.flush(&t)
+	return v
+}
+
+// sendAt is the send core shared by Transmit and Send: it paces one
+// packet of the given size onto dart d of generation gen at clock
+// reading now (bit-times) and tallies the outcome into t.
+func (q *TxQueue) sendAt(gen *txGen, now int64, d rotation.DartID, bits int64, st *LinkState, t *txTally) TxVerdict {
+	if d < 0 || int(d) >= len(gen.free) {
+		t.n[txDropStale]++
 		return TxDropStaleDart
 	}
-	dq := &gen.darts[d]
-	tx := time.Duration(float64(bits) / q.bandwidth * float64(time.Second))
-	now := q.now()
-	dq.mu.Lock()
 	if st != nil && st.Down(rotation.LinkOf(d)) {
-		dq.dropDown++
-		dq.mu.Unlock()
+		t.n[txDropDown]++
 		return TxDropLinkDown
 	}
-	start := now
-	if dq.free > start {
-		start = dq.free
+	free := &gen.free[d]
+	for fresh := false; ; {
+		was := free.Load()
+		start := max(now, was)
+		if start-now > q.maxBacklog {
+			if !fresh {
+				// Only a fresh clock condemns a packet: a batch preempted
+				// mid-way holds a reading other shards have long paced past.
+				now, fresh = q.toBits(q.now()), true
+				continue
+			}
+			t.n[txDropFull]++
+			return TxDropQueueFull
+		}
+		if !free.CompareAndSwap(was, start+bits) {
+			continue // another shard claimed [was, …): queue behind it
+		}
+		t.n[txSent]++
+		t.n[txSentBits] += uint64(bits)
+		if q.wait != nil {
+			q.wait.Tally(&t.wait, int64(q.toDelay(start-now)))
+		}
+		return TxSent
 	}
-	if start-now > q.maxBacklog {
-		dq.dropFull++
-		dq.mu.Unlock()
-		return TxDropQueueFull
+}
+
+// flush publishes a batch's tally into the registry and zeroes it.
+func (q *TxQueue) flush(t *txTally) {
+	if q.bank == nil {
+		return
 	}
-	dq.free = start + tx
-	dq.sent++
-	dq.sentBits += uint64(bits)
-	dq.mu.Unlock()
-	if q.wait != nil {
-		q.wait.Observe(int64(start - now))
+	q.bank.Flush(&t.n)
+	q.wait.Flush(&t.wait)
+}
+
+// backlogAt is the queueing delay, in bit-times, a dart idle at free
+// imposes on a packet handed in at clock reading now.
+func backlogAt(free *atomic.Int64, now int64) int64 {
+	if b := free.Load() - now; b > 0 {
+		return b
 	}
-	return TxSent
+	return 0
 }
 
 // Backlog returns dart d's current queueing delay: how long a packet
@@ -280,77 +337,43 @@ func (q *TxQueue) Send(d rotation.DartID, bits int64, st *LinkState) TxVerdict {
 // outside the current dart space has no queue and reports zero.
 func (q *TxQueue) Backlog(d rotation.DartID) time.Duration {
 	gen := q.cur.Load()
-	if d < 0 || int(d) >= len(gen.darts) {
+	if d < 0 || int(d) >= len(gen.free) {
 		return 0
 	}
-	dq := &gen.darts[d]
-	now := q.now()
-	dq.mu.Lock()
-	free := dq.free
-	dq.mu.Unlock()
-	if free <= now {
-		return 0
-	}
-	return free - now
+	return q.toDelay(backlogAt(&gen.free[d], q.toBits(q.now())))
 }
 
 // NumDarts returns the size of the current dart space.
-func (q *TxQueue) NumDarts() int { return len(q.cur.Load().darts) }
+func (q *TxQueue) NumDarts() int { return len(q.cur.Load().free) }
 
 // SampleBacklog observes every dart's instantaneous queueing delay into
 // a histogram per dart class — forward darts (even IDs, the link's
 // tail→head direction) and reverse darts (odd IDs) — and returns each
 // class's maximum this sample. Either histogram may be nil (that class
-// is then only maxed, not binned). One scan under the per-dart mutexes,
-// meant to be called at flush cadence, never per packet; the sampled
-// distribution is the queue-sizing telemetry a single peak gauge hides.
+// is then only maxed, not binned). One scan of atomic loads, meant to be
+// called at flush cadence, never per packet; the sampled distribution
+// is the queue-sizing telemetry a single peak gauge hides.
 func (q *TxQueue) SampleBacklog(fwd, rev *telemetry.Histogram) (maxFwd, maxRev time.Duration) {
 	gen := q.cur.Load()
-	now := q.now()
-	for i := range gen.darts {
-		dq := &gen.darts[i]
-		dq.mu.Lock()
-		free := dq.free
-		dq.mu.Unlock()
-		b := free - now
-		if b < 0 {
-			b = 0
+	now := q.toBits(q.now())
+	hist := [2]*telemetry.Histogram{fwd, rev}
+	var max [2]time.Duration
+	for i := range gen.free {
+		b := q.toDelay(backlogAt(&gen.free[i], now))
+		if h := hist[i&1]; h != nil {
+			h.Observe(int64(b))
 		}
-		if i&1 == 0 {
-			if fwd != nil {
-				fwd.Observe(int64(b))
-			}
-			if b > maxFwd {
-				maxFwd = b
-			}
-		} else {
-			if rev != nil {
-				rev.Observe(int64(b))
-			}
-			if b > maxRev {
-				maxRev = b
-			}
+		if b > max[i&1] {
+			max[i&1] = b
 		}
 	}
-	return maxFwd, maxRev
+	return max[0], max[1]
 }
 
 // MaxBacklog returns the largest per-dart queueing delay across the
 // current dart space — the queue-depth headline a soak run watches.
 func (q *TxQueue) MaxBacklog() time.Duration {
-	gen := q.cur.Load()
-	now := q.now()
-	var max time.Duration
-	for i := range gen.darts {
-		dq := &gen.darts[i]
-		dq.mu.Lock()
-		free := dq.free
-		dq.mu.Unlock()
-		if b := free - now; b > max {
-			max = b
-		}
-	}
-	return max
+	return max(q.SampleBacklog(nil, nil))
 }
 
 // RebindDarts implements DartRebinder: it replaces the dart space for a
@@ -358,27 +381,23 @@ func (q *TxQueue) MaxBacklog() time.Duration {
 // (graph.NoLink for removed links; nil means identity), exactly the map
 // Engine.SwapFIB validates — surviving links carry their pacing clocks
 // (free instants) into the new generation, so an in-flight queue keeps
-// draining at the link rate instead of resetting to idle. The old
-// generation is retired, not discarded: its counters stay in Stats, and
-// a shard still transmitting against it finishes harmlessly (its counts
-// land in the retired generation).
+// draining at the link rate instead of resetting to idle. A shard still
+// transmitting against the old generation finishes harmlessly: its
+// verdicts are counted at queue level like any other, and only the
+// pacing of the packets it sends after the carry stays behind.
 func (q *TxQueue) RebindDarts(numDarts int, linkMap []graph.LinkID) {
 	q.rebindMu.Lock()
 	defer q.rebindMu.Unlock()
 	old := q.cur.Load()
-	next := &txGen{darts: make([]txDart, numDarts)}
+	next := &txGen{free: make([]atomic.Int64, numDarts)}
 	carry := func(oldDart, newDart int) {
-		if oldDart >= len(old.darts) || newDart >= numDarts {
+		if oldDart >= len(old.free) || newDart >= numDarts {
 			return
 		}
-		od := &old.darts[oldDart]
-		od.mu.Lock()
-		free := od.free
-		od.mu.Unlock()
-		next.darts[newDart].free = free
+		next.free[newDart].Store(old.free[oldDart].Load())
 	}
 	if linkMap == nil {
-		n := len(old.darts)
+		n := len(old.free)
 		if numDarts < n {
 			n = numDarts
 		}
@@ -395,32 +414,6 @@ func (q *TxQueue) RebindDarts(numDarts int, linkMap []graph.LinkID) {
 		}
 	}
 	q.cur.Store(next)
-	q.retired = append(q.retired, old)
-}
-
-// totals sums transmit outcomes across all darts, including retired
-// generations (dart spaces replaced by RebindDarts): nothing a send
-// ever counted is lost to a structural swap.
-func (q *TxQueue) totals() txTotals {
-	q.rebindMu.Lock()
-	gens := make([]*txGen, 0, 1+len(q.retired))
-	gens = append(gens, q.cur.Load())
-	gens = append(gens, q.retired...)
-	q.rebindMu.Unlock()
-	var s txTotals
-	for _, g := range gens {
-		for i := range g.darts {
-			dq := &g.darts[i]
-			dq.mu.Lock()
-			s.sent += dq.sent
-			s.sentBits += dq.sentBits
-			s.dropFull += dq.dropFull
-			s.dropDown += dq.dropDown
-			dq.mu.Unlock()
-		}
-	}
-	s.dropStale = q.dropStale.Load()
-	return s
 }
 
 // wireFrameBits sizes a raw frame from its IP total-length field (IPv4

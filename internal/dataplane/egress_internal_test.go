@@ -1,6 +1,13 @@
 package dataplane
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"recycle/internal/rotation"
+	"recycle/internal/telemetry"
+)
 
 // TestWireFrameBitsClamped is the regression test for the unclamped
 // total-length bug: the IP length field is corruption-controlled, so a
@@ -39,5 +46,135 @@ func TestWireFrameBitsClamped(t *testing.T) {
 		if got := wireFrameBits(c.buf); got != c.want {
 			t.Errorf("%s: wireFrameBits = %d; want %d", c.name, got, c.want)
 		}
+	}
+}
+
+// TestTransmitMatchesSend is the batched-vs-per-packet differential:
+// under a frozen clock, one mixed batch through Transmit must leave the
+// queue exactly where the same packets leave it through Send one by one
+// and through Transmit in one-packet batches — the tx.* counters, every
+// dart's backlog and the queue-wait histogram — and the two per-packet
+// arms must give the same verdict sequence, the expected one. The batch
+// mixes abstract and wire packets, refused entries, default and clamped
+// sizes, a down link, stale darts on both sides of the dart space and a
+// dart driven past MaxBacklog.
+func TestTransmitMatchesSend(t *testing.T) {
+	const numDarts = 8
+	v4 := func(claim, n int) []byte {
+		buf := make([]byte, n)
+		buf[0], buf[2], buf[3] = 0x45, byte(claim>>8), byte(claim)
+		return buf
+	}
+	st := NewLinkState(numDarts / 2)
+	st.Set(1, true) // darts 2 and 3
+	b := &Batch{
+		Pkts: []Packet{
+			{Egress: 0, OK: true, Bits: 8192},   // 1 ms on an idle dart
+			{Egress: 0, OK: true},               // default size, queues behind it
+			{Egress: 5, OK: false},              // refused by the FIB: not transmitted
+			{Egress: 2, OK: true, Bits: 100},    // link 1 is down
+			{Egress: numDarts, OK: true},        // past the dart space
+			{Egress: rotation.NoDart, OK: true}, // before it
+			{Egress: 0, OK: true, Bits: 8192},   // waits 1.5 ms
+			{Egress: 0, OK: true, Bits: 8192},   // waits 2.5 ms
+			{Egress: 0, OK: true, Bits: 8192},   // would wait 3.5 ms > MaxBacklog
+			{Egress: 4, OK: true, Bits: 1},
+		},
+		Wire: []WirePacket{
+			{Egress: 6, Verdict: WireForward, Buf: v4(100, 100)},
+			{Egress: 6, Verdict: WireDropTTL, Buf: v4(100, 100)}, // dropped by the FIB: not transmitted
+			{Egress: 6, Verdict: WireForward, Buf: v4(0, 64)},    // runt claim, clamped to a header
+			{Egress: 3, Verdict: WireForward, Buf: v4(64, 64)},   // link 1 is down
+			{Egress: 0, Verdict: WireForward, Buf: v4(64, 64)},   // dart 0 is still full
+			{Egress: 7, Verdict: WireDeliver, Buf: v4(64, 64)},
+			{Egress: 7, Verdict: WireForward, Buf: make([]byte, 30)}, // unparseable: sized by length
+		},
+	}
+	want := []TxVerdict{
+		TxSent, TxSent, TxDropLinkDown, TxDropStaleDart, TxDropStaleDart, TxSent, TxSent, TxDropQueueFull, TxSent,
+		TxSent, TxSent, TxDropLinkDown, TxDropQueueFull, TxSent,
+	}
+
+	newQueue := func() (*TxQueue, *telemetry.Registry) {
+		reg := telemetry.NewRegistry()
+		return NewTxQueueDarts(numDarts, TxConfig{
+			BandwidthBps: 8_192_000, // 1 ms per 8192 bits
+			MaxBacklog:   3 * time.Millisecond,
+			DefaultBits:  4096,
+			Now:          func() time.Duration { return 7 * time.Millisecond },
+			Metrics:      reg,
+		}), reg
+	}
+	counters := []string{MetricTxSent, MetricTxSentBits, MetricTxDropQueueFull, MetricTxDropLinkDown, MetricTxDropStaleDart}
+	state := func(q *TxQueue, reg *telemetry.Registry) string {
+		snap := reg.Snapshot()
+		out := ""
+		for _, name := range counters {
+			out += fmt.Sprintf("%s=%d ", name, snap.Counter(name))
+		}
+		for d := rotation.DartID(0); d < numDarts; d++ {
+			out += fmt.Sprintf("backlog[%d]=%v ", d, q.Backlog(d))
+		}
+		wait := snap.Histograms[MetricTxQueueWaitNs]
+		return out + fmt.Sprintf("wait=%v n=%d sum=%d", wait.Counts, wait.Count, wait.Sum)
+	}
+
+	whole, wholeReg := newQueue()
+	whole.Transmit(b, st)
+
+	single, singleReg := newQueue()
+	var sends []TxVerdict
+	for _, p := range b.Pkts {
+		if !p.OK {
+			continue
+		}
+		bits := int64(p.Bits)
+		if bits == 0 {
+			bits = 4096
+		}
+		sends = append(sends, single.Send(p.Egress, bits, st))
+	}
+	for _, p := range b.Wire {
+		if p.Verdict == WireForward {
+			sends = append(sends, single.Send(p.Egress, wireFrameBits(p.Buf), st))
+		}
+	}
+
+	// One-packet batches: the verdict is the counter that moved.
+	ones, onesReg := newQueue()
+	var transmits []TxVerdict
+	verdictOf := map[string]TxVerdict{
+		MetricTxSent: TxSent, MetricTxDropQueueFull: TxDropQueueFull,
+		MetricTxDropLinkDown: TxDropLinkDown, MetricTxDropStaleDart: TxDropStaleDart,
+	}
+	one := func(ob *Batch) {
+		before := onesReg.Snapshot()
+		ones.Transmit(ob, st)
+		after := onesReg.Snapshot()
+		for name, v := range verdictOf {
+			if after.Counter(name) != before.Counter(name) {
+				transmits = append(transmits, v)
+			}
+		}
+	}
+	for i := range b.Pkts {
+		one(&Batch{Pkts: b.Pkts[i : i+1]})
+	}
+	for i := range b.Wire {
+		one(&Batch{Wire: b.Wire[i : i+1]})
+	}
+
+	if fmt.Sprint(sends) != fmt.Sprint(want) {
+		t.Errorf("Send verdicts\n  %v; want\n  %v", sends, want)
+	}
+	if fmt.Sprint(transmits) != fmt.Sprint(want) {
+		t.Errorf("one-packet Transmit verdicts\n  %v; want\n  %v", transmits, want)
+	}
+	ref := state(single, singleReg)
+	if got := state(whole, wholeReg); got != ref {
+		t.Errorf("whole batch through Transmit\n  %s; per packet through Send\n  %s", got, ref)
+	}
+	if got := state(ones, onesReg); got != ref {
+		t.Errorf("one-packet batches through Transmit\n  %s; per packet through Send\n  %s", got, ref)
 	}
 }

@@ -127,27 +127,35 @@ func TestTxQueueLinkDownDrop(t *testing.T) {
 }
 
 // TestTxQueueZeroAllocs: the transmit hot path allocates nothing, batch
-// and single-packet forms alike.
+// and single-packet forms alike, bare or metered — the per-batch tally
+// (counters and queue-wait buckets) lives on the sender's stack.
 func TestTxQueueZeroAllocs(t *testing.T) {
 	fib, _, _ := engineFixture(t)
-	q := dataplane.NewTxQueue(fib, dataplane.TxConfig{BandwidthBps: 1e12})
 	st := dataplane.NewLinkState(fib.NumLinks())
-	b := &dataplane.Batch{Pkts: make([]dataplane.Packet, 64)}
+	b := &dataplane.Batch{Pkts: make([]dataplane.Packet, 64), Wire: make([]dataplane.WirePacket, 8)}
 	for i := range b.Pkts {
 		b.Pkts[i] = dataplane.Packet{Egress: rotation.DartID(i % (2 * fib.NumLinks())), OK: true, Bits: 8192}
 	}
-	if n := testing.AllocsPerRun(100, func() { q.Transmit(b, st) }); n != 0 {
-		t.Fatalf("Transmit allocates %v per op; want 0", n)
+	for i := range b.Wire {
+		b.Wire[i] = dataplane.WirePacket{Egress: rotation.DartID(i), Verdict: dataplane.WireForward, Buf: make([]byte, 64)}
 	}
-	if n := testing.AllocsPerRun(100, func() { q.Send(0, 8192, st) }); n != 0 {
-		t.Fatalf("Send allocates %v per op; want 0", n)
+	for name, reg := range map[string]*telemetry.Registry{"bare": nil, "metered": telemetry.NewRegistry()} {
+		q := dataplane.NewTxQueue(fib, dataplane.TxConfig{BandwidthBps: 1e12, Metrics: reg})
+		if n := testing.AllocsPerRun(100, func() { q.Transmit(b, st) }); n != 0 {
+			t.Fatalf("%s: Transmit allocates %v per op; want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { q.Send(0, 8192, st) }); n != 0 {
+			t.Fatalf("%s: Send allocates %v per op; want 0", name, n)
+		}
 	}
 }
 
 // TestTxQueueConcurrentCounts: concurrent senders from many goroutines
 // (the engine's shards) lose no packet to races — every send is
-// accounted, and per-dart virtual time stays consistent. Run with -race
-// in CI.
+// accounted, batch and single-packet forms alike — while RebindDarts
+// replaces the dart space under them over and over: counts are kept per
+// queue, not per generation, so a batch finishing against a replaced
+// generation still lands in the totals. Run with -race in CI.
 func TestTxQueueConcurrentCounts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	q := dataplane.NewTxQueueDarts(8, dataplane.TxConfig{
@@ -157,17 +165,47 @@ func TestTxQueueConcurrentCounts(t *testing.T) {
 	})
 	const goroutines = 8
 	const perG = 5000
-	var wg sync.WaitGroup
+	const batch = 50
+	var senders sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
+		senders.Add(1)
 		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				q.Send(rotation.DartID((g+i)%8), 8192, nil)
+			defer senders.Done()
+			if g&1 == 0 {
+				for i := 0; i < perG; i++ {
+					q.Send(rotation.DartID((g+i)%8), 8192, nil)
+				}
+				return
+			}
+			b := &dataplane.Batch{Pkts: make([]dataplane.Packet, batch)}
+			for i := 0; i < perG; i += batch {
+				for j := range b.Pkts {
+					b.Pkts[j] = dataplane.Packet{Egress: rotation.DartID((g + i + j) % 8), OK: true, Bits: 8192}
+				}
+				q.Transmit(b, nil)
 			}
 		}(g)
 	}
-	wg.Wait()
+	stop := make(chan struct{})
+	rebinds := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				rebinds <- n
+				return
+			default:
+				q.RebindDarts(8, nil)
+				n++
+			}
+		}
+	}()
+	senders.Wait()
+	close(stop)
+	if n := <-rebinds; n == 0 {
+		t.Fatal("no rebind ran while the senders did")
+	}
 	st := reg.Snapshot()
 	sent := st.Counter(dataplane.MetricTxSent)
 	if total := sent + dataplane.TxDropped(st); total != goroutines*perG {
@@ -175,6 +213,93 @@ func TestTxQueueConcurrentCounts(t *testing.T) {
 	}
 	if st.Counter(dataplane.MetricTxSentBits) != sent*8192 {
 		t.Fatalf("sent bits %d inconsistent with %d sends", st.Counter(dataplane.MetricTxSentBits), sent)
+	}
+	if got := st.Histograms[dataplane.MetricTxQueueWaitNs].Count; got != sent {
+		t.Fatalf("queue-wait histogram holds %d observations; want one per packet sent (%d)", got, sent)
+	}
+}
+
+// TestTxQueueLockFreeDart: the dart clock is one word advanced by
+// compare-and-swap, so G goroutines × N packets onto a single dart under
+// a frozen clock must leave exactly G·N serialisation times of backlog —
+// a lost update would leave less, a double claim more — with every
+// packet counted once.
+func TestTxQueueLockFreeDart(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	q := dataplane.NewTxQueueDarts(2, dataplane.TxConfig{
+		BandwidthBps: 8.192e9, // 8192-bit packets: 1 µs each
+		MaxBacklog:   time.Hour,
+		Now:          func() time.Duration { return 42 * time.Millisecond },
+		Metrics:      reg,
+	})
+	const goroutines = 8
+	const perG = 4000
+	const batch = 40
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g&1 == 0 {
+				for i := 0; i < perG; i++ {
+					q.Send(1, 8192, nil)
+				}
+				return
+			}
+			b := &dataplane.Batch{Pkts: make([]dataplane.Packet, batch)}
+			for j := range b.Pkts {
+				b.Pkts[j] = dataplane.Packet{Egress: 1, OK: true, Bits: 8192}
+			}
+			for i := 0; i < perG; i += batch {
+				q.Transmit(b, nil)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := q.Backlog(1), goroutines*perG*time.Microsecond; got != want {
+		t.Fatalf("backlog = %v; want exactly %v", got, want)
+	}
+	st := reg.Snapshot()
+	if got := st.Counter(dataplane.MetricTxSent); got != goroutines*perG {
+		t.Fatalf("tx.sent = %d; want %d", got, goroutines*perG)
+	}
+	// Every claimed interval is distinct, so the waits are 0, 1, 2, … µs
+	// in some order: their sum is fixed whatever the interleaving.
+	const n = goroutines * perG
+	if got, want := st.Histograms[dataplane.MetricTxQueueWaitNs].Sum, uint64(n*(n-1)/2*1000); got != want {
+		t.Fatalf("queue waits sum to %d ns; want %d (each µs slot claimed once)", got, want)
+	}
+}
+
+// TestTxQueueSubNanosecondPacing: dart clocks count link bit-times, so
+// serialisation times below a nanosecond accumulate exactly. The
+// nanosecond clock this replaces truncated each packet's time: at
+// 400 Gb/s a 64-byte frame (1.28 ns) advanced the link by 1 ns, and a
+// minimum 160-bit IPv4 frame (0.4 ns) by nothing — runts serialised for
+// free, against wireFrameBits's own promise.
+func TestTxQueueSubNanosecondPacing(t *testing.T) {
+	q := dataplane.NewTxQueueDarts(2, dataplane.TxConfig{
+		BandwidthBps: 400e9,
+		MaxBacklog:   time.Second,
+		Now:          func() time.Duration { return time.Minute },
+	})
+	const frames = 1_000_000
+	within := func(got, want time.Duration) bool {
+		d := got - want
+		if d < 0 {
+			d = -d
+		}
+		return d <= want/1000 // ± 0.1 %
+	}
+	for i := 0; i < frames; i++ {
+		q.Send(0, 512, nil)
+		q.Send(1, 160, nil)
+	}
+	if got, want := q.Backlog(0), 1280*time.Microsecond; !within(got, want) {
+		t.Fatalf("10⁶ 64-byte frames at 400 Gb/s: backlog %v; want %v ± 0.1%%", got, want)
+	}
+	if got, want := q.Backlog(1), 400*time.Microsecond; !within(got, want) {
+		t.Fatalf("10⁶ minimum frames at 400 Gb/s: backlog %v; want %v ± 0.1%%", got, want)
 	}
 }
 
@@ -278,7 +403,7 @@ func TestTxCollectorsAccumulate(t *testing.T) {
 // TestTxQueueRebindCarriesPacing: RebindDarts carries surviving links'
 // pacing clocks into the new generation (a busy queue keeps draining at
 // the link rate, it does not reset to idle), drops removed links'
-// state, and keeps retired-generation counts visible in Stats.
+// state, and keeps the counts made before the rebind.
 func TestTxQueueRebindCarriesPacing(t *testing.T) {
 	now := func() time.Duration { return 0 }
 	reg := telemetry.NewRegistry()
@@ -307,7 +432,7 @@ func TestTxQueueRebindCarriesPacing(t *testing.T) {
 		t.Fatalf("new link 0 inherits stale backlog %v", b)
 	}
 	if got := reg.Snapshot().Counter(dataplane.MetricTxSent); got != 2 {
-		t.Fatalf("retired generation's sends lost: %d", got)
+		t.Fatalf("sends made before the rebind lost: %d", got)
 	}
 	if b := q.MaxBacklog(); b != 2*time.Second {
 		t.Fatalf("MaxBacklog = %v; want 2s", b)

@@ -9,7 +9,9 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	r := NewRegistry()
 	h := r.Counter("c").Handle()
 	g := r.Gauge("g")
-	hh := r.Histogram("h", ExponentialBuckets(100, 4, 8)).Handle()
+	hist := r.Histogram("h", ExponentialBuckets(100, 4, 8))
+	hh := hist.Handle()
+	var histTally HistogramTally
 	bank := NewCounterBank(r, "a", "b")
 	var tally Tally
 
@@ -18,6 +20,7 @@ func TestHotPathZeroAllocs(t *testing.T) {
 		"gauge":          func() { g.Set(7); g.Add(-2); g.SetMax(9) },
 		"histogram":      func() { hh.Observe(1234) },
 		"tally-flush":    func() { tally[0]++; tally[1] += 5; bank.Flush(&tally) },
+		"hist-tally":     func() { hist.Tally(&histTally, 1234); hist.Flush(&histTally) },
 	}
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(1000, fn); allocs != 0 {

@@ -97,6 +97,57 @@ func (h *Histogram) Handle() HistogramHandle {
 // Observe records v on the handle's row.
 func (hh HistogramHandle) Observe(v int64) { hh.h.observe(hh.shard, v) }
 
+// HistogramTallySize is the bucket capacity of a HistogramTally, the
+// overflow bucket included: it serves histograms of up to
+// HistogramTallySize-1 bounds.
+const HistogramTallySize = 16
+
+// HistogramTally is the histogram analogue of Tally: a plain local
+// accumulator a hot loop fills with ordinary (non-atomic) adds through
+// Histogram.Tally and empties through Histogram.Flush once per batch.
+// The zero value is ready to use; a fixed array, so it lives on the
+// caller's stack.
+type HistogramTally struct {
+	counts [HistogramTallySize]uint64
+	sum    uint64
+}
+
+// Tally records v into t, bucketed by h's bounds, without touching h's
+// shared rows. Negative observations clamp to zero, as in Observe. A
+// histogram of more than HistogramTallySize-1 bounds does not fit a
+// tally — layouts are static, so that is an index panic, not a runtime
+// condition.
+func (h *Histogram) Tally(t *HistogramTally, v int64) {
+	if v < 0 {
+		v = 0
+	}
+	t.counts[h.bucket(v)]++
+	t.sum += uint64(v)
+}
+
+// Flush adds t's observations to the shared shard row and zeroes t: the
+// snapshot afterwards equals the one the same values through Observe
+// would have left, for one atomic add per non-empty bucket plus at most
+// two.
+func (h *Histogram) Flush(t *HistogramTally) {
+	nb := len(h.bounds) + 1
+	var n uint64
+	for i, c := range t.counts[:nb] {
+		if c != 0 {
+			h.rows[i].Add(c)
+			n += c
+		}
+	}
+	if n == 0 {
+		return
+	}
+	h.rows[nb+slotCount].Add(n)
+	if t.sum != 0 {
+		h.rows[nb+slotSum].Add(t.sum)
+	}
+	*t = HistogramTally{}
+}
+
 // snapshot sums the shard rows.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	nb := len(h.bounds) + 1

@@ -175,3 +175,40 @@ func TestQuantileOverflowIsLowerBound(t *testing.T) {
 		t.Fatalf("overflow bucket holds %d; want 2", s.Counts[len(s.Counts)-1])
 	}
 }
+
+// TestHistogramTallyFlushEqualsObserves: a tally filled through Tally
+// and flushed leaves the snapshot N Observes of the same values leave —
+// bucket counts, Count, Sum and the clamping of negatives — across
+// several flushes (a flushed tally starts again from zero), and an
+// empty flush changes nothing.
+func TestHistogramTallyFlushEqualsObserves(t *testing.T) {
+	bounds := ExponentialBuckets(1000, 4, HistogramTallySize-1) // the widest layout a tally holds
+	observed := newHistogram("observed", bounds)
+	tallied := newHistogram("tallied", bounds)
+	values := []int64{-7, 0, 1, 999, 1000, 1001, 4000, 4001, 123456789, bounds[len(bounds)-1], bounds[len(bounds)-1] + 1, 1 << 40}
+	var tally HistogramTally
+	tallied.Flush(&tally) // empty: no counts, no Count
+	for round := 0; round < 3; round++ {
+		for i, v := range values {
+			v += int64(round * i)
+			observed.Observe(v)
+			tallied.Tally(&tally, v)
+		}
+		if got := tallied.snapshot().Count; got != uint64(round*len(values)) {
+			t.Fatalf("round %d: Count = %d before the flush; a tally must not touch the histogram", round, got)
+		}
+		tallied.Flush(&tally)
+		if tally != (HistogramTally{}) {
+			t.Fatalf("round %d: flush left the tally at %+v", round, tally)
+		}
+		want, got := observed.snapshot(), tallied.snapshot()
+		if got.Count != want.Count || got.Sum != want.Sum {
+			t.Fatalf("round %d: Count/Sum = %d/%d; want %d/%d", round, got.Count, got.Sum, want.Count, want.Sum)
+		}
+		for i := range want.Counts {
+			if got.Counts[i] != want.Counts[i] {
+				t.Fatalf("round %d: counts = %v; want %v", round, got.Counts, want.Counts)
+			}
+		}
+	}
+}

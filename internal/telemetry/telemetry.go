@@ -21,9 +21,10 @@
 // a worker keeps a plain local Tally and flushes it through a
 // CounterBank once per batch — one atomic add per metric per 256
 // decisions. Histograms follow the same pattern with per-shard bucket
-// rows. The instrumentation-overhead budget is pinned by benchmark
-// tests: 0 allocs/op, and the instrumented decide path within 5% of the
-// bare one.
+// rows, and a HistogramTally flushed once per batch where a per-packet
+// observation is too much. The instrumentation-overhead budget is
+// pinned by benchmark tests: 0 allocs/op, and the instrumented decide
+// path within 5% of the bare one.
 //
 // # Snapshot consistency
 //
@@ -176,9 +177,8 @@ func (b *CounterBank) Flush(t *Tally) {
 
 // Collector contributes derived or externally-owned values to a
 // Snapshot at read time — the adapter that lets subsystems with private
-// accounting (egress queues, the recompiler and its repairer pool)
-// publish into the registry without moving their hot paths onto
-// telemetry primitives.
+// accounting (the recompiler and its repairer pool) publish into the
+// registry without moving their hot paths onto telemetry primitives.
 type Collector interface {
 	Collect(s *Snapshot)
 }
@@ -325,8 +325,8 @@ func (s *Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
 func (s *Snapshot) SetCounter(name string, v uint64) { s.Counters[name] = v }
 
 // AddCounter accumulates v into the named counter — the emit hook for
-// Collectors whose instances may share a registry (several TxQueues
-// across an engine rebuild, say): each contributes its total instead of
+// Collectors whose instances may share a registry (several Recompilers
+// across a soak restart, say): each contributes its total instead of
 // overwriting the last writer's.
 func (s *Snapshot) AddCounter(name string, v uint64) { s.Counters[name] += v }
 
