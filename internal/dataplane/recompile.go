@@ -312,7 +312,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 			structural = true
 			ensureOrders()
 			w := e.Weight
-			par.ForObserved(n, workers, obs, func(_, lo, hi int) {
+			par.ForObserved(n, workers, obs, func(wk, lo, hi int) {
 				for d := lo; d < hi; d++ {
 					tr := trees[d]
 					da, db := tr.Dist[e.A], tr.Dist[e.B]
@@ -323,7 +323,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 						(!math.IsInf(da, 1) && da+w <= db)
 					if improves {
 						dirty[d], fullDest[d] = true, true
-						trees[d] = graph.ShortestPathTree(nextG, graph.NodeID(d), nil)
+						trees[d] = reps[wk].Tree(nextG, graph.NodeID(d), nil)
 					}
 				}
 			})
@@ -333,7 +333,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 			structural, renumbered = true, true
 			ensureOrders()
 			link := curG.Link(e.Link)
-			par.ForObserved(n, workers, obs, func(_, lo, hi int) {
+			par.ForObserved(n, workers, obs, func(wk, lo, hi int) {
 				for d := lo; d < hi; d++ {
 					tr := trees[d]
 					// Only an endpoint can have the removed link as its next
@@ -342,7 +342,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 					// shifted.
 					if tr.NextLink[link.A] == e.Link || tr.NextLink[link.B] == e.Link {
 						dirty[d], fullDest[d] = true, true
-						trees[d] = graph.ShortestPathTree(nextG, graph.NodeID(d), nil)
+						trees[d] = reps[wk].Tree(nextG, graph.NodeID(d), nil)
 					} else {
 						trees[d] = graph.RemapTreeLinks(tr, m)
 					}

@@ -14,28 +14,47 @@ import (
 	"recycle/internal/route"
 )
 
-// TestDeltaRecompileSpeedup pins the headline churn claim: a delta
-// recompile of a single-link weight change on ring:64 is at least 5×
-// faster than the full rebuild (routing tables + quantiser + protocol +
-// FIB from scratch). Both paths are timed over identical alternating
-// 1↔2 metric tweaks in interleaved batches, on one processor and each
-// batch from a collected heap, and the gate reads the median of the
-// per-round ratios (the design of TestTracerOverhead). One processor
-// because the full rebuild allocates two orders more than the delta —
-// its mutator time alone is only 4.9× the delta's — and with a second
-// core the collector's share is hidden or not by what else that core is
-// doing, while par fans 64 destinations out to two workers, which
-// halves the rebuild and only adds hand-offs to a delta that repairs a
-// few trees: the ratio then reads the box, 3.5× to 7×. On one processor
-// every cycle a path causes, collector included, lands on its clock.
-// BenchmarkRecompileDelta/-Full report the same paths for the CI bench
-// job.
+// TestDeltaRecompileSpeedup pins the headline churn claim where it is
+// structural: a delta recompile of a single-link weight change on
+// grid:8x8 is at least 10× faster than the full rebuild (routing tables +
+// quantiser + protocol + FIB from scratch), because a metric tweak there
+// moves a few nodes of a few trees. ring:64 is measured and reported but
+// not gated: a 1↔2 tweak on a ring moves half of every tree, the delta's
+// structural worst case, so its ratio is the price of the full build —
+// ≥5× while Dijkstra allocated per node, about 3× since it stopped.
+// BenchmarkRecompileDelta's absolute ns/op guards the delta path itself
+// in the CI bench gate.
+//
+// Both paths are timed over identical alternating 1↔2 metric tweaks in
+// interleaved batches, on one processor and each batch from a collected
+// heap, and the gate reads the median of the per-round ratios (the design
+// of TestTracerOverhead). One processor because with a second core the
+// collector's share is hidden or not by what else that core is doing,
+// while par fans 64 destinations out to two workers, which halves the
+// rebuild and only adds hand-offs to a delta that repairs a few trees.
+// On one processor every cycle a path causes, collector included, lands
+// on its clock.
 func TestDeltaRecompileSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation distorts the timing ratio")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	rec, g := churnBench(t)
+	for _, c := range []struct {
+		spec string
+		want float64 // 0 reports without gating
+	}{{"grid:8x8", 10}, {"ring:64", 0}} {
+		speedup, full, delta := deltaSpeedup(t, c.spec)
+		if speedup < c.want {
+			t.Errorf("%s: delta recompile only %.2f× faster than full (full %v, delta %v at best); want ≥%g×",
+				c.spec, speedup, full, delta, c.want)
+		}
+	}
+}
+
+// deltaSpeedup measures the median full/delta latency ratio of a 1↔2
+// tweak of link 7 on the named topology, and each path's best batch.
+func deltaSpeedup(t *testing.T, spec string) (speedup float64, full, delta time.Duration) {
+	rec, g := churnBench(t, spec)
 	const (
 		link   = graph.LinkID(7)
 		rounds = 9
@@ -103,11 +122,8 @@ func TestDeltaRecompileSpeedup(t *testing.T) {
 		bestDelta, bestFull = math.Min(bestDelta, d), math.Min(bestFull, f)
 	}
 	sort.Float64s(ratios)
-	speedup := ratios[rounds/2]
-	t.Logf("full %v, delta %v per edit at best — median speedup %.1f× (rounds %.1f× to %.1f×)",
-		time.Duration(bestFull), time.Duration(bestDelta), speedup, ratios[0], ratios[rounds-1])
-	if speedup < 5 {
-		t.Fatalf("delta recompile only %.2f× faster than full (full %v, delta %v at best); want ≥5×",
-			speedup, time.Duration(bestFull), time.Duration(bestDelta))
-	}
+	speedup = ratios[rounds/2]
+	t.Logf("%s: full %v, delta %v per edit at best — median speedup %.1f× (rounds %.1f× to %.1f×)",
+		spec, time.Duration(bestFull), time.Duration(bestDelta), speedup, ratios[0], ratios[rounds-1])
+	return speedup, time.Duration(bestFull), time.Duration(bestDelta)
 }

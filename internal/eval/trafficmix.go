@@ -163,8 +163,7 @@ func sourceLabel(s traffic.Source) string {
 func diameterPair(g *graph.Graph) (graph.NodeID, graph.NodeID) {
 	bestS, bestD := graph.NodeID(0), graph.NodeID(1)
 	best := -1
-	for d := 0; d < g.NumNodes(); d++ {
-		tree := graph.ShortestPathTree(g, graph.NodeID(d), nil)
+	for d, tree := range graph.AllTrees(g, nil) {
 		for s := 0; s < g.NumNodes(); s++ {
 			if tree.Hops[s] > best {
 				best = tree.Hops[s]

@@ -46,11 +46,7 @@ type Router struct {
 
 // New builds an FCP router for g.
 func New(g *graph.Graph) *Router {
-	r := &Router{g: g, baseline: make([]*graph.SPTree, g.NumNodes())}
-	for d := 0; d < g.NumNodes(); d++ {
-		r.baseline[d] = graph.ShortestPathTree(g, graph.NodeID(d), nil)
-	}
-	return r
+	return &Router{g: g, baseline: graph.AllTrees(g, nil)}
 }
 
 // Graph returns the router's topology.

@@ -111,11 +111,21 @@ func ApplyEdit(g *Graph, e Edit) (*Graph, []LinkID, error) {
 	}
 	if e.Kind == EditWeight && g.Frozen() {
 		// Weight-only fast path: adjacency and names are weight-free, so
-		// the edited graph shares them and clones just the link table —
-		// the delta recompiler applies thousands of these.
+		// the edited graph shares them and clones just the link table and
+		// the arcs that carry the weight inline — the delta recompiler
+		// applies thousands of these.
 		links := append([]Link(nil), g.links...)
 		links[e.Link].Weight = e.Weight
-		return &Graph{names: g.names, links: links, adj: g.adj, frozen: true}, linkMap, nil
+		arcs := append([]arc(nil), g.arcs...)
+		for _, u := range [2]NodeID{links[e.Link].A, links[e.Link].B} {
+			for i := g.arcStart[u]; i < g.arcStart[u+1]; i++ {
+				if arcs[i].link == int32(e.Link) {
+					arcs[i].w = e.Weight
+				}
+			}
+		}
+		return &Graph{names: g.names, links: links, adj: g.adj, frozen: true,
+			arcStart: g.arcStart, arcs: arcs}, linkMap, nil
 	}
 	out := New(g.NumNodes(), g.NumLinks()+1)
 	for n := 0; n < g.NumNodes(); n++ {

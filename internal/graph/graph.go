@@ -63,6 +63,39 @@ type Graph struct {
 	links  []Link
 	adj    [][]Neighbor
 	frozen bool
+	// Flat (CSR) copy of the frozen adjacency for the shortest-path inner
+	// loops: node u's arcs are arcs[arcStart[u]:arcStart[u+1]], in adj[u]'s
+	// order. Built by Freeze; nil on a mutable graph (see flat).
+	arcStart []int32
+	arcs     []arc
+}
+
+// arc is one directed adjacency entry with the link's weight inline, so a
+// relaxation reads one 16-byte record instead of chasing adj[u] and then
+// links[id].
+type arc struct {
+	node, link int32
+	w          float64
+}
+
+// out returns frozen g's arcs leaving u.
+func (g *Graph) out(u NodeID) []arc { return g.arcs[g.arcStart[u]:g.arcStart[u+1]] }
+
+// flat returns the CSR adjacency: the frozen graph's own, or a throwaway
+// one for a graph still under construction.
+func (g *Graph) flat() (start []int32, arcs []arc) {
+	if g.frozen {
+		return g.arcStart, g.arcs
+	}
+	start = make([]int32, 1, len(g.adj)+1)
+	arcs = make([]arc, 0, 2*len(g.links))
+	for _, nbrs := range g.adj {
+		for _, nb := range nbrs {
+			arcs = append(arcs, arc{int32(nb.Node), int32(nb.Link), g.links[nb.Link].Weight})
+		}
+		start = append(start, int32(len(arcs)))
+	}
+	return start, arcs
 }
 
 // New returns an empty mutable graph with capacity hints for n nodes and m
@@ -120,8 +153,8 @@ func (g *Graph) MustAddLink(a, b NodeID, weight float64) LinkID {
 
 // Freeze marks the graph immutable. Further AddNode/AddLink calls panic.
 // Freeze also canonicalises adjacency order (by neighbor node, then link ID)
-// so that algorithms iterate deterministically regardless of insertion order.
-// It returns g for chaining.
+// so that algorithms iterate deterministically regardless of insertion order,
+// and flattens it for the shortest-path loops. It returns g for chaining.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
@@ -134,6 +167,7 @@ func (g *Graph) Freeze() *Graph {
 			return nbrs[i].Link < nbrs[j].Link
 		})
 	}
+	g.arcStart, g.arcs = g.flat()
 	g.frozen = true
 	return g
 }

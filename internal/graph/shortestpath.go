@@ -1,8 +1,8 @@
 package graph
 
 import (
-	"container/heap"
 	"math"
+	"sync"
 )
 
 // Infinity is the distance reported for unreachable nodes.
@@ -17,6 +17,12 @@ var Infinity = math.Inf(1)
 // next hop with the smaller NodeID, then the smaller LinkID. The paper
 // assumes a single next hop per destination; deterministic tie-breaking makes
 // every experiment reproducible.
+//
+// Lifetime: the planes (and the header) of trees built in succession by one
+// builder are cut from shared slabs of slabPlanes trees, so a tree kept
+// alive pins up to slabPlanes-1 neighbours' planes — a bounded cost, never a
+// whole table. Planes of distinct trees never overlap, so the Shared*
+// identity checks stay exact.
 type SPTree struct {
 	Dest NodeID
 	// Dist[n] is the weight-sum from n to Dest along the tree (Infinity if
@@ -33,101 +39,183 @@ type SPTree struct {
 	NextNode []NodeID
 }
 
-type dijkstraItem struct {
-	node NodeID
+// heapItem is one entry of distHeap.
+type heapItem struct {
 	dist float64
-	idx  int
+	node int32
 }
 
-type dijkstraHeap []*dijkstraItem
+// distHeap is an indexed binary min-heap of value items keyed on dist alone:
+// pos[v] is v's slot in items, -1 while v is not queued, which makes update
+// a decrease-key. Every run pops until empty, so between runs all of pos is
+// -1 whatever the previous graph's size or connectivity.
+type distHeap struct {
+	items []heapItem
+	pos   []int32
+}
 
-func (h dijkstraHeap) Len() int { return len(h) }
-func (h dijkstraHeap) Less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+// reset readies the (empty) heap for node indices below n.
+func (h *distHeap) reset(n int) {
+	for len(h.pos) < n {
+		h.pos = append(h.pos, -1)
 	}
-	return h[i].node < h[j].node
-}
-func (h dijkstraHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *dijkstraHeap) Push(x any) {
-	it := x.(*dijkstraItem)
-	it.idx = len(*h)
-	*h = append(*h, it)
-}
-func (h *dijkstraHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
 }
 
-// ShortestPathTree runs Dijkstra's algorithm from dest over the links that
-// are up under failures (nil means no failures) and returns the tree oriented
-// toward dest.
-func ShortestPathTree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
+// up places it into the hole at slot i and sifts it toward the root.
+func (h *distHeap) up(i int, it heapItem) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if h.items[p].dist <= it.dist {
+			break
+		}
+		h.items[i] = h.items[p]
+		h.pos[h.items[i].node] = int32(i)
+		i = p
+	}
+	h.items[i] = it
+	h.pos[it.node] = int32(i)
+}
+
+// update queues v at key d, or lowers its key to d if it is queued.
+func (h *distHeap) update(v NodeID, d float64) {
+	i := int(h.pos[v])
+	if i < 0 {
+		i = len(h.items)
+		h.items = append(h.items, heapItem{})
+	}
+	h.up(i, heapItem{d, int32(v)})
+}
+
+// popMin removes and returns a node of least key. The hole left at the
+// root walks down along the smaller child to a leaf, and the heap's last
+// item is sifted up from there: it came from the bottom, so it rarely
+// rises, and the walk down has no data-dependent exit to mispredict.
+func (h *distHeap) popMin() (NodeID, float64) {
+	items := h.items
+	top := items[0]
+	h.pos[top.node] = -1
+	n := len(items) - 1
+	last := items[n]
+	h.items = items[:n]
+	if n > 0 {
+		items[n].dist = Infinity // sentinel sibling for an only child
+		i := 0
+		for c := 1; c < n; c = 2*i + 1 {
+			var right int
+			if items[c+1].dist < items[c].dist {
+				right = 1
+			}
+			c += right
+			items[i] = items[c]
+			h.pos[items[i].node] = int32(i)
+			i = c
+		}
+		h.up(i, last)
+	}
+	return NodeID(top.node), top.dist
+}
+
+// slabPlanes is how many trees share one backing allocation per plane.
+const slabPlanes = 16
+
+// cut slices an n-element plane off *slab, refilling it slabPlanes planes
+// at a time. Planes have full capacity n, so appends never cross into a
+// sibling, and distinct planes never share an element.
+func cut[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, slabPlanes*n)
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
+
+// SPTBuilder builds shortest-path trees on reusable scratch: the heap is
+// kept between trees and the trees' planes (and headers) are cut from
+// slabs, so a tree costs 5/slabPlanes allocations instead of one per node.
+// The zero value is ready; a builder serves graphs of any size in any
+// order but is NOT safe for concurrent use — give each worker its own.
+type SPTBuilder struct {
+	heap     distHeap
+	treeSlab []SPTree
+	distSlab []float64
+	hopSlab  []int
+	linkSlab []LinkID
+	nodeSlab []NodeID
+}
+
+// Tree runs Dijkstra's algorithm from dest over the links that are up
+// under failures (nil means none) and returns the tree oriented toward
+// dest. The result is the canonical tree spelled out at SPTRepairer and
+// does not depend on the order in which nodes of equal distance leave the
+// heap: weights are positive, so every candidate cand = Dist[u] + w for v
+// comes from a u with Dist[u] < cand. Hence u is popped — with its Dist,
+// Hops and parent final, by induction on distance — before any node at
+// distance cand is, v has seen all its candidates by the time it is popped,
+// and betterTie keeps the (node, link)-smallest of the cheapest whatever
+// order they arrived in.
+func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	n := g.NumNodes()
-	t := &SPTree{
-		Dest:     dest,
-		Dist:     make([]float64, n),
-		Hops:     make([]int, n),
-		NextLink: make([]LinkID, n),
-		NextNode: make([]NodeID, n),
-	}
+	t := &cut(&b.treeSlab, 1)[0]
+	*t = SPTree{Dest: dest, Dist: cut(&b.distSlab, n), Hops: cut(&b.hopSlab, n),
+		NextLink: cut(&b.linkSlab, n), NextNode: cut(&b.nodeSlab, n)}
 	for i := 0; i < n; i++ {
-		t.Dist[i] = Infinity
-		t.Hops[i] = -1
-		t.NextLink[i] = NoLink
-		t.NextNode[i] = NoNode
+		t.Dist[i], t.Hops[i], t.NextLink[i], t.NextNode[i] = Infinity, -1, NoLink, NoNode
 	}
 	if n == 0 {
 		return t
 	}
-
-	items := make([]*dijkstraItem, n)
-	h := make(dijkstraHeap, 0, n)
-	t.Dist[dest] = 0
-	t.Hops[dest] = 0
-	items[dest] = &dijkstraItem{node: dest, dist: 0}
-	heap.Push(&h, items[dest])
-
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(*dijkstraItem)
-		u := it.node
-		items[u] = nil
-		du := t.Dist[u]
-		for _, nb := range g.Neighbors(u) {
-			if failures.Down(nb.Link) {
+	start, arcs := g.flat()
+	failing := failures.Len() > 0
+	h := &b.heap
+	h.reset(n)
+	t.Dist[dest], t.Hops[dest] = 0, 0
+	h.update(dest, 0)
+	for len(h.items) > 0 {
+		u, du := h.popMin()
+		for _, a := range arcs[start[u]:start[u+1]] {
+			v, link := NodeID(a.node), LinkID(a.link)
+			if failing && failures.down[link] {
 				continue
 			}
-			v := nb.Node
-			cand := du + g.Weight(nb.Link)
-			switch {
-			case cand < t.Dist[v]:
-				// strictly better
-			case cand == t.Dist[v] && betterTie(t, v, u, nb.Link):
+			cand := du + a.w
+			switch dv := t.Dist[v]; {
+			case cand < dv:
+				t.Dist[v] = cand
+				h.update(v, cand)
+			case cand == dv && betterTie(t, v, u, link):
 				// equal cost, deterministically preferred parent
 			default:
 				continue
 			}
-			t.Dist[v] = cand
-			t.Hops[v] = t.Hops[u] + 1
-			t.NextNode[v] = u
-			t.NextLink[v] = nb.Link
-			if items[v] == nil {
-				items[v] = &dijkstraItem{node: v, dist: cand}
-				heap.Push(&h, items[v])
-			} else {
-				items[v].dist = cand
-				heap.Fix(&h, items[v].idx)
-			}
+			t.Hops[v], t.NextNode[v], t.NextLink[v] = t.Hops[u]+1, u, link
 		}
 	}
 	return t
+}
+
+// builders recycles scratch behind ShortestPathTree.
+var builders = sync.Pool{New: func() any { return new(SPTBuilder) }}
+
+// ShortestPathTree is SPTBuilder.Tree on a pooled builder, for callers
+// that want one tree; loops over destinations use AllTrees or a builder of
+// their own.
+func ShortestPathTree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
+	b := builders.Get().(*SPTBuilder)
+	t := b.Tree(g, dest, failures)
+	builders.Put(b)
+	return t
+}
+
+// AllTrees returns the tree toward every destination of g under failures,
+// indexed by destination, built one after the other on one builder.
+func AllTrees(g *Graph, failures *FailureSet) []*SPTree {
+	var b SPTBuilder
+	trees := make([]*SPTree, g.NumNodes())
+	for d := range trees {
+		trees[d] = b.Tree(g, NodeID(d), failures)
+	}
+	return trees
 }
 
 // betterTie reports whether (parent, link) is preferred over v's current

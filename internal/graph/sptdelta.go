@@ -29,22 +29,24 @@ import (
 // the repairer falls back to a full Dijkstra for that destination and
 // counts it in Stats — correctness never depends on the fast path.
 type SPTRepairer struct {
+	// SPTBuilder lends its heap to the region Dijkstras and its slabs to
+	// the repaired planes, and serves the full rebuilds (the defensive
+	// fallback here, structural edits in the recompiler) on the same
+	// scratch.
+	SPTBuilder
 	// epoch-stamped scratch: a mark array entry is valid only when it
 	// equals the current epoch, so resets are O(1).
 	epoch    uint32
 	overlay  []float64 // repaired distances, valid when distMark matches
 	distMark []uint32
 	inSub    []uint32 // subtree membership (weight increase)
-	settled  []uint32 // region-Dijkstra settled marks
 	rkMark   []uint32 // recheck-set dedup
-	heap     repairHeap
 	region   []NodeID // affected nodes (increase: subtree; decrease: improved)
 	order    []NodeID // settle order of the region Dijkstra (increase)
 	recheck  []NodeID
 	chain    []NodeID   // cascade stack scratch
 	changes  []reparent // re-parented nodes scratch
 	seeds    []NodeID   // cascade seeds scratch
-	slab     []float64  // bulk allocation pool for repaired distance planes
 	// kids caches each destination's tree children lists across calls:
 	// the subtree walk of a weight increase then costs O(|subtree|)
 	// instead of O(n). Entries are validated by tree pointer and updated
@@ -90,80 +92,22 @@ func (r *SPTRepairer) Counters() (repaired, unchanged, fullFallback, nodesTouche
 	return r.stats.repaired, r.stats.unchanged, r.stats.fullFallback, r.stats.nodesTouched
 }
 
-// repairItem is one heap entry of the region Dijkstra.
-type repairItem struct {
-	dist float64
-	node NodeID
-}
-
-// repairHeap is a plain binary min-heap on (dist, node), matching the
-// full Dijkstra's pop order. Lazy deletion: stale entries are skipped at
-// pop time against the overlay distance.
-type repairHeap []repairItem
-
-func (h *repairHeap) push(it repairItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !repairLess((*h)[i], (*h)[p]) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
-}
-
-func (h *repairHeap) pop() repairItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && repairLess((*h)[l], (*h)[small]) {
-			small = l
-		}
-		if r < n && repairLess((*h)[r], (*h)[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
-		i = small
-	}
-	return top
-}
-
-func repairLess(a, b repairItem) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	return a.node < b.node
-}
-
 // grow sizes the scratch for an n-node graph and starts a fresh epoch.
 func (r *SPTRepairer) grow(n int) {
 	if len(r.overlay) < n {
 		r.overlay = make([]float64, n)
 		r.distMark = make([]uint32, n)
 		r.inSub = make([]uint32, n)
-		r.settled = make([]uint32, n)
 		r.rkMark = make([]uint32, n)
 	}
 	r.epoch++
 	if r.epoch == 0 { // wrapped: scrub stale marks once
 		for i := range r.distMark {
-			r.distMark[i], r.inSub[i] = 0, 0
-			r.settled[i], r.rkMark[i] = 0, 0
+			r.distMark[i], r.inSub[i], r.rkMark[i] = 0, 0, 0
 		}
 		r.epoch = 1
 	}
-	r.heap = r.heap[:0]
+	r.heap.reset(n)
 	r.region = r.region[:0]
 	r.order = r.order[:0]
 	r.recheck = r.recheck[:0]
@@ -178,20 +122,6 @@ func (r *SPTRepairer) dist(old *SPTree, v NodeID) float64 {
 	return old.Dist[v]
 }
 
-// allocDist cuts an n-sized distance plane from a slab: repaired trees
-// are allocated in bulk (16 planes at a time), trading 16× fewer small
-// allocations for the slab living as long as its longest-lived tree —
-// the right trade for a control plane that repairs most destinations on
-// every edit.
-func (r *SPTRepairer) allocDist(n int) []float64 {
-	if len(r.slab) < n {
-		r.slab = make([]float64, 16*n)
-	}
-	out := r.slab[:n:n]
-	r.slab = r.slab[n:]
-	return out
-}
-
 func (r *SPTRepairer) setDist(v NodeID, d float64) {
 	if r.distMark[v] != r.epoch {
 		r.distMark[v] = r.epoch
@@ -201,9 +131,9 @@ func (r *SPTRepairer) setDist(v NodeID, d float64) {
 }
 
 // WeightChange repairs old — a canonical shortest-path tree toward
-// old.Dest on the pre-edit graph — into the canonical tree on g, where g
-// differs from the pre-edit graph only by link l's weight (previously
-// oldW, now g.Weight(l)). When the tree is unaffected the original tree
+// old.Dest on the pre-edit graph — into the canonical tree on g, a frozen
+// graph (as ApplyEdit returns) that differs from the pre-edit one only by
+// link l's weight (previously oldW, now g.Weight(l)). When the tree is unaffected the original tree
 // is returned with changed == false.
 func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64) (t *SPTree, changed bool) {
 	wNew := g.Weight(l)
@@ -252,9 +182,9 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 			// strictly better one would have improved it into the
 			// region, a worse one never enters the achiever set.
 			dv := r.overlay[v]
-			for _, nb := range g.Neighbors(v) {
-				if dv+g.Weight(nb.Link) == r.dist(old, nb.Node) {
-					addRecheck(nb.Node)
+			for _, a := range g.out(v) {
+				if dv+a.w == r.dist(old, NodeID(a.node)) {
+					addRecheck(NodeID(a.node))
 				}
 			}
 		}
@@ -283,7 +213,9 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 	}
 	dist := old.Dist
 	if distChanged {
-		dist = r.allocDist(len(old.Dist))
+		// From the builder's slab: most destinations are repaired on
+		// every edit, so planes are worth allocating in bulk.
+		dist = cut(&r.distSlab, len(old.Dist))
 		copy(dist, old.Dist)
 		for _, v := range r.region {
 			dist[v] = r.overlay[v]
@@ -301,13 +233,13 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 		}
 		bestD := math.Inf(1)
 		bestP, bestL := NoNode, NoLink
-		for _, nb := range g.Neighbors(v) {
-			du := dist[nb.Node]
+		for _, a := range g.out(v) {
+			du := dist[a.node]
 			if math.IsInf(du, 1) {
 				continue
 			}
-			if cand := du + g.Weight(nb.Link); cand < bestD {
-				bestD, bestP, bestL = cand, nb.Node, nb.Link
+			if cand := du + a.w; cand < bestD {
+				bestD, bestP, bestL = cand, NodeID(a.node), LinkID(a.link)
 			}
 		}
 		if bestD != dist[v] {
@@ -315,7 +247,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 			// the incremental invariants were violated. Never deliver a
 			// wrong tree — recompute this destination from scratch.
 			r.stats.fullFallback++
-			return ShortestPathTree(g, old.Dest, nil), true
+			return r.Tree(g, old.Dest, nil), true
 		}
 		if bestP != old.NextNode[v] || bestL != old.NextLink[v] {
 			changes = append(changes, reparent{v: v, node: bestP, link: bestL})
@@ -422,41 +354,36 @@ func (r *SPTRepairer) raiseDists(g *Graph, old *SPTree, l LinkID) bool {
 	// Seed every region node with its best boundary candidate.
 	for _, v := range r.region {
 		best := math.Inf(1)
-		for _, nb := range g.Neighbors(v) {
-			if r.inSub[nb.Node] == r.epoch {
+		for _, a := range g.out(v) {
+			if r.inSub[a.node] == r.epoch {
 				continue
 			}
-			du := old.Dist[nb.Node]
+			du := old.Dist[a.node]
 			if math.IsInf(du, 1) {
 				continue
 			}
-			if cand := du + g.Weight(nb.Link); cand < best {
+			if cand := du + a.w; cand < best {
 				best = cand
 			}
 		}
 		r.overlay[v] = best
 		if !math.IsInf(best, 1) {
-			r.heap.push(repairItem{dist: best, node: v})
+			r.heap.update(v, best)
 		}
 	}
-	// Region Dijkstra: settle in (dist, node) order, relaxing only
+	// Region Dijkstra: settle in distance order, relaxing only
 	// region-internal links (l itself is a boundary link by construction).
-	for len(r.heap) > 0 {
-		it := r.heap.pop()
-		v := it.node
-		if r.settled[v] == r.epoch || it.dist != r.overlay[v] {
-			continue
-		}
-		r.settled[v] = r.epoch
+	for len(r.heap.items) > 0 {
+		v, dv := r.heap.popMin()
 		r.order = append(r.order, v)
-		for _, nb := range g.Neighbors(v) {
-			u := nb.Node
-			if r.inSub[u] != r.epoch || r.settled[u] == r.epoch {
+		for _, a := range g.out(v) {
+			u := NodeID(a.node)
+			if r.inSub[u] != r.epoch {
 				continue
 			}
-			if cand := it.dist + g.Weight(nb.Link); cand < r.overlay[u] {
+			if cand := dv + a.w; cand < r.overlay[u] {
 				r.overlay[u] = cand
-				r.heap.push(repairItem{dist: cand, node: u})
+				r.heap.update(u, cand)
 			}
 		}
 	}
@@ -547,23 +474,18 @@ func (r *SPTRepairer) lowerDists(g *Graph, old *SPTree, l LinkID) {
 		}
 		if cand := dvia + w; cand < old.Dist[e] {
 			r.setDist(e, cand)
-			r.heap.push(repairItem{dist: cand, node: e})
+			r.heap.update(e, cand)
 		}
 	}
 	seed(link.A, link.B)
 	seed(link.B, link.A)
-	for len(r.heap) > 0 {
-		it := r.heap.pop()
-		v := it.node
-		if r.settled[v] == r.epoch || it.dist != r.overlay[v] {
-			continue
-		}
-		r.settled[v] = r.epoch
-		for _, nb := range g.Neighbors(v) {
-			u := nb.Node
-			if cand := it.dist + g.Weight(nb.Link); cand < r.dist(old, u) {
+	for len(r.heap.items) > 0 {
+		v, dv := r.heap.popMin()
+		for _, a := range g.out(v) {
+			u := NodeID(a.node)
+			if cand := dv + a.w; cand < r.dist(old, u) {
 				r.setDist(u, cand)
-				r.heap.push(repairItem{dist: cand, node: u})
+				r.heap.update(u, cand)
 			}
 		}
 	}

@@ -62,8 +62,9 @@ func Build(g *graph.Graph, disc Discriminator) *Table {
 func BuildWorkers(g *graph.Graph, disc Discriminator, workers int) *Table {
 	t := &Table{g: g, disc: disc, trees: make([]*graph.SPTree, g.NumNodes())}
 	par.For(g.NumNodes(), workers, func(_, lo, hi int) {
+		var b graph.SPTBuilder // per range: scratch is not shareable
 		for d := lo; d < hi; d++ {
-			t.trees[d] = graph.ShortestPathTree(g, graph.NodeID(d), nil)
+			t.trees[d] = b.Tree(g, graph.NodeID(d), nil)
 		}
 	})
 	return t

@@ -127,3 +127,24 @@ func TestDiscriminatorString(t *testing.T) {
 		t.Fatal("unknown discriminator should still render")
 	}
 }
+
+// BenchmarkRouteBuild times what dominates a cold compile: one canonical
+// shortest-path tree per destination. Workers is pinned so the number does
+// not depend on the host's core count.
+func BenchmarkRouteBuild(b *testing.B) {
+	for _, spec := range []string{"rand:512", "rand:1000"} {
+		b.Run(spec, func(b *testing.B) {
+			tp, err := topo.Generated(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tableSink = BuildWorkers(tp.Graph, HopCount, 1)
+			}
+		})
+	}
+}
+
+var tableSink *Table

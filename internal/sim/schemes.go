@@ -335,10 +335,7 @@ func (r *ReconvScheme) Init(s *Simulator) {
 }
 
 func (r *ReconvScheme) recompute(failures *graph.FailureSet) {
-	r.trees = make([]*graph.SPTree, r.g.NumNodes())
-	for d := 0; d < r.g.NumNodes(); d++ {
-		r.trees[d] = graph.ShortestPathTree(r.g, graph.NodeID(d), failures)
-	}
+	r.trees = graph.AllTrees(r.g, failures)
 }
 
 // Process implements Scheme.
