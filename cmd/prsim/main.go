@@ -988,7 +988,7 @@ func runChurn(topoName string, edits int, seed int64, reg *telemetry.Registry, t
 			names = append(names, n)
 		}
 	}
-	fmt.Printf("# topology churn: full vs delta recompile, %d random single-link weight edits per topology (seed %d)\n", edits, seed)
+	fmt.Printf("# topology churn: full vs delta recompile, %d random single-link weight edits, then %d removals and re-additions of a non-bridge link (s. columns), per topology (seed %d)\n", edits, edits/2*2, seed)
 	if err := eval.WriteChurnReport(os.Stdout, eval.ChurnConfig{
 		Panel: eval.Panel{Topologies: names, Seed: seed, Metrics: reg, Tracer: tracer},
 		Edits: edits,

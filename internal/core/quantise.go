@@ -35,8 +35,10 @@ const RankUnreachable = ^uint32(0)
 //
 // A Quantiser is immutable after Build and safe for concurrent use.
 type Quantiser struct {
-	n       int
-	rank    []uint32 // rank[node*n+dst]; RankUnreachable when no route
+	n int
+	// rank[dst][node]; RankUnreachable when no route. One slice per
+	// destination, so a delta rebuild (Rebuild) shares untouched columns.
+	rank    [][]uint32
 	maxRank uint32
 	// dstMax[dst] is the largest rank in dst's column, so a delta rebuild
 	// (Rebuild) can recompute the global max from per-column maxima.
@@ -46,7 +48,7 @@ type Quantiser struct {
 // BuildQuantiser computes the per-destination rank tables of a routing
 // table. Cost is O(n² log n) — offline work for the paper's designated
 // server, never paid at failure time. Rank assignment is independent per
-// destination (each column writes a disjoint stride of rank plus its own
+// destination (each column writes its own slice of rank plus its own
 // dstMax slot), so columns fan out across GOMAXPROCS workers with
 // per-worker sort scratch; the output is bit-identical to a sequential
 // build at any worker count.
@@ -58,10 +60,12 @@ func BuildQuantiser(tbl *route.Table) *Quantiser {
 // 0 picks the automatic fan-out, 1 forces the sequential build.
 func BuildQuantiserWorkers(tbl *route.Table, workers int) *Quantiser {
 	n := tbl.Graph().NumNodes()
-	q := &Quantiser{n: n, rank: make([]uint32, n*n), dstMax: make([]uint32, n)}
+	q := &Quantiser{n: n, rank: make([][]uint32, n), dstMax: make([]uint32, n)}
+	plane := make([]uint32, n*n)
 	par.For(n, workers, func(_, lo, hi int) {
 		vals := make([]float64, 0, n)
 		for dst := lo; dst < hi; dst++ {
+			q.rank[dst] = plane[dst*n : (dst+1)*n : (dst+1)*n]
 			vals = q.rankColumn(tbl, graph.NodeID(dst), vals)
 		}
 	})
@@ -69,11 +73,12 @@ func BuildQuantiserWorkers(tbl *route.Table, workers int) *Quantiser {
 	return q
 }
 
-// rankColumn recomputes destination dst's rank column and per-column max
-// from tbl, reusing vals as scratch. It is the per-destination unit both
-// BuildQuantiser and the delta path's Rebuild share.
+// rankColumn recomputes destination dst's rank column (q.rank[dst], which
+// the caller allocated) and per-column max from tbl, reusing vals as
+// scratch. It is the per-destination unit both BuildQuantiser and the
+// delta path's Rebuild share.
 func (q *Quantiser) rankColumn(tbl *route.Table, dst graph.NodeID, vals []float64) []float64 {
-	n := q.n
+	n, col := q.n, q.rank[dst]
 	if tbl.DiscriminatorKind() == route.HopCount {
 		// Hop counts toward a destination are dense: every node's parent
 		// is exactly one hop closer, so each value 0..max occurs and the
@@ -82,13 +87,12 @@ func (q *Quantiser) rankColumn(tbl *route.Table, dst graph.NodeID, vals []float6
 		tree := tbl.Tree(dst)
 		max := uint32(0)
 		for node := 0; node < n; node++ {
-			idx := node*n + int(dst)
 			h := tree.Hops[node]
 			if h < 0 {
-				q.rank[idx] = RankUnreachable
+				col[node] = RankUnreachable
 				continue
 			}
-			q.rank[idx] = uint32(h)
+			col[node] = uint32(h)
 			if uint32(h) > max {
 				max = uint32(h)
 			}
@@ -113,14 +117,13 @@ func (q *Quantiser) rankColumn(tbl *route.Table, dst graph.NodeID, vals []float6
 	}
 	q.dstMax[dst] = 0
 	for node := 0; node < n; node++ {
-		idx := node*n + int(dst)
 		if !tbl.Reachable(graph.NodeID(node), dst) {
-			q.rank[idx] = RankUnreachable
+			col[node] = RankUnreachable
 			continue
 		}
 		dd := tbl.DD(graph.NodeID(node), dst)
 		r := uint32(sort.SearchFloat64s(distinct, dd))
-		q.rank[idx] = r
+		col[node] = r
 		if r > q.dstMax[dst] {
 			q.dstMax[dst] = r
 		}
@@ -150,15 +153,16 @@ func (q *Quantiser) Rebuild(tbl *route.Table, dirty []graph.NodeID) *Quantiser {
 	}
 	nq := &Quantiser{
 		n:      q.n,
-		rank:   append([]uint32(nil), q.rank...),
+		rank:   append([][]uint32(nil), q.rank...),
 		dstMax: append([]uint32(nil), q.dstMax...),
 	}
-	// Dirty columns are disjoint strides, so re-rank them in parallel
+	// Dirty columns are disjoint slices, so re-rank them in parallel
 	// like BuildQuantiser does (small dirty sets stay sequential under
 	// the fan-out floor).
 	par.For(len(dirty), 0, func(_, lo, hi int) {
 		vals := make([]float64, 0, q.n)
 		for i := lo; i < hi; i++ {
+			nq.rank[dirty[i]] = make([]uint32, q.n)
 			vals = nq.rankColumn(tbl, dirty[i], vals)
 		}
 	})
@@ -169,7 +173,7 @@ func (q *Quantiser) Rebuild(tbl *route.Table, dirty []graph.NodeID) *Quantiser {
 // Rank returns the quantised discriminator of node toward dst, or
 // RankUnreachable when no route exists.
 func (q *Quantiser) Rank(node, dst graph.NodeID) uint32 {
-	return q.rank[int(node)*q.n+int(dst)]
+	return q.rank[dst][node]
 }
 
 // MaxRank returns the largest rank assigned to any reachable pair.
@@ -197,13 +201,13 @@ func (q *Quantiser) VerifyOrderPreserved(tbl *route.Table) bool {
 	n := q.n
 	for dst := 0; dst < n; dst++ {
 		for a := 0; a < n; a++ {
-			ra := q.rank[a*n+dst]
+			ra := q.rank[dst][a]
 			if ra == RankUnreachable {
 				continue
 			}
 			dda := tbl.DD(graph.NodeID(a), graph.NodeID(dst))
 			for b := a + 1; b < n; b++ {
-				rb := q.rank[b*n+dst]
+				rb := q.rank[dst][b]
 				if rb == RankUnreachable {
 					continue
 				}

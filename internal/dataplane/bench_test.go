@@ -334,8 +334,14 @@ func churnBench(b testing.TB, spec string) (*dataplane.Recompiler, *graph.Graph)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sys := tp.Embedding
+	if sys == nil { // rand:N carries none
+		if sys, err = (embedding.Auto{Seed: 1}).Embed(tp.Graph); err != nil {
+			b.Fatal(err)
+		}
+	}
 	tbl := route.Build(tp.Graph, route.HopCount)
-	p, err := core.New(tp.Graph, tp.Embedding, tbl, core.Config{Variant: core.Full})
+	p, err := core.New(tp.Graph, sys, tbl, core.Config{Variant: core.Full})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -377,6 +383,46 @@ func BenchmarkRecompileDeltaDrain(b *testing.B) {
 		if _, err := rec.Apply(graph.SetWeight(7, weights[i%2])); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRecompileStructural measures one structural delta — a
+// non-bridge link decommissioned, then commissioned again, one Apply per
+// iteration — through the same incremental repairer and column patch as a
+// weight edit. After the warm-up round the link sits at the highest ID, so
+// every round removes and re-adds the same link over the same rotation
+// orders. rand:512's link 200 lies on 507 of the 512 trees with 18 nodes
+// behind it on average, the typical case (link 7 has 190). Gated in
+// absolute ns/op and allocs/op by the CI bench job.
+func BenchmarkRecompileStructural(b *testing.B) {
+	for _, c := range []struct {
+		spec string
+		link graph.LinkID
+	}{{"grid:8x8", 7}, {"rand:512", 200}} {
+		b.Run(c.spec, func(b *testing.B) {
+			rec, g := churnBench(b, c.spec)
+			link := g.Link(c.link)
+			for _, br := range graph.Bridges(g) {
+				if br == link.ID {
+					b.Fatalf("link %d of %s is a bridge", link.ID, c.spec)
+				}
+			}
+			last := graph.LinkID(g.NumLinks() - 1)
+			round := [2]graph.Edit{graph.RemoveLinkEdit(last), graph.AddLinkEdit(link.A, link.B, link.Weight)}
+			if _, err := rec.Apply(graph.RemoveLinkEdit(link.ID)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rec.Apply(round[1]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := rec.Apply(round[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

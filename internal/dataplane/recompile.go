@@ -16,15 +16,17 @@ import (
 // Recompiler performs incremental FIB recompilation for planned topology
 // changes — maintenance weight shifts, link additions, link
 // decommissions. A full Compile is the offline O(n²·log n) rebuild the
-// paper assigns to the designated server; the recompiler instead
-// identifies the destination trees an edit set actually touches, repairs
-// only those (graph.SPTRepairer for weight changes, per-destination
-// Dijkstra for structural edits), re-ranks only the dirty quantiser
-// columns, and patches only the dirty FIB columns. The result is
-// bit-identical to a from-scratch CompileWith over the same graph,
-// rotation system and routing tables (proven by the differential harness
-// in recompile_test.go), at a fraction of the latency — the control
-// plane can push updates without stalling.
+// paper assigns to the designated server; the recompiler instead takes
+// every edit, of any kind, through one repair path: graph.SPTRepairer
+// repairs each destination tree in place (a removal is a weight raised to
+// +Inf, an addition one dropped from +Inf; only a tree whose set of
+// reachable nodes changes is rebuilt), only the quantiser columns whose
+// discriminators moved are re-ranked, and only the FIB entries whose next
+// hop moved are rewritten, after a removal has renumbered the rest. The
+// result is bit-identical to a from-scratch CompileWith over the same
+// graph, rotation system and routing tables (proven by the differential
+// harness in recompile_test.go), at a fraction of the latency — the
+// control plane can push updates without stalling.
 //
 // A Recompiler is a single-writer control-plane object: Apply is not
 // safe for concurrent use, but every artefact it produces (Delta's
@@ -53,9 +55,8 @@ type Recompiler struct {
 	workers int
 	stats   recompileCounters
 	// tracer receives Apply's span tree (nil traces nothing): a root
-	// "recompile.apply" with coalesce / per-edit repair or structural
-	// replay / rebuild / patch children, repairs and patches carrying
-	// per-worker grandchildren.
+	// "recompile.apply" with coalesce / per-edit repair / rebuild / patch
+	// children, repairs and patches carrying per-worker grandchildren.
 	tracer *telemetry.Tracer
 }
 
@@ -68,8 +69,9 @@ func (r *Recompiler) SetTracer(t *telemetry.Tracer) { r.tracer = t }
 type recompileCounters struct {
 	applies, edits int
 	// dirtyDests sums affected destinations across applies; fullDests
-	// counts how many of those needed a from-scratch per-destination
-	// Dijkstra (structural edits) rather than an incremental repair.
+	// counts the from-scratch per-destination Dijkstras among them: trees
+	// whose reachable set an edit changed (a removed bridge, an addition
+	// joining two components). Every other tree is repaired.
 	dirtyDests, fullDests int64
 	// coalescedEdits counts edits batch coalescing eliminated before
 	// replay (net weight last-write-wins, add+remove cancellation).
@@ -109,7 +111,9 @@ type Delta struct {
 	// (graph.NoLink for removed links). Engine.ApplyDelta uses it to
 	// carry detected failures across the swap.
 	LinkMap []graph.LinkID
-	// Dirty lists the destinations whose trees the edit set touched.
+	// Dirty lists the destinations some edit of the set changed the tree
+	// of (a distance, a parent or a hop count; a tree a removal only
+	// renumbered is not dirty).
 	Dirty []graph.NodeID
 	// Structural reports whether the link set (and dart space) changed.
 	Structural bool
@@ -172,12 +176,15 @@ const (
 	MetricRecompileApplies    = "recompile.applies"
 	MetricRecompileEdits      = "recompile.edits"
 	MetricRecompileDirtyDests = "recompile.dirty_dests"
-	MetricRecompileFullDests  = "recompile.full_dests"
-	MetricRecompileCoalesced  = "recompile.coalesced_edits"
-	MetricRepairRepaired      = "repair.repaired"
-	MetricRepairUnchanged     = "repair.unchanged"
-	MetricRepairFullFallback  = "repair.full_fallback"
-	MetricRepairNodesTouched  = "repair.nodes_touched"
+	// MetricRecompileFullDests counts destination trees rebuilt from
+	// scratch because an edit changed which nodes reach them; every other
+	// dirty tree, whatever the edit kind, counts in MetricRepairRepaired.
+	MetricRecompileFullDests = "recompile.full_dests"
+	MetricRecompileCoalesced = "recompile.coalesced_edits"
+	MetricRepairRepaired     = "repair.repaired"
+	MetricRepairUnchanged    = "repair.unchanged"
+	MetricRepairFullFallback = "repair.full_fallback"
+	MetricRepairNodesTouched = "repair.nodes_touched"
 )
 
 // Register publishes the recompiler's counters into reg as the
@@ -220,8 +227,8 @@ func (r *Recompiler) Register(reg *telemetry.Registry) {
 // Batches of two or more edits are first coalesced to their net effect
 // (weight last-write-wins, add+remove cancellation) when the reduction
 // is provably replay-equivalent — see coalesceEdits; otherwise the
-// batch replays edit by edit. Per-destination work (tree repair, full
-// Dijkstra, column patching) fans out across workers either way.
+// batch replays edit by edit. Per-destination work (tree repair, column
+// patching) fans out across workers either way.
 func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	if len(edits) == 0 {
 		return nil, nil
@@ -269,85 +276,61 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 		composed[i] = graph.LinkID(i)
 	}
 	dirty := make([]bool, n)
-	fullDest := make([]bool, n) // dirty via a structural edit (full Dijkstra already run)
 	structural, renumbered := false, false
 	// Per-destination work inside each edit writes only that
-	// destination's slots (trees[d], dirty[d], fullDest[d]) and each
-	// repair/Dijkstra result is canonical in (graph, tree, edit), so the
-	// loops fan out over a static partition with bit-identical results
-	// at any worker count.
+	// destination's slots (trees[d], dirty[d]) and each repair result is
+	// canonical in (graph, tree, edit), so the loop fans out over a static
+	// partition with bit-identical results at any worker count.
 	workers := r.workers
 	if workers <= 0 {
 		workers = par.Workers(n)
 	}
 	reps := r.pool(workers)
+	rebuilt := make([]int64, workers) // per worker: trees whose reachable set changed
 
 	for _, e := range edits {
 		nextG, m, err := graph.ApplyEdit(curG, e)
 		if err != nil {
 			return nil, err
 		}
-		// Weight edits are incremental repairs; structural edits replay
-		// the touched destinations from scratch — the spans name which.
-		spanName, workerName := "recompile.repair", "recompile.repair.worker"
-		if e.Kind != graph.EditWeight {
-			spanName, workerName = "recompile.replay", "recompile.replay.worker"
+		// Every edit kind is one incremental repair per destination: a
+		// removal raises the link to +Inf, an addition drops it from +Inf.
+		editSpan := r.tracer.Start("recompile.repair", root.ID())
+		obs := r.tracer.RangeObserver("recompile.repair.worker", editSpan.ID())
+		var was graph.Link // the target of a weight edit or removal, as it was
+		if e.Kind != graph.EditAddLink {
+			was = curG.Link(e.Link)
 		}
-		editSpan := r.tracer.Start(spanName, root.ID())
-		obs := r.tracer.RangeObserver(workerName, editSpan.ID())
-		switch e.Kind {
-		case graph.EditWeight:
-			oldW := curG.Weight(e.Link)
-			par.ForObserved(n, workers, obs, func(w, lo, hi int) {
-				rep := &reps[w]
-				for d := lo; d < hi; d++ {
-					nt, changed := rep.WeightChange(nextG, trees[d], e.Link, oldW)
-					if changed {
-						dirty[d] = true
-						trees[d] = nt
-					}
+		added := graph.LinkID(nextG.NumLinks() - 1)
+		par.ForObserved(n, workers, obs, func(w, lo, hi int) {
+			rep := &reps[w]
+			for d := lo; d < hi; d++ {
+				var changed, full bool
+				switch e.Kind {
+				case graph.EditWeight:
+					trees[d], changed = rep.WeightChange(nextG, trees[d], e.Link, was.Weight)
+				case graph.EditAddLink:
+					trees[d], changed, full = rep.LinkAdded(nextG, trees[d], added)
+				case graph.EditRemoveLink:
+					trees[d], changed, full = rep.LinkRemoved(nextG, trees[d], was.A, was.B, e.Link, m)
 				}
-			})
+				if changed {
+					dirty[d] = true
+				}
+				if full {
+					rebuilt[w]++
+				}
+			}
+		})
+		switch e.Kind {
 		case graph.EditAddLink:
 			structural = true
 			ensureOrders()
-			w := e.Weight
-			par.ForObserved(n, workers, obs, func(wk, lo, hi int) {
-				for d := lo; d < hi; d++ {
-					tr := trees[d]
-					da, db := tr.Dist[e.A], tr.Dist[e.B]
-					// The new link can only matter where it improves — or
-					// ties, flipping a deterministic tie-break — an
-					// endpoint's distance; nothing else gains a candidate.
-					improves := (!math.IsInf(db, 1) && db+w <= da) ||
-						(!math.IsInf(da, 1) && da+w <= db)
-					if improves {
-						dirty[d], fullDest[d] = true, true
-						trees[d] = reps[wk].Tree(nextG, graph.NodeID(d), nil)
-					}
-				}
-			})
-			orders[e.A] = append(orders[e.A], graph.LinkID(nextG.NumLinks()-1))
-			orders[e.B] = append(orders[e.B], graph.LinkID(nextG.NumLinks()-1))
+			orders[e.A] = append(orders[e.A], added)
+			orders[e.B] = append(orders[e.B], added)
 		case graph.EditRemoveLink:
 			structural, renumbered = true, true
 			ensureOrders()
-			link := curG.Link(e.Link)
-			par.ForObserved(n, workers, obs, func(wk, lo, hi int) {
-				for d := lo; d < hi; d++ {
-					tr := trees[d]
-					// Only an endpoint can have the removed link as its next
-					// hop; every path over the link goes through one that
-					// does. Unaffected trees survive with their link IDs
-					// shifted.
-					if tr.NextLink[link.A] == e.Link || tr.NextLink[link.B] == e.Link {
-						dirty[d], fullDest[d] = true, true
-						trees[d] = reps[wk].Tree(nextG, graph.NodeID(d), nil)
-					} else {
-						trees[d] = graph.RemapTreeLinks(tr, m)
-					}
-				}
-			})
 			for v := 0; v < n; v++ {
 				kept := orders[v][:0]
 				for _, l := range orders[v] {
@@ -394,9 +377,6 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 		}
 		dst := graph.NodeID(d)
 		dirtyList = append(dirtyList, dst)
-		if fullDest[d] {
-			r.stats.fullDests++
-		}
 		if r.ddColumnChanged(r.tbl.Tree(dst), trees[d]) {
 			rerank = append(rerank, dst)
 			reranked[d] = true
@@ -411,12 +391,16 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 
 	patchSpan := r.tracer.Start("recompile.patch", root.ID())
 	patchSpan.SetAttr(telemetry.AttrCount, int64(len(dirtyList)))
-	fib := r.fib.cloneFor(curG.NumLinks(), structural, !structural && len(rerank) == 0)
+	fib := r.fib.cloneFor(curG.NumLinks(), structural, len(rerank) == 0)
 	if structural {
 		fib.fillDarts(sys)
 	}
+	// A removal renumbered the darts: every column moves into the new
+	// numbering, and old next hops compare through the composed map.
+	var linkMap []graph.LinkID
 	if renumbered {
-		fib.remapDarts(composed, dirty)
+		linkMap = composed
+		fib.remapDarts(linkMap)
 	}
 	fib.ddBits = quant.Bits()
 	fib.codec = CodecFor(fib.ddBits)
@@ -425,17 +409,11 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	par.ForObserved(len(dirtyList), workers, r.tracer.RangeObserver("recompile.patch.worker", patchSpan.ID()), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst := dirtyList[i]
-			switch {
-			case structural:
-				fib.fillDest(dst, tbl, sys, quant, r.quantised)
-			case reranked[dst]:
-				fib.patchNextDarts(dst, r.tbl.Tree(dst), trees[dst], sys)
+			fib.patchNextDarts(dst, r.tbl.Tree(dst), trees[dst], sys, linkMap)
+			// An unchanged discriminator column's dd and ddQ entries are
+			// bit-identical already.
+			if reranked[dst] {
 				fib.fillDDColumn(dst, trees[dst], quant, r.quantised, r.disc == route.HopCount)
-			default:
-				// Unchanged discriminator column ⇒ the dd and ddQ entries are
-				// bit-identical already; only the moved next hops need
-				// rewriting.
-				fib.patchNextDarts(dst, r.tbl.Tree(dst), trees[dst], sys)
 			}
 		}
 	})
@@ -454,6 +432,9 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	r.stats.edits += origEdits
 	r.stats.coalescedEdits += int64(coalesced)
 	r.stats.dirtyDests += int64(len(dirtyList))
+	for _, k := range rebuilt {
+		r.stats.fullDests += k
+	}
 	r.g, r.sys, r.tbl, r.quant, r.fib = curG, sys, tbl, quant, fib
 	return &Delta{
 		Graph:      curG,
@@ -498,53 +479,52 @@ func (r *Recompiler) ddColumnChanged(old, nt *graph.SPTree) bool {
 }
 
 // patchNextDarts rewrites only the nextDart entries a repaired tree
-// actually moved. It is only sound when the destination's discriminator
-// column is proven unchanged (ddColumnChanged false) and the dart space
-// is intact: then dd and ddQ are bit-identical by construction. In
-// shared-column mode this is the copy-on-write seam: only the pages
-// containing moved entries get private copies; every other page of the
-// column stays shared with the pre-edit FIB.
-func (f *FIB) patchNextDarts(dst graph.NodeID, old, nt *graph.SPTree, sys *rotation.System) {
+// actually moved. old is the pre-edit tree; when a removal renumbered the
+// links, linkMap takes its link IDs into nt's and the column has already
+// been through remapDarts, otherwise linkMap is nil. In shared-column mode
+// this is the copy-on-write seam: only the pages containing moved entries
+// get private copies; every other page of the column stays shared with the
+// pre-edit FIB.
+func (f *FIB) patchNextDarts(dst graph.NodeID, old, nt *graph.SPTree, sys *rotation.System, linkMap []graph.LinkID) {
 	if graph.SharedNextLink(old, nt) {
 		return
 	}
 	n := f.numNodes
-	if pg := f.pages; pg != nil {
-		private := make([]bool, pg.perCol)
-		for node := 0; node < n; node++ {
-			if old.NextLink[node] == nt.NextLink[node] {
-				continue
-			}
-			pi := node >> pg.pageBits
-			slot := int(dst)*pg.perCol + pi
-			if !private[pi] {
-				pg.nd[slot] = append([]int32(nil), pg.nd[slot]...)
-				private[pi] = true
-			}
-			if link := nt.NextLink[node]; link == graph.NoLink {
-				pg.nd[slot][node&pg.pageMask] = -1
-			} else {
-				pg.nd[slot][node&pg.pageMask] = int32(sys.OutgoingDart(graph.NodeID(node), link))
-			}
-		}
-		return
+	pg := f.pages
+	var private []bool
+	if pg != nil {
+		private = make([]bool, pg.perCol)
 	}
 	for node := 0; node < n; node++ {
-		if old.NextLink[node] == nt.NextLink[node] {
+		was := old.NextLink[node]
+		if linkMap != nil && was != graph.NoLink {
+			was = linkMap[was]
+		}
+		link := nt.NextLink[node]
+		if was == link {
 			continue
 		}
-		idx := node*n + int(dst)
-		if link := nt.NextLink[node]; link == graph.NoLink {
-			f.nextDart[idx] = -1
-		} else {
-			f.nextDart[idx] = int32(sys.OutgoingDart(graph.NodeID(node), link))
+		dart := int32(-1)
+		if link != graph.NoLink {
+			dart = int32(sys.OutgoingDart(graph.NodeID(node), link))
 		}
+		if pg == nil {
+			f.nextDart[node*n+int(dst)] = dart
+			continue
+		}
+		pi := node >> pg.pageBits
+		slot := int(dst)*pg.perCol + pi
+		if !private[pi] {
+			pg.nd[slot] = append([]int32(nil), pg.nd[slot]...)
+			private[pi] = true
+		}
+		pg.nd[slot][node&pg.pageMask] = dart
 	}
 }
 
 // fillDDColumn rewrites destination dst's dd/ddQ entries straight from
-// the repaired tree and the re-ranked quantiser column — the fast form
-// of fillDest for non-structural deltas, paired with patchNextDarts. A
+// the repaired tree and the re-ranked quantiser column — the delta form
+// of fillDest's discriminator half, paired with patchNextDarts. A
 // negative hop count is the tree's unreachable marker, exactly mirroring
 // route.Table.Reachable.
 func (f *FIB) fillDDColumn(dst graph.NodeID, tree *graph.SPTree, quant *core.Quantiser, quantised, hopDisc bool) {
@@ -588,54 +568,36 @@ func (f *FIB) fillDDColumn(dst graph.NodeID, tree *graph.SPTree, quant *core.Qua
 	}
 }
 
-// remapDarts rewrites the clean destinations' nextDart entries through a
-// link-ID mapping after a structural edit renumbered the dart space.
-// Dirty columns are skipped — fillDest rewrites them from scratch. In
-// shared-column mode each distinct page is remapped once and the result
-// re-shared across every slot that pointed at it, so the renumbered FIB
-// keeps the original's dedup factor; pages the map leaves untouched
-// keep aliasing the pre-edit FIB's pages.
-func (f *FIB) remapDarts(linkMap []graph.LinkID, dirty []bool) {
-	n := f.numNodes
+// remapDarts rewrites every nextDart entry through a link-ID mapping after
+// a removal renumbered the dart space; an entry over a removed link
+// becomes -1 until patchNextDarts gives its (dirty) column the new next
+// hop. In shared-column mode each distinct page is remapped once and the
+// result re-shared across every slot that pointed at it, so the
+// renumbered FIB keeps the original's dedup factor; pages the map leaves
+// untouched keep aliasing the pre-edit FIB's pages.
+func (f *FIB) remapDarts(linkMap []graph.LinkID) {
 	if pg := f.pages; pg != nil {
 		seen := make(map[*int32][]int32)
-		for dst := 0; dst < n; dst++ {
-			if dirty[dst] {
+		for slot, old := range pg.nd {
+			if len(old) == 0 {
 				continue
 			}
-			base := dst * pg.perCol
-			for pi := 0; pi < pg.perCol; pi++ {
-				old := pg.nd[base+pi]
-				if len(old) == 0 {
-					continue
-				}
-				np, ok := seen[&old[0]]
-				if !ok {
-					np = remapDartPage(old, linkMap)
-					seen[&old[0]] = np
-				}
-				pg.nd[base+pi] = np
+			np, ok := seen[&old[0]]
+			if !ok {
+				np = remapDartPage(old, linkMap)
+				seen[&old[0]] = np
 			}
+			pg.nd[slot] = np
 		}
 		return
 	}
-	for dst := 0; dst < n; dst++ {
-		if dirty[dst] {
+	for idx, d := range f.nextDart {
+		if d < 0 {
 			continue
 		}
-		for node := 0; node < n; node++ {
-			idx := node*n + dst
-			d := f.nextDart[idx]
-			if d < 0 {
-				continue
-			}
-			nl := linkMap[d>>1]
-			if nl == graph.NoLink {
-				// A clean tree cannot route over a removed link; guarded
-				// for defence in depth.
-				f.nextDart[idx] = -1
-				continue
-			}
+		if nl := linkMap[d>>1]; nl == graph.NoLink {
+			f.nextDart[idx] = -1
+		} else {
 			f.nextDart[idx] = int32(nl)<<1 | d&1
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/route"
+	"recycle/internal/telemetry"
 )
 
 // fibsEqual compares every compiled table bit for bit. Entries are read
@@ -62,19 +63,30 @@ func fibsEqual(t *testing.T, ctx string, got, want *FIB) {
 }
 
 // randomEdit draws a random valid edit for g, preferring weight changes
-// (the delta fast path) but exercising additions and removals too.
-// Removals only target non-bridge links so the §4.3 walk checks keep a
-// connected graph to recycle on.
+// but exercising additions and removals too: every kind goes through the
+// same repairer. Additions land parallel to an existing link one time in
+// four and carry an integral weight half the time, so new links tie with
+// the paths they shortcut. Removals only target non-bridge links so the
+// §4.3 walk checks keep a connected graph to recycle on;
+// TestStructuralReachabilityEdits covers the edits that change
+// reachability.
 func randomEdit(g *graph.Graph, rng *rand.Rand) (graph.Edit, bool) {
 	switch rng.Intn(5) {
 	case 0: // add
 		for try := 0; try < 10; try++ {
 			a := graph.NodeID(rng.Intn(g.NumNodes()))
 			b := graph.NodeID(rng.Intn(g.NumNodes()))
-			if a == b || g.HasLink(a, b) {
+			if rng.Intn(4) == 0 {
+				l := g.Link(graph.LinkID(rng.Intn(g.NumLinks())))
+				a, b = l.A, l.B
+			} else if a == b || g.HasLink(a, b) {
 				continue
 			}
-			return graph.AddLinkEdit(a, b, 1+9*rng.Float64()), true
+			w := 1 + 9*rng.Float64()
+			if rng.Intn(2) == 0 {
+				w = float64(1 + rng.Intn(5))
+			}
+			return graph.AddLinkEdit(a, b, w), true
 		}
 		return graph.Edit{}, false
 	case 1: // remove a non-bridge link, keeping some headroom
@@ -122,6 +134,27 @@ func fullRecompile(t *testing.T, d *Delta, disc route.Discriminator, variant cor
 		t.Fatal(err)
 	}
 	return fib, tbl
+}
+
+// assertDeltaEqualsScratch holds a delta against the oracle: the FIB and
+// every routing tree bit for bit, and the quantiser's order invariant.
+func assertDeltaEqualsScratch(t *testing.T, ctx string, d *Delta, disc route.Discriminator, quantised bool) {
+	t.Helper()
+	wantFIB, wantTbl := fullRecompile(t, d, disc, core.Full, quantised)
+	fibsEqual(t, ctx, d.FIB, wantFIB)
+	for dst := 0; dst < d.Graph.NumNodes(); dst++ {
+		got, want := d.Table.Tree(graph.NodeID(dst)), wantTbl.Tree(graph.NodeID(dst))
+		for v := range want.Dist {
+			if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) ||
+				got.Hops[v] != want.Hops[v] ||
+				got.NextLink[v] != want.NextLink[v] || got.NextNode[v] != want.NextNode[v] {
+				t.Fatalf("%s: tree %d node %d diverged", ctx, dst, v)
+			}
+		}
+	}
+	if !d.Quantiser.VerifyOrderPreserved(d.Table) {
+		t.Fatalf("%s: delta quantiser order violated", ctx)
+	}
 }
 
 // TestRecompilerDifferential is the harness entry point: 100 graphs,
@@ -206,22 +239,8 @@ func TestRecompilerDifferential(t *testing.T) {
 			if d.Structural {
 				structurals++
 			}
-			wantFIB, wantTbl := fullRecompile(t, d, disc, core.Full, quantised)
 			ctx := testCtx(seed, step, edits)
-			fibsEqual(t, ctx, d.FIB, wantFIB)
-			for dst := 0; dst < d.Graph.NumNodes(); dst++ {
-				got, want := d.Table.Tree(graph.NodeID(dst)), wantTbl.Tree(graph.NodeID(dst))
-				for v := range want.Dist {
-					if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) ||
-						got.Hops[v] != want.Hops[v] ||
-						got.NextLink[v] != want.NextLink[v] || got.NextNode[v] != want.NextNode[v] {
-						t.Fatalf("%s: tree %d node %d diverged", ctx, dst, v)
-					}
-				}
-			}
-			if !d.Quantiser.VerifyOrderPreserved(d.Table) {
-				t.Fatalf("%s: delta quantiser order violated", ctx)
-			}
+			assertDeltaEqualsScratch(t, ctx, d, disc, quantised)
 			assertStrictDecrease(t, ctx, d, rng)
 		}
 	}
@@ -268,6 +287,106 @@ func assertStrictDecrease(t *testing.T, ctx string, d *Delta, rng *rand.Rand) {
 						ctx, src, dst, step.Header.DD, last, fails)
 				}
 				last = step.Header.DD
+			}
+		}
+	}
+}
+
+// TestStructuralReachabilityEdits pins the structural edits the random
+// harness cannot draw — every topo family is bridge-free — on hand-built
+// graphs: removing and re-adding a barbell's bridge and a path's inner
+// link, joining two components, and the additions that only tie (a
+// unit-weight shortcut, a parallel twin). Every delta must equal a
+// from-scratch compile; recompile.full_dests must count exactly the
+// destinations whose reachable set changed — none unless a bridge is
+// involved — and the repairer must never fall back.
+func TestStructuralReachabilityEdits(t *testing.T) {
+	build := func(n int, links ...[2]int) *graph.Graph {
+		g := graph.New(n, len(links))
+		for i := 0; i < n; i++ {
+			g.AddNode(fmt.Sprintf("n%d", i))
+		}
+		for _, l := range links {
+			g.MustAddLink(graph.NodeID(l[0]), graph.NodeID(l[1]), 1)
+		}
+		return g.Freeze()
+	}
+	barbell := build(8, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0},
+		[2]int{3, 4}, // the bridge, link 4
+		[2]int{4, 5}, [2]int{5, 6}, [2]int{6, 7}, [2]int{7, 4})
+	path := build(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5})
+	islands := build(7, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 6}, [2]int{6, 3})
+	cases := []struct {
+		name  string
+		g     *graph.Graph
+		edits []graph.Edit // applied one Apply each, in the IDs of the graph before it
+	}{
+		{"barbell bridge out and back", barbell, []graph.Edit{
+			graph.RemoveLinkEdit(4), graph.AddLinkEdit(3, 4, 1), graph.RemoveLinkEdit(8), graph.AddLinkEdit(4, 3, 2.5)}},
+		{"barbell ring link out and back", barbell, []graph.Edit{
+			graph.RemoveLinkEdit(1), graph.AddLinkEdit(1, 2, 1), graph.RemoveLinkEdit(6)}},
+		{"path inner link out and back", path, []graph.Edit{
+			graph.RemoveLinkEdit(2), graph.AddLinkEdit(2, 3, 1), graph.RemoveLinkEdit(0), graph.AddLinkEdit(5, 0, 3)}},
+		{"islands joined, twice, and parted", islands, []graph.Edit{
+			graph.AddLinkEdit(2, 3, 1), graph.AddLinkEdit(0, 5, 2), graph.RemoveLinkEdit(7), graph.RemoveLinkEdit(7)}},
+		{"tying shortcut and parallel twins", barbell, []graph.Edit{
+			graph.AddLinkEdit(0, 2, 2), graph.AddLinkEdit(4, 6, 2), graph.AddLinkEdit(3, 4, 1), graph.AddLinkEdit(1, 0, 0.5),
+			graph.RemoveLinkEdit(4), graph.RemoveLinkEdit(0)}},
+	}
+	// reach[d] is the set of nodes that reach d, as a bitmask.
+	reach := func(g *graph.Graph) []uint64 {
+		sets := make([]uint64, g.NumNodes())
+		for d := range sets {
+			for v, h := range graph.HopDistances(g, graph.NodeID(d), nil) {
+				if h >= 0 {
+					sets[d] |= 1 << v
+				}
+			}
+		}
+		return sets
+	}
+	for ci, c := range cases {
+		for _, workers := range []int{1, 3} {
+			disc := []route.Discriminator{route.HopCount, route.WeightSum}[ci%2]
+			quantised := ci%3 == 0
+			p, err := core.New(c.g, rotation.AdjacencyOrder(c.g), route.Build(c.g, disc), core.Config{Variant: core.Full, Quantise: quantised})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := NewRecompiler(p, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.SetWorkers(workers)
+			reg := telemetry.NewRegistry()
+			rec.Register(reg)
+			var wantFull uint64
+			for step, e := range c.edits {
+				ctx := fmt.Sprintf("%s, %d workers, step %d %v", c.name, workers, step, e)
+				before := reach(rec.Graph())
+				d, err := rec.Apply(e)
+				if err != nil || d == nil {
+					t.Fatalf("%s: delta %v, error %v", ctx, d, err)
+				}
+				moved := 0
+				for dst, set := range reach(d.Graph) {
+					if set != before[dst] {
+						wantFull++
+						moved++
+					}
+				}
+				assertDeltaEqualsScratch(t, ctx, d, disc, quantised)
+				snap := reg.Snapshot()
+				if got := snap.Counter(MetricRecompileFullDests); got != wantFull {
+					t.Fatalf("%s: %s = %d after %d destinations' reachable sets changed (%d in this step)",
+						ctx, MetricRecompileFullDests, got, wantFull, moved)
+				}
+				if got := snap.Counter(MetricRepairFullFallback); got != 0 {
+					t.Fatalf("%s: %d defensive fallbacks", ctx, got)
+				}
+			}
+			if bridged := ci != 1 && ci != 4; (wantFull > 0) != bridged {
+				t.Fatalf("%s: %d destinations changed reachability; bridge case: %v", c.name, wantFull, bridged)
 			}
 		}
 	}

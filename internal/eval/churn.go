@@ -18,10 +18,10 @@ import (
 )
 
 // Churn quantifies the topology-churn comparison for one topology: what
-// a planned single-link weight change costs through a full recompile
-// (routing tables + quantiser + protocol + FIB from scratch — today's
-// control-plane stall) versus a delta recompile (only the affected
-// destination columns repaired).
+// a planned single-link weight change, and a planned link removal or
+// addition, cost through a full recompile (routing tables + quantiser +
+// protocol + FIB from scratch — today's control-plane stall) versus a
+// delta recompile (only the affected destination columns repaired).
 type Churn struct {
 	Topology string
 	Nodes    int
@@ -36,6 +36,14 @@ type Churn struct {
 	// DirtyMean is the mean affected-destination count per edit, out of
 	// Nodes destination trees.
 	DirtyMean float64
+	// StructEdits is how many structural edits were timed: a random
+	// non-bridge link removed, then added back, Edits/2 times over (0 when
+	// every link is a bridge). StructFullMedian, StructDeltaMedian and
+	// StructSpeedup are FullMedian, DeltaMedian and Speedup over those.
+	StructEdits       int
+	StructFullMedian  time.Duration
+	StructDeltaMedian time.Duration
+	StructSpeedup     float64
 }
 
 // ChurnConfig parameterises the churn comparison. The embedded Panel's
@@ -47,7 +55,8 @@ type Churn struct {
 type ChurnConfig struct {
 	Panel
 	// Edits is how many random single-link weight edits to time per
-	// topology (default 24).
+	// topology (default 24), and then as many structural edits, rounded
+	// down to whole remove-and-re-add pairs.
 	Edits int
 }
 
@@ -61,9 +70,11 @@ func (c *ChurnConfig) withDefaults() ChurnConfig {
 }
 
 // MeasureChurn times full-vs-delta recompilation over a sequence of
-// random single-link weight edits (deterministic per cfg.Seed). Every
-// delta result is the bit-identical FIB the differential harness pins,
-// so the two columns are directly comparable.
+// random single-link weight edits, then over removals of random
+// non-bridge links, each followed by the link's re-addition
+// (deterministic per cfg.Seed). Every delta result is the bit-identical
+// FIB the differential harness pins, so the columns are directly
+// comparable.
 func MeasureChurn(tp topo.Topology, cfg ChurnConfig) (Churn, error) {
 	eff := cfg.withDefaults()
 	edits, seed := eff.Edits, eff.Seed
@@ -91,62 +102,95 @@ func MeasureChurn(tp topo.Topology, cfg ChurnConfig) (Churn, error) {
 		rec.Register(eff.Metrics)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	plan := make([]graph.Edit, edits)
-	for i := range plan {
-		l := graph.LinkID(rng.Intn(g.NumLinks()))
-		w := g.Weight(l) * (0.4 + 1.2*rng.Float64())
-		plan[i] = graph.SetWeight(l, w)
-	}
-
-	fullTimes := make([]time.Duration, 0, edits)
-	deltaTimes := make([]time.Duration, 0, edits)
-	dirty := 0
-	fullSys := sys
-	for _, e := range plan {
-		nextG, _, err := graph.ApplyEdit(rec.Graph(), e)
-		if err != nil {
-			return c, err
-		}
-		// Full path: what a topology change costs without the recompiler
-		// — rebuild the rotation system (same link orders), every routing
-		// tree, the whole quantiser and the whole FIB.
+	// timed runs one edit down both paths and returns (full, delta)
+	// latencies and the delta.
+	timed := func(e graph.Edit) (time.Duration, time.Duration, *dataplane.Delta, error) {
+		prev := rec.Graph()
+		// Delta path: the recompiler's Apply.
 		start := time.Now()
-		orders := make([][]graph.LinkID, nextG.NumNodes())
-		for v := 0; v < nextG.NumNodes(); v++ {
-			orders[v] = fullSys.LinkOrder(graph.NodeID(v))
+		d, err := rec.Apply(e)
+		if err != nil {
+			return 0, 0, nil, err
 		}
-		if fullSys, err = rotation.FromLinkOrders(nextG, orders); err != nil {
-			return c, err
+		delta := time.Since(start)
+		// Full path, producing the identical FIB: what a topology change
+		// costs without the recompiler — edit the graph, rebuild the
+		// rotation system (same link orders), every routing tree, the
+		// whole quantiser and the whole FIB.
+		start = time.Now()
+		fullG, _, err := graph.ApplyEdit(prev, e)
+		if err != nil {
+			return 0, 0, nil, err
 		}
-		fullTbl := route.Build(nextG, route.HopCount)
+		orders := make([][]graph.LinkID, fullG.NumNodes())
+		for v := range orders {
+			orders[v] = d.System.LinkOrder(graph.NodeID(v))
+		}
+		fullSys, err := rotation.FromLinkOrders(fullG, orders)
+		if err != nil {
+			return 0, 0, nil, err
+		}
+		fullTbl := route.Build(fullG, route.HopCount)
 		fullQuant := core.BuildQuantiser(fullTbl)
-		fullP, err := core.New(nextG, fullSys, fullTbl, core.Config{Variant: core.Full})
+		fullP, err := core.New(fullG, fullSys, fullTbl, core.Config{Variant: core.Full})
 		if err == nil {
 			_, err = dataplane.CompileWithOptions(fullP, fullQuant,
 				dataplane.CompileOptions{Tracer: eff.Tracer, Metrics: eff.Metrics})
 		}
-		if err != nil {
-			return c, err
-		}
-		fullTimes = append(fullTimes, time.Since(start))
+		return time.Since(start), delta, d, err
+	}
 
-		// Delta path: the recompiler's Apply, producing the identical FIB.
-		start = time.Now()
-		d, err := rec.Apply(e)
+	rng := rand.New(rand.NewSource(seed))
+	var fullTimes, deltaTimes []time.Duration
+	dirty := 0
+	for i := 0; i < edits; i++ {
+		l := graph.LinkID(rng.Intn(g.NumLinks()))
+		full, delta, d, err := timed(graph.SetWeight(l, g.Weight(l)*(0.4+1.2*rng.Float64())))
 		if err != nil {
 			return c, err
 		}
-		deltaTimes = append(deltaTimes, time.Since(start))
+		fullTimes, deltaTimes = append(fullTimes, full), append(deltaTimes, delta)
 		dirty += len(d.Dirty)
 	}
-	c.FullMedian = median(fullTimes)
-	c.DeltaMedian = median(deltaTimes)
-	if c.DeltaMedian > 0 {
-		c.Speedup = float64(c.FullMedian) / float64(c.DeltaMedian)
-	}
+	c.FullMedian, c.DeltaMedian, c.Speedup = medians(fullTimes, deltaTimes)
 	c.DirtyMean = float64(dirty) / float64(edits)
+
+	fullTimes, deltaTimes = nil, nil
+	for i := 0; i < edits/2; i++ {
+		cur := rec.Graph()
+		bridge := make(map[graph.LinkID]bool)
+		for _, b := range graph.Bridges(cur) {
+			bridge[b] = true
+		}
+		if len(bridge) == cur.NumLinks() {
+			break
+		}
+		l := graph.LinkID(rng.Intn(cur.NumLinks()))
+		for bridge[l] {
+			l = graph.LinkID(rng.Intn(cur.NumLinks()))
+		}
+		link := cur.Link(l)
+		for _, e := range []graph.Edit{graph.RemoveLinkEdit(l), graph.AddLinkEdit(link.A, link.B, link.Weight)} {
+			full, delta, _, err := timed(e)
+			if err != nil {
+				return c, err
+			}
+			fullTimes, deltaTimes = append(fullTimes, full), append(deltaTimes, delta)
+		}
+	}
+	if c.StructEdits = len(fullTimes); c.StructEdits > 0 {
+		c.StructFullMedian, c.StructDeltaMedian, c.StructSpeedup = medians(fullTimes, deltaTimes)
+	}
 	return c, nil
+}
+
+// medians returns the two paths' median latencies and their ratio.
+func medians(full, delta []time.Duration) (f, d time.Duration, speedup float64) {
+	f, d = median(full), median(delta)
+	if d > 0 {
+		speedup = float64(f) / float64(d)
+	}
+	return f, d, speedup
 }
 
 func median(ds []time.Duration) time.Duration {
@@ -155,13 +199,14 @@ func median(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// WriteChurnReport renders the full-vs-delta recompile comparison over
-// the config's topology panel — the "Topology churn" table in README.md
-// and the panel behind prsim churn — followed by the per-stage compile
-// latency distribution (p50/p99) the runs accumulated.
+// WriteChurnReport renders the full-vs-delta recompile comparison, for
+// weight edits and then for structural ones, over the config's topology
+// panel — the "Topology churn" table in README.md and the panel behind
+// prsim churn — followed by the per-stage compile latency distribution
+// (p50/p99) the runs accumulated.
 func WriteChurnReport(w io.Writer, cfg ChurnConfig) error {
-	fmt.Fprintf(w, "%-10s %-5s %-5s | %-10s %-10s %-8s | %-9s\n",
-		"topology", "nodes", "links", "full", "delta", "speedup", "dirty/dst")
+	fmt.Fprintf(w, "%-10s %-5s %-5s | %-10s %-10s %-8s | %-9s | %-10s %-10s %-8s\n",
+		"topology", "nodes", "links", "full", "delta", "speedup", "dirty/dst", "s.full", "s.delta", "speedup")
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
@@ -175,10 +220,11 @@ func WriteChurnReport(w io.Writer, cfg ChurnConfig) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10s %-5d %-5d | %-10v %-10v %-8.1f | %5.1f/%-3d\n",
+		fmt.Fprintf(w, "%-10s %-5d %-5d | %-10v %-10v %-8.1f | %5.1f/%-3d | %-10v %-10v %-8.1f\n",
 			c.Topology, c.Nodes, c.Links,
 			c.FullMedian.Round(time.Microsecond), c.DeltaMedian.Round(time.Microsecond),
-			c.Speedup, c.DirtyMean, c.Nodes)
+			c.Speedup, c.DirtyMean, c.Nodes,
+			c.StructFullMedian.Round(time.Microsecond), c.StructDeltaMedian.Round(time.Microsecond), c.StructSpeedup)
 	}
 	writeStageLatencies(w, cfg.Metrics.Snapshot().Sub(base))
 	return nil

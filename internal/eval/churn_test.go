@@ -26,6 +26,9 @@ func TestMeasureChurn(t *testing.T) {
 	if c.DirtyMean <= 0 {
 		t.Fatalf("weight edits touched no destinations: %+v", c)
 	}
+	if c.StructEdits != 6 || c.StructFullMedian <= 0 || c.StructDeltaMedian <= 0 {
+		t.Fatalf("structural edits unmeasured: %+v", c)
+	}
 	// The hard speed claim (≥5× on ring:64) is pinned by
 	// TestDeltaRecompileSpeedup in internal/dataplane; here we only
 	// require the delta path not to be slower than full recompilation.
@@ -41,7 +44,7 @@ func TestWriteChurnReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"topology", "abilene", "ring:24", "speedup"} {
+	for _, want := range []string{"topology", "abilene", "ring:24", "speedup", "s.delta"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

@@ -19,12 +19,18 @@ import (
 // reachability exactly and distances up to summation order.
 func checkCanonical(t *testing.T, ctx string, g *Graph, failures *FailureSet, tree *SPTree) {
 	t.Helper()
+	checkCanonicalAgainst(t, ctx, g, failures, tree, AllPairs(g, failures))
+}
+
+// checkCanonicalAgainst is checkCanonical with g's all-pairs matrix under
+// failures supplied, for callers that check every destination of one graph.
+func checkCanonicalAgainst(t *testing.T, ctx string, g *Graph, failures *FailureSet, tree *SPTree, ap [][]float64) {
+	t.Helper()
 	n := g.NumNodes()
 	if len(tree.Dist) != n || len(tree.Hops) != n || len(tree.NextLink) != n || len(tree.NextNode) != n {
 		t.Fatalf("%s: planes sized %d/%d/%d/%d for %d nodes", ctx,
 			len(tree.Dist), len(tree.Hops), len(tree.NextLink), len(tree.NextNode), n)
 	}
-	ap := AllPairs(g, failures)
 	for v := 0; v < n; v++ {
 		want := ap[v][tree.Dest]
 		if math.IsInf(want, 1) {
@@ -182,6 +188,105 @@ func TestRepairerSharesBuilderScratch(t *testing.T) {
 	if _, _, fallbacks, _ := rep.Counters(); fallbacks != 0 {
 		t.Fatalf("%d defensive fallbacks", fallbacks)
 	}
+}
+
+// TestRepairerStructuralChains drives LinkRemoved and LinkAdded with ONE
+// repairer over every canonical case, judged by checkCanonical alone: the
+// case's failed links are removed one by one (random sets, and cuts that
+// isolate a node, so reachability changes), or two random links where it
+// has none; a random link is added, parallel to an existing one one time in
+// three and at an integral weight that ties on the unit rings and grids;
+// then the removed links come back. After every call the children cache
+// must describe the returned tree — the next edit walks it without a
+// rebuild — unless the repairer reported a full rebuild.
+func TestRepairerStructuralChains(t *testing.T) {
+	var rep SPTRepairer
+	calls, rebuilds := 0, 0
+	for _, c := range canonicalCases(t) {
+		g := c.g
+		if !g.Frozen() {
+			g = g.Clone().Freeze()
+		}
+		rng := rand.New(rand.NewSource(int64(g.NumLinks())))
+		trees := make([]*SPTree, g.NumNodes())
+		for d := range trees {
+			trees[d] = rep.Tree(g, NodeID(d), nil)
+			rep.children(trees[d]) // as an earlier weight edit would have left it
+		}
+		apply := func(e Edit) {
+			g2, m, err := ApplyEdit(g, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ap := AllPairs(g2, nil)
+			for d, old := range trees {
+				ctx := fmt.Sprintf("%s: %v dst %d", c.name, e, d)
+				var rebuilt bool
+				if e.Kind == EditRemoveLink {
+					gone := g.Link(e.Link)
+					trees[d], _, rebuilt = rep.LinkRemoved(g2, old, gone.A, gone.B, e.Link, m)
+				} else {
+					trees[d], _, rebuilt = rep.LinkAdded(g2, old, LinkID(g2.NumLinks()-1))
+				}
+				checkCanonicalAgainst(t, ctx, g2, nil, trees[d], ap)
+				calls++
+				if rebuilt {
+					rebuilds++
+					rep.children(trees[d])
+					continue
+				}
+				cc := rep.kids[NodeID(d)]
+				if cc.tree != trees[d] {
+					t.Fatalf("%s: children cache left behind on another tree", ctx)
+				}
+				kids := make([]int, g2.NumNodes())
+				for p := range kids {
+					for ch := cc.head[p]; ch >= 0; ch = cc.next[ch] {
+						if trees[d].NextNode[ch] != NodeID(p) {
+							t.Fatalf("%s: cache lists %d under %d; its parent is %d", ctx, ch, p, trees[d].NextNode[ch])
+						}
+						kids[p]++
+					}
+				}
+				for v, p := range trees[d].NextNode {
+					if p != NoNode {
+						kids[p]--
+					}
+					if kids[v] < 0 {
+						t.Fatalf("%s: cache misses a child of %d", ctx, v)
+					}
+				}
+			}
+			g = g2
+		}
+		targets := c.failures.Links()
+		if len(targets) == 0 {
+			targets = []LinkID{LinkID(rng.Intn(g.NumLinks() - 1)), LinkID(g.NumLinks() - 1)}
+		}
+		var gone []Link
+		for i := len(targets) - 1; i >= 0; i-- { // highest first: the others keep their IDs
+			if i > 0 && targets[i] == targets[i-1] {
+				continue
+			}
+			gone = append(gone, g.Link(targets[i]))
+			apply(RemoveLinkEdit(targets[i]))
+		}
+		a, b := NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()))
+		if l := g.Link(LinkID(rng.Intn(g.NumLinks()))); a == b || rng.Intn(3) == 0 {
+			a, b = l.A, l.B
+		}
+		apply(AddLinkEdit(a, b, float64(1+rng.Intn(3))))
+		for _, l := range gone {
+			apply(AddLinkEdit(l.A, l.B, l.Weight))
+		}
+	}
+	if _, _, fallbacks, _ := rep.Counters(); fallbacks != 0 {
+		t.Fatalf("%d defensive fallbacks", fallbacks)
+	}
+	if rebuilds == 0 || rebuilds*5 > calls {
+		t.Fatalf("%d full rebuilds in %d calls: want some (the cuts) and few", rebuilds, calls)
+	}
+	t.Logf("%d calls, %d full rebuilds", calls, rebuilds)
 }
 
 // TestSlabPlanesNeverShared pins the identity the recompiler relies on:

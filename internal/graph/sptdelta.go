@@ -5,7 +5,8 @@ import (
 )
 
 // SPTRepairer incrementally repairs shortest-path trees after a
-// single-link weight change — the per-destination primitive of delta FIB
+// single-link edit — a weight change, a removal (a raise to +Inf) or an
+// addition (a drop from +Inf) — the per-destination primitive of delta FIB
 // recompilation. The repaired tree is bit-identical to running
 // ShortestPathTree from scratch on the edited graph: the final state of
 // Dijkstra with this package's deterministic tie-breaking is a canonical
@@ -21,7 +22,8 @@ import (
 // region is the old tree's subtree behind the link; for a decrease it is
 // the set of nodes the cheaper link strictly improves. Both are usually a
 // small fraction of the graph, which is where the delta speedup comes
-// from.
+// from. Only an edit that changes which nodes reach the destination (a
+// removed bridge, an addition joining two components) rebuilds the tree.
 //
 // A repairer owns reusable scratch sized to the largest graph it has seen
 // and is NOT safe for concurrent use. If an internal consistency check
@@ -31,8 +33,7 @@ import (
 type SPTRepairer struct {
 	// SPTBuilder lends its heap to the region Dijkstras and its slabs to
 	// the repaired planes, and serves the full rebuilds (the defensive
-	// fallback here, structural edits in the recompiler) on the same
-	// scratch.
+	// fallback and reachability changes) on the same scratch.
 	SPTBuilder
 	// epoch-stamped scratch: a mark array entry is valid only when it
 	// equals the current epoch, so resets are O(1).
@@ -137,68 +138,91 @@ func (r *SPTRepairer) setDist(v NodeID, d float64) {
 // is returned with changed == false.
 func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64) (t *SPTree, changed bool) {
 	wNew := g.Weight(l)
-	if wNew == oldW {
-		r.stats.unchanged++
-		return old, false
-	}
 	link := g.Link(l)
-	a, b := link.A, link.B
-	if !old.Reachable(a) && !old.Reachable(b) {
-		// Both endpoints in an unreachable component: every candidate
+	if wNew == oldW || !old.Reachable(link.A) && !old.Reachable(link.B) {
+		// With both endpoints in an unreachable component every candidate
 		// through l stays infinite.
 		r.stats.unchanged++
 		return old, false
 	}
 	r.grow(g.NumNodes())
-	if wNew > oldW {
-		if !r.raiseDists(g, old, l) {
-			r.stats.unchanged++
-			return old, false
-		}
-	} else {
-		r.lowerDists(g, old, l)
-	}
-
-	// Recheck set. For an increase it is exactly the region: a node
-	// outside keeps its distance and every outside candidate value, and
-	// any inside candidate that tied for its parent slot would have put
-	// the node inside the region in the first place — while inside
-	// candidates only got worse, so no outside parent can move. For a
-	// decrease, tied candidates can appear anywhere next to an improved
-	// node (and at l's endpoints, whose l-candidate changed even when no
-	// distance did), so neighbours join the set.
-	recheck := r.region
 	if wNew < oldW {
-		addRecheck := func(v NodeID) {
-			if r.rkMark[v] != r.epoch {
-				r.rkMark[v] = r.epoch
-				r.recheck = append(r.recheck, v)
-			}
+		r.lowerDists(g, old, l)
+		return r.reselect(g, old, nil, false)
+	}
+	// The child endpoint c routes over l; if neither endpoint does, no
+	// shortest path uses l and a worse l changes nothing (alternatives
+	// only lost ground).
+	c := old.routesOver(link.A, link.B, l)
+	if c == NoNode {
+		r.stats.unchanged++
+		return old, false
+	}
+	r.raiseDists(g, old, c)
+	return r.reselect(g, old, nil, true)
+}
+
+// LinkAdded is WeightChange for a link l that g has and the pre-edit graph
+// had not: a drop from +Inf. A link that joins old.Dest's component to
+// another changes which nodes reach the destination; that tree is rebuilt
+// from scratch and reported.
+func (r *SPTRepairer) LinkAdded(g *Graph, old *SPTree, l LinkID) (t *SPTree, changed, rebuilt bool) {
+	if link := g.Link(l); old.Reachable(link.A) != old.Reachable(link.B) {
+		return r.Tree(g, old.Dest, nil), true, true
+	}
+	t, changed = r.WeightChange(g, old, l, Infinity)
+	return t, changed, false
+}
+
+// LinkRemoved is WeightChange for a link a–b, gone in old's link IDs, that
+// g no longer has: a raise to +Inf. linkMap takes old's link IDs to g's (see
+// ApplyEdit), so t is a new tree even when no parent moved (changed ==
+// false); the children cache follows it. A removal that cuts nodes off
+// old.Dest rebuilds the tree from scratch and reports it.
+func (r *SPTRepairer) LinkRemoved(g *Graph, old *SPTree, a, b NodeID, gone LinkID, linkMap []LinkID) (t *SPTree, changed, rebuilt bool) {
+	c := old.routesOver(a, b, gone)
+	if c == NoNode {
+		t = RemapTreeLinks(old, linkMap)
+		if cc := r.kids[old.Dest]; cc != nil && cc.tree == old {
+			cc.tree = t
 		}
-		for _, v := range r.region {
-			addRecheck(v)
-			// An unimproved neighbour's parent can only move when an
-			// improved candidate lands bit-equal on its distance — a
-			// strictly better one would have improved it into the
-			// region, a worse one never enters the achiever set.
-			dv := r.overlay[v]
-			for _, a := range g.out(v) {
-				if dv+a.w == r.dist(old, NodeID(a.node)) {
-					addRecheck(NodeID(a.node))
-				}
-			}
-		}
-		// l's own candidate changed even where no distance did: a new
-		// bit-equal tie at an endpoint can flip its parent onto l.
-		if old.Reachable(a) && old.Reachable(b) {
-			if r.dist(old, b)+wNew == r.dist(old, a) {
-				addRecheck(a)
-			}
-			if r.dist(old, a)+wNew == r.dist(old, b) {
-				addRecheck(b)
-			}
-		}
-		recheck = r.recheck
+		r.stats.unchanged++
+		return t, false, false
+	}
+	r.grow(g.NumNodes())
+	r.raiseDists(g, old, c)
+	if len(r.order) < len(r.region) { // a bridge: part of the subtree is cut off
+		return r.Tree(g, old.Dest, nil), true, true
+	}
+	t, _ = r.reselect(g, old, linkMap, true)
+	return t, true, false
+}
+
+// routesOver returns the endpoint of link l = a–b whose next hop l is (only
+// an endpoint can, and every path over l goes through it), or NoNode.
+func (t *SPTree) routesOver(a, b NodeID, l LinkID) NodeID {
+	switch l {
+	case t.NextLink[a]:
+		return a
+	case t.NextLink[b]:
+		return b
+	}
+	return NoNode
+}
+
+// reselect is the tail every repair shares: with the moved distances in
+// the overlay (raiseDists or lowerDists), it re-selects canonical parents
+// over the recheck set — for an increase exactly the region: a node
+// outside keeps its distance and every outside candidate value, and any
+// inside candidate that tied for its parent slot would have put the node
+// inside the region in the first place, while inside candidates only got
+// worse, so no outside parent can move; for a decrease the set lowerDists
+// collected — repairs the hop counts below them and materialises the
+// tree. A non-nil linkMap renumbers old's links into g's (LinkRemoved).
+func (r *SPTRepairer) reselect(g *Graph, old *SPTree, linkMap []LinkID, raised bool) (*SPTree, bool) {
+	recheck := r.recheck
+	if raised {
+		recheck = r.region
 	}
 
 	// Materialise the repaired distance plane before the parent scan:
@@ -249,7 +273,11 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 			r.stats.fullFallback++
 			return r.Tree(g, old.Dest, nil), true
 		}
-		if bestP != old.NextNode[v] || bestL != old.NextLink[v] {
+		oldL := old.NextLink[v]
+		if linkMap != nil {
+			oldL = linkMap[oldL] // v is reachable and not Dest: it has a link
+		}
+		if bestP != old.NextNode[v] || bestL != oldL {
 			changes = append(changes, reparent{v: v, node: bestP, link: bestL})
 		}
 	}
@@ -270,7 +298,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 		NextLink: old.NextLink, NextNode: old.NextNode}
 	cc := r.children(old)
 	if len(changes) > 0 {
-		nt.NextLink = append([]LinkID(nil), old.NextLink...)
+		nt.NextLink = remapLinks(old.NextLink, linkMap)
 		nt.NextNode = append([]NodeID(nil), old.NextNode...)
 		for _, c := range changes {
 			cc.reparent(c.v, old.NextNode[c.v], c.node, nt)
@@ -282,7 +310,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 		// common planned-maintenance case) re-parents without touching a
 		// single hop, and the shared plane then proves the hop-count
 		// discriminator column unchanged for free.
-		if wNew > oldW {
+		if raised {
 			// Every hop change of an increase is confined to the region
 			// (a tie-flipped parent and all its tree descendants route
 			// over l), and the region Dijkstra's settle order lists it
@@ -332,24 +360,12 @@ func SharedNextLink(a, b *SPTree) bool {
 	return len(a.NextLink) > 0 && len(b.NextLink) > 0 && &a.NextLink[0] == &b.NextLink[0]
 }
 
-// raiseDists handles a weight increase: only nodes whose old shortest
-// path crosses l — the old tree's subtree behind l — can move. It
-// recomputes their distances with a Dijkstra over that region seeded from
-// the (unchanged) boundary, and reports whether any node was affected.
-func (r *SPTRepairer) raiseDists(g *Graph, old *SPTree, l LinkID) bool {
-	link := g.Link(l)
-	// The child endpoint c routes over l; if neither endpoint does, no
-	// shortest path uses l and a worse l changes nothing (alternatives
-	// only lost ground).
-	var c NodeID
-	switch {
-	case old.NextLink[link.A] == l:
-		c = link.A
-	case old.NextLink[link.B] == l:
-		c = link.B
-	default:
-		return false
-	}
+// raiseDists handles a weight increase on the link c routes over: only
+// nodes whose old shortest path crosses it — the old tree's subtree behind
+// c — can move. It recomputes their distances with a Dijkstra over that
+// region seeded from the (unchanged) boundary; r.order lists the region
+// nodes that still reach the destination.
+func (r *SPTRepairer) raiseDists(g *Graph, old *SPTree, c NodeID) {
 	r.markSubtree(old, c)
 	// Seed every region node with its best boundary candidate.
 	for _, v := range r.region {
@@ -387,7 +403,6 @@ func (r *SPTRepairer) raiseDists(g *Graph, old *SPTree, l LinkID) bool {
 			}
 		}
 	}
-	return true
 }
 
 // children returns the destination's children-list cache for old,
@@ -463,7 +478,10 @@ func (r *SPTRepairer) markSubtree(old *SPTree, c NodeID) *childCache {
 }
 
 // lowerDists handles a weight decrease: strict improvements seeded at l's
-// endpoints propagate outward Dijkstra-style; distances can only drop.
+// endpoints propagate outward Dijkstra-style; distances can only drop. It
+// leaves in r.recheck the nodes whose parent may have moved: tied
+// candidates can appear anywhere next to an improved node, so neighbours
+// join the improved region.
 func (r *SPTRepairer) lowerDists(g *Graph, old *SPTree, l LinkID) {
 	link := g.Link(l)
 	w := g.Weight(l)
@@ -488,6 +506,33 @@ func (r *SPTRepairer) lowerDists(g *Graph, old *SPTree, l LinkID) {
 				r.heap.update(u, cand)
 			}
 		}
+	}
+	addRecheck := func(v NodeID) {
+		if r.rkMark[v] != r.epoch {
+			r.rkMark[v] = r.epoch
+			r.recheck = append(r.recheck, v)
+		}
+	}
+	for _, v := range r.region {
+		addRecheck(v)
+		// An unimproved neighbour's parent can only move when an
+		// improved candidate lands bit-equal on its distance — a
+		// strictly better one would have improved it into the
+		// region, a worse one never enters the achiever set.
+		dv := r.overlay[v]
+		for _, a := range g.out(v) {
+			if dv+a.w == r.dist(old, NodeID(a.node)) {
+				addRecheck(NodeID(a.node))
+			}
+		}
+	}
+	// l's own candidate changed even where no distance did: a new
+	// bit-equal tie at an endpoint can flip its parent onto l.
+	if r.dist(old, link.B)+w == r.dist(old, link.A) {
+		addRecheck(link.A)
+	}
+	if r.dist(old, link.A)+w == r.dist(old, link.B) {
+		addRecheck(link.B)
 	}
 }
 
@@ -528,13 +573,19 @@ func (r *SPTRepairer) cascadeHops(cc *childCache, nt *SPTree, oldHops []int, see
 // It is the cheap half of surviving a link removal: trees that never used
 // the removed link keep their structure, only the IDs shift.
 func RemapTreeLinks(t *SPTree, linkMap []LinkID) *SPTree {
-	nl := make([]LinkID, len(t.NextLink))
-	for i, l := range t.NextLink {
-		if l == NoLink {
-			nl[i] = NoLink
-		} else {
+	return &SPTree{Dest: t.Dest, Dist: t.Dist, Hops: t.Hops, NextLink: remapLinks(t.NextLink, linkMap), NextNode: t.NextNode}
+}
+
+// remapLinks copies a NextLink column through linkMap (nil: unchanged).
+func remapLinks(links, linkMap []LinkID) []LinkID {
+	nl := append([]LinkID(nil), links...)
+	if linkMap == nil {
+		return nl
+	}
+	for i, l := range nl {
+		if l != NoLink {
 			nl[i] = linkMap[l]
 		}
 	}
-	return &SPTree{Dest: t.Dest, Dist: t.Dist, Hops: t.Hops, NextLink: nl, NextNode: t.NextNode}
+	return nl
 }
