@@ -161,31 +161,112 @@ func BenchmarkForwardWire(b *testing.B) {
 	})
 }
 
-// BenchmarkForwardWireBatch measures the engine's byte-level inner loop:
-// a 256-frame wire batch forwarded under one snapshot.
-func BenchmarkForwardWireBatch(b *testing.B) {
-	_, fib, g := flowLabelFixture(b)
-	st := dataplane.FromFailureSet(g.NumLinks(), graph.NewFailureSet(0))
-	rng := rand.New(rand.NewSource(3))
-	pkts := make([]dataplane.WirePacket, 256)
-	tmpls := make([][]byte, len(pkts))
-	for i := range pkts {
-		src := graph.NodeID(rng.Intn(g.NumNodes()))
-		dst := graph.NodeID(rng.Intn(g.NumNodes()))
-		buf := mkPacket6(b, src, dst, 64)
-		tmpls[i] = append([]byte(nil), buf...)
-		pkts[i] = dataplane.WirePacket{Node: src, Ingress: rotation.NoDart, Buf: buf}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(pkts) {
-		for j := range pkts {
-			copy(pkts[j].Buf, tmpls[j])
+// wireBenchMix is the composition of a failed4 batch by decision event, in
+// frames of 256 — prbench's fwd_wire mix (630 route, 250 cycle, 50 detect,
+// 50 resume, 20 continue per thousand).
+var wireBenchMix = [5]int{core.EventRoute: 161, core.EventCycle: 64, core.EventDetect: 13, core.EventContinue: 5, core.EventResume: 13}
+
+// wireBenchBatch walks every ordered pair under fails on real frames (in
+// the family of the FIB's codec), sorts the hops' input frames by the
+// decision event core.Protocol's transcript gives them, and assembles a
+// shuffled 256-frame batch of the given mix over one contiguous arena. It
+// returns nil when the walks do not yield the mix.
+func wireBenchBatch(b *testing.B, p *core.Protocol, fib *dataplane.FIB, g *graph.Graph, fails *graph.FailureSet, st *dataplane.LinkState, mix [5]int) (pkts []dataplane.WirePacket, arena, tmpl []byte) {
+	var byEvent [5][]dataplane.WirePacket
+	for s := 0; s < g.NumNodes(); s++ {
+		for d := 0; d < g.NumNodes(); d++ {
+			walk := p.Walk(graph.NodeID(s), graph.NodeID(d), fails)
+			if s == d || !walk.Delivered() {
+				continue
+			}
+			frame, err := fib.NewWireFrame(graph.NodeID(s), graph.NodeID(d))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, step := range walk.Steps[:len(walk.Steps)-1] {
+				in := dataplane.WirePacket{Node: step.Node, Ingress: step.Ingress, Buf: append([]byte(nil), frame...)}
+				if eg, v := fib.ForwardWire(step.Node, step.Ingress, st, frame); v != dataplane.WireForward || eg != step.Egress {
+					b.Fatalf("%d→%d at node %d: %v on dart %d, core walked %d", s, d, step.Node, v, eg, step.Egress)
+				}
+				byEvent[step.Event] = append(byEvent[step.Event], in)
+			}
 		}
-		fib.ForwardWireBatch(pkts, st)
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+	rng := rand.New(rand.NewSource(1))
+	for ev, want := range mix {
+		if len(byEvent[ev]) < want {
+			return nil, nil, nil
+		}
+		rng.Shuffle(len(byEvent[ev]), func(i, j int) { byEvent[ev][i], byEvent[ev][j] = byEvent[ev][j], byEvent[ev][i] })
+		pkts = append(pkts, byEvent[ev][:want]...)
+	}
+	rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
+	for i := range pkts {
+		tmpl = append(tmpl, pkts[i].Buf...)
+	}
+	arena = append([]byte(nil), tmpl...)
+	stride := len(arena) / len(pkts)
+	for i := range pkts {
+		pkts[i].Buf = arena[i*stride : (i+1)*stride : (i+1)*stride]
+	}
+	return pkts, arena, tmpl
+}
+
+// BenchmarkForwardWireBatch measures the engine's byte-level inner loop,
+// a 256-frame wire batch forwarded under one snapshot, in both families:
+// clean (geant, nothing failed — every frame takes the mark-preserving
+// case) and failed4 (four failed links, frames recorded along walks so
+// that detect, cycle, continue and resume are all present, in
+// wireBenchMix's proportions). Restoring the frames is one copy over the
+// batch's arena, inside the timed loop on every row.
+func BenchmarkForwardWireBatch(b *testing.B) {
+	for _, family := range []string{"ipv4-dscp", "ipv6-flowlabel"} {
+		p, fib, g := wireFixture(b, "geant")
+		if family == "ipv6-flowlabel" {
+			p, fib, g = flowLabelFixture(b)
+		}
+		scenarios, err := graph.SampleFailureScenarios(g, 4, 64, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range []struct {
+			name  string
+			fails []*graph.FailureSet
+			mix   [5]int
+		}{
+			{"clean", []*graph.FailureSet{graph.NewFailureSet()}, [5]int{core.EventRoute: 256}},
+			{"failed4", scenarios, wireBenchMix},
+		} {
+			b.Run(family+"/"+row.name, func(b *testing.B) {
+				var (
+					pkts        []dataplane.WirePacket
+					arena, tmpl []byte
+					st          *dataplane.LinkState
+				)
+				for _, fails := range row.fails {
+					st = dataplane.FromFailureSet(g.NumLinks(), fails)
+					if pkts, arena, tmpl = wireBenchBatch(b, p, fib, g, fails, st, row.mix); pkts != nil {
+						break
+					}
+				}
+				if pkts == nil {
+					b.Fatalf("none of %d failure sets yields the mix %v", len(row.fails), row.mix)
+				}
+				forwarded := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += len(pkts) {
+					copy(arena, tmpl)
+					forwarded = fib.ForwardWireBatch(pkts, st)
+				}
+				b.StopTimer()
+				if forwarded != len(pkts) {
+					b.Fatalf("%d of %d frames forwarded", forwarded, len(pkts))
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+			})
+		}
+	}
 }
 
 // BenchmarkTxQueueSend measures the single-packet form of the egress

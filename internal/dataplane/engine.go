@@ -489,14 +489,9 @@ func (e *Engine) decideBatch(sh *shard, b *Batch, st *engineState) {
 		t0 := time.Now()
 		t := &m.tally
 		st.fib.DecideBatchTally(b.Pkts, st.links, (*[telemetry.TallySize]uint64)(t))
-		st.fib.ForwardWireBatch(b.Wire, st.links)
-		for i := range b.Wire {
-			if b.Wire[i].Verdict == WireForward {
-				t[slotWireForwarded]++
-			} else {
-				t[slotWireDropped]++
-			}
-		}
+		fwd := st.fib.ForwardWireBatch(b.Wire, st.links)
+		t[slotWireForwarded] += uint64(fwd)
+		t[slotWireDropped] += uint64(len(b.Wire) - fwd)
 		m.batchNs.Observe(int64(time.Since(t0)))
 		m.bank.Flush(t)
 		m.decided.Add(b.size())

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"encoding/binary"
 	"net/netip"
 
 	"recycle/internal/graph"
@@ -13,6 +14,19 @@ import (
 // the compiled FIB in rank space, re-encode the mark in place and repair
 // the IPv4 checksum incrementally (RFC 1624; IPv6 has none) — no parsing
 // structs, no full checksum recomputation, no allocations.
+//
+// Routing on an up link and cycle following on an up link never change the
+// mark: an unmarked or PR-clear frame keeps its TOS byte / flow label, a
+// PR-set frame keeps PR and DD. Each family's step tries that case first,
+// before any mark decode — the whole rewrite is TTL−1 plus one checksum
+// word (IPv4) or one byte (IPv6) — and only a frame that meets a failure
+// (detect, continue, resume) reads and rewrites its mark.
+//
+// Every changed 16-bit word adds ~m + m' to RFC 1624 equation 3,
+// HC' = ~(~HC + Σ(~m + m')), and end-around folding commutes with adding
+// to a positive sum (fold(fold(a)+b) = fold(a+b) for a > 0), so the TOS and
+// TTL words go in with one fold and the stored bytes equal those of a
+// word-by-word repair.
 //
 // Marks carry the *quantised* discriminator (core.Quantiser ranks), which
 // the compiler guarantees fits the codec it selected, so no reachable
@@ -33,6 +47,9 @@ const wireAddrPrefix = 0x0A01
 // wireAddr6Prefix is the first 14 bytes of the IPv6 node address plan:
 // fd00:5052::/112, a ULA tagged "PR" (0x50 0x52).
 var wireAddr6Prefix = [14]byte{0xfd, 0x00, 0x50, 0x52}
+
+// wireAddr6Hi is the prefix's first eight bytes; the other six are zero.
+const wireAddr6Hi = 0xfd00_5052 << 32
 
 // NodeAddr returns the IPv4 address assigned to node n by the plan.
 func NodeAddr(n graph.NodeID) netip.Addr {
@@ -156,16 +173,10 @@ func (v WireVerdict) Dropped() bool { return v != WireForward && v != WireDelive
 // forged. Ingress routers (ingress == rotation.NoDart) therefore must
 // sit behind the bleaching boundary.
 func (f *FIB) ForwardWire(node graph.NodeID, ingress rotation.DartID, st *LinkState, buf []byte) (rotation.DartID, WireVerdict) {
-	if len(buf) == 0 {
-		return rotation.NoDart, WireDropNotIP
-	}
-	switch buf[0] >> 4 {
-	case 4:
-		return f.forwardWire4(node, ingress, st, buf)
-	case 6:
+	if len(buf) > 0 && buf[0]>>4 == 6 {
 		return f.forwardWire6(node, ingress, st, buf)
 	}
-	return rotation.NoDart, WireDropNotIP
+	return f.forwardWire4(node, ingress, st, buf) // refuses all but 0x45 headers
 }
 
 // forwardWire4 is the IPv4 half of the wire path: DSCP pool-2 marks,
@@ -189,51 +200,54 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 		return rotation.NoDart, WireDropTTL
 	}
 
-	oldTOS := buf[1]
-	var pr bool
+	// The mark-preserving case: φ(ingress) for a PR-set frame, the
+	// shortest-path dart otherwise, on an up link.
+	tos := buf[1]
+	pr := tos&0x8C == 0x8C // pool-2 marker and PR bit
+	eg := int32(-1)
+	if !pr {
+		eg = f.ndAt(int(node), int(dst))
+	} else if uint(ingress) < uint(len(f.faceNext)) {
+		eg = f.faceNext[ingress]
+	}
+	ck := uint16(buf[10])<<8 | uint16(buf[11])
+	if eg >= 0 && !st.Down(graph.LinkID(eg>>1)) {
+		buf[8]--
+		ck = foldChecksum(ck, ttlDelta)
+		buf[10], buf[11] = byte(ck>>8), byte(ck)
+		return rotation.DartID(eg), WireForward
+	}
+
+	marked := tos&0x0C == 0x0C // DSCP pool 2 (xxxx11); anything else is unmarked traffic
 	var dd uint32
-	mark, err := header.DecodeDSCP(oldTOS >> 2)
-	marked := err == nil // DSCP pool 2 (xxxx11); anything else is unmarked traffic
 	if marked {
-		pr = mark.PR
-		dd = mark.DD
+		dd = uint32(tos>>4) & header.MaxDD
 	}
 	if pr && ingress == rotation.NoDart {
 		// A re-cycling mark on a packet with no ingress interface cannot
 		// come from a PR router; refuse it rather than guess.
 		return rotation.NoDart, WireDropBadMark
 	}
-
 	egress, _, prOut, ddOut, ok := f.decideWire(node, dst, ingress, pr, dd, st)
 	if !ok {
 		return rotation.NoDart, WireDropNoRoute
 	}
-
-	newTOS := oldTOS
+	newTOS := tos
 	if prOut || marked {
 		if ddOut > header.MaxDD {
 			// Only reachable when the compiled codec is the flow label:
 			// this IPv4 packet cannot carry the mark the network needs.
 			return rotation.NoDart, WireDropCodecMismatch
 		}
-		dscp, encErr := header.EncodeDSCP(header.Mark{PR: prOut, DD: ddOut})
-		if encErr != nil {
-			return rotation.NoDart, WireDropCodecMismatch
+		newTOS = byte(ddOut)<<4 | 0x0C | tos&0b11 // keep ECN bits
+		if prOut {
+			newTOS |= 0x80
 		}
-		newTOS = dscp<<2 | oldTOS&0b11 // keep ECN bits
 	}
-
-	// Rewrite TOS and TTL, then repair the checksum incrementally over the
-	// two 16-bit words that changed.
-	oldW0 := uint16(buf[0])<<8 | uint16(oldTOS)
-	oldW4 := uint16(buf[8])<<8 | uint16(buf[9])
+	// The TOS word keeps its high byte: its ~m + m' is 0xFFFF + ΔTOS.
 	buf[1] = newTOS
 	buf[8]--
-	newW0 := uint16(buf[0])<<8 | uint16(buf[1])
-	newW4 := uint16(buf[8])<<8 | uint16(buf[9])
-	ck := uint16(buf[10])<<8 | uint16(buf[11])
-	ck = updateChecksum(ck, oldW0, newW0)
-	ck = updateChecksum(ck, oldW4, newW4)
+	ck = foldChecksum(ck, 0xFFFF+uint32(newTOS)-uint32(tos)+ttlDelta)
 	buf[10], buf[11] = byte(ck>>8), byte(ck)
 	return egress, WireForward
 }
@@ -245,7 +259,9 @@ func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	if len(buf) < header.HeaderLen6 {
 		return rotation.NoDart, WireDropNotIP
 	}
-	if [14]byte(buf[24:38]) != wireAddr6Prefix {
+	// The 14 prefix bytes as two overlapping words: the array compare is a
+	// byte copy and a call, and was half the cost of a forwarded frame.
+	if binary.BigEndian.Uint64(buf[24:]) != wireAddr6Hi || binary.BigEndian.Uint64(buf[30:]) != 0 {
 		return rotation.NoDart, WireDropNotOurs
 	}
 	dst := graph.NodeID(uint32(buf[38])<<8 | uint32(buf[39]))
@@ -260,27 +276,37 @@ func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	}
 
 	fl := uint32(buf[1]&0x0F)<<16 | uint32(buf[2])<<8 | uint32(buf[3])
-	var pr bool
+	pr := fl&0x80003 == 0x80003 // pool-2 marker and PR bit; then as forwardWire4
+	eg := int32(-1)
+	if !pr {
+		eg = f.ndAt(int(node), int(dst))
+	} else if uint(ingress) < uint(len(f.faceNext)) {
+		eg = f.faceNext[ingress]
+	}
+	if eg >= 0 && !st.Down(graph.LinkID(eg>>1)) {
+		buf[7]--
+		return rotation.DartID(eg), WireForward
+	}
+
+	marked := fl&0b11 == 0b11 // pool-2 flow label (low bits 11); else unmarked
 	var dd uint32
-	mark, err := header.DecodeFlowLabel(fl)
-	marked := err == nil // pool-2 flow label (low bits 11); else unmarked
 	if marked {
-		pr = mark.PR
-		dd = mark.DD
+		dd = fl >> 2 & header.MaxFlowLabelDD
 	}
 	if pr && ingress == rotation.NoDart {
 		return rotation.NoDart, WireDropBadMark
 	}
-
 	egress, _, prOut, ddOut, ok := f.decideWire(node, dst, ingress, pr, dd, st)
 	if !ok {
 		return rotation.NoDart, WireDropNoRoute
 	}
-
 	if prOut || marked {
 		// Compile guarantees every rank fits the flow label's 17 DD bits,
-		// so unlike the IPv4 half this re-encode cannot fail.
-		newFL, _ := header.EncodeFlowLabel(header.Mark{PR: prOut, DD: ddOut})
+		// so unlike the IPv4 half this re-encode cannot overflow.
+		newFL := ddOut<<2 | 0b11
+		if prOut {
+			newFL |= 1 << 19
+		}
 		buf[1] = buf[1]&0xF0 | byte(newFL>>16)
 		buf[2] = byte(newFL >> 8)
 		buf[3] = byte(newFL)
@@ -335,19 +361,31 @@ func (f *FIB) NewWireFrame(src, dst graph.NodeID) ([]byte, error) {
 // ForwardWireBatch forwards a whole batch of raw frames in one call,
 // writing each packet's Egress and Verdict in place — the wire counterpart
 // of DecideBatch, sharing one interface-state snapshot across the batch.
-func (f *FIB) ForwardWireBatch(pkts []WirePacket, st *LinkState) {
+// It returns the number of frames whose verdict is WireForward.
+func (f *FIB) ForwardWireBatch(pkts []WirePacket, st *LinkState) (forwarded int) {
 	for i := range pkts {
 		p := &pkts[i]
-		p.Egress, p.Verdict = f.ForwardWire(p.Node, p.Ingress, st, p.Buf)
+		if len(p.Buf) > 0 && p.Buf[0]>>4 == 6 {
+			p.Egress, p.Verdict = f.forwardWire6(p.Node, p.Ingress, st, p.Buf)
+		} else {
+			p.Egress, p.Verdict = f.forwardWire4(p.Node, p.Ingress, st, p.Buf)
+		}
+		if p.Verdict == WireForward {
+			forwarded++
+		}
 	}
+	return forwarded
 }
 
-// updateChecksum folds the change of one 16-bit header word into an RFC
-// 1071 checksum per RFC 1624 equation 3: HC' = ~(~HC + ~m + m').
-func updateChecksum(ck, old, new uint16) uint16 {
-	sum := uint32(^ck) + uint32(^old) + uint32(new)
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
+// ttlDelta is ~m + m' of a decremented TTL word: m' = m − 0x0100.
+const ttlDelta = 0xFEFF
+
+// foldChecksum folds delta = Σ(~m + m') over the changed header words into
+// an RFC 1071 checksum per RFC 1624 equation 3. Two end-around steps reduce
+// any 32-bit sum.
+func foldChecksum(ck uint16, delta uint32) uint16 {
+	sum := uint32(^ck) + delta
+	sum = sum&0xFFFF + sum>>16
+	sum = sum&0xFFFF + sum>>16
 	return ^uint16(sum)
 }

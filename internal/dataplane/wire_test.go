@@ -477,4 +477,29 @@ func TestForwardWireZeroAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ForwardWire/ipv6 allocates %.1f per op, want 0", allocs)
 	}
+
+	// The batch, over both families and every verdict, drops included.
+	x, fails, table := verdictTable(t)
+	stT := dataplane.FromFailureSet(x.g.NumLinks(), fails)
+	pkts := make([]dataplane.WirePacket, len(table))
+	for i, c := range table {
+		pkts[i] = dataplane.WirePacket{Node: c.node, Ingress: c.ingress, Buf: append([]byte(nil), c.buf...)}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		for i := range pkts {
+			copy(pkts[i].Buf, table[i].buf)
+		}
+		x.fib.ForwardWireBatch(pkts, stT)
+	}); allocs != 0 {
+		t.Errorf("ForwardWireBatch over the verdict table allocates %.1f per batch, want 0", allocs)
+	}
+	var seen [dataplane.WireDropBadMark + 1]bool
+	for i := range pkts {
+		seen[pkts[i].Verdict] = true
+	}
+	for v, ok := range seen {
+		if !ok {
+			t.Errorf("no frame of the measured batch drew %v", dataplane.WireVerdict(v))
+		}
+	}
 }
