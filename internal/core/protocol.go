@@ -15,7 +15,7 @@ import (
 )
 
 // Variant selects the termination rule.
-type Variant int
+type Variant uint8
 
 const (
 	// Basic is the §4.2 protocol: one PR bit; encountering a failure while
@@ -143,7 +143,7 @@ func (p *Protocol) Variant() Variant { return p.vrnt }
 func (p *Protocol) Quantiser() *Quantiser { return p.quant }
 
 // Event classifies what happened at a node while forwarding one packet.
-type Event int
+type Event uint8
 
 const (
 	// EventRoute: normal shortest-path forwarding.

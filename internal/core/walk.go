@@ -66,15 +66,18 @@ func (p *Protocol) Walk(src, dst graph.NodeID, failures *graph.FailureSet) Resul
 }
 
 // Decision is one router's handling of one packet, as returned by Decide.
+// The small fields come first so the struct is 24 bytes in four fields:
+// the compiler keeps a struct in registers (SSA) only up to four words and
+// four fields, and a Decision is returned by value on every Decide.
 type Decision struct {
 	// Egress is the chosen outgoing dart (NoDart when OK is false).
 	Egress rotation.DartID
 	// Event classifies the decision.
 	Event Event
-	// Header is the packet header after processing.
-	Header Header
 	// OK is false when every usable egress was failed (isolated router).
 	OK bool
+	// Header is the packet header after processing.
+	Header Header
 }
 
 // Decide performs a single forwarding decision at node for a packet bound

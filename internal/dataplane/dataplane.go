@@ -77,7 +77,8 @@ func FromFailureSet(numLinks int, f *graph.FailureSet) *LinkState {
 
 // Down reports whether link l is failed.
 func (s *LinkState) Down(l graph.LinkID) bool {
-	return s.bits[uint(l)>>6]&(1<<(uint(l)&63)) != 0
+	i := uint32(l) // zero-extends for free; uint(l) would sign-extend first
+	return s.bits[i>>6]&(1<<(i&63)) != 0
 }
 
 // Set marks link l down or up.

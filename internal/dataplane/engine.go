@@ -14,7 +14,10 @@ import (
 )
 
 // Packet is the engine's unit of work: one forwarding decision to make.
-// Submit fills the first four fields; the worker fills the rest.
+// Submit fills the first four fields; the worker fills the rest. It is 40
+// bytes — four 4-byte words in, the 16-byte header both ways, then a
+// 4-byte dart and two single bytes out (TestStateSizes) — so a batch of
+// 256 is ten KB and a cache line holds a packet and a half.
 type Packet struct {
 	// Node is the router making the decision.
 	Node graph.NodeID

@@ -147,7 +147,7 @@ func assertDeltaEqualsScratch(t *testing.T, ctx string, d *Delta, disc route.Dis
 		for v := range want.Dist {
 			if math.Float64bits(got.Dist[v]) != math.Float64bits(want.Dist[v]) ||
 				got.Hops[v] != want.Hops[v] ||
-				got.NextLink[v] != want.NextLink[v] || got.NextNode[v] != want.NextNode[v] {
+				got.NextLink[v] != want.NextLink[v] {
 				t.Fatalf("%s: tree %d node %d diverged", ctx, dst, v)
 			}
 		}

@@ -61,7 +61,7 @@ func MeasureEmbeddingDelivery(tp topo.Topology, embedders []embedding.Embedder, 
 						continue
 					}
 					s, d := graph.NodeID(src), graph.NodeID(dst)
-					if !affected(tbl.Tree(d), s, fs) {
+					if !affected(g, tbl.Tree(d), s, fs) {
 						continue
 					}
 					probe.Walks++

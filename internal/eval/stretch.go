@@ -202,7 +202,7 @@ func Run(spec Spec) (*Experiment, error) {
 					continue
 				}
 				s, d := graph.NodeID(src), graph.NodeID(dst)
-				if !affected(baseline[dst], s, fs) {
+				if !affected(g, baseline[dst], s, fs) {
 					continue
 				}
 				for _, scheme := range spec.Schemes {
@@ -223,11 +223,11 @@ func Run(spec Spec) (*Experiment, error) {
 
 // affected reports whether src's failure-free path toward the tree's
 // destination crosses any failed link.
-func affected(tree *graph.SPTree, src graph.NodeID, fs *graph.FailureSet) bool {
+func affected(g *graph.Graph, tree *graph.SPTree, src graph.NodeID, fs *graph.FailureSet) bool {
 	if !tree.Reachable(src) {
 		return false
 	}
-	for n := src; n != tree.Dest; n = tree.NextNode[n] {
+	for n := src; n != tree.Dest; n = tree.NextNode(g, n) {
 		if fs.Down(tree.NextLink[n]) {
 			return true
 		}

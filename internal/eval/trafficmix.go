@@ -162,7 +162,7 @@ func sourceLabel(s traffic.Source) string {
 // reroute hardest for.
 func diameterPair(g *graph.Graph) (graph.NodeID, graph.NodeID) {
 	bestS, bestD := graph.NodeID(0), graph.NodeID(1)
-	best := -1
+	best := int32(-1)
 	for d, tree := range graph.AllTrees(g, nil) {
 		for s := 0; s < g.NumNodes(); s++ {
 			if tree.Hops[s] > best {

@@ -7,19 +7,41 @@
 // "darts" (see package rotation). Graphs are immutable once Freeze is called,
 // which lets downstream packages (routing tables, embeddings, simulators)
 // share them safely across goroutines.
+//
+// Identifiers are 32 bits wide — every table and packet downstream stores
+// them, and half the width is half the cache — so a graph holds at most
+// MaxNodes nodes and MaxLinks links; AddNode, AddLink and CheckSize refuse
+// to go past that rather than let an index wrap.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
 // NodeID identifies a node; dense indices starting at zero.
-type NodeID int
+type NodeID int32
 
 // LinkID identifies an undirected link by insertion order.
-type LinkID int
+type LinkID int32
+
+// MaxNodes and MaxLinks are the most a graph can hold: the node count must
+// fit an int32, and so must the dart count, two to a link.
+const (
+	MaxNodes = math.MaxInt32
+	MaxLinks = math.MaxInt32 / 2
+)
+
+// CheckSize reports whether a graph of the given node and link counts can
+// be indexed, so that loaders can refuse an input before allocating for it.
+func CheckSize(nodes, links int) error {
+	if nodes > MaxNodes || links > MaxLinks {
+		return fmt.Errorf("graph: %d nodes, %d links exceed the 32-bit identifier space (%d nodes, %d links)", nodes, links, MaxNodes, MaxLinks)
+	}
+	return nil
+}
 
 // Invalid sentinel values returned by lookups that find nothing.
 const (
@@ -110,9 +132,13 @@ func New(n, m int) *Graph {
 
 // AddNode appends a node with the given human-readable name and returns its
 // identifier. Names need not be unique, but topology loaders enforce
-// uniqueness for lookup friendliness.
+// uniqueness for lookup friendliness. Like mutation after Freeze, growing
+// past MaxNodes panics.
 func (g *Graph) AddNode(name string) NodeID {
 	g.mustBeMutable()
+	if err := CheckSize(len(g.names)+1, 0); err != nil {
+		panic(err)
+	}
 	id := NodeID(len(g.names))
 	g.names = append(g.names, name)
 	g.adj = append(g.adj, nil)
@@ -133,6 +159,9 @@ func (g *Graph) AddLink(a, b NodeID, weight float64) (LinkID, error) {
 	}
 	if weight <= 0 {
 		return NoLink, fmt.Errorf("graph: link %d-%d has non-positive weight %v", a, b, weight)
+	}
+	if err := CheckSize(0, len(g.links)+1); err != nil {
+		return NoLink, err
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Weight: weight})

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustLink(t *testing.T, g *Graph, a, b NodeID, w float64) LinkID {
@@ -198,5 +200,58 @@ func TestStringer(t *testing.T) {
 	g := triangle(t)
 	if s := g.String(); !strings.Contains(s, "3") {
 		t.Fatalf("String() = %q; want node/link counts", s)
+	}
+}
+
+// fakeLen gives a slice a length and capacity it has no memory for, so the
+// size guards can be reached without allocating 2³¹ nodes. Nothing may
+// index or append to the slice afterwards — which is what the guards are
+// for.
+func fakeLen[T any](s *[]T, n int) {
+	h := (*[3]int)(unsafe.Pointer(s)) // data, len, cap
+	h[1], h[2] = n, n
+}
+
+// TestIdentifierSpaceGuards pins the 32-bit limits: CheckSize at both
+// boundaries, AddNode panicking and AddLink erroring one past them, and
+// the dart count 2·MaxLinks still fitting an int32.
+func TestIdentifierSpaceGuards(t *testing.T) {
+	if 2*MaxLinks > math.MaxInt32 || 2*(MaxLinks+1) <= math.MaxInt32 {
+		t.Fatalf("MaxLinks = %d is not the largest link count whose dart count fits an int32", MaxLinks)
+	}
+	for _, c := range []struct {
+		nodes, links int
+		ok           bool
+	}{
+		{MaxNodes, MaxLinks, true}, {MaxNodes + 1, 0, false}, {0, MaxLinks + 1, false}, {0, 0, true},
+	} {
+		if err := CheckSize(c.nodes, c.links); (err == nil) != c.ok {
+			t.Fatalf("CheckSize(%d, %d) = %v; want ok=%v", c.nodes, c.links, err, c.ok)
+		}
+	}
+
+	g := New(2, 1)
+	a, b := g.AddNode("a"), g.AddNode("b")
+	names, adj, links := g.names, g.adj, g.links
+	fakeLen(&g.links, MaxLinks)
+	if id, err := g.AddLink(a, b, 1); err == nil || id != NoLink {
+		t.Fatalf("AddLink on a full link table returned (%d, %v)", id, err)
+	}
+	g.links = links
+	if _, err := g.AddLink(a, b, 1); err != nil {
+		t.Fatalf("AddLink below the limit: %v", err)
+	}
+	fakeLen(&g.names, MaxNodes)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("AddNode on a full node table did not panic")
+			}
+		}()
+		g.AddNode("c")
+	}()
+	g.names, g.adj = names, adj
+	if id := g.AddNode("c"); id != 2 {
+		t.Fatalf("AddNode below the limit returned %d", id)
 	}
 }

@@ -18,6 +18,10 @@ var Infinity = math.Inf(1)
 // assumes a single next hop per destination; deterministic tie-breaking makes
 // every experiment reproducible.
 //
+// A tree is three planes, 16 bytes a node: an 8-byte Dist, a 4-byte Hops
+// and a 4-byte NextLink. The next node is not stored; it is the far end of
+// NextLink, see NextNode.
+//
 // Lifetime: the planes (and the header) of trees built in succession by one
 // builder are cut from shared slabs of slabPlanes trees, so a tree kept
 // alive pins up to slabPlanes-1 neighbours' planes — a bounded cost, never a
@@ -30,13 +34,22 @@ type SPTree struct {
 	Dist []float64
 	// Hops[n] is the hop count from n to Dest along the tree (-1 if
 	// unreachable). This is the paper's default distance discriminator.
-	Hops []int
+	Hops []int32
 	// NextLink[n] is the first link on n's path to Dest (NoLink at Dest or
 	// when unreachable).
 	NextLink []LinkID
-	// NextNode[n] is the node after n on the path to Dest (NoNode at Dest or
-	// when unreachable).
-	NextNode []NodeID
+}
+
+// NextNode returns the node after n on the path to Dest (NoNode at Dest or
+// when unreachable), read off g's link table; g is the graph t was built
+// on, or any edit of it with the same link numbering.
+func (t *SPTree) NextNode(g *Graph, n NodeID) NodeID {
+	l := t.NextLink[n]
+	if l == NoLink {
+		return NoNode
+	}
+	k := &g.links[l]
+	return k.A ^ k.B ^ n
 }
 
 // heapItem is one entry of distHeap.
@@ -132,16 +145,15 @@ func cut[T any](slab *[]T, n int) []T {
 
 // SPTBuilder builds shortest-path trees on reusable scratch: the heap is
 // kept between trees and the trees' planes (and headers) are cut from
-// slabs, so a tree costs 5/slabPlanes allocations instead of one per node.
+// slabs, so a tree costs 4/slabPlanes allocations instead of one per node.
 // The zero value is ready; a builder serves graphs of any size in any
 // order but is NOT safe for concurrent use — give each worker its own.
 type SPTBuilder struct {
 	heap     distHeap
 	treeSlab []SPTree
 	distSlab []float64
-	hopSlab  []int
+	hopSlab  []int32
 	linkSlab []LinkID
-	nodeSlab []NodeID
 }
 
 // Tree runs Dijkstra's algorithm from dest over the links that are up
@@ -158,9 +170,9 @@ func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	n := g.NumNodes()
 	t := &cut(&b.treeSlab, 1)[0]
 	*t = SPTree{Dest: dest, Dist: cut(&b.distSlab, n), Hops: cut(&b.hopSlab, n),
-		NextLink: cut(&b.linkSlab, n), NextNode: cut(&b.nodeSlab, n)}
+		NextLink: cut(&b.linkSlab, n)}
 	for i := 0; i < n; i++ {
-		t.Dist[i], t.Hops[i], t.NextLink[i], t.NextNode[i] = Infinity, -1, NoLink, NoNode
+		t.Dist[i], t.Hops[i], t.NextLink[i] = Infinity, -1, NoLink
 	}
 	if n == 0 {
 		return t
@@ -183,12 +195,12 @@ func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 			case cand < dv:
 				t.Dist[v] = cand
 				h.update(v, cand)
-			case cand == dv && betterTie(t, v, u, link):
+			case cand == dv && betterTie(g, t, v, u, link):
 				// equal cost, deterministically preferred parent
 			default:
 				continue
 			}
-			t.Hops[v], t.NextNode[v], t.NextLink[v] = t.Hops[u]+1, u, link
+			t.Hops[v], t.NextLink[v] = t.Hops[u]+1, link
 		}
 	}
 	return t
@@ -220,8 +232,8 @@ func AllTrees(g *Graph, failures *FailureSet) []*SPTree {
 
 // betterTie reports whether (parent, link) is preferred over v's current
 // equal-cost assignment: smaller next-hop node wins, then smaller link ID.
-func betterTie(t *SPTree, v, parent NodeID, link LinkID) bool {
-	cur := t.NextNode[v]
+func betterTie(g *Graph, t *SPTree, v, parent NodeID, link LinkID) bool {
+	cur := t.NextNode(g, v)
 	if cur == NoNode {
 		return true
 	}
@@ -235,14 +247,14 @@ func betterTie(t *SPTree, v, parent NodeID, link LinkID) bool {
 func (t *SPTree) Reachable(n NodeID) bool { return !math.IsInf(t.Dist[n], 1) }
 
 // Path returns the node sequence from src to the tree's destination
-// (inclusive of both), or nil if unreachable.
-func (t *SPTree) Path(src NodeID) []NodeID {
+// (inclusive of both) over g's links, or nil if unreachable.
+func (t *SPTree) Path(g *Graph, src NodeID) []NodeID {
 	if !t.Reachable(src) {
 		return nil
 	}
 	path := []NodeID{src}
 	for n := src; n != t.Dest; {
-		n = t.NextNode[n]
+		n = t.NextNode(g, n)
 		path = append(path, n)
 	}
 	return path
@@ -250,12 +262,12 @@ func (t *SPTree) Path(src NodeID) []NodeID {
 
 // PathLinks returns the link sequence from src to the destination, or nil if
 // unreachable (empty if src == Dest).
-func (t *SPTree) PathLinks(src NodeID) []LinkID {
+func (t *SPTree) PathLinks(g *Graph, src NodeID) []LinkID {
 	if !t.Reachable(src) {
 		return nil
 	}
 	var links []LinkID
-	for n := src; n != t.Dest; n = t.NextNode[n] {
+	for n := src; n != t.Dest; n = t.NextNode(g, n) {
 		links = append(links, t.NextLink[n])
 	}
 	return links
@@ -263,11 +275,11 @@ func (t *SPTree) PathLinks(src NodeID) []LinkID {
 
 // UsesLink reports whether src's path to the destination traverses link id.
 // Used to select the source-destination pairs affected by a failure scenario.
-func (t *SPTree) UsesLink(src NodeID, id LinkID) bool {
+func (t *SPTree) UsesLink(g *Graph, src NodeID, id LinkID) bool {
 	if !t.Reachable(src) {
 		return false
 	}
-	for n := src; n != t.Dest; n = t.NextNode[n] {
+	for n := src; n != t.Dest; n = t.NextNode(g, n) {
 		if t.NextLink[n] == id {
 			return true
 		}

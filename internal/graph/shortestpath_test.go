@@ -22,14 +22,14 @@ func TestShortestPathTreeLine(t *testing.T) {
 	if tr.Hops[a] != 2 || tr.Hops[b] != 1 || tr.Hops[c] != 0 {
 		t.Fatalf("hops = %v; want [2 1 0]", tr.Hops)
 	}
-	if tr.NextNode[a] != b || tr.NextNode[b] != c || tr.NextNode[c] != NoNode {
-		t.Fatalf("next nodes wrong: %v", tr.NextNode)
+	if tr.NextNode(g, a) != b || tr.NextNode(g, b) != c || tr.NextNode(g, c) != NoNode {
+		t.Fatalf("next nodes wrong: next links %v", tr.NextLink)
 	}
-	path := tr.Path(a)
+	path := tr.Path(g, a)
 	if len(path) != 3 || path[0] != a || path[2] != c {
 		t.Fatalf("Path(a) = %v", path)
 	}
-	links := tr.PathLinks(a)
+	links := tr.PathLinks(g, a)
 	if len(links) != 2 || links[0] != 0 || links[1] != 1 {
 		t.Fatalf("PathLinks(a) = %v", links)
 	}
@@ -49,8 +49,8 @@ func TestShortestPathPrefersCheaperRoute(t *testing.T) {
 	if tr.Dist[a] != 4 {
 		t.Fatalf("dist a→b = %v; want 4", tr.Dist[a])
 	}
-	if tr.NextNode[a] != c {
-		t.Fatalf("a's next hop = %v; want c", tr.NextNode[a])
+	if tr.NextNode(g, a) != c {
+		t.Fatalf("a's next hop = %v; want c", tr.NextNode(g, a))
 	}
 	if tr.Hops[a] != 2 {
 		t.Fatalf("a's hop discriminator = %d; want 2", tr.Hops[a])
@@ -72,8 +72,8 @@ func TestShortestPathDeterministicTieBreak(t *testing.T) {
 	g.Freeze()
 	for i := 0; i < 10; i++ {
 		tr := ShortestPathTree(g, d, nil)
-		if tr.NextNode[a] != b {
-			t.Fatalf("run %d: a's next hop = %v; want b (deterministic tie-break)", i, tr.NextNode[a])
+		if tr.NextNode(g, a) != b {
+			t.Fatalf("run %d: a's next hop = %v; want b (deterministic tie-break)", i, tr.NextNode(g, a))
 		}
 	}
 }
@@ -101,7 +101,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 	if !math.IsInf(tr.Dist[2], 1) || tr.Hops[2] != -1 {
 		t.Fatalf("island dist/hops = %v/%d; want +Inf/-1", tr.Dist[2], tr.Hops[2])
 	}
-	if tr.Path(2) != nil || tr.PathLinks(2) != nil {
+	if tr.Path(g, 2) != nil || tr.PathLinks(g, 2) != nil {
 		t.Fatal("paths from unreachable node should be nil")
 	}
 }
@@ -109,13 +109,13 @@ func TestShortestPathUnreachable(t *testing.T) {
 func TestUsesLink(t *testing.T) {
 	g := Ring(4) // links: 0:0-1, 1:1-2, 2:2-3, 3:3-0
 	tr := ShortestPathTree(g, 0, nil)
-	if !tr.UsesLink(1, 0) {
+	if !tr.UsesLink(g, 1, 0) {
 		t.Fatal("path 1→0 should use link 0")
 	}
-	if tr.UsesLink(1, 2) {
+	if tr.UsesLink(g, 1, 2) {
 		t.Fatal("path 1→0 should not use link 2")
 	}
-	if tr.UsesLink(0, 0) {
+	if tr.UsesLink(g, 0, 0) {
 		t.Fatal("destination uses no links")
 	}
 }
@@ -145,7 +145,7 @@ func TestTreePathCostsMatchDist(t *testing.T) {
 	g := RandomTwoConnected(15, 30, 42)
 	tr := ShortestPathTree(g, 3, nil)
 	for src := 0; src < g.NumNodes(); src++ {
-		links := tr.PathLinks(NodeID(src))
+		links := tr.PathLinks(g, NodeID(src))
 		sum := 0.0
 		for _, l := range links {
 			sum += g.Weight(l)
@@ -153,7 +153,7 @@ func TestTreePathCostsMatchDist(t *testing.T) {
 		if math.Abs(sum-tr.Dist[src]) > 1e-9 {
 			t.Fatalf("src %d: path weight %v != dist %v", src, sum, tr.Dist[src])
 		}
-		if len(links) != tr.Hops[src] {
+		if len(links) != int(tr.Hops[src]) {
 			t.Fatalf("src %d: path hops %d != hops %d", src, len(links), tr.Hops[src])
 		}
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // checkCanonical verifies tree against the definition of the canonical
@@ -27,16 +29,16 @@ func checkCanonical(t *testing.T, ctx string, g *Graph, failures *FailureSet, tr
 func checkCanonicalAgainst(t *testing.T, ctx string, g *Graph, failures *FailureSet, tree *SPTree, ap [][]float64) {
 	t.Helper()
 	n := g.NumNodes()
-	if len(tree.Dist) != n || len(tree.Hops) != n || len(tree.NextLink) != n || len(tree.NextNode) != n {
-		t.Fatalf("%s: planes sized %d/%d/%d/%d for %d nodes", ctx,
-			len(tree.Dist), len(tree.Hops), len(tree.NextLink), len(tree.NextNode), n)
+	if len(tree.Dist) != n || len(tree.Hops) != n || len(tree.NextLink) != n {
+		t.Fatalf("%s: planes sized %d/%d/%d for %d nodes", ctx,
+			len(tree.Dist), len(tree.Hops), len(tree.NextLink), n)
 	}
 	for v := 0; v < n; v++ {
 		want := ap[v][tree.Dest]
 		if math.IsInf(want, 1) {
-			if !math.IsInf(tree.Dist[v], 1) || tree.Hops[v] != -1 || tree.NextLink[v] != NoLink || tree.NextNode[v] != NoNode {
+			if !math.IsInf(tree.Dist[v], 1) || tree.Hops[v] != -1 || tree.NextLink[v] != NoLink || tree.NextNode(g, NodeID(v)) != NoNode {
 				t.Fatalf("%s: unreachable node %d holds (%v, %d, %d, %d)", ctx, v,
-					tree.Dist[v], tree.Hops[v], tree.NextLink[v], tree.NextNode[v])
+					tree.Dist[v], tree.Hops[v], tree.NextLink[v], tree.NextNode(g, NodeID(v)))
 			}
 			continue
 		}
@@ -44,9 +46,9 @@ func checkCanonicalAgainst(t *testing.T, ctx string, g *Graph, failures *Failure
 			t.Fatalf("%s: Dist[%d] = %v; all-pairs says %v", ctx, v, tree.Dist[v], want)
 		}
 		if NodeID(v) == tree.Dest {
-			if tree.Dist[v] != 0 || tree.Hops[v] != 0 || tree.NextLink[v] != NoLink || tree.NextNode[v] != NoNode {
+			if tree.Dist[v] != 0 || tree.Hops[v] != 0 || tree.NextLink[v] != NoLink || tree.NextNode(g, NodeID(v)) != NoNode {
 				t.Fatalf("%s: destination holds (%v, %d, %d, %d)", ctx,
-					tree.Dist[v], tree.Hops[v], tree.NextLink[v], tree.NextNode[v])
+					tree.Dist[v], tree.Hops[v], tree.NextLink[v], tree.NextNode(g, NodeID(v)))
 			}
 			continue
 		}
@@ -60,9 +62,9 @@ func checkCanonicalAgainst(t *testing.T, ctx string, g *Graph, failures *Failure
 				best, bestP, bestL = cand, nb.Node, nb.Link
 			}
 		}
-		if tree.Dist[v] != best || tree.NextNode[v] != bestP || tree.NextLink[v] != bestL {
+		if tree.Dist[v] != best || tree.NextNode(g, NodeID(v)) != bestP || tree.NextLink[v] != bestL {
 			t.Fatalf("%s: node %d holds (%v via %d over %d); canonical is (%v via %d over %d)", ctx, v,
-				tree.Dist[v], tree.NextNode[v], tree.NextLink[v], best, bestP, bestL)
+				tree.Dist[v], tree.NextNode(g, NodeID(v)), tree.NextLink[v], best, bestP, bestL)
 		}
 		if tree.Hops[v] != tree.Hops[bestP]+1 {
 			t.Fatalf("%s: Hops[%d] = %d; parent %d has %d", ctx, v, tree.Hops[v], bestP, tree.Hops[bestP])
@@ -211,7 +213,7 @@ func TestRepairerStructuralChains(t *testing.T) {
 		trees := make([]*SPTree, g.NumNodes())
 		for d := range trees {
 			trees[d] = rep.Tree(g, NodeID(d), nil)
-			rep.children(trees[d]) // as an earlier weight edit would have left it
+			rep.children(g, trees[d]) // as an earlier weight edit would have left it
 		}
 		apply := func(e Edit) {
 			g2, m, err := ApplyEdit(g, e)
@@ -232,7 +234,7 @@ func TestRepairerStructuralChains(t *testing.T) {
 				calls++
 				if rebuilt {
 					rebuilds++
-					rep.children(trees[d])
+					rep.children(g2, trees[d])
 					continue
 				}
 				cc := rep.kids[NodeID(d)]
@@ -242,14 +244,14 @@ func TestRepairerStructuralChains(t *testing.T) {
 				kids := make([]int, g2.NumNodes())
 				for p := range kids {
 					for ch := cc.head[p]; ch >= 0; ch = cc.next[ch] {
-						if trees[d].NextNode[ch] != NodeID(p) {
-							t.Fatalf("%s: cache lists %d under %d; its parent is %d", ctx, ch, p, trees[d].NextNode[ch])
+						if trees[d].NextNode(g2, NodeID(ch)) != NodeID(p) {
+							t.Fatalf("%s: cache lists %d under %d; its parent is %d", ctx, ch, p, trees[d].NextNode(g2, NodeID(ch)))
 						}
 						kids[p]++
 					}
 				}
-				for v, p := range trees[d].NextNode {
-					if p != NoNode {
+				for v := range kids {
+					if p := trees[d].NextNode(g2, NodeID(v)); p != NoNode {
 						kids[p]--
 					}
 					if kids[v] < 0 {
@@ -328,20 +330,29 @@ func TestSlabPlanesNeverShared(t *testing.T) {
 }
 
 // TestBuilderAllocs pins the builder's allocation budget: a slab's worth
-// of trees costs five allocations — four plane slabs and one header slab
-// — and nothing per node or per tree.
+// of trees costs four allocations — three plane slabs and one header slab
+// — and nothing per node or per tree, and a tree is 16 bytes a node (an
+// 8-byte Dist, a 4-byte Hops, a 4-byte NextLink) plus its header.
 func TestBuilderAllocs(t *testing.T) {
 	g := RandomTwoConnected(64, 120, 1)
 	fs := NewFailureSet(3, 9)
 	var b SPTBuilder
 	for _, failures := range []*FailureSet{nil, fs} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		got := testing.AllocsPerRun(10, func() {
 			for i := 0; i < slabPlanes; i++ {
 				b.Tree(g, NodeID(i), failures)
 			}
 		})
-		if got != 5 {
-			t.Fatalf("%v allocations per %d trees; want 5", got, slabPlanes)
+		runtime.ReadMemStats(&after)
+		if got != 4 {
+			t.Fatalf("%v allocations per %d trees; want 4", got, slabPlanes)
+		}
+		// AllocsPerRun runs the function once to warm up, then 10 times.
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / float64(11*slabPlanes*g.NumNodes())
+		if header := float64(unsafe.Sizeof(SPTree{})) / float64(g.NumNodes()); perNode < 16 || perNode > 16+header+0.5 {
+			t.Fatalf("%.2f bytes per node per tree; want 16 plus a %.2f-byte share of the header", perNode, header)
 		}
 	}
 }

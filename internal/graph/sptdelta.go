@@ -148,7 +148,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 	r.grow(g.NumNodes())
 	if wNew < oldW {
 		r.lowerDists(g, old, l)
-		return r.reselect(g, old, nil, false)
+		return r.reselect(g, old, false, false)
 	}
 	// The child endpoint c routes over l; if neither endpoint does, no
 	// shortest path uses l and a worse l changes nothing (alternatives
@@ -159,7 +159,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 		return old, false
 	}
 	r.raiseDists(g, old, c)
-	return r.reselect(g, old, nil, true)
+	return r.reselect(g, old, false, true)
 }
 
 // LinkAdded is WeightChange for a link l that g has and the pre-edit graph
@@ -181,20 +181,24 @@ func (r *SPTRepairer) LinkAdded(g *Graph, old *SPTree, l LinkID) (t *SPTree, cha
 // old.Dest rebuilds the tree from scratch and reports it.
 func (r *SPTRepairer) LinkRemoved(g *Graph, old *SPTree, a, b NodeID, gone LinkID, linkMap []LinkID) (t *SPTree, changed, rebuilt bool) {
 	c := old.routesOver(a, b, gone)
+	t = RemapTreeLinks(old, linkMap)
+	if cc := r.kids[old.Dest]; cc != nil && cc.tree == old {
+		cc.tree = t
+	}
 	if c == NoNode {
-		t = RemapTreeLinks(old, linkMap)
-		if cc := r.kids[old.Dest]; cc != nil && cc.tree == old {
-			cc.tree = t
-		}
 		r.stats.unchanged++
 		return t, false, false
 	}
+	// t is old in g's link IDs with c, the one node that routed over the
+	// removed link, left parentless; the cache must say the same before
+	// g's link table can name every other parent.
 	r.grow(g.NumNodes())
-	r.raiseDists(g, old, c)
+	r.children(g, t).reparent(c, a^b^c, NoNode, t)
+	r.raiseDists(g, t, c)
 	if len(r.order) < len(r.region) { // a bridge: part of the subtree is cut off
 		return r.Tree(g, old.Dest, nil), true, true
 	}
-	t, _ = r.reselect(g, old, linkMap, true)
+	t, _ = r.reselect(g, t, true, true)
 	return t, true, false
 }
 
@@ -218,8 +222,9 @@ func (t *SPTree) routesOver(a, b NodeID, l LinkID) NodeID {
 // inside the region in the first place, while inside candidates only got
 // worse, so no outside parent can move; for a decrease the set lowerDists
 // collected — repairs the hop counts below them and materialises the
-// tree. A non-nil linkMap renumbers old's links into g's (LinkRemoved).
-func (r *SPTRepairer) reselect(g *Graph, old *SPTree, linkMap []LinkID, raised bool) (*SPTree, bool) {
+// tree. own says old's NextLink plane is the caller's fresh copy, to be
+// written in place (LinkRemoved).
+func (r *SPTRepairer) reselect(g *Graph, old *SPTree, own, raised bool) (*SPTree, bool) {
 	recheck := r.recheck
 	if raised {
 		recheck = r.region
@@ -273,11 +278,7 @@ func (r *SPTRepairer) reselect(g *Graph, old *SPTree, linkMap []LinkID, raised b
 			r.stats.fullFallback++
 			return r.Tree(g, old.Dest, nil), true
 		}
-		oldL := old.NextLink[v]
-		if linkMap != nil {
-			oldL = linkMap[oldL] // v is reachable and not Dest: it has a link
-		}
-		if bestP != old.NextNode[v] || bestL != oldL {
+		if bestL != old.NextLink[v] { // a link names its far end
 			changes = append(changes, reparent{v: v, node: bestP, link: bestL})
 		}
 	}
@@ -294,15 +295,14 @@ func (r *SPTRepairer) reselect(g *Graph, old *SPTree, linkMap []LinkID, raised b
 	// when some parent moved (Hops[v] is Hops[parent]+1 along an
 	// unchanged chain), so the hop plane is cloned exactly when the
 	// parent planes are.
-	nt := &SPTree{Dest: old.Dest, Dist: dist, Hops: old.Hops,
-		NextLink: old.NextLink, NextNode: old.NextNode}
-	cc := r.children(old)
+	nt := &SPTree{Dest: old.Dest, Dist: dist, Hops: old.Hops, NextLink: old.NextLink}
+	cc := r.children(g, old)
 	if len(changes) > 0 {
-		nt.NextLink = remapLinks(old.NextLink, linkMap)
-		nt.NextNode = append([]NodeID(nil), old.NextNode...)
+		if !own {
+			nt.NextLink = append([]LinkID(nil), old.NextLink...)
+		}
 		for _, c := range changes {
-			cc.reparent(c.v, old.NextNode[c.v], c.node, nt)
-			nt.NextNode[c.v] = c.node
+			cc.reparent(c.v, old.NextNode(g, c.v), c.node, nt)
 			nt.NextLink[c.v] = c.link
 		}
 		// The hop plane clones lazily, on the first hop count that
@@ -317,12 +317,12 @@ func (r *SPTRepairer) reselect(g *Graph, old *SPTree, linkMap []LinkID, raised b
 			// parent-before-child — one linear pass repairs the plane.
 			hops := old.Hops
 			for _, v := range r.order {
-				h := hops[nt.NextNode[v]] + 1
+				h := hops[nt.NextNode(g, v)] + 1
 				if h == hops[v] {
 					continue
 				}
 				if &hops[0] == &old.Hops[0] {
-					hops = append([]int(nil), old.Hops...)
+					hops = append([]int32(nil), old.Hops...)
 				}
 				hops[v] = h
 			}
@@ -332,7 +332,7 @@ func (r *SPTRepairer) reselect(g *Graph, old *SPTree, linkMap []LinkID, raised b
 			for _, c := range changes {
 				seeds = append(seeds, c.v)
 			}
-			nt.Hops = r.cascadeHops(cc, nt, old.Hops, seeds)
+			nt.Hops = r.cascadeHops(g, cc, nt, old.Hops, seeds)
 			r.seeds = seeds[:0]
 		}
 	}
@@ -366,7 +366,7 @@ func SharedNextLink(a, b *SPTree) bool {
 // region seeded from the (unchanged) boundary; r.order lists the region
 // nodes that still reach the destination.
 func (r *SPTRepairer) raiseDists(g *Graph, old *SPTree, c NodeID) {
-	r.markSubtree(old, c)
+	r.markSubtree(g, old, c)
 	// Seed every region node with its best boundary candidate.
 	for _, v := range r.region {
 		best := math.Inf(1)
@@ -405,9 +405,10 @@ func (r *SPTRepairer) raiseDists(g *Graph, old *SPTree, c NodeID) {
 	}
 }
 
-// children returns the destination's children-list cache for old,
-// rebuilding it only when the cached snapshot is for a different tree.
-func (r *SPTRepairer) children(old *SPTree) *childCache {
+// children returns the destination's children-list cache for old, a tree
+// in g's link IDs, rebuilding it only when the cached snapshot is for a
+// different tree.
+func (r *SPTRepairer) children(g *Graph, old *SPTree) *childCache {
 	if r.kids == nil {
 		r.kids = make(map[NodeID]*childCache)
 	}
@@ -424,7 +425,7 @@ func (r *SPTRepairer) children(old *SPTree) *childCache {
 		cc.head[v] = -1
 	}
 	for v := 0; v < n; v++ {
-		p := old.NextNode[v]
+		p := old.NextNode(g, NodeID(v))
 		if p == NoNode {
 			continue
 		}
@@ -461,8 +462,8 @@ func (cc *childCache) reparent(v, oldParent, newParent NodeID, nt *SPTree) {
 // markSubtree collects the old tree's subtree rooted at c (inclusive)
 // into r.region, marking membership in r.inSub — a BFS over the cached
 // children lists, O(|subtree|).
-func (r *SPTRepairer) markSubtree(old *SPTree, c NodeID) *childCache {
-	cc := r.children(old)
+func (r *SPTRepairer) markSubtree(g *Graph, old *SPTree, c NodeID) *childCache {
+	cc := r.children(g, old)
 	r.inSub[c] = r.epoch
 	r.distMark[c] = r.epoch
 	r.region = append(r.region, c)
@@ -543,7 +544,7 @@ func (r *SPTRepairer) lowerDists(g *Graph, old *SPTree, l LinkID) {
 // must already describe nt's parents) and prunes branches whose hop
 // count is confirmed unchanged. It returns the repaired plane — oldHops
 // itself when nothing moved, a lazy clone otherwise.
-func (r *SPTRepairer) cascadeHops(cc *childCache, nt *SPTree, oldHops []int, seeds []NodeID) []int {
+func (r *SPTRepairer) cascadeHops(g *Graph, cc *childCache, nt *SPTree, oldHops []int32, seeds []NodeID) []int32 {
 	hops := oldHops
 	stack := r.chain[:0]
 	for _, s := range seeds {
@@ -552,12 +553,12 @@ func (r *SPTRepairer) cascadeHops(cc *childCache, nt *SPTree, oldHops []int, see
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		h := hops[nt.NextNode[v]] + 1
+		h := hops[nt.NextNode(g, v)] + 1
 		if h == hops[v] {
 			continue
 		}
 		if &hops[0] == &oldHops[0] {
-			hops = append([]int(nil), oldHops...)
+			hops = append([]int32(nil), oldHops...)
 		}
 		hops[v] = h
 		for c := cc.head[v]; c >= 0; c = cc.next[c] {
@@ -573,19 +574,11 @@ func (r *SPTRepairer) cascadeHops(cc *childCache, nt *SPTree, oldHops []int, see
 // It is the cheap half of surviving a link removal: trees that never used
 // the removed link keep their structure, only the IDs shift.
 func RemapTreeLinks(t *SPTree, linkMap []LinkID) *SPTree {
-	return &SPTree{Dest: t.Dest, Dist: t.Dist, Hops: t.Hops, NextLink: remapLinks(t.NextLink, linkMap), NextNode: t.NextNode}
-}
-
-// remapLinks copies a NextLink column through linkMap (nil: unchanged).
-func remapLinks(links, linkMap []LinkID) []LinkID {
-	nl := append([]LinkID(nil), links...)
-	if linkMap == nil {
-		return nl
-	}
+	nl := append([]LinkID(nil), t.NextLink...)
 	for i, l := range nl {
 		if l != NoLink {
 			nl[i] = linkMap[l]
 		}
 	}
-	return nl
+	return &SPTree{Dest: t.Dest, Dist: t.Dist, Hops: t.Hops, NextLink: nl}
 }

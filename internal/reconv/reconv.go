@@ -59,7 +59,7 @@ func (r *Router) Walk(src, dst graph.NodeID, failures *graph.FailureSet) Result 
 		return res
 	}
 	res.Delivered = true
-	res.Path = tree.Path(src)
+	res.Path = tree.Path(r.g, src)
 	res.Cost = tree.Dist[src]
 	if base := r.baseline[dst].Dist[src]; base > 0 {
 		res.Stretch = res.Cost / base

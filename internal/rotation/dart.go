@@ -10,6 +10,9 @@
 // neighbours at every node fully determines the cycle system, and *any*
 // rotation system yields a correct (if possibly high-stretch) PR
 // configuration.
+//
+// Darts are indexed by 32-bit DartIDs. graph.MaxLinks (2³⁰−1) caps a graph
+// so that the dart count 2·links, and with it every dart index, fits.
 package rotation
 
 import (
@@ -39,7 +42,7 @@ func (d Dart) String() string {
 
 // DartID densely indexes darts: dart 2l is link l oriented A→B, dart 2l+1 is
 // B→A. Dense IDs let face tracing use slices instead of maps.
-type DartID int
+type DartID int32
 
 // NoDart is the invalid dart index.
 const NoDart DartID = -1

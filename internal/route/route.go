@@ -105,7 +105,7 @@ func (t *Table) NextLink(n, dest graph.NodeID) graph.LinkID {
 
 // NextNode returns the node after n on the path toward dest.
 func (t *Table) NextNode(n, dest graph.NodeID) graph.NodeID {
-	return t.trees[dest].NextNode[n]
+	return t.trees[dest].NextNode(t.g, n)
 }
 
 // Reachable reports whether n can reach dest in the failure-free topology.

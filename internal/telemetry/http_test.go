@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"reflect"
 	"testing"
 )
 
@@ -50,5 +51,40 @@ func TestServeServesSnapshots(t *testing.T) {
 	}
 	if got := snap.Counter("soak.test"); got != 7 {
 		t.Fatalf("served snapshot soak.test = %d; want 7", got)
+	}
+}
+
+// TestEncodedTypesHoldNoEnumSlices: core.Event and core.Variant are one
+// byte wide, and encoding/json writes any slice of a uint8-kinded type as
+// a base64 string. No type handed to an encoder — the /metrics and
+// timeline snapshots, the Chrome trace — holds such a slice today, nor
+// does Flight, the type likeliest to gain a JSON form; a []core.Event
+// added to one must come with its own MarshalJSON.
+func TestEncodedTypesHoldNoEnumSlices(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Slice, reflect.Array:
+			if el := ty.Elem(); el.Kind() == reflect.Uint8 && el != reflect.TypeOf(byte(0)) {
+				t.Errorf("%s is a %v: encoding/json would write it as base64", path, ty)
+			}
+			walk(path+"[]", ty.Elem())
+		case reflect.Ptr:
+			walk(path, ty.Elem())
+		case reflect.Map:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		}
+	}
+	for _, root := range []any{Snapshot{}, Epoch{}, chromeTrace{}, Flight{}} {
+		walk(reflect.TypeOf(root).Name(), reflect.TypeOf(root))
 	}
 }

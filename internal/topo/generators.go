@@ -196,7 +196,8 @@ func Rand(n int, seed int64) Topology {
 
 // Generated parses a generator spec — "ring:24", "wring:16@7",
 // "grid:4x8", "chain:12", "rand:24@7" — and returns the topology. The
-// seed after '@' is optional (default 1).
+// seed after '@' is optional (default 1). A size beyond graph.MaxNodes or
+// graph.MaxLinks is an error, found before anything is built.
 func Generated(spec string) (Topology, error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
@@ -205,19 +206,34 @@ func Generated(spec string) (Topology, error) {
 	bad := func(err error) (Topology, error) {
 		return Topology{}, fmt.Errorf("topo: bad %s spec %q: %v", kind, spec, err)
 	}
+	// No size parameter may pass graph.MaxNodes on its own, which also
+	// keeps the node and link counts worked out from them from wrapping.
+	size := func(s string) (int, error) {
+		n, err := strconv.Atoi(s)
+		if err == nil {
+			err = graph.CheckSize(n, 0)
+		}
+		return n, err
+	}
+	sized := func(nodes, links int, build func() Topology) (Topology, error) {
+		if err := graph.CheckSize(nodes, links); err != nil {
+			return bad(err)
+		}
+		return build(), nil
+	}
 	switch kind {
 	case "ring":
-		n, err := strconv.Atoi(arg)
+		n, err := size(arg)
 		if err != nil {
 			return bad(err)
 		}
 		if n < 3 {
 			return bad(fmt.Errorf("ring needs ≥ 3 nodes"))
 		}
-		return Ring(n), nil
+		return sized(n, n, func() Topology { return Ring(n) })
 	case "wring":
 		sizeStr, seedStr, hasSeed := strings.Cut(arg, "@")
-		n, err := strconv.Atoi(sizeStr)
+		n, err := size(sizeStr)
 		if err != nil {
 			return bad(err)
 		}
@@ -231,36 +247,36 @@ func Generated(spec string) (Topology, error) {
 				return bad(err)
 			}
 		}
-		return WeightedRing(n, seed), nil
+		return sized(n, n, func() Topology { return WeightedRing(n, seed) })
 	case "grid":
 		rStr, cStr, ok := strings.Cut(arg, "x")
 		if !ok {
 			return bad(fmt.Errorf("want grid:RxC"))
 		}
-		rows, err := strconv.Atoi(rStr)
+		rows, err := size(rStr)
 		if err != nil {
 			return bad(err)
 		}
-		cols, err := strconv.Atoi(cStr)
+		cols, err := size(cStr)
 		if err != nil {
 			return bad(err)
 		}
 		if rows < 2 || cols < 2 {
 			return bad(fmt.Errorf("grid needs rows, cols ≥ 2"))
 		}
-		return Grid(rows, cols), nil
+		return sized(rows*cols, 2*rows*cols, func() Topology { return Grid(rows, cols) })
 	case "chain":
-		k, err := strconv.Atoi(arg)
+		k, err := size(arg)
 		if err != nil {
 			return bad(err)
 		}
 		if k < 1 {
 			return bad(fmt.Errorf("chain needs ≥ 1 cell"))
 		}
-		return Chain(k), nil
+		return sized(3*k+1, 4*k, func() Topology { return Chain(k) })
 	case "rand":
 		sizeStr, seedStr, hasSeed := strings.Cut(arg, "@")
-		n, err := strconv.Atoi(sizeStr)
+		n, err := size(sizeStr)
 		if err != nil {
 			return bad(err)
 		}
@@ -274,7 +290,7 @@ func Generated(spec string) (Topology, error) {
 				return bad(err)
 			}
 		}
-		return Rand(n, seed), nil
+		return sized(n, 2*n, func() Topology { return Rand(n, seed) })
 	case "isp":
 		return LoadMeasured(arg)
 	}

@@ -101,6 +101,10 @@ func TestGeneratedSpecParsing(t *testing.T) {
 	for _, spec := range []string{
 		"ring:2", "ring:x", "grid:4", "grid:1x5", "grid:axb",
 		"chain:0", "chain:z", "wring:16@x", "torus:3x3", "ring",
+		// Beyond the 32-bit identifier space, by nodes, by links (a ring's
+		// darts, rand's 2n hint) or only as a product; refused unbuilt.
+		"ring:2147483648", "ring:1073741824", "wring:4294967296@3", "grid:65536x65536",
+		"grid:3000000000x2", "chain:715827883", "rand:1073741824", "rand:9223372036854775807",
 	} {
 		if _, err := ByName(spec); err == nil {
 			t.Fatalf("%s: accepted", spec)

@@ -94,6 +94,9 @@ func ParseMeasured(name string, r io.Reader) (Topology, error) {
 	if len(nodes) == 0 {
 		return Topology{}, fmt.Errorf("topo: %s: no nodes", name)
 	}
+	if err := graph.CheckSize(len(nodes), len(links)); err != nil {
+		return Topology{}, fmt.Errorf("topo: %s: %v", name, err)
+	}
 	g := graph.New(len(nodes), len(links))
 	ids := make(map[string]graph.NodeID, len(nodes))
 	for _, n := range nodeOrder {

@@ -87,7 +87,7 @@ func TestPaperShortestPathNarrative(t *testing.T) {
 	f := g.NodeByName("F")
 	tree := graph.ShortestPathTree(g, f, nil)
 
-	wantHops := map[string]int{"A": 4, "B": 3, "C": 2, "D": 2, "E": 1, "F": 0}
+	wantHops := map[string]int32{"A": 4, "B": 3, "C": 2, "D": 2, "E": 1, "F": 0}
 	for name, hops := range wantHops {
 		if got := tree.Hops[g.NodeByName(name)]; got != hops {
 			t.Errorf("hops(%s→F) = %d; want %d", name, got, hops)
@@ -95,7 +95,7 @@ func TestPaperShortestPathNarrative(t *testing.T) {
 	}
 	wantNext := map[string]string{"A": "B", "B": "D", "D": "E", "E": "F", "C": "E"}
 	for from, to := range wantNext {
-		if got := tree.NextNode[g.NodeByName(from)]; got != g.NodeByName(to) {
+		if got := tree.NextNode(g, g.NodeByName(from)); got != g.NodeByName(to) {
 			t.Errorf("next(%s→F) = %s; want %s", from, g.Name(got), to)
 		}
 	}
