@@ -85,15 +85,12 @@ func BenchmarkEngineInstrumented(b *testing.B) {
 // ratios: each round times the two sides back to back (alternating the
 // order), so slow spells on a shared machine hit both sides of a pair
 // equally and cancel in the ratio, and the median discards the rounds a
-// scheduler preemption still skews. Returns the fractional overhead, the
-// median of the paired differences in nanoseconds, and the two best
-// per-decision times in nanoseconds (for the log line).
-func pinOverhead(bare, instrumented func() float64) (overhead, extraNs, bestBare, bestInstr float64) {
+// scheduler preemption still skews. Returns the fractional overhead and
+// the two best per-decision times in nanoseconds over all rounds.
+func pinOverhead(rounds int, bare, instrumented func() float64) (overhead, bestBare, bestInstr float64) {
 	bare()
 	instrumented() // warm both paths
-	const rounds = 25
 	ratios := make([]float64, 0, rounds)
-	diffs := make([]float64, 0, rounds)
 	bestBare, bestInstr = 1e18, 1e18
 	for round := 0; round < rounds; round++ {
 		var b, in float64
@@ -105,7 +102,6 @@ func pinOverhead(bare, instrumented func() float64) (overhead, extraNs, bestBare
 			b = bare()
 		}
 		ratios = append(ratios, in/b)
-		diffs = append(diffs, in-b)
 		if b < bestBare {
 			bestBare = b
 		}
@@ -114,8 +110,7 @@ func pinOverhead(bare, instrumented func() float64) (overhead, extraNs, bestBare
 		}
 	}
 	sort.Float64s(ratios)
-	sort.Float64s(diffs)
-	return ratios[rounds/2] - 1, diffs[rounds/2], bestBare, bestInstr
+	return ratios[rounds/2] - 1, bestBare, bestInstr
 }
 
 // TestInstrumentedDecideOverhead pins the tentpole's hot-path budget
@@ -125,16 +120,14 @@ func pinOverhead(bare, instrumented func() float64) (overhead, extraNs, bestBare
 // BenchmarkFIBDecide body) with the engine's marginal per-decision
 // accounting added — one non-atomic tally increment whose index is a
 // constant at the counting site, plus the per-256 bank flush and shard
-// counters — may cost at most 1 ns more than the bare one, as the median
-// of the paired rounds' differences (the two best rounds need not come
-// from the same spell of the host). That is exactly what a metered
-// decision costs over an unmetered one, ≈ 0.55 ns. It used to be a ratio
-// (≤ 5%), which the same half nanosecond broke once a bare Decide fell
-// from 10 ns to 3. The ratio is logged, and excuses a slow host: beside
-// the other packages of `go test ./...` both sides run 1.7× slower and
-// the same accounting reads 1.0–1.8 ns one run in six, at the ratio it
-// always has (≈ 19%), so the pin fails only past 1 ns AND past a third
-// of bare, which is 1 ns at the quiet host's 3 ns.
+// counters — may cost at most 1 ns more than the bare one, best round
+// against best round. That is exactly what a metered decision costs
+// over an unmetered one, ≈ 0.55 ns. It used to be a ratio (≤ 5%), which
+// the same half nanosecond broke once a bare Decide fell from 10 ns to
+// 3; the ratio is only logged now. A busy sibling core slows both sides
+// 1.7× and the difference with them, to ≈ 1 ns, so the two bests are
+// taken over enough rounds (≈ 0.5 s) that each side meets a quiet spell:
+// over 25 rounds they often do not.
 //
 // The batch pin compares DecideBatch against the full metered batch
 // stage (DecideBatchTally + flush). The bare batch loop's fast path is
@@ -170,7 +163,7 @@ func TestInstrumentedDecideOverhead(t *testing.T) {
 	hdr := core.Header{PR: true, DD: 3}
 
 	const singleReps = 51200
-	overhead, extraNs, bestBare, bestInstr := pinOverhead(
+	overhead, bestBare, bestInstr := pinOverhead(1001,
 		func() float64 {
 			start := time.Now()
 			for i := 0; i < singleReps; i++ {
@@ -193,14 +186,14 @@ func TestInstrumentedDecideOverhead(t *testing.T) {
 		},
 	)
 	t.Logf("decision: bare %.2f ns, instrumented %.2f ns — +%.2f ns, %.1f%% overhead",
-		bestBare, bestInstr, extraNs, 100*overhead)
-	if extraNs > 1 && overhead > 1.0/3 {
+		bestBare, bestInstr, bestInstr-bestBare, 100*overhead)
+	if bestInstr-bestBare > 1 {
 		t.Fatalf("per-decision instrumentation costs %.2f ns, over the 1 ns budget (bare %.2f ns, instrumented %.2f ns)",
-			extraNs, bestBare, bestInstr)
+			bestInstr-bestBare, bestBare, bestInstr)
 	}
 
 	const reps = 200 // batches per sample
-	overhead, _, bestBare, bestInstr = pinOverhead(
+	overhead, bestBare, bestInstr = pinOverhead(25,
 		func() float64 {
 			start := time.Now()
 			for r := 0; r < reps; r++ {

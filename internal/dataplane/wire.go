@@ -207,8 +207,8 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	eg := int32(-1)
 	if !pr {
 		eg = f.ndAt(int(node), int(dst))
-	} else if i := uint32(ingress); int(i) < len(f.faceNext) {
-		eg = f.faceNext[i]
+	} else if uint(ingress) < uint(len(f.faceNext)) {
+		eg = f.faceNext[ingress]
 	}
 	ck := uint16(buf[10])<<8 | uint16(buf[11])
 	if eg >= 0 && !st.Down(graph.LinkID(eg>>1)) {
@@ -280,8 +280,8 @@ func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	eg := int32(-1)
 	if !pr {
 		eg = f.ndAt(int(node), int(dst))
-	} else if i := uint32(ingress); int(i) < len(f.faceNext) {
-		eg = f.faceNext[i]
+	} else if uint(ingress) < uint(len(f.faceNext)) {
+		eg = f.faceNext[ingress]
 	}
 	if eg >= 0 && !st.Down(graph.LinkID(eg>>1)) {
 		buf[7]--
@@ -365,14 +365,12 @@ func (f *FIB) NewWireFrame(src, dst graph.NodeID) ([]byte, error) {
 func (f *FIB) ForwardWireBatch(pkts []WirePacket, st *LinkState) (forwarded int) {
 	for i := range pkts {
 		p := &pkts[i]
-		var v WireVerdict
 		if len(p.Buf) > 0 && p.Buf[0]>>4 == 6 {
-			p.Egress, v = f.forwardWire6(p.Node, p.Ingress, st, p.Buf)
+			p.Egress, p.Verdict = f.forwardWire6(p.Node, p.Ingress, st, p.Buf)
 		} else {
-			p.Egress, v = f.forwardWire4(p.Node, p.Ingress, st, p.Buf)
+			p.Egress, p.Verdict = f.forwardWire4(p.Node, p.Ingress, st, p.Buf)
 		}
-		p.Verdict = v
-		if v == WireForward {
+		if p.Verdict == WireForward {
 			forwarded++
 		}
 	}

@@ -144,15 +144,15 @@ func parseOne(spec string) (Process, error) {
 				o.links, err = parseLinkList(val)
 			case "link":
 				var id int
-				id, err = strconv.Atoi(val)
+				id, err = parseID(val)
 				o.link = graph.LinkID(id)
 			case "id":
 				var id int
-				id, err = strconv.Atoi(val)
+				id, err = parseID(val)
 				o.node = graph.NodeID(id)
 			case "center":
 				var id int
-				id, err = strconv.Atoi(val)
+				id, err = parseID(val)
 				o.center = graph.NodeID(id)
 			case "radius":
 				o.radius, err = strconv.Atoi(val)
@@ -210,19 +210,26 @@ func buildProcess(o *scenarioOpts) (Process, error) {
 	return p, nil
 }
 
+// parseID parses a node or link ID, refusing what the 32-bit identifier
+// types would wrap instead of leaving it to fail the range check.
+func parseID(val string) (int, error) {
+	id, err := strconv.ParseInt(val, 10, 32)
+	return int(id), err
+}
+
 // parseLinkList parses a ';'-separated list of link IDs and inclusive
 // A-B ranges: "3-7;9" → [3 4 5 6 7 9].
 func parseLinkList(val string) ([]graph.LinkID, error) {
 	var out []graph.LinkID
 	for _, item := range strings.Split(val, ";") {
 		lo, hi, isRange := strings.Cut(item, "-")
-		a, err := strconv.Atoi(lo)
+		a, err := parseID(lo)
 		if err != nil {
 			return nil, fmt.Errorf("link list item %q: %w", item, err)
 		}
 		b := a
 		if isRange {
-			if b, err = strconv.Atoi(hi); err != nil {
+			if b, err = parseID(hi); err != nil {
 				return nil, fmt.Errorf("link list item %q: %w", item, err)
 			}
 		}

@@ -110,6 +110,12 @@ func TestParseScenarioErrors(t *testing.T) {
 		{"region:radius=2", "needs center=<node>"},
 		{"region:center=0,radius=-1", "negative radius"},
 		{"mtbf:up=1s,down=1s+flap", "needs link"},
+		// IDs past int32 must not wrap to a small valid one (2³² → link 0).
+		{"flap:link=4294967296", "bad link"},
+		{"node:id=2147483648", "bad id"},
+		{"region:center=4294967297", "bad center"},
+		{"srlg:links=4294967296", "link list item"},
+		{"srlg:links=0-4294967297", "link list item"},
 	}
 	for _, c := range cases {
 		_, err := ParseScenario(c.spec)

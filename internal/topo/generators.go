@@ -196,8 +196,9 @@ func Rand(n int, seed int64) Topology {
 
 // Generated parses a generator spec — "ring:24", "wring:16@7",
 // "grid:4x8", "chain:12", "rand:24@7" — and returns the topology. The
-// seed after '@' is optional (default 1). A size beyond graph.MaxNodes or
-// graph.MaxLinks is an error, found before anything is built.
+// seed after '@' is optional (default 1). A size that would pass
+// graph.MaxNodes or graph.MaxLinks is an error, found before anything is
+// built.
 func Generated(spec string) (Topology, error) {
 	kind, arg, ok := strings.Cut(spec, ":")
 	if !ok {
@@ -206,20 +207,15 @@ func Generated(spec string) (Topology, error) {
 	bad := func(err error) (Topology, error) {
 		return Topology{}, fmt.Errorf("topo: bad %s spec %q: %v", kind, spec, err)
 	}
-	// No size parameter may pass graph.MaxNodes on its own, which also
-	// keeps the node and link counts worked out from them from wrapping.
+	// No generator makes more than 3k+1 nodes or 4k links of a size k, so
+	// a quarter of graph.MaxLinks a parameter keeps every count in range;
+	// grid checks its product.
 	size := func(s string) (int, error) {
 		n, err := strconv.Atoi(s)
-		if err == nil {
-			err = graph.CheckSize(n, 0)
+		if err == nil && n > graph.MaxLinks/4 {
+			err = fmt.Errorf("size %d exceeds the 32-bit identifier space", n)
 		}
 		return n, err
-	}
-	sized := func(nodes, links int, build func() Topology) (Topology, error) {
-		if err := graph.CheckSize(nodes, links); err != nil {
-			return bad(err)
-		}
-		return build(), nil
 	}
 	switch kind {
 	case "ring":
@@ -230,7 +226,7 @@ func Generated(spec string) (Topology, error) {
 		if n < 3 {
 			return bad(fmt.Errorf("ring needs ≥ 3 nodes"))
 		}
-		return sized(n, n, func() Topology { return Ring(n) })
+		return Ring(n), nil
 	case "wring":
 		sizeStr, seedStr, hasSeed := strings.Cut(arg, "@")
 		n, err := size(sizeStr)
@@ -247,7 +243,7 @@ func Generated(spec string) (Topology, error) {
 				return bad(err)
 			}
 		}
-		return sized(n, n, func() Topology { return WeightedRing(n, seed) })
+		return WeightedRing(n, seed), nil
 	case "grid":
 		rStr, cStr, ok := strings.Cut(arg, "x")
 		if !ok {
@@ -264,7 +260,10 @@ func Generated(spec string) (Topology, error) {
 		if rows < 2 || cols < 2 {
 			return bad(fmt.Errorf("grid needs rows, cols ≥ 2"))
 		}
-		return sized(rows*cols, 2*rows*cols, func() Topology { return Grid(rows, cols) })
+		if rows > graph.MaxLinks/2/cols {
+			return bad(fmt.Errorf("%d×%d nodes exceed the 32-bit identifier space", rows, cols))
+		}
+		return Grid(rows, cols), nil
 	case "chain":
 		k, err := size(arg)
 		if err != nil {
@@ -273,7 +272,7 @@ func Generated(spec string) (Topology, error) {
 		if k < 1 {
 			return bad(fmt.Errorf("chain needs ≥ 1 cell"))
 		}
-		return sized(3*k+1, 4*k, func() Topology { return Chain(k) })
+		return Chain(k), nil
 	case "rand":
 		sizeStr, seedStr, hasSeed := strings.Cut(arg, "@")
 		n, err := size(sizeStr)
@@ -290,7 +289,7 @@ func Generated(spec string) (Topology, error) {
 				return bad(err)
 			}
 		}
-		return sized(n, 2*n, func() Topology { return Rand(n, seed) })
+		return Rand(n, seed), nil
 	case "isp":
 		return LoadMeasured(arg)
 	}
