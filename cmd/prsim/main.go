@@ -1105,7 +1105,22 @@ func runCompile(topoName string, seed int64, tracer *telemetry.Tracer) error {
 		return err
 	}
 	g := tp.Graph
-	fmt.Printf("# compile scaling on %s: %d nodes, %d links\n", tp.Name, g.NumNodes(), g.NumLinks())
+	// Why this topology's tree build costs what it does: nodes with exactly
+	// two links never enter the builder's heap, a relaxation runs through
+	// them. One sequential pass over every destination counts both kinds.
+	passThrough := 0
+	for v := 0; v < g.NumNodes(); v++ {
+		if g.Degree(graph.NodeID(v)) == 2 {
+			passThrough++
+		}
+	}
+	var b graph.SPTBuilder
+	for d := 0; d < g.NumNodes(); d++ {
+		b.Tree(g, graph.NodeID(d), nil)
+	}
+	fmt.Printf("# compile scaling on %s: %d nodes (%d pass-through), %d links\n", tp.Name, g.NumNodes(), passThrough, g.NumLinks())
+	trees := float64(max(g.NumNodes(), 1))
+	fmt.Printf("per tree         %.1f nodes queued, %.1f followed\n", float64(b.Queued)/trees, float64(b.Followed)/trees)
 	sys := tp.Embedding
 	if sys == nil {
 		start := time.Now()

@@ -436,9 +436,11 @@ func churnBench(b testing.TB, spec string) (*dataplane.Recompiler, *graph.Graph)
 // BenchmarkRecompileDelta measures one delta recompile of a single-link
 // weight change (a metric tweak, 1↔2) on ring:64 — the control-plane
 // latency of routine planned maintenance, gated in absolute ns/op and
-// allocs/op by the CI bench job. Compare BenchmarkRecompileFull: about 3×
-// here, a ring being the delta's worst case (the tweak moves half of every
-// tree); TestDeltaRecompileSpeedup reports it and pins ≥10× on grid:8x8.
+// allocs/op by the CI bench job. Compare BenchmarkRecompileFull: about 2×
+// here (3× before the tree builder stopped queueing two-link nodes, which
+// is all a ring has), a ring being the delta's worst case (the tweak moves
+// half of every tree); TestDeltaRecompileSpeedup reports it and pins ≥10×
+// on grid:8x8.
 func BenchmarkRecompileDelta(b *testing.B) {
 	rec, _ := churnBench(b, "ring:64")
 	weights := [2]float64{2, 1}
@@ -454,7 +456,8 @@ func BenchmarkRecompileDelta(b *testing.B) {
 // BenchmarkRecompileDeltaDrain is the heavy variant: costing a link out
 // (1↔8) moves roughly half of every destination tree's distances and
 // re-ranks most quantiser columns — the worst case for delta
-// recompilation, still about 1.4× faster than a full rebuild.
+// recompilation, and level with a full rebuild (≈ 160 against ≈ 175 µs,
+// 1.1×; it was 1.4× while the rebuild queued every node of the ring).
 func BenchmarkRecompileDeltaDrain(b *testing.B) {
 	rec, _ := churnBench(b, "ring:64")
 	weights := [2]float64{8, 1}

@@ -21,7 +21,8 @@ import (
 // moves a few nodes of a few trees. ring:64 is measured and reported but
 // not gated: a 1↔2 tweak on a ring moves half of every tree, the delta's
 // structural worst case, so its ratio is the price of the full build —
-// ≥5× while Dijkstra allocated per node, about 3× since it stopped.
+// ≥5× while Dijkstra allocated per node, about 3× once it stopped, about
+// 2× now that it does not queue two-link nodes, which is all a ring has.
 // BenchmarkRecompileDelta's absolute ns/op guards the delta path itself
 // in the CI bench gate.
 //

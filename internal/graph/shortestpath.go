@@ -16,7 +16,8 @@ var Infinity = math.Inf(1)
 // Ties between equal-cost paths are broken deterministically: prefer the
 // next hop with the smaller NodeID, then the smaller LinkID. The paper
 // assumes a single next hop per destination; deterministic tie-breaking makes
-// every experiment reproducible.
+// every experiment reproducible, and makes the tree a function of the graph
+// alone: SPTBuilder.Tree and SPTRepairer produce the same planes, bit for bit.
 //
 // A tree is three planes, 16 bytes a node: an 8-byte Dist, a 4-byte Hops
 // and a 4-byte NextLink. The next node is not stored; it is the far end of
@@ -60,8 +61,10 @@ type heapItem struct {
 
 // distHeap is an indexed binary min-heap of value items keyed on dist alone:
 // pos[v] is v's slot in items, -1 while v is not queued, which makes update
-// a decrease-key. Every run pops until empty, so between runs all of pos is
-// -1 whatever the previous graph's size or connectivity.
+// a decrease-key. SPTBuilder.Tree queues only the destination and nodes
+// that do not have exactly two arcs; the repairer's region runs queue any
+// node. Every run pops until empty, so between runs all of pos is -1
+// whatever the previous graph's size or connectivity.
 type distHeap struct {
 	items []heapItem
 	pos   []int32
@@ -154,18 +157,39 @@ type SPTBuilder struct {
 	distSlab []float64
 	hopSlab  []int32
 	linkSlab []LinkID
+	// Queued and Followed count, over all trees built, heap pops and the
+	// pass-through nodes a walk lowered instead (one lowered from both
+	// ends counts twice).
+	Queued, Followed int
 }
 
 // Tree runs Dijkstra's algorithm from dest over the links that are up
 // under failures (nil means none) and returns the tree oriented toward
-// dest. The result is the canonical tree spelled out at SPTRepairer and
-// does not depend on the order in which nodes of equal distance leave the
-// heap: weights are positive, so every candidate cand = Dist[u] + w for v
-// comes from a u with Dist[u] < cand. Hence u is popped — with its Dist,
-// Hops and parent final, by induction on distance — before any node at
-// distance cand is, v has seen all its candidates by the time it is popped,
-// and betterTie keeps the (node, link)-smallest of the cheapest whatever
-// order they arrived in.
+// dest. Chains are contracted: only dest and nodes without exactly two
+// arcs are queued. A strict improvement landing on a pass-through node
+// (two arcs, up or down) is carried down the node's other arc, planes
+// written as it goes, until it reaches a node to queue, a down link, or a
+// node it does not strictly improve. A tie is settled by betterTie and
+// goes no further: the tied node got its distance from the far side,
+// which is therefore nearer than anything the tie could offer.
+//
+// The result is the canonical tree spelled out at SPTRepairer, bit for bit
+// the textbook loop's (referenceTree in the tests). Weights are positive,
+// so every candidate Dist[u] + w exceeds Dist[u], and:
+//   - a walk started at u's pop offers only values above u's key, so queued
+//     nodes pop in key order with all three planes final, in whatever order
+//     equal keys pop;
+//   - a walk enters a chain only at the pop of one of its two ends, so each
+//     arc is relaxed at most once and a chain interior is lowered at most
+//     twice, once from each end, and is final once both have popped;
+//   - if a walk writes v's final Dist, all it wrote before v is final too:
+//     the only other way in there is back through v, at more than Dist[v].
+//     So every Dist[v] is a final Dist[parent] + w, summed outward from
+//     dest in the textbook order, and Hops[v] was read off a final parent;
+//   - an arc u→v relaxed from a Dist[u] that was later lowered, or never
+//     relaxed, has u's parent on v's side: its candidate exceeds Dist[v].
+//     So every candidate that can tie at v does arrive, from a final u,
+//     and betterTie keeps the (node, link)-smallest whatever the order.
 func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	n := g.NumNodes()
 	t := &cut(&b.treeSlab, 1)[0]
@@ -185,22 +209,30 @@ func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	h.update(dest, 0)
 	for len(h.items) > 0 {
 		u, du := h.popMin()
+		b.Queued++
 		for _, a := range arcs[start[u]:start[u+1]] {
-			v, link := NodeID(a.node), LinkID(a.link)
-			if failing && failures.down[link] {
-				continue
-			}
-			cand := du + a.w
-			switch dv := t.Dist[v]; {
-			case cand < dv:
+			p, v, link, cand, hops := u, NodeID(a.node), LinkID(a.link), du+a.w, t.Hops[u]+1
+			for !(failing && failures.down[link]) {
+				dv := t.Dist[v]
+				if cand > dv || cand == dv && !betterTie(g, t, v, p, link) {
+					break
+				}
+				t.Hops[v], t.NextLink[v] = hops, link
+				if cand == dv {
+					break // equal cost, deterministically preferred parent
+				}
 				t.Dist[v] = cand
-				h.update(v, cand)
-			case cand == dv && betterTie(g, t, v, u, link):
-				// equal cost, deterministically preferred parent
-			default:
-				continue
+				if start[v+1]-start[v] != 2 {
+					h.update(v, cand)
+					break
+				}
+				b.Followed++
+				o := arcs[start[v]]
+				if LinkID(o.link) == link {
+					o = arcs[start[v]+1]
+				}
+				p, v, link, cand, hops = v, NodeID(o.node), LinkID(o.link), cand+o.w, hops+1
 			}
-			t.Hops[v], t.NextLink[v] = t.Hops[u]+1, link
 		}
 	}
 	return t
@@ -335,46 +367,54 @@ func HopDiameter(g *Graph) int {
 	if n < 2 {
 		return 0
 	}
-	diam := 0
+	start, arcs := g.flat()
+	scratch := make([]int32, 2*n)
+	dist, queue := scratch[:n], scratch[n:]
+	diam := int32(0)
 	for s := 0; s < n; s++ {
-		dist := bfsHops(g, NodeID(s), nil)
-		for v := 0; v < n; v++ {
-			if dist[v] < 0 {
-				return -1
-			}
-			if dist[v] > diam {
-				diam = dist[v]
-			}
+		reached := bfsHops(start, arcs, NodeID(s), nil, dist, queue)
+		if len(reached) < n {
+			return -1
+		}
+		if far := dist[reached[n-1]]; far > diam {
+			diam = far
 		}
 	}
-	return diam
+	return int(diam)
 }
 
-// bfsHops returns hop distances from src under failures; -1 means
-// unreachable.
-func bfsHops(g *Graph, src NodeID, failures *FailureSet) []int {
-	dist := make([]int, g.NumNodes())
+// bfsHops writes into dist the hop distances from src over the arcs up
+// under failures (-1: unreachable) and returns the nodes reached, nearest
+// first, in queue's backing array; dist and queue hold an entry per node.
+func bfsHops(start []int32, arcs []arc, src NodeID, failures *FailureSet, dist, queue []int32) []int32 {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, nb := range g.Neighbors(u) {
-			if failures.Down(nb.Link) || dist[nb.Node] >= 0 {
+	queue = append(queue[:0], int32(src))
+	failing := failures.Len() > 0
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, a := range arcs[start[u]:start[u+1]] {
+			if dist[a.node] >= 0 || failing && failures.down[LinkID(a.link)] {
 				continue
 			}
-			dist[nb.Node] = dist[u] + 1
-			queue = append(queue, nb.Node)
+			dist[a.node] = dist[u] + 1
+			queue = append(queue, a.node)
 		}
 	}
-	return dist
+	return queue
 }
 
 // HopDistances returns hop distances from src under failures (-1 if
 // unreachable). Exposed for baselines and tests.
 func HopDistances(g *Graph, src NodeID, failures *FailureSet) []int {
-	return bfsHops(g, src, failures)
+	start, arcs := g.flat()
+	out := make([]int, g.NumNodes())
+	scratch := make([]int32, 2*len(out))
+	bfsHops(start, arcs, src, failures, scratch[:len(out)], scratch[len(out):])
+	for v := range out {
+		out[v] = int(scratch[v])
+	}
+	return out
 }

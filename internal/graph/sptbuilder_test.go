@@ -162,6 +162,167 @@ func TestBuilderCanonical(t *testing.T) {
 	}
 }
 
+// referenceTree is the textbook Dijkstra that SPTBuilder.Tree replaced:
+// every reachable node is queued, and popped once with its planes final.
+// It is kept as the bit-for-bit reference for the chain-following loop.
+func referenceTree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
+	n := g.NumNodes()
+	t := &SPTree{Dest: dest, Dist: make([]float64, n), Hops: make([]int32, n), NextLink: make([]LinkID, n)}
+	for i := 0; i < n; i++ {
+		t.Dist[i], t.Hops[i], t.NextLink[i] = Infinity, -1, NoLink
+	}
+	if n == 0 {
+		return t
+	}
+	start, arcs := g.flat()
+	var h distHeap
+	h.reset(n)
+	t.Dist[dest], t.Hops[dest] = 0, 0
+	h.update(dest, 0)
+	for len(h.items) > 0 {
+		u, du := h.popMin()
+		for _, a := range arcs[start[u]:start[u+1]] {
+			v, link := NodeID(a.node), LinkID(a.link)
+			if failures.Down(link) {
+				continue
+			}
+			cand := du + a.w
+			switch dv := t.Dist[v]; {
+			case cand < dv:
+				t.Dist[v] = cand
+				h.update(v, cand)
+			case cand == dv && betterTie(g, t, v, u, link):
+				// equal cost, deterministically preferred parent
+			default:
+				continue
+			}
+			t.Hops[v], t.NextLink[v] = t.Hops[u]+1, link
+		}
+	}
+	return t
+}
+
+// chained builds a frozen graph of n nodes from (a, b, weight) triples.
+func chained(n int, links ...[3]float64) *Graph {
+	g := New(n, len(links))
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("c%d", i))
+	}
+	for _, l := range links {
+		g.MustAddLink(NodeID(l[0]), NodeID(l[1]), l[2])
+	}
+	return g.Freeze()
+}
+
+// chainCases are the shapes the chain-following relaxation has to get right
+// and canonicalCases' mix is thin on: graphs that are all chain, chains that
+// end in a leaf, chains that tie, parallel links at a pass-through node, and
+// failures that cut a chain or take a third link away from a junction.
+func chainCases() []canonicalCase {
+	type l = [3]float64
+	var ring []l
+	for i := 0; i < 9; i++ {
+		ring = append(ring, l{float64(i), float64((i + 1) % 9), []float64{0.1, 0.2, 0.3, 1.5}[i%4]})
+	}
+	weighted := chained(9, ring...)
+	// 0 -1- 1 -1- 2 -1- 3 (leaf), with 0 a junction: leaves 4 and 5.
+	leaf := chained(6, l{0, 1, 1}, l{1, 2, 1}, l{2, 3, 1}, l{0, 4, 1}, l{0, 5, 2})
+	// Junctions 0 and 1 (leaves 7, 8) joined by 0-2-1 at 2+2 and
+	// 0-3-4-5-1 at 1+1+1+1: from 0 the far junction ties, from 2 node 4 does.
+	twin := chained(9, l{0, 2, 2}, l{2, 1, 2}, l{0, 3, 1}, l{3, 4, 1}, l{4, 5, 1}, l{5, 1, 1},
+		l{0, 7, 1}, l{1, 8, 1})
+	// Node 3 hangs off junction 0 by two parallel links, equal then unequal.
+	para := chained(4, l{0, 1, 1}, l{0, 2, 1}, l{1, 2, 1}, l{0, 3, 2}, l{3, 0, 2})
+	para2 := chained(4, l{0, 1, 1}, l{0, 2, 1}, l{1, 2, 1}, l{0, 3, 2}, l{3, 0, 0.5})
+	// Junction 0 (degree 3), chain 0-1-2-3-4 to junction 4, and a way round.
+	cut := chained(7, l{0, 1, 1}, l{1, 2, 1}, l{2, 3, 1}, l{3, 4, 1},
+		l{0, 5, 3}, l{5, 4, 3}, l{0, 6, 1}, l{4, 6, 9})
+	return []canonicalCase{
+		{"ring 3", Ring(3), nil},
+		{"ring 8", Ring(8), nil},
+		{"ring 9", Ring(9), nil},
+		{"weighted ring", weighted, nil},
+		{"weighted ring, cut once", weighted, NewFailureSet(4)},
+		{"weighted ring, cut twice", weighted, NewFailureSet(1, 6)},
+		{"chain to a leaf", leaf, nil},
+		{"chain to a leaf, cut", leaf, NewFailureSet(1)},
+		{"twin chains", twin, nil},
+		{"twin chains, one cut", twin, NewFailureSet(4)},
+		{"parallel pass-through, equal", para, nil},
+		{"parallel pass-through, unequal", para2, nil},
+		{"parallel pass-through, one down", para, NewFailureSet(3)},
+		{"chain cut mid-way", cut, NewFailureSet(1)},
+		{"chain cut at both ends", cut, NewFailureSet(0, 3)},
+		{"junction with one link down", cut, NewFailureSet(4)},
+	}
+}
+
+// TestTreeMatchesReference compares every tree of every case, plane by
+// plane and bit by bit, with the textbook loop, on one builder.
+func TestTreeMatchesReference(t *testing.T) {
+	var b SPTBuilder
+	for _, c := range append(canonicalCases(t), chainCases()...) {
+		for d := 0; d < c.g.NumNodes(); d++ {
+			ctx := fmt.Sprintf("%s dst %d", c.name, d)
+			tree := b.Tree(c.g, NodeID(d), c.failures)
+			treesEqual(t, ctx, tree, referenceTree(c.g, NodeID(d), c.failures))
+			checkCanonical(t, ctx, c.g, c.failures, tree)
+		}
+	}
+	if b.Followed == 0 || b.Queued == 0 {
+		t.Fatalf("%d nodes queued, %d followed: the cases exercise one path only", b.Queued, b.Followed)
+	}
+}
+
+// chainyGraph draws a graph that is mostly chains: a few junctions joined
+// (parallel links allowed) by paths of 0–4 pass-through nodes, some paths
+// left dangling, weights from a palette that makes both exact ties and sums
+// that round differently by order, and up to three failed links.
+func chainyGraph(seed int64) (*Graph, *FailureSet) {
+	rng := rand.New(rand.NewSource(seed))
+	palette := []float64{1, 1, 2, 3, 0.1, 0.2, 0.3, 0.5 + rng.Float64()}
+	g := New(0, 0)
+	hubs := 1 + rng.Intn(6)
+	for i := 0; i < hubs; i++ {
+		g.AddNode("")
+	}
+	for k := hubs + rng.Intn(2*hubs+1); k > 0; k-- {
+		at := NodeID(rng.Intn(hubs))
+		for i := rng.Intn(5); i > 0; i-- {
+			next := g.AddNode("")
+			g.MustAddLink(at, next, palette[rng.Intn(len(palette))])
+			at = next
+		}
+		if end := NodeID(rng.Intn(hubs)); end != at && rng.Intn(5) > 0 {
+			g.MustAddLink(at, end, palette[rng.Intn(len(palette))])
+		}
+	}
+	fs := NewFailureSet()
+	for k := rng.Intn(4); k > 0 && g.NumLinks() > 0; k-- {
+		fs.Add(LinkID(rng.Intn(g.NumLinks())))
+	}
+	if rng.Intn(4) > 0 {
+		g.Freeze()
+	}
+	return g, fs
+}
+
+// FuzzTreeMatchesReference is TestTreeMatchesReference on graphs and
+// failure sets drawn from the fuzzed seed.
+func FuzzTreeMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 40; seed++ {
+		f.Add(seed)
+	}
+	var b SPTBuilder
+	f.Fuzz(func(t *testing.T, seed int64) {
+		g, fs := chainyGraph(seed)
+		for d := 0; d < g.NumNodes(); d++ {
+			treesEqual(t, fmt.Sprintf("seed %d %v down %v dst %d", seed, g, fs, d),
+				b.Tree(g, NodeID(d), fs), referenceTree(g, NodeID(d), fs))
+		}
+	})
+}
+
 // TestRepairerSharesBuilderScratch interleaves incremental repairs and
 // full rebuilds on one repairer: both run on the same heap, so each must
 // leave it empty for the other.

@@ -135,3 +135,47 @@ func TestUpdateTopologyAtValidation(t *testing.T) {
 		t.Fatal("unknown edit kind accepted")
 	}
 }
+
+// TestTopologyUpdateFaults feeds the simulator the two internal faults a
+// planned update can hit — an edit naming a link that does not exist, and
+// a recompiler that rejects an edit the simulator accepted — and expects
+// each run to finish on the stale state, every packet delivered, with the
+// fault counted once.
+func TestTopologyUpdateFaults(t *testing.T) {
+	g := graph.Ring(12)
+	scheme := churnScheme(t, prScheme(t, g, core.Full))
+	// A recompiler over a smaller ring: link 9 exists in g, not there.
+	scheme.Recompiler = churnScheme(t, prScheme(t, graph.Ring(6), core.Full)).Recompiler
+
+	for _, tc := range []struct {
+		name   string
+		edit   graph.Edit
+		metric string
+	}{
+		{"out-of-range link", graph.SetWeight(99, 2), MetricFaultTopoUpdate},
+		{"failed recompile", graph.SetWeight(9, 2), MetricFaultRecompile},
+	} {
+		s, err := New(Config{
+			Graph:   g,
+			Scheme:  scheme,
+			Flows:   []Flow{{Src: 0, Dst: 6, Interval: time.Millisecond}},
+			Horizon: 2 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateTopologyAt(time.Second, tc.edit); err != nil {
+			t.Fatal(err)
+		}
+		res := s.Run()
+		if got := res.Counter(tc.metric); got != 1 {
+			t.Fatalf("%s: %s = %d; want 1", tc.name, tc.metric, got)
+		}
+		if faults := res.Counter(MetricFaultTopoUpdate) + res.Counter(MetricFaultRecompile); faults != 1 {
+			t.Fatalf("%s: %d faults counted; want 1", tc.name, faults)
+		}
+		if gen, del := res.Counter(MetricGenerated), res.Counter(MetricDelivered); gen < 1900 || del != gen {
+			t.Fatalf("%s: delivered %d of %d after the fault", tc.name, del, gen)
+		}
+	}
+}

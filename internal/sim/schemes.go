@@ -158,14 +158,16 @@ func (c *CompiledPRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bo
 // TopologyUpdated implements TopologyUpdater: delta-recompile the edit
 // set and swap onto the patched FIB. The link-state mirror is rebuilt in
 // the new link space from the simulator's known failures — the same
-// carry-over Engine.ApplyDelta performs.
+// carry-over Engine.ApplyDelta performs. A recompile that fails leaves the
+// router where a missing recompiler does, on the stale FIB, and is counted.
 func (c *CompiledPRScheme) TopologyUpdated(s *Simulator, edits []graph.Edit) {
 	if c.Recompiler == nil {
 		return // un-updated router: keep forwarding on the stale FIB
 	}
 	d, err := c.Recompiler.Apply(edits...)
 	if err != nil {
-		panic(fmt.Sprintf("sim: delta recompile failed: %v", err))
+		s.met.faultCompile.Inc()
+		return
 	}
 	if d == nil {
 		return // the batch netted out to nothing; current FIB stands

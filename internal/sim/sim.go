@@ -139,6 +139,11 @@ const (
 	MetricLatencyUs     = "sim.latency_us"
 	MetricRecycleHops   = "sim.recycle_hops"
 	MetricStretchPct    = "sim.stretch_pct"
+	// Internal faults survived by forwarding on the stale state: a planned
+	// topology update whose edits did not apply, a delta recompile that
+	// failed.
+	MetricFaultTopoUpdate = "sim.fault.topo_update"
+	MetricFaultRecompile  = "sim.fault.recompile"
 )
 
 // InstantDetection, as Config.DetectionDelay, makes link state changes
@@ -223,6 +228,7 @@ type simMetrics struct {
 	dropBlackhole, dropNoRoute, dropTTL       telemetry.CounterHandle
 	lossViolation, lossTransient, lossExcused telemetry.CounterHandle
 	latencyNs, hops                           telemetry.CounterHandle
+	faultUpdate, faultCompile                 telemetry.CounterHandle
 	latencyMax                                *telemetry.Gauge
 	latencyUs, recycleHops, stretchPct        telemetry.HistogramHandle
 }
@@ -239,6 +245,8 @@ func newSimMetrics(r *telemetry.Registry) *simMetrics {
 		lossExcused:   r.Counter(MetricLossExcused).Handle(),
 		latencyNs:     r.Counter(MetricLatencyNs).Handle(),
 		hops:          r.Counter(MetricHops).Handle(),
+		faultUpdate:   r.Counter(MetricFaultTopoUpdate).Handle(),
+		faultCompile:  r.Counter(MetricFaultRecompile).Handle(),
 		latencyMax:    r.Gauge(MetricLatencyMaxNs),
 		// 10 µs .. ~2.6 s delivery latency.
 		latencyUs: r.Histogram(MetricLatencyUs, telemetry.ExponentialBuckets(10, 4, 9)).Handle(),
@@ -540,9 +548,11 @@ type TopologyUpdater interface {
 func (s *Simulator) applyTopoUpdate(edits []graph.Edit) {
 	g2, _, err := graph.ApplyEdits(s.g, edits)
 	if err != nil {
-		// UpdateTopologyAt screened the edit kinds; a failure here is a
-		// malformed maintenance plan (bad link/node IDs) — a caller bug.
-		panic(fmt.Sprintf("sim: topology update failed: %v", err))
+		// UpdateTopologyAt screened the edit kinds; what fails here is a
+		// malformed maintenance plan (bad link/node IDs). The network it
+		// meant to change is still there: count the fault, keep forwarding.
+		s.met.faultUpdate.Inc()
+		return
 	}
 	for grow := g2.NumLinks() - s.g.NumLinks(); grow > 0; grow-- {
 		s.physDown = append(s.physDown, false)
