@@ -11,11 +11,17 @@ import (
 
 // differentialMix is the 25-graph panel the guided search is gated on:
 // random planar 2-edge-connected topologies spanning 8–16 nodes across
-// decorrelated generator seeds.
+// decorrelated generator seeds. Under -short it is the panel's first five
+// graphs (8–12 nodes, a fifteenth of the panel's k=3 sweep time); the
+// default run and CI's race job keep all 25.
 func differentialMix(t *testing.T) []topo.Topology {
 	t.Helper()
-	out := make([]topo.Topology, 0, 25)
-	for i := 0; i < 25; i++ {
+	graphs := 25
+	if testing.Short() {
+		graphs = 5
+	}
+	out := make([]topo.Topology, 0, graphs)
+	for i := 0; i < graphs; i++ {
 		n := 8 + i%9
 		seed := 100 + 7*i
 		out = append(out, mustTopo(t, fmt.Sprintf("rand:%d@%d", n, seed)))

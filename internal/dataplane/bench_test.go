@@ -166,12 +166,33 @@ func BenchmarkForwardWire(b *testing.B) {
 // 50 resume, 20 continue per thousand).
 var wireBenchMix = [5]int{core.EventRoute: 161, core.EventCycle: 64, core.EventDetect: 13, core.EventContinue: 5, core.EventResume: 13}
 
-// wireBenchBatch walks every ordered pair under fails on real frames (in
+// wireBenchPool is a pool of 256-frame wire batches over one contiguous
+// arena, with the pristine bytes to restore each batch from.
+type wireBenchPool struct {
+	batches     [][]dataplane.WirePacket
+	arena, tmpl []byte
+}
+
+// restore rewinds batch k's frames and returns it.
+func (w *wireBenchPool) restore(k int) []dataplane.WirePacket {
+	size := len(w.arena) / len(w.batches)
+	copy(w.arena[k*size:(k+1)*size], w.tmpl[k*size:])
+	return w.batches[k]
+}
+
+// newWireBenchPool walks every ordered pair under fails on real frames (in
 // the family of the FIB's codec), sorts the hops' input frames by the
-// decision event core.Protocol's transcript gives them, and assembles a
-// shuffled 256-frame batch of the given mix over one contiguous arena. It
-// returns nil when the walks do not yield the mix.
-func wireBenchBatch(b *testing.B, p *core.Protocol, fib *dataplane.FIB, g *graph.Graph, fails *graph.FailureSet, st *dataplane.LinkState, mix [5]int) (pkts []dataplane.WirePacket, arena, tmpl []byte) {
+// decision event core.Protocol's transcript gives them, and assembles
+// batches of the given mix, each drawn and shuffled on its own: no two
+// batches put their PR-set frames in the same places, which is what keeps
+// a branch predictor from learning the pool. With sorted set the very same
+// frames go through the same shuffle and then the route frames move ahead
+// of the cycle frames within the places the two classes hold. The frames
+// that meet a failure (one in eight) stay where the shuffle put them, so
+// the slow half mispredicts alike in both orders and the two pools differ
+// in one thing only: whether the PR bit of a mark-preserving frame can be
+// learnt. It returns nil when the walks do not yield the mix.
+func newWireBenchPool(b *testing.B, p *core.Protocol, fib *dataplane.FIB, g *graph.Graph, fails *graph.FailureSet, st *dataplane.LinkState, mix [5]int, batches int, sorted bool) *wireBenchPool {
 	var byEvent [5][]dataplane.WirePacket
 	for s := 0; s < g.NumNodes(); s++ {
 		for d := 0; d < g.NumNodes(); d++ {
@@ -192,33 +213,74 @@ func wireBenchBatch(b *testing.B, p *core.Protocol, fib *dataplane.FIB, g *graph
 			}
 		}
 	}
-	rng := rand.New(rand.NewSource(1))
 	for ev, want := range mix {
 		if len(byEvent[ev]) < want {
-			return nil, nil, nil
+			return nil
 		}
-		rng.Shuffle(len(byEvent[ev]), func(i, j int) { byEvent[ev][i], byEvent[ev][j] = byEvent[ev][j], byEvent[ev][i] })
-		pkts = append(pkts, byEvent[ev][:want]...)
 	}
-	rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
-	for i := range pkts {
-		tmpl = append(tmpl, pkts[i].Buf...)
+	// Two streams, so that sorted and shuffled pools draw the same frames.
+	draw, shuffle := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))
+	w := &wireBenchPool{}
+	for k := 0; k < batches; k++ {
+		var (
+			pkts []dataplane.WirePacket
+			evs  []core.Event
+		)
+		for ev, want := range mix {
+			from := byEvent[ev]
+			for i := 0; i < want; i++ { // without replacement inside a batch
+				j := i + draw.Intn(len(from)-i)
+				from[i], from[j] = from[j], from[i]
+				evs = append(evs, core.Event(ev))
+			}
+			pkts = append(pkts, from[:want]...)
+		}
+		shuffle.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j], evs[i], evs[j] = pkts[j], pkts[i], evs[j], evs[i] })
+		if sorted {
+			var at []int
+			var routes, cycles []dataplane.WirePacket
+			for i, ev := range evs {
+				switch ev {
+				case core.EventRoute:
+					at, routes = append(at, i), append(routes, pkts[i])
+				case core.EventCycle:
+					at, cycles = append(at, i), append(cycles, pkts[i])
+				}
+			}
+			for n, pk := range append(routes, cycles...) {
+				pkts[at[n]] = pk
+			}
+		}
+		for i := range pkts {
+			w.tmpl = append(w.tmpl, pkts[i].Buf...)
+		}
+		w.batches = append(w.batches, pkts)
 	}
-	arena = append([]byte(nil), tmpl...)
-	stride := len(arena) / len(pkts)
-	for i := range pkts {
-		pkts[i].Buf = arena[i*stride : (i+1)*stride : (i+1)*stride]
+	w.arena = append([]byte(nil), w.tmpl...)
+	stride, at := len(w.arena)/(batches*len(w.batches[0])), 0
+	for _, pkts := range w.batches {
+		for i := range pkts {
+			pkts[i].Buf = w.arena[at : at+stride : at+stride]
+			at += stride
+		}
 	}
-	return pkts, arena, tmpl
+	return w
 }
 
 // BenchmarkForwardWireBatch measures the engine's byte-level inner loop,
-// a 256-frame wire batch forwarded under one snapshot, in both families:
-// clean (geant, nothing failed — every frame takes the mark-preserving
-// case) and failed4 (four failed links, frames recorded along walks so
-// that detect, cycle, continue and resume are all present, in
-// wireBenchMix's proportions). Restoring the frames is one copy over the
-// batch's arena, inside the timed loop on every row.
+// 256-frame wire batches forwarded under one snapshot, in both families.
+// clean is geant with nothing failed, one batch replayed: every frame takes
+// the mark-preserving case. failed4 is four failed links, frames recorded
+// along walks so that detect, cycle, continue and resume are all present in
+// wireBenchMix's proportions, rotating over 256 independently shuffled
+// batches — 65 536 frames, prbench's fwd_wire pool; one replayed batch is
+// memorised by the branch predictor and reads as if a branch on the PR bit
+// were free. failed4-sorted is the same frames with each batch's route
+// frames ahead of its cycle frames (see newWireBenchPool). The two rows
+// agree while the mark-preserving head has no data-dependent branch; a
+// reintroduced one pulls failed4 away from failed4-sorted. Restoring a
+// batch is one copy over its part of the arena, inside the timed loop on
+// every row.
 func BenchmarkForwardWireBatch(b *testing.B) {
 	for _, family := range []string{"ipv4-dscp", "ipv6-flowlabel"} {
 		p, fib, g := wireFixture(b, "geant")
@@ -230,38 +292,43 @@ func BenchmarkForwardWireBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, row := range []struct {
-			name  string
-			fails []*graph.FailureSet
-			mix   [5]int
+			name    string
+			fails   []*graph.FailureSet
+			mix     [5]int
+			batches int
+			sorted  bool
 		}{
-			{"clean", []*graph.FailureSet{graph.NewFailureSet()}, [5]int{core.EventRoute: 256}},
-			{"failed4", scenarios, wireBenchMix},
+			{"clean", []*graph.FailureSet{graph.NewFailureSet()}, [5]int{core.EventRoute: 256}, 1, false},
+			{"failed4", scenarios, wireBenchMix, 256, false},
+			{"failed4-sorted", scenarios, wireBenchMix, 256, true},
 		} {
 			b.Run(family+"/"+row.name, func(b *testing.B) {
 				var (
-					pkts        []dataplane.WirePacket
-					arena, tmpl []byte
-					st          *dataplane.LinkState
+					pool *wireBenchPool
+					st   *dataplane.LinkState
 				)
 				for _, fails := range row.fails {
 					st = dataplane.FromFailureSet(g.NumLinks(), fails)
-					if pkts, arena, tmpl = wireBenchBatch(b, p, fib, g, fails, st, row.mix); pkts != nil {
+					if pool = newWireBenchPool(b, p, fib, g, fails, st, row.mix, row.batches, row.sorted); pool != nil {
 						break
 					}
 				}
-				if pkts == nil {
+				if pool == nil {
 					b.Fatalf("none of %d failure sets yields the mix %v", len(row.fails), row.mix)
 				}
-				forwarded := 0
+				const batchSize = 256
+				forwarded, k := 0, 0
 				b.ReportAllocs()
 				b.ResetTimer()
-				for i := 0; i < b.N; i += len(pkts) {
-					copy(arena, tmpl)
-					forwarded = fib.ForwardWireBatch(pkts, st)
+				for i := 0; i < b.N; i += batchSize {
+					forwarded = fib.ForwardWireBatch(pool.restore(k), st)
+					if k++; k == len(pool.batches) {
+						k = 0
+					}
 				}
 				b.StopTimer()
-				if forwarded != len(pkts) {
-					b.Fatalf("%d of %d frames forwarded", forwarded, len(pkts))
+				if forwarded != batchSize {
+					b.Fatalf("%d of %d frames forwarded", forwarded, batchSize)
 				}
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 			})

@@ -95,8 +95,12 @@ type FIB struct {
 	// encoding Compile selected from it.
 	ddBits int
 	codec  Codec
-	// faceNext[d] is φ(d), the cycle-following successor of dart d.
-	faceNext []int32
+	// faceNext[d] is φ(d), the cycle-following successor of dart d. It is
+	// the [1:] view of faceGuard, whose entry 0 is -1: the wire path reads
+	// faceGuard[ingress+1] whether or not the frame has an ingress, and
+	// rotation.NoDart lands on the guard. See newFaceTable.
+	faceNext  []int32
+	faceGuard []int32
 	// sigma[d] is σ(d), the complementary-cycle egress for a failed dart.
 	sigma []int32
 	// head[d] is the node dart d points at.
@@ -200,10 +204,10 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 		numNodes: n,
 		numLinks: m,
 		ddBits:   quant.Bits(),
-		faceNext: make([]int32, 2*m),
 		sigma:    make([]int32, 2*m),
 		head:     make([]int32, 2*m),
 	}
+	f.faceGuard, f.faceNext = newFaceTable(m)
 	if !header.FitsFlowLabel(f.ddBits) {
 		// Unreachable for any graph the 65536-node address plan admits
 		// (ranks are < numNodes); kept as a guard for exotic callers.
@@ -331,6 +335,16 @@ func (f *FIB) fillDarts(sys *rotation.System) {
 	}
 }
 
+// newFaceTable allocates the φ table of an m-link FIB: 2m+1 entries, a
+// guard entry -1 in front and the 2m darts behind it as the second result.
+// The table is never empty, so a zero-link FIB answers "no dart" from the
+// guard like any other.
+func newFaceTable(m int) (guarded, faceNext []int32) {
+	guarded = make([]int32, 2*m+1)
+	guarded[0] = -1
+	return guarded, guarded[1:]
+}
+
 // cloneFor returns a copy of f sized for numLinks links for the delta
 // recompiler to patch, copying only the planes that can change. The
 // next-hop table is always deep-copied; the discriminator planes are
@@ -363,9 +377,9 @@ func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
 		}
 	}
 	if !structural && numLinks == f.numLinks {
-		c.faceNext, c.sigma, c.head = f.faceNext, f.sigma, f.head
+		c.faceGuard, c.faceNext, c.sigma, c.head = f.faceGuard, f.faceNext, f.sigma, f.head
 	} else {
-		c.faceNext = make([]int32, 2*numLinks)
+		c.faceGuard, c.faceNext = newFaceTable(numLinks)
 		c.sigma = make([]int32, 2*numLinks)
 		c.head = make([]int32, 2*numLinks)
 	}

@@ -282,7 +282,7 @@ func (p *fibPages) adoptColumn(dst, numNodes int, nd []int32, ddq []uint16, dd [
 // and swap time, not per packet.
 func (f *FIB) MemBytes() int64 {
 	const sliceHeader = 24
-	total := int64(len(f.faceNext)+len(f.sigma)+len(f.head)) * 4
+	total := int64(len(f.faceGuard)+len(f.sigma)+len(f.head)) * 4 // faceGuard: the guard entry counts
 	if f.pages == nil {
 		return total + int64(len(f.nextDart))*4 + int64(len(f.dd))*8 + int64(len(f.ddQ))*4
 	}

@@ -391,3 +391,44 @@ func TestStructuralReachabilityEdits(t *testing.T) {
 		}
 	}
 }
+
+// TestGuardEntrySurvivesDeltas: the dart table the wire path indexes keeps
+// its guard entry through every kind of delta — shared with the old FIB on
+// a weight edit, freshly allocated at the new size on a structural one —
+// so a PR-set frame with no ingress is still refused on the patched FIB.
+func TestGuardEntrySurvivesDeltas(t *testing.T) {
+	g := graph.New(4, 5)
+	for i := 0; i < 4; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i))
+	}
+	for _, l := range [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}} {
+		g.MustAddLink(l[0], l[1], 1)
+	}
+	g.Freeze()
+	p, err := core.New(g, rotation.AdjacencyOrder(g), route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := NewRecompiler(p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := []byte{0x45, 0x8C, 0, 20, 0, 0, 0, 0, 64, 17, 0, 0, 10, 1, 0, 0, 10, 1, 0, 2} // PR set, node 0 → node 2
+	for _, e := range []graph.Edit{graph.SetWeight(1, 3), graph.RemoveLinkEdit(4), graph.AddLinkEdit(1, 3, 2), graph.SetWeight(0, 2)} {
+		old := rec.FIB()
+		if _, err := rec.Apply(e); err != nil {
+			t.Fatal(err)
+		}
+		f := rec.FIB()
+		if f == old {
+			t.Fatalf("%v: no new FIB", e)
+		}
+		if len(f.faceGuard) != 2*f.numLinks+1 || f.faceGuard[0] != -1 || &f.faceGuard[1] != &f.faceNext[0] {
+			t.Fatalf("%v: dart table of %d entries for %d links, guard %d", e, len(f.faceGuard), f.numLinks, f.faceGuard[0])
+		}
+		st := NewLinkState(f.numLinks)
+		if eg, v := f.ForwardWire(0, rotation.NoDart, st, append([]byte(nil), forged...)); v != WireDropBadMark {
+			t.Errorf("%v: forged PR frame with no ingress: dart %d, %v", e, eg, v)
+		}
+	}
+}

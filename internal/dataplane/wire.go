@@ -16,11 +16,15 @@ import (
 // structs, no full checksum recomputation, no allocations.
 //
 // Routing on an up link and cycle following on an up link never change the
-// mark: an unmarked or PR-clear frame keeps its TOS byte / flow label, a
-// PR-set frame keeps PR and DD. Each family's step tries that case first,
-// before any mark decode — the whole rewrite is TTL−1 plus one checksum
-// word (IPv4) or one byte (IPv6) — and only a frame that meets a failure
-// (detect, continue, resume) reads and rewrites its mark.
+// mark, so each family's step tries that case first, before any mark decode
+// — TTL−1 plus one checksum word (IPv4) or one byte (IPv6) — and only a
+// frame that meets a failure (detect, continue, resume) reads and rewrites
+// its mark. There the PR bit picks the egress as data, not control flow:
+// behind a failure a third of the frames carry it in no learnable order, and
+// the compiler emits a branch, never a CMOV, for `if pr { eg = φ }`. So
+// commonEgress loads both darts and selects by a mask computed from the mark
+// bits, and a guard entry of -1 in front of the dart table (FIB.faceGuard)
+// makes φ(ingress) the same load for every frame, NoDart's included.
 //
 // Every changed 16-bit word adds ~m + m' to RFC 1624 equation 3,
 // HC' = ~(~HC + Σ(~m + m')), and end-around folding commutes with adding
@@ -29,19 +33,15 @@ import (
 // word-by-word repair.
 //
 // Marks carry the *quantised* discriminator (core.Quantiser ranks), which
-// the compiler guarantees fits the codec it selected, so no reachable
-// packet is ever dropped for discriminator width: the seed dataplane's
-// WireDropDDOverflow loss class is gone. The only residual width drop is a
-// genuine family mismatch — an IPv4 packet needing a mark wider than DSCP
-// on a network whose codec is the IPv6 flow label.
+// Compile guarantees fits the codec it selected: the only width drop left
+// is a family mismatch — an IPv4 packet needing a mark wider than DSCP on a
+// network whose codec is the IPv6 flow label.
 //
 // Node addressing follows fixed plans so destination lookup is pure
 // arithmetic: node n owns 10.1.hi.lo in IPv4 and fd00:5052::hi:lo-style
-// bytes in IPv6, hi.lo being n in big-endian. The plans cover 65536 nodes,
-// far beyond any topology here.
+// bytes in IPv6, hi.lo being n in big-endian: 65536 nodes either way.
 
-// wireAddrPrefix is the /16 the IPv4 node address plan lives in
-// (10.1.0.0/16).
+// wireAddrPrefix is the /16 of the IPv4 node address plan, 10.1.0.0/16.
 const wireAddrPrefix = 0x0A01
 
 // wireAddr6Prefix is the first 14 bytes of the IPv6 node address plan:
@@ -118,8 +118,7 @@ const (
 	// WireDropCodecMismatch: the packet's address family cannot carry the
 	// quantised discriminator this network needs — an IPv4 packet on a
 	// flow-label-codec network whose mark would exceed DSCP's 3 DD bits.
-	// Unlike the seed's WireDropDDOverflow this is never hit by traffic in
-	// the network's own family: Compile sizes the codec to the topology.
+	// Never hit in the network's own family: Compile sizes the codec.
 	WireDropCodecMismatch
 	// WireDropBadMark: the packet carries a PR mark that is impossible
 	// by protocol (a re-cycling packet with no ingress interface) —
@@ -179,6 +178,18 @@ func (f *FIB) ForwardWire(node graph.NodeID, ingress rotation.DartID, st *LinkSt
 	return f.forwardWire4(node, ingress, st, buf) // refuses all but 0x45 headers
 }
 
+// commonEgress is the egress both family steps try first: φ(ingress) when
+// sel is all ones (a PR-set mark), the shortest-path dart nd when it is 0.
+// NoDart+1 indexes the guard entry, and an ingress outside [NoDart, 2m)
+// reads -1 like it behind a branch no frame of a real network takes.
+func (f *FIB) commonEgress(nd int32, ingress rotation.DartID, sel int32) int32 {
+	fn := int32(-1)
+	if i := uint(ingress) + 1; i < uint(len(f.faceGuard)) {
+		fn = f.faceGuard[i]
+	}
+	return nd ^ (nd^fn)&sel
+}
+
 // forwardWire4 is the IPv4 half of the wire path: DSCP pool-2 marks,
 // RFC 1624 incremental checksum repair.
 func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkState, buf []byte) (rotation.DartID, WireVerdict) {
@@ -200,16 +211,9 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 		return rotation.NoDart, WireDropTTL
 	}
 
-	// The mark-preserving case: φ(ingress) for a PR-set frame, the
-	// shortest-path dart otherwise, on an up link.
+	// The mark-preserving case; 0x8C is the pool-2 marker and the PR bit.
 	tos := buf[1]
-	pr := tos&0x8C == 0x8C // pool-2 marker and PR bit
-	eg := int32(-1)
-	if !pr {
-		eg = f.ndAt(int(node), int(dst))
-	} else if uint(ingress) < uint(len(f.faceNext)) {
-		eg = f.faceNext[ingress]
-	}
+	eg := f.commonEgress(f.ndAt(int(node), int(dst)), ingress, -int32((uint32(tos&0x8C)+0x74)>>8))
 	ck := uint16(buf[10])<<8 | uint16(buf[11])
 	if eg >= 0 && !st.Down(graph.LinkID(eg>>1)) {
 		buf[8]--
@@ -218,6 +222,7 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 		return rotation.DartID(eg), WireForward
 	}
 
+	pr := tos&0x8C == 0x8C
 	marked := tos&0x0C == 0x0C // DSCP pool 2 (xxxx11); anything else is unmarked traffic
 	var dd uint32
 	if marked {
@@ -253,8 +258,7 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 }
 
 // forwardWire6 is the IPv6 half of the wire path: flow-label marks on the
-// fixed 40-byte header. IPv6 has no header checksum, so the rewrite is two
-// byte stores and a decrement.
+// fixed 40-byte header, and no header checksum to repair.
 func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkState, buf []byte) (rotation.DartID, WireVerdict) {
 	if len(buf) < header.HeaderLen6 {
 		return rotation.NoDart, WireDropNotIP
@@ -276,18 +280,14 @@ func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	}
 
 	fl := uint32(buf[1]&0x0F)<<16 | uint32(buf[2])<<8 | uint32(buf[3])
-	pr := fl&0x80003 == 0x80003 // pool-2 marker and PR bit; then as forwardWire4
-	eg := int32(-1)
-	if !pr {
-		eg = f.ndAt(int(node), int(dst))
-	} else if uint(ingress) < uint(len(f.faceNext)) {
-		eg = f.faceNext[ingress]
-	}
+	// Pool-2 marker and PR bit are 0x80003; then as forwardWire4.
+	eg := f.commonEgress(f.ndAt(int(node), int(dst)), ingress, -int32(((fl&0x80003)+0x7FFFD)>>20))
 	if eg >= 0 && !st.Down(graph.LinkID(eg>>1)) {
 		buf[7]--
 		return rotation.DartID(eg), WireForward
 	}
 
+	pr := fl&0x80003 == 0x80003
 	marked := fl&0b11 == 0b11 // pool-2 flow label (low bits 11); else unmarked
 	var dd uint32
 	if marked {

@@ -3,6 +3,8 @@ package dataplane_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -180,7 +182,7 @@ search:
 	to4, to6 := dataplane.NodeAddr(upDst), dataplane.NodeAddr6(upDst)
 	nd := rotation.NoDart
 	fwd, deliver := dataplane.WireForward, dataplane.WireDeliver
-	return x, fails, []wireCase{
+	return x, fails, append(ingressEdgeCases(t, g, upSrc, upDst), []wireCase{
 		{"v4 route", upSrc, nd, mkPacket(t, upSrc, upDst, 64), fwd},
 		{"v6 route", upSrc, nd, mkPacket6(t, upSrc, upDst, 64), fwd},
 		{"v4 route, pool 2 PR clear, ECN", upSrc, nd, mark4(0b0101_1110, 2, to4), fwd},
@@ -206,7 +208,53 @@ search:
 		{"v6 beyond topology", upSrc, nd, mkPacket6(t, upSrc, beyond, 64), dataplane.WireDropNotOurs},
 		{"v4 foreign prefix", upSrc, nd, mark4(0, 64, netip.MustParseAddr("192.0.2.1")), dataplane.WireDropNotOurs},
 		{"v6 off plan", upSrc, nd, mark6(0, netip.MustParseAddr("2001:db8::1")), dataplane.WireDropNotOurs},
+	}...)
+}
+
+// ingressEdgeCases returns frames of both families from src to dst —
+// unmarked, marked PR-clear and PR-set — arriving at src on every kind of
+// ingress the dart table has no entry for: NoDart (the guard entry), the
+// darts just below and above the table, and the largest int32. A frame
+// whose PR bit is clear never has its ingress read, so it routes whatever
+// the ingress says; a PR-set one is refused, as forged at NoDart and for
+// want of a route on a dart the FIB does not have.
+func ingressEdgeCases(t testing.TB, g *graph.Graph, src, dst graph.NodeID) []wireCase {
+	t.Helper()
+	numDarts := rotation.DartID(2 * g.NumLinks())
+	var cases []wireCase
+	for _, ingress := range []rotation.DartID{rotation.NoDart, -2, numDarts, numDarts + 5, math.MaxInt32} {
+		for _, m := range []struct {
+			name string
+			tos  uint8  // IPv4: PR, 3 DD bits, pool-2 marker, ECN
+			fl   uint32 // IPv6: PR at bit 19, DD, pool-2 marker
+			pr   bool
+		}{
+			{"unmarked", 0b1001_0110, 1<<19 | 9<<2 | 0b01, false}, // the PR bit's position set outside pool 2
+			{"PR clear", 0b0101_1110, 9<<2 | 0b11, false},
+			{"PR set", 0b1101_1101, 1<<19 | 9<<2 | 0b11, true},
+		} {
+			want := dataplane.WireForward
+			if m.pr {
+				want = dataplane.WireDropNoRoute
+				if ingress == rotation.NoDart {
+					want = dataplane.WireDropBadMark
+				}
+			}
+			h4 := header.IPv4{DSCP: m.tos >> 2, ECN: m.tos & 3, TotalLength: header.HeaderLen, TTL: 64, Protocol: 17,
+				Src: dataplane.NodeAddr(src), Dst: dataplane.NodeAddr(dst)}
+			h6 := header.IPv6{FlowLabel: m.fl, HopLimit: 64, NextHeader: 17,
+				Src: dataplane.NodeAddr6(src), Dst: dataplane.NodeAddr6(dst)}
+			b4, err4 := h4.Marshal()
+			b6, err6 := h6.Marshal()
+			if err4 != nil || err6 != nil {
+				t.Fatal(err4, err6)
+			}
+			cases = append(cases,
+				wireCase{fmt.Sprintf("v4 %s, ingress %d", m.name, ingress), src, ingress, b4, want},
+				wireCase{fmt.Sprintf("v6 %s, ingress %d", m.name, ingress), src, ingress, b6, want})
+		}
 	}
+	return cases
 }
 
 // randomWireCase draws one frame for the reference comparison: any

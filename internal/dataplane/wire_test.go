@@ -1,6 +1,7 @@
 package dataplane_test
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -226,6 +227,25 @@ func TestForwardWireVerdicts(t *testing.T) {
 	if _, v := fib.ForwardWire(1, rotation.NoDart, st, forged); v != dataplane.WireDropBadMark {
 		t.Errorf("forged PR mark with no ingress: verdict %v, want drop-bad-mark", v)
 	}
+	checkIngressEdges(t, fib, g, st, 4)
+}
+
+// checkIngressEdges runs ingressEdgeCases' frames of one family through
+// ForwardWire at node 1 toward node 3: the PR-clear ones must all leave on
+// the dart an origin-host frame leaves on, the PR-set ones draw their drop.
+func checkIngressEdges(t *testing.T, fib *dataplane.FIB, g *graph.Graph, st *dataplane.LinkState, version byte) {
+	t.Helper()
+	sp, _ := fib.ForwardWire(1, rotation.NoDart, st, mkPacket(t, 1, 3, 64))
+	for _, c := range ingressEdgeCases(t, g, 1, 3) {
+		if c.buf[0]>>4 != version {
+			continue
+		}
+		in := append([]byte(nil), c.buf...)
+		eg, v := fib.ForwardWire(c.node, c.ingress, st, c.buf)
+		if v != c.want || (v == dataplane.WireForward && eg != sp) || (v != dataplane.WireForward && (eg != rotation.NoDart || !bytes.Equal(c.buf, in))) {
+			t.Errorf("%s: dart %d, %v; want %v (shortest-path dart %d)", c.name, eg, v, c.want, sp)
+		}
+	}
 }
 
 // mkPacket6 marshals a fresh unmarked IPv6 packet between two plan
@@ -429,6 +449,47 @@ func TestForwardWire6Verdicts(t *testing.T) {
 	isolated := dataplane.FromFailureSet(g.NumLinks(), graph.FailNode(g, 1))
 	if _, v := fib.ForwardWire(1, rotation.NoDart, isolated, mkPacket6(t, 0, 3, 64)); v != dataplane.WireDropNoRoute {
 		t.Errorf("isolated router: verdict %v, want no-route", v)
+	}
+	checkIngressEdges(t, fib, g, st, 6)
+}
+
+// TestForwardWireZeroLinkFIB: the dart table of a FIB compiled from a graph
+// with no links still holds its guard entry, so every frame for another
+// node — any family, any mark, any ingress — reads "no dart" there and is
+// dropped untouched instead of indexing an empty table, and a local one is
+// delivered.
+func TestForwardWireZeroLinkFIB(t *testing.T) {
+	g := graph.New(3, 0)
+	for _, name := range []string{"a", "b", "c"} {
+		g.AddNode(name)
+	}
+	g.Freeze()
+	fib, err := dataplane.Compile(buildProtocol(t, g, rotation.AdjacencyOrder(g), route.HopCount, core.Full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three dense 3×3 planes (4 + 8 + 4 bytes an entry) and the guard entry.
+	if got := fib.MemBytes(); got != 9*16+4 {
+		t.Errorf("MemBytes() = %d, want %d: the guard entry is resident", got, 9*16+4)
+	}
+	st := dataplane.FromFailureSet(0, nil)
+	for _, local := range [][]byte{mkPacket(t, 0, 1, 64), mkPacket6(t, 0, 1, 64)} {
+		if _, v := fib.ForwardWire(1, rotation.NoDart, st, local); v != dataplane.WireDeliver {
+			t.Errorf("local frame: %v, want deliver", v)
+		}
+	}
+	cases := append(ingressEdgeCases(t, g, 0, 1), ingressEdgeCases(t, g, 2, 0)...)
+	pkts := make([]dataplane.WirePacket, len(cases))
+	for i, c := range cases {
+		pkts[i] = dataplane.WirePacket{Node: c.node, Ingress: c.ingress, Buf: append([]byte(nil), c.buf...)}
+	}
+	if forwarded := fib.ForwardWireBatch(pkts, st); forwarded != 0 {
+		t.Errorf("%d frames forwarded on a network with no links", forwarded)
+	}
+	for i, p := range pkts {
+		if !p.Verdict.Dropped() || p.Egress != rotation.NoDart || !bytes.Equal(p.Buf, cases[i].buf) {
+			t.Errorf("%s: dart %d, %v, frame % x; want an untouched drop", cases[i].name, p.Egress, p.Verdict, p.Buf)
+		}
 	}
 }
 
