@@ -386,10 +386,13 @@ func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
 	return c
 }
 
-// ndAt, ddAt and ddqAt are the only reads of the column planes: the
-// dense indexing stays on the inlined fast path (the gated decide
-// benchmarks run dense FIBs), the shared-column page walk lives in
-// out-of-line fibPages methods. Neither path allocates.
+// ndAt, ddAt and ddqAt are the only reads of the column planes. Both
+// layouts are inlined at every call site (-gcflags=-m shows the
+// fibPages methods inlined too), so a decision pays one nil test to
+// pick dense indexing or the shared-column page walk. ColumnsAuto pages
+// from sharedAutoMinNodes up, so of the gated workloads the rand:512
+// ones (fwd_clean, fwd_egress, ctl_churn) run paged and only geant
+// (fwd_recycle, fwd_wire) runs dense. Neither path allocates.
 
 // ndAt returns the shortest-path egress dart entry for (node, dst): -1
 // at the destination or when unreachable.

@@ -5,11 +5,8 @@ import (
 	"io"
 
 	"recycle/internal/certify"
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
-	"recycle/internal/route"
 	"recycle/internal/topo"
 )
 
@@ -67,25 +64,12 @@ func RunCertify(tp topo.Topology, cfg CertifyConfig) (*certify.Certificate, erro
 	if eff.Baseline {
 		walker = certify.NewReconvWalker(g)
 	} else {
-		sys := tp.Embedding
-		if sys == nil {
-			var err error
-			if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-				return nil, err
-			}
-		}
-		prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+		st, err := buildStack(tp, dataplane.CompileOptions{Tracer: eff.Tracer, Metrics: eff.Metrics})
 		if err != nil {
 			return nil, err
 		}
-		fib, err := dataplane.CompileWithOptions(prot, nil, dataplane.CompileOptions{
-			Tracer: eff.Tracer, Metrics: eff.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		walker = certify.NewPRWalker(fib)
-		genus = sys.Genus()
+		walker = certify.NewPRWalker(st.fib)
+		genus = st.sys.Genus()
 	}
 
 	return certify.Certify(g, walker, certify.Config{

@@ -5,11 +5,12 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/route"
@@ -80,26 +81,13 @@ func MeasureChurn(tp topo.Topology, cfg ChurnConfig) (Churn, error) {
 	edits, seed := eff.Edits, eff.Seed
 	g := tp.Graph
 	c := Churn{Topology: tp.Name, Nodes: g.NumNodes(), Links: g.NumLinks(), Edits: edits}
-	sys := tp.Embedding
-	if sys == nil {
-		var err error
-		sys, err = (embedding.Auto{Seed: 1}).Embed(g)
-		if err != nil {
-			return c, err
-		}
-	}
-	tbl := route.Build(g, route.HopCount)
-	p, err := core.New(g, sys, tbl, core.Config{Variant: core.Full})
+	st, err := buildStack(tp, dataplane.CompileOptions{})
 	if err != nil {
 		return c, err
 	}
-	rec, err := dataplane.NewRecompiler(p, nil, nil)
+	rec, err := st.recompiler(eff.Tracer, eff.Metrics)
 	if err != nil {
 		return c, err
-	}
-	rec.SetTracer(eff.Tracer)
-	if eff.Metrics != nil {
-		rec.Register(eff.Metrics)
 	}
 
 	// timed runs one edit down both paths and returns (full, delta)
@@ -199,24 +187,32 @@ func median(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// WriteChurnReport renders the full-vs-delta recompile comparison, for
-// weight edits and then for structural ones, over the config's topology
-// panel — the "Topology churn" table in README.md and the panel behind
-// prsim churn — followed by the per-stage compile latency distribution
-// (p50/p99) the runs accumulated.
+// WriteChurnReport renders the planned-maintenance numbers — the
+// "Topology churn" table in README.md and the panel behind prsim churn:
+// the full-vs-delta recompile comparison, for weight edits and then for
+// structural ones, over the config's topology panel; the per-stage
+// compile latency distribution (p50/p99) the runs accumulated; and a
+// live hot-swap check on the panel's first topology. The report needs
+// an explicit edit count.
 func WriteChurnReport(w io.Writer, cfg ChurnConfig) error {
-	fmt.Fprintf(w, "%-10s %-5s %-5s | %-10s %-10s %-8s | %-9s | %-10s %-10s %-8s\n",
-		"topology", "nodes", "links", "full", "delta", "speedup", "dirty/dst", "s.full", "s.delta", "speedup")
-	if cfg.Metrics == nil {
-		cfg.Metrics = telemetry.NewRegistry()
+	if cfg.Edits < 1 {
+		return fmt.Errorf("churn needs -edits ≥ 1 (got %d)", cfg.Edits)
 	}
-	base := cfg.Metrics.Snapshot()
 	panel, err := cfg.Panel.topologies()
 	if err != nil {
 		return err
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = telemetry.NewRegistry()
+	}
+	eff := cfg.withDefaults()
+	fmt.Fprintf(w, "# topology churn: full vs delta recompile, %d random single-link weight edits, then %d removals and re-additions of a non-bridge link (s. columns), per topology (seed %d)\n",
+		eff.Edits, eff.Edits/2*2, eff.Seed)
+	fmt.Fprintf(w, "%-10s %-5s %-5s | %-10s %-10s %-8s | %-9s | %-10s %-10s %-8s\n",
+		"topology", "nodes", "links", "full", "delta", "speedup", "dirty/dst", "s.full", "s.delta", "speedup")
+	base := eff.Metrics.Snapshot()
 	for _, tp := range panel {
-		c, err := MeasureChurn(tp, cfg)
+		c, err := MeasureChurn(tp, eff)
 		if err != nil {
 			return err
 		}
@@ -226,6 +222,97 @@ func WriteChurnReport(w io.Writer, cfg ChurnConfig) error {
 			c.Speedup, c.DirtyMean, c.Nodes,
 			c.StructFullMedian.Round(time.Microsecond), c.StructDeltaMedian.Round(time.Microsecond), c.StructSpeedup)
 	}
-	writeStageLatencies(w, cfg.Metrics.Snapshot().Sub(base))
+	writeStageLatencies(w, eff.Metrics.Snapshot().Sub(base))
+	if len(panel) == 0 {
+		return nil
+	}
+	return writeLiveSwaps(w, panel[0], eff)
+}
+
+// writeLiveSwaps is the zero-loss check behind the churn table: a
+// sharded engine decides a continuous stream of batches while cfg.Edits
+// delta-recompiled FIBs are swapped in (Engine.ApplyDelta); every
+// submitted packet must come out decided.
+func writeLiveSwaps(w io.Writer, tp topo.Topology, cfg ChurnConfig) error {
+	st, err := buildStack(tp, dataplane.CompileOptions{})
+	if err != nil {
+		return err
+	}
+	rec, err := st.recompiler(cfg.Tracer, cfg.Metrics)
+	if err != nil {
+		return err
+	}
+	var submitted atomic.Uint64
+	// 16 batches circulate; the buffer holds them all with room to spare.
+	free := make(chan *dataplane.Batch, 64)
+	eng := dataplane.NewEngine(rec.FIB(), dataplane.EngineConfig{
+		OnDone:  func(b *dataplane.Batch) { free <- b },
+		Metrics: cfg.Metrics,
+		Tracer:  cfg.Tracer,
+	})
+	n := st.g.NumNodes()
+	for i := 0; i < 16; i++ {
+		pkts := make([]dataplane.Packet, 256)
+		for j := range pkts {
+			pkts[j] = dataplane.Packet{
+				Node:    graph.NodeID((i + j) % n),
+				Dst:     graph.NodeID((i + j + 1 + j%(n-1)) % n),
+				Ingress: rotation.NoDart,
+			}
+		}
+		free <- &dataplane.Batch{Pkts: pkts}
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case b := <-free:
+				for !eng.Submit(b) {
+				}
+				submitted.Add(uint64(len(b.Pkts)))
+			}
+		}
+	}()
+
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	var recompile, swap time.Duration
+	edit := func() error {
+		l := graph.LinkID(rng.Intn(rec.Graph().NumLinks()))
+		start := time.Now()
+		d, err := rec.Apply(graph.SetWeight(l, rec.Graph().Weight(l)*(0.4+1.2*rng.Float64())))
+		if err != nil {
+			return err
+		}
+		recompile += time.Since(start)
+		start = time.Now()
+		err = eng.ApplyDelta(d)
+		swap += time.Since(start)
+		return err
+	}
+	for i := 0; i < cfg.Edits && err == nil; i++ {
+		err = edit()
+		time.Sleep(time.Millisecond) // let traffic flow between swaps
+	}
+	close(stop)
+	wg.Wait()
+	decided := eng.Close()
+	if err != nil {
+		return err
+	}
+	lost := submitted.Load() - decided
+	fmt.Fprintf(w, "\n# live hot-swap on %s: %d delta swaps under continuous engine traffic\n", tp.Name, cfg.Edits)
+	fmt.Fprintf(w, "packets submitted  %d\n", submitted.Load())
+	fmt.Fprintf(w, "packets decided    %d\n", decided)
+	fmt.Fprintf(w, "packets lost       %d (expected: 0)\n", lost)
+	fmt.Fprintf(w, "delta recompile    %v mean\n", (recompile / time.Duration(cfg.Edits)).Round(time.Microsecond))
+	fmt.Fprintf(w, "FIB swap           %v mean\n", (swap / time.Duration(cfg.Edits)).Round(time.Microsecond))
+	if lost != 0 {
+		return fmt.Errorf("engine dropped %d packets across hot-swaps", lost)
+	}
 	return nil
 }

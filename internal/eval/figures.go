@@ -91,6 +91,53 @@ func RunFigure(f Figure) (*Experiment, error) {
 	return Run(spec)
 }
 
+// FiguresConfig parameterises the Figure 2 report. Of the embedded Panel
+// only Seed is consumed: non-zero, it replaces each panel's own sampling
+// seed (a figure names its topology itself).
+type FiguresConfig struct {
+	Panel
+	// ID is the one panel to regenerate ("2a".."2f"); empty runs all six
+	// in order, a blank line after each.
+	ID string
+	// Scenarios overrides the multi-failure scenario count when positive.
+	Scenarios int
+	// UnitWeights is Figure.UnitWeights for every panel run.
+	UnitWeights bool
+}
+
+// WriteFiguresReport runs the configured Figure 2 panels and renders
+// each as its CCDF data table.
+func WriteFiguresReport(w io.Writer, cfg FiguresConfig) error {
+	figs := Figures()
+	if cfg.ID != "" {
+		f, err := FigureByID(cfg.ID)
+		if err != nil {
+			return err
+		}
+		figs = []Figure{f}
+	}
+	for _, f := range figs {
+		if cfg.Scenarios > 0 {
+			f.Scenarios = cfg.Scenarios
+		}
+		if cfg.Seed != 0 {
+			f.Seed = cfg.Seed
+		}
+		f.UnitWeights = cfg.UnitWeights
+		exp, err := RunFigure(f)
+		if err != nil {
+			return err
+		}
+		if err := WriteCCDF(w, exp, fmt.Sprintf("Figure %s: %s", f.ID, f.Title)); err != nil {
+			return err
+		}
+		if cfg.ID == "" {
+			fmt.Fprintln(w)
+		}
+	}
+	return nil
+}
+
 // StretchAxis returns the paper's x axis: 1, 3, 5, ..., 15 extended with
 // the intermediate integers for smoother series.
 func StretchAxis() []float64 {

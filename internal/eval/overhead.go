@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/fcp"
 	"recycle/internal/graph"
-	"recycle/internal/route"
 	"recycle/internal/topo"
 )
 
@@ -62,22 +59,14 @@ func MeasureOverhead(tp topo.Topology) (Overhead, error) {
 		HopDiameter: graph.HopDiameter(g),
 	}
 
-	sys := tp.Embedding
-	if sys == nil {
-		var err error
-		sys, err = (embedding.Auto{Seed: 1}).Embed(g)
-		if err != nil {
-			return o, err
-		}
+	st, err := buildStack(tp, dataplane.CompileOptions{})
+	if err != nil {
+		return o, err
 	}
-	o.PREmbeddingGenus = sys.Genus()
-
-	tbl := route.Build(g, route.HopCount)
-	ddBits := core.BuildQuantiser(tbl).Bits()
-	o.PRHeaderBits = 1 + ddBits
-	codec := dataplane.CodecFor(ddBits)
-	o.PRFitsDSCPPool2 = codec == dataplane.CodecDSCP
-	o.PRWireCodec = codec.String()
+	o.PREmbeddingGenus = st.sys.Genus()
+	o.PRHeaderBits = 1 + st.fib.DDBits()
+	o.PRFitsDSCPPool2 = st.fib.Codec() == dataplane.CodecDSCP
+	o.PRWireCodec = st.fib.Codec().String()
 	totalEntries := 0
 	for n := 0; n < g.NumNodes(); n++ {
 		totalEntries += 2 * g.Degree(graph.NodeID(n))

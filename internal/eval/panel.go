@@ -1,6 +1,10 @@
 package eval
 
 import (
+	"fmt"
+	"os"
+	"strings"
+
 	"recycle/internal/failure"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
@@ -10,18 +14,22 @@ import (
 // topology panel under test, the failure process driving the runs, the
 // master seed, and an optional shared metrics registry. Harness configs
 // (ResilienceConfig, SoakConfig, ChurnConfig, TrafficLossConfig,
-// CertifyConfig) embed it, so the same literal fields parameterise every
-// harness and a CLI can bind one set of global flags to all of them.
+// CertifyConfig, FiguresConfig, ThroughputConfig; the compile report
+// takes a bare Panel) embed it, so the same literal fields parameterise
+// every harness and a CLI can bind one set of global flags to all of
+// them.
 type Panel struct {
 	// Topologies is the named topology panel the report writers iterate
 	// (topo.ByName grammar, e.g. "abilene", "ring:24", "rand:24@7").
-	// Harnesses that run a single topology take it as an explicit
-	// argument and ignore this field.
+	// Run* harnesses take their one topology as an explicit argument
+	// and ignore this field; a report over a single topology runs the
+	// first name.
 	Topologies []string
 	// Spec is the failure-process specification the runs sample from
 	// (failure.ParseScenario grammar). Empty selects the harness's
 	// default process. Harnesses without a failure dimension (churn,
-	// traffic mix) ignore it.
+	// traffic mix) ignore it. The report writers also accept "@path",
+	// a scripted scenario file (failure.ParseScript).
 	Spec string
 	// Process optionally supplies a pre-built failure process (e.g. a
 	// scripted scenario file via failure.ParseScript); when non-nil it
@@ -69,6 +77,35 @@ func (p Panel) process() (failure.Process, error) {
 		return p.Process, nil
 	}
 	return failure.ParseScenario(p.Spec)
+}
+
+// loadScript resolves a Spec of the form "@path" — a scripted scenario
+// file, one spec per line — into Process, and relabels Spec for the
+// report header. Any other Spec is left alone.
+func (p *Panel) loadScript() error {
+	path, ok := strings.CutPrefix(p.Spec, "@")
+	if !ok {
+		return nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("scenario script: %w", err)
+	}
+	defer f.Close()
+	if p.Process, err = failure.ParseScript(f); err != nil {
+		return err
+	}
+	p.Spec = fmt.Sprintf("%s (script %s)", p.Process.Name(), path)
+	return nil
+}
+
+// first resolves the panel's first topology: the one a single-topology
+// report runs on.
+func (p Panel) first() (topo.Topology, error) {
+	if len(p.Topologies) == 0 {
+		return topo.Topology{}, fmt.Errorf("eval: no topology named")
+	}
+	return topo.ByName(p.Topologies[0])
 }
 
 // topologies resolves the named panel through topo.ByName, in order.

@@ -3,13 +3,11 @@ package eval
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
-	"recycle/internal/route"
 	"recycle/internal/sim"
 	"recycle/internal/topo"
 )
@@ -34,6 +32,12 @@ type ResilienceConfig struct {
 	// search and the sampling harness: a once-found violating failure
 	// set is re-checked on every sweep, so it can never silently return.
 	Pins []*failure.Scenario
+	// CertifyPins, when positive, has WriteResilienceReport certify the
+	// reconvergence baseline at this k first and append its
+	// counterexamples to Pins — PR must survive the sets that break
+	// reconvergence. Pins reference one graph's element IDs, so the
+	// panel must name exactly one topology.
+	CertifyPins int
 }
 
 // DefaultResilienceSpec is the background failure process of the sweep:
@@ -124,21 +128,11 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 	if err != nil {
 		return nil, err
 	}
-	g := tp.Graph
-	sys := tp.Embedding
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	st, err := buildStack(tp, dataplane.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
-	fib, err := dataplane.Compile(prot)
-	if err != nil {
-		return nil, err
-	}
+	g, sys, fib := st.g, st.sys, st.fib
 	src, dst := diameterPair(g)
 	interval := time.Duration(float64(time.Second) / cfg.PPS)
 	flows := []sim.Flow{
@@ -206,6 +200,26 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 // zero violations; the reconvergence baseline's violation column is the
 // loss PR exists to eliminate.
 func WriteResilienceReport(w io.Writer, cfg ResilienceConfig) error {
+	if err := cfg.loadScript(); err != nil {
+		return err
+	}
+	if cfg.CertifyPins > 0 {
+		if len(cfg.Topologies) != 1 {
+			return fmt.Errorf("certify pins need one explicit topology (-topo): pins are per-topology failure sets")
+		}
+		tp, err := cfg.first()
+		if err != nil {
+			return err
+		}
+		cert, err := RunCertify(tp, CertifyConfig{Panel: Panel{Seed: cfg.Seed}, K: cfg.CertifyPins, Baseline: true})
+		if err != nil {
+			return err
+		}
+		pins := cert.PinScenarios()
+		cfg.Pins = slices.Concat(cfg.Pins, pins)
+		fmt.Fprintf(w, "# certify-pins: baseline %s yields %d counterexample(s) at k=%d; replaying as pinned draws\n",
+			cert.Walker, len(pins), cfg.CertifyPins)
+	}
 	eff := cfg.withDefaults()
 	fmt.Fprintf(w, "# Monte-Carlo resilience: %d draws of %q per topology, %v horizon, seed %d\n",
 		eff.Draws, eff.Spec, eff.Horizon, eff.Seed)

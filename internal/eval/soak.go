@@ -11,13 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
-	"recycle/internal/route"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
@@ -485,13 +482,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	if cfg.MaxHops == 0 {
 		cfg.MaxHops = 4 * n
 	}
-	sys := tp.Embedding
-	var err error
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -505,21 +495,17 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	runSpan.SetAttr(telemetry.AttrSeed, cfg.Seed)
 	defer runSpan.End()
 
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
-	if err != nil {
-		return nil, err
-	}
-	fib, err := dataplane.CompileWithOptions(prot, nil, dataplane.CompileOptions{
+	st, err := buildStack(tp, dataplane.CompileOptions{
 		Tracer: tracer, TraceParent: runSpan.ID(), Metrics: reg,
 	})
 	if err != nil {
 		return nil, err
 	}
-	rec, err := dataplane.NewRecompiler(prot, nil, fib)
+	sys, fib := st.sys, st.fib
+	rec, err := st.recompiler(tracer, reg)
 	if err != nil {
 		return nil, err
 	}
-	rec.SetTracer(tracer)
 
 	proc, err := cfg.process()
 	if err != nil {
@@ -548,7 +534,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	tx := dataplane.NewTxQueue(fib, dataplane.TxConfig{BandwidthBps: cfg.BandwidthBps, Metrics: reg})
-	rec.Register(reg)
 	reg.Gauge(MetricSoakFlows).Set(int64(cfg.Flows))
 	reg.RegisterCollector(telemetry.CollectorFunc(func(s *telemetry.Snapshot) {
 		var ms runtime.MemStats
@@ -617,7 +602,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 
 	// Batch pool: enough to keep every shard busy, and the done channel
 	// is sized to the pool so a worker's hand-off can never block.
-	pool := 4 * maxInt(cfg.Shards, runtime.GOMAXPROCS(0))
+	pool := 4 * max(cfg.Shards, runtime.GOMAXPROCS(0))
 	if pool < 32 {
 		pool = 32
 	}
@@ -734,13 +719,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 			fmt.Sprintf("drop fraction %.4f exceeds bound %.4f", df, cfg.MaxDropFrac))
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
@@ -1174,6 +1152,25 @@ func (c *soakControl) tweakWeight() (*dataplane.Delta, string, error) {
 // ---------------------------------------------------------------------------
 // Report
 // ---------------------------------------------------------------------------
+
+// RunSoakReport is RunSoak on the panel's first topology followed by
+// WriteSoakReport — the whole `prsim soak` verb. The result comes back
+// so a caller can dump its epochs and map the verdict to an exit code.
+func RunSoakReport(w io.Writer, cfg SoakConfig) (*SoakResult, error) {
+	if err := cfg.loadScript(); err != nil {
+		return nil, err
+	}
+	tp, err := cfg.first()
+	if err != nil {
+		return nil, err
+	}
+	res, err := RunSoak(tp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	WriteSoakReport(w, res)
+	return res, nil
+}
 
 // WriteSoakReport renders one soak run: the headline account, the
 // sustained rates, the control-plane churn, the allocation and egress

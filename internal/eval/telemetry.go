@@ -1,19 +1,12 @@
 package eval
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/failure"
-	"recycle/internal/route"
 	"recycle/internal/sim"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
@@ -33,53 +26,6 @@ func WriteTimeline(w io.Writer, epochs []telemetry.Epoch) {
 			d.Counter(sim.MetricDropBlackhole), d.Counter(sim.MetricDropNoRoute),
 			d.Counter(sim.MetricDropTTL), d.Counter(sim.MetricLossViolation))
 	}
-}
-
-// WriteTimelineCSV emits the fold as CSV: epoch bookkeeping columns
-// followed by one column per counter name appearing in any epoch, in
-// sorted order, so downstream plotting needs no schema knowledge.
-func WriteTimelineCSV(w io.Writer, epochs []telemetry.Epoch) error {
-	names := map[string]bool{}
-	for _, e := range epochs {
-		for n := range e.Delta.Counters {
-			names[n] = true
-		}
-	}
-	cols := make([]string, 0, len(names))
-	for n := range names {
-		cols = append(cols, n)
-	}
-	sort.Strings(cols)
-
-	cw := csv.NewWriter(w)
-	header := append([]string{"epoch", "start_ns", "end_ns", "label"}, cols...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, e := range epochs {
-		row := []string{
-			strconv.Itoa(e.Index),
-			strconv.FormatInt(int64(e.Start), 10),
-			strconv.FormatInt(int64(e.End), 10),
-			e.Label,
-		}
-		for _, n := range cols {
-			row = append(row, strconv.FormatUint(e.Delta.Counter(n), 10))
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// WriteTimelineJSON emits the fold as indented JSON, epochs in order,
-// each with its full delta snapshot (counters, gauges, histograms).
-func WriteTimelineJSON(w io.Writer, epochs []telemetry.Epoch) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(epochs)
 }
 
 // TraceResult is one traced resilience draw: the recorder's retained
@@ -123,21 +69,11 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 	if err != nil {
 		return nil, err
 	}
-	g := tp.Graph
-	sys := tp.Embedding
-	if sys == nil {
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+	st, err := buildStack(tp, dataplane.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
-	fib, err := dataplane.Compile(prot)
-	if err != nil {
-		return nil, err
-	}
+	g, fib := st.g, st.fib
 	src, dst := diameterPair(g)
 	interval := time.Duration(float64(time.Second) / cfg.PPS)
 	flows := []sim.Flow{
@@ -192,6 +128,38 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 		}
 	}
 	return out, nil
+}
+
+// WriteTraceReport is the explainability counterpart of
+// WriteResilienceReport: TraceResilience on the panel's first topology,
+// rendered as the explained cycle walk of a recycled packet followed by
+// the per-epoch counter timeline (already verified lossless).
+func WriteTraceReport(w io.Writer, cfg ResilienceConfig) error {
+	if err := cfg.loadScript(); err != nil {
+		return err
+	}
+	tp, err := cfg.first()
+	if err != nil {
+		return err
+	}
+	res, err := TraceResilience(tp, cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "# flight-recorded resilience trace: %s, scheme %s, scenario %s (draw %d)\n",
+		tp.Name, res.Scheme, res.Scenario, res.Draw)
+	fmt.Fprintf(w, "flights kept %d | generated %d delivered %d violations %d\n\n",
+		len(res.Flights), res.Aggregate.Counter(sim.MetricGenerated),
+		res.Aggregate.Counter(sim.MetricDelivered), res.Aggregate.Counter(sim.MetricLossViolation))
+	if f := res.Recycled(); f != nil {
+		fmt.Fprintln(w, "## recycled packet (cycle walk)")
+		fmt.Fprint(w, f.Explain())
+	} else {
+		fmt.Fprintf(w, "no recycled packet in %d draw(s); try more -draws or a denser -scenario\n", cfg.withDefaults().Draws)
+	}
+	fmt.Fprintln(w, "\n## per-epoch counter timeline (summed deltas == aggregate, verified)")
+	WriteTimeline(w, res.Epochs)
+	return nil
 }
 
 // checkTimelineExact verifies the lossless-exposition invariant: the

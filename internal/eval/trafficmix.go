@@ -5,11 +5,8 @@ import (
 	"io"
 	"time"
 
-	"recycle/internal/core"
 	"recycle/internal/dataplane"
-	"recycle/internal/embedding"
 	"recycle/internal/graph"
-	"recycle/internal/route"
 	"recycle/internal/sim"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
@@ -51,20 +48,13 @@ type TrafficLossReport struct {
 // topology's hop-diameter pair, so every scheme reroutes a worst-case
 // path.
 func RunTrafficLoss(tp topo.Topology, sources []traffic.Source) (*TrafficLossReport, error) {
-	g := tp.Graph
-	src, dst := diameterPair(g)
-	sys := tp.Embedding
-	if sys == nil {
-		var err error
-		if sys, err = (embedding.Auto{Seed: 1}).Embed(g); err != nil {
-			return nil, err
-		}
-	}
-	prot, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
-	if err != nil {
-		return nil, err
-	}
-	fib, err := dataplane.Compile(prot)
+	src, dst := diameterPair(tp.Graph)
+	return runTrafficLoss(tp, src, dst, sources)
+}
+
+// runTrafficLoss is RunTrafficLoss over an explicit probe pair.
+func runTrafficLoss(tp topo.Topology, src, dst graph.NodeID, sources []traffic.Source) (*TrafficLossReport, error) {
+	st, err := buildStack(tp, dataplane.CompileOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -74,13 +64,13 @@ func RunTrafficLoss(tp topo.Topology, sources []traffic.Source) (*TrafficLossRep
 			return nil, fmt.Errorf("eval: traffic mix: %w", err)
 		}
 		schemes := []sim.Scheme{
-			&sim.CompiledPRScheme{FIB: fib},
+			&sim.CompiledPRScheme{FIB: st.fib},
 			&sim.FCPScheme{},
 			&sim.ReconvScheme{},
 		}
 		for _, scheme := range schemes {
 			res, err := sim.RunLossWindowTraffic(sim.Config{
-				Graph:          g,
+				Graph:          st.g,
 				Scheme:         scheme,
 				Horizon:        3 * time.Second,
 				DetectionDelay: 50 * time.Millisecond,
@@ -137,6 +127,52 @@ func WriteTrafficLossReport(w io.Writer, cfg TrafficLossConfig) error {
 			fmt.Fprintf(w, "%-22s %-30s %-10d %-10d %-10d %-8d %-5d %-9.4f\n",
 				r.Traffic, r.Scheme, r.Generated, r.Delivered, r.Blackhole, r.NoRoute, r.TTL, rate)
 		}
+	}
+	return nil
+}
+
+// WriteLossWindowReport renders the §1 motivation panel: packets lost on
+// a loaded OC-192 during a one-second outage, per scheme — the
+// traffic-loss harness on Abilene (unit weights), Seattle→LosAngeles.
+// Without Sources the flow is the fixed probe: a 20%-loaded OC-192 at
+// 1 kB packets is ≈ 243k pps, simulated 1:100 (losses scale linearly
+// with rate) and extrapolated back in the last column. Each source in
+// Sources replaces the probe with its own offered load at whatever rate
+// it was configured with, so no extrapolation is printed. The Panel is
+// ignored.
+func WriteLossWindowReport(w io.Writer, cfg TrafficLossConfig) error {
+	const pps, scale = 2430, 100.0
+	tp := topo.Abilene(topo.UnitWeights)
+	src, dst := tp.Graph.NodeByName("Seattle"), tp.Graph.NodeByName("LosAngeles")
+	probe := len(cfg.Sources) == 0
+	sources, label := cfg.Sources, ""
+	if probe {
+		sources, label = []traffic.Source{traffic.Fixed{Interval: time.Second / pps}}, " 1:100 probe"
+	}
+	report, err := runTrafficLoss(tp, src, dst, sources)
+	if err != nil {
+		return err
+	}
+	per := len(report.Rows) / len(sources) // one block of scheme rows per source
+	for i, r := range report.Rows {
+		if i%per == 0 {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			fmt.Fprintf(w, "# §1 loss window: Seattle→LosAngeles flow (%s%s traffic), first-hop link fails at t=1s\n", sources[i/per].Name(), label)
+			if probe {
+				fmt.Fprintf(w, "# OC-192 at 20%% load ≈ 243k pps of 1 kB packets (simulated 1:%.0f)\n", scale)
+				fmt.Fprintf(w, "%-28s %-10s %-10s %-12s %-10s\n", "scheme", "generated", "delivered", "lost(scaled)", "lost(OC192)")
+			} else {
+				fmt.Fprintf(w, "%-28s %-10s %-10s %-12s\n", "scheme", "generated", "delivered", "lost")
+			}
+		}
+		lost := r.Generated - r.Delivered
+		fmt.Fprintf(w, "%-28s %-10d %-10d %-12d", r.Scheme, r.Generated, r.Delivered, lost)
+		if probe {
+			fmt.Fprintf(w, " %-10.0f", float64(lost)*scale)
+		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }
