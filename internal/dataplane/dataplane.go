@@ -44,11 +44,7 @@
 // snapshots are cheap to copy-on-write.
 package dataplane
 
-import (
-	"math/bits"
-
-	"recycle/internal/graph"
-)
+import "recycle/internal/graph"
 
 // LinkState is a bitset of failed links, the dataplane's compiled form of
 // graph.FailureSet: Down is one shift-and-mask, and the whole state is
@@ -57,6 +53,7 @@ import (
 type LinkState struct {
 	bits     []uint64
 	numLinks int
+	down     int // failed links: the popcount of bits, kept by Set
 }
 
 // NewLinkState returns an all-up state for a graph with numLinks links.
@@ -81,12 +78,17 @@ func (s *LinkState) Down(l graph.LinkID) bool {
 	return s.bits[i>>6]&(1<<(i&63)) != 0
 }
 
-// Set marks link l down or up.
+// Set marks link l down or up; only a flip moves the failed-link count.
 func (s *LinkState) Set(l graph.LinkID, down bool) {
+	w, bit := &s.bits[uint(l)>>6], uint64(1)<<(uint(l)&63)
+	if (*w&bit != 0) == down {
+		return
+	}
+	*w ^= bit
 	if down {
-		s.bits[uint(l)>>6] |= 1 << (uint(l) & 63)
+		s.down++
 	} else {
-		s.bits[uint(l)>>6] &^= 1 << (uint(l) & 63)
+		s.down--
 	}
 }
 
@@ -94,17 +96,11 @@ func (s *LinkState) Set(l graph.LinkID, down bool) {
 func (s *LinkState) NumLinks() int { return s.numLinks }
 
 // CountDown returns the number of failed links.
-func (s *LinkState) CountDown() int {
-	n := 0
-	for _, w := range s.bits {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (s *LinkState) CountDown() int { return s.down }
 
 // Clone returns an independent copy, the unit of RCU copy-on-write.
 func (s *LinkState) Clone() *LinkState {
-	c := &LinkState{bits: make([]uint64, len(s.bits)), numLinks: s.numLinks}
+	c := &LinkState{bits: make([]uint64, len(s.bits)), numLinks: s.numLinks, down: s.down}
 	copy(c.bits, s.bits)
 	return c
 }

@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -13,6 +14,7 @@ import (
 	"recycle/internal/header"
 	"recycle/internal/rotation"
 	"recycle/internal/route"
+	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 )
 
@@ -49,10 +51,72 @@ func ddProbes(tbl *route.Table, g *graph.Graph, dst graph.NodeID) []float64 {
 	return out
 }
 
+// checkBatches holds the batch entry points to Decide: probes, packed into
+// batches, must come out of DecideBatch and DecideBatchTally exactly as
+// Decide decides each packet alone. Three packings put both of
+// DecideBatch's loops under every probe: probe order (long PR-set runs:
+// the masked loop whenever a link is down), shuffled (the same share in no
+// order), and shuffled behind a head of PR-clear probes as long as the
+// sample DecideBatch takes (the branch loop, which so meets the re-cycling
+// packets and the failures too).
+func checkBatches(t *testing.T, fib *dataplane.FIB, st *dataplane.LinkState, probes []dataplane.Packet, seed int64) {
+	t.Helper()
+	var tally [telemetry.TallySize]uint64
+	entries := []struct {
+		name   string
+		decide func([]dataplane.Packet)
+	}{
+		{"DecideBatch", func(b []dataplane.Packet) { fib.DecideBatch(b, st) }},
+		{"DecideBatchTally", func(b []dataplane.Packet) { fib.DecideBatchTally(b, st, &tally) }},
+	}
+	const batchLen, sample = 256, 32
+	want, got := make([]dataplane.Packet, 0, batchLen), make([]dataplane.Packet, 0, batchLen)
+	check := func(packing string, batch []dataplane.Packet) {
+		want = append(want[:0], batch...)
+		for i := range want {
+			p := &want[i]
+			d := fib.Decide(p.Node, p.Dst, p.Ingress, p.Hdr, st)
+			p.Egress, p.Event, p.Hdr, p.OK = d.Egress, d.Event, d.Header, d.OK
+		}
+		for _, e := range entries {
+			got = append(got[:0], batch...)
+			e.decide(got)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s, %s, packet %d of %d (%d links down): %+v, Decide says %+v",
+						e.name, packing, i, len(got), st.CountDown(), got[i], want[i])
+				}
+			}
+		}
+	}
+	shuffled := append([]dataplane.Packet(nil), probes...)
+	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for lo := 0; lo < len(probes); lo += batchLen {
+		hi := min(lo+batchLen, len(probes))
+		check("probe order", probes[lo:hi])
+		check("shuffled", shuffled[lo:hi])
+	}
+	var behind []dataplane.Packet
+	for _, p := range probes {
+		if !p.Hdr.PR && len(behind) < sample {
+			behind = append(behind, p)
+		}
+	}
+	if len(behind) < sample {
+		return
+	}
+	for lo := 0; lo < len(shuffled); lo += batchLen - sample {
+		behind = append(behind[:sample], shuffled[lo:min(lo+batchLen-sample, len(shuffled))]...)
+		check("behind a clear sample", behind)
+	}
+}
+
 // diffProtocol exhaustively compares FIB.Decide against
 // core.Protocol.Decide over every node, destination, ingress dart and
 // plausible header, under each failure set. Decisions must be
-// bit-identical: same egress dart, same event, same output header.
+// bit-identical: same egress dart, same event, same output header. Each
+// failure set's probes then go through the batch entry points as well
+// (checkBatches).
 func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) {
 	t.Helper()
 	fib, err := dataplane.Compile(p)
@@ -63,8 +127,10 @@ func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) 
 	sys := p.System()
 	tbl := p.Routes()
 	checked := 0
+	var probes []dataplane.Packet
 	for fi, fs := range failsets {
 		st := dataplane.FromFailureSet(g.NumLinks(), fs)
+		probes = probes[:0]
 		for node := 0; node < g.NumNodes(); node++ {
 			for dst := 0; dst < g.NumNodes(); dst++ {
 				nid, did := graph.NodeID(node), graph.NodeID(dst)
@@ -74,6 +140,7 @@ func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) 
 				if got != want {
 					t.Fatalf("failset %d %v: Decide(%d→%d, clear) = %+v, core says %+v", fi, fs, node, dst, got, want)
 				}
+				probes = append(probes, dataplane.Packet{Node: nid, Dst: did, Ingress: rotation.NoDart})
 				checked++
 				if !tbl.Reachable(nid, did) {
 					continue // core's DD panics on unreachable pairs
@@ -89,10 +156,16 @@ func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) 
 							t.Fatalf("failset %d %v: Decide(%d→%d, in=%d, dd=%v) = %+v, core says %+v",
 								fi, fs, node, dst, in, dd, got, want)
 						}
+						probes = append(probes, dataplane.Packet{Node: nid, Dst: did, Ingress: in, Hdr: hdr})
 						checked++
 					}
 				}
 			}
+		}
+		// Single-goroutine work the race detector only slows (5× on this
+		// package): one failure set in eight under -race.
+		if !raceEnabled || fi%8 == 0 {
+			checkBatches(t, fib, st, probes, int64(fi)+1)
 		}
 	}
 	if checked == 0 {
@@ -216,6 +289,7 @@ func FuzzCompiledDecide(f *testing.F) {
 			t.Fatalf("Decide(%d→%d, in=%d, hdr=%+v, fails=%v) = %+v, core says %+v",
 				node, dst, ingress, hdr, fs, got, want)
 		}
+		checkBatches(t, fib, st, []dataplane.Packet{{Node: node, Dst: dst, Ingress: ingress, Hdr: hdr}}, seed)
 	})
 }
 

@@ -292,6 +292,18 @@ func assertStrictDecrease(t *testing.T, ctx string, d *Delta, rng *rand.Rand) {
 	}
 }
 
+// buildGraph is a frozen graph of n nodes and the given unit-weight links.
+func buildGraph(n int, links ...[2]int) *graph.Graph {
+	g := graph.New(n, len(links))
+	for i := 0; i < n; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i))
+	}
+	for _, l := range links {
+		g.MustAddLink(graph.NodeID(l[0]), graph.NodeID(l[1]), 1)
+	}
+	return g.Freeze()
+}
+
 // TestStructuralReachabilityEdits pins the structural edits the random
 // harness cannot draw — every topo family is bridge-free — on hand-built
 // graphs: removing and re-adding a barbell's bridge and a path's inner
@@ -301,21 +313,11 @@ func assertStrictDecrease(t *testing.T, ctx string, d *Delta, rng *rand.Rand) {
 // destinations whose reachable set changed — none unless a bridge is
 // involved — and the repairer must never fall back.
 func TestStructuralReachabilityEdits(t *testing.T) {
-	build := func(n int, links ...[2]int) *graph.Graph {
-		g := graph.New(n, len(links))
-		for i := 0; i < n; i++ {
-			g.AddNode(fmt.Sprintf("n%d", i))
-		}
-		for _, l := range links {
-			g.MustAddLink(graph.NodeID(l[0]), graph.NodeID(l[1]), 1)
-		}
-		return g.Freeze()
-	}
-	barbell := build(8, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0},
+	barbell := buildGraph(8, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 0},
 		[2]int{3, 4}, // the bridge, link 4
 		[2]int{4, 5}, [2]int{5, 6}, [2]int{6, 7}, [2]int{7, 4})
-	path := build(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5})
-	islands := build(7, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 6}, [2]int{6, 3})
+	path := buildGraph(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5})
+	islands := buildGraph(7, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 6}, [2]int{6, 3})
 	cases := []struct {
 		name  string
 		g     *graph.Graph

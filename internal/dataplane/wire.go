@@ -22,9 +22,10 @@ import (
 // its mark. There the PR bit picks the egress as data, not control flow:
 // behind a failure a third of the frames carry it in no learnable order, and
 // the compiler emits a branch, never a CMOV, for `if pr { eg = φ }`. So
-// commonEgress loads both darts and selects by a mask computed from the mark
-// bits, and a guard entry of -1 in front of the dart table (FIB.faceGuard)
-// makes φ(ingress) the same load for every frame, NoDart's included.
+// commonEgress (fib.go; the struct path's masked batch loop shares it) loads
+// both darts and selects by a mask computed from the mark bits, and a guard
+// entry of -1 in front of the dart table (FIB.faceGuard) makes φ(ingress)
+// the same load for every frame, NoDart's included.
 //
 // Every changed 16-bit word adds ~m + m' to RFC 1624 equation 3,
 // HC' = ~(~HC + Σ(~m + m')), and end-around folding commutes with adding
@@ -176,18 +177,6 @@ func (f *FIB) ForwardWire(node graph.NodeID, ingress rotation.DartID, st *LinkSt
 		return f.forwardWire6(node, ingress, st, buf)
 	}
 	return f.forwardWire4(node, ingress, st, buf) // refuses all but 0x45 headers
-}
-
-// commonEgress is the egress both family steps try first: φ(ingress) when
-// sel is all ones (a PR-set mark), the shortest-path dart nd when it is 0.
-// NoDart+1 indexes the guard entry, and an ingress outside [NoDart, 2m)
-// reads -1 like it behind a branch no frame of a real network takes.
-func (f *FIB) commonEgress(nd int32, ingress rotation.DartID, sel int32) int32 {
-	fn := int32(-1)
-	if i := uint(ingress) + 1; i < uint(len(f.faceGuard)) {
-		fn = f.faceGuard[i]
-	}
-	return nd ^ (nd^fn)&sel
 }
 
 // forwardWire4 is the IPv4 half of the wire path: DSCP pool-2 marks,
