@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"recycle"
+	"recycle/internal/core"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/sim"
@@ -150,6 +151,56 @@ func TestPerHopDecideAgreesWithWalk(t *testing.T) {
 				hdr = d.Header
 				ingress = d.Egress
 				node = g.Link(rotation.LinkOf(d.Egress)).Other(node)
+			}
+		}
+	}
+}
+
+// TestTranscriptCarriesWireRank: the interpreted protocol, the compiled FIB
+// and the wire hold the discriminator in one unit, the quantiser's rank,
+// under both discriminators and across Update. Every hop of a recovered walk
+// is the FIB's decision, header included, and every stamp is the rank
+// FIB.WireDD reports for the detecting router.
+func TestTranscriptCarriesWireRank(t *testing.T) {
+	for _, disc := range []recycle.Discriminator{recycle.HopCount, recycle.WeightSum} {
+		net, err := recycle.FromTopology("geant", recycle.WithDiscriminator(disc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated, _, err := net.Update(recycle.SetWeight(3, 2*net.Graph().Weight(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []*recycle.Network{net, updated} {
+			fib, err := n.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := n.Graph()
+			fs := graph.NewFailureSet(0)
+			st := recycle.LinkStateFrom(g.NumLinks(), fs)
+			stamps := 0
+			for src := 0; src < g.NumNodes(); src++ {
+				dst := recycle.NodeID((src + 7) % g.NumNodes())
+				walk := n.RouteIDs(recycle.NodeID(src), dst, fs)
+				hdr := recycle.Header{}
+				for i, step := range walk.Steps[:len(walk.Steps)-1] {
+					d := fib.Decide(step.Node, dst, step.Ingress, hdr, st)
+					if !d.OK || d.Egress != step.Egress || d.Event != step.Event || d.Header != step.Header {
+						t.Fatalf("%v %d→%d step %d: FIB decides %+v, the walk took %+v", disc, src, dst, i, d, step)
+					}
+					if step.Event == core.EventDetect {
+						rank, ok := fib.WireDD(step.Node, dst)
+						if !ok || step.Header.DD != float64(rank) {
+							t.Fatalf("%v %d→%d step %d: stamped %v, the wire carries rank %d", disc, src, dst, i, step.Header.DD, rank)
+						}
+						stamps++
+					}
+					hdr = step.Header
+				}
+			}
+			if stamps == 0 {
+				t.Fatalf("%v: no walk met the failure", disc)
 			}
 		}
 	}

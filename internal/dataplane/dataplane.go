@@ -13,19 +13,21 @@
 //     its route.Table, rotation.System and variant — into dense flat
 //     arrays: per-(node,destination) next-hop darts, per-dart
 //     cycle-successor (φ) and complementary (σ) darts, and per-pair
-//     distance discriminators (exact, plus the rank-quantised wire form
-//     of core.Quantiser). A forwarding decision is then a handful of
-//     array indexings with zero allocations, bit-identical to
-//     core.Protocol.Decide. Compile also selects the wire codec from the
-//     quantised bit budget: IPv4 DSCP pool 2 when 3 DD bits suffice, the
-//     IPv6 flow label (17 DD bits) for larger diameters and weight-sum
-//     discriminators.
+//     distance discriminators in one unit, the rank of core.Quantiser,
+//     which is what the wire carries. A forwarding decision is then a
+//     handful of array indexings with zero allocations, bit-identical to
+//     the Decide of the Config.Quantise protocol over the same tables
+//     (for hop counts, the raw protocol's too: rank = hop count).
+//     Compile also selects the wire codec from the quantised bit budget:
+//     IPv4 DSCP pool 2 when 3 DD bits suffice, the IPv6 flow label (17
+//     DD bits) for larger diameters and weight-sum discriminators.
 //
 //   - Wire path (wire.go): forwards real IPv4 and IPv6 packet bytes. The
 //     PR mark is decoded from the DSCP pool-2 field or the flow label
-//     (package header), the FIB decides in rank space, the mark is
-//     re-encoded in place, and the IPv4 header checksum is fixed
-//     incrementally (RFC 1624) instead of being recomputed.
+//     (package header), FIB.Decide decides on it (Header.DD is the rank
+//     the mark carries), the mark is re-encoded in place, and the IPv4
+//     header checksum is fixed incrementally (RFC 1624) instead of being
+//     recomputed.
 //
 //   - Engine (engine.go): a sharded forwarding engine — N worker
 //     goroutines draining per-shard batch rings, all reading an

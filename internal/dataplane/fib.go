@@ -59,8 +59,12 @@ func CodecFor(bits int) Codec {
 // FIB is the compiled forwarding state of one PR network: every lookup
 // core.Protocol performs through route.Table and rotation.System methods
 // flattened into dense arrays indexed by node, destination and dart. A
-// decision is a handful of array indexings and allocates nothing; Decide
-// is bit-identical to core.Protocol.Decide (see the differential test).
+// decision is a handful of array indexings and allocates nothing. The rank
+// (core.Quantiser) is the only discriminator unit the FIB holds, so Decide
+// is bit-identical — Header included, on every float input — to the
+// Decide of a core.Protocol built with Config.Quantise over the same
+// tables; for hop counts the rank is the hop count and that is the raw
+// protocol too (see the differential tests).
 //
 // A FIB is immutable after Compile and safe for concurrent use by any
 // number of forwarding goroutines.
@@ -72,24 +76,19 @@ type FIB struct {
 	// nextDart[node*numNodes+dst] is the shortest-path egress dart from
 	// node toward dst, -1 at the destination or when unreachable.
 	nextDart []int32
-	// dd[node*numNodes+dst] is the discriminator in the units the source
-	// protocol stamps: the exact route.Table.DD value, or its rank when
-	// the protocol was built with core.Config.Quantise — so Decide is bit
-	// for bit the protocol's Decide in either mode. +Inf for unreachable
-	// pairs. The wire path always uses ddQ.
-	dd []float64
-	// ddQ is the rank-quantised discriminator (core.Quantiser): a dense
-	// order-preserving code the wire codecs can always carry,
-	// core.RankUnreachable for unreachable pairs. Rank comparison is
-	// exactly equivalent to raw comparison, so the wire path's decisions
-	// match Decide's (and therefore core's) on every input.
+	// ddQ[node*numNodes+dst] is the discriminator, as its rank
+	// (core.Quantiser): a dense order-preserving code the wire codecs can
+	// always carry, core.RankUnreachable for unreachable pairs. §4.3 only
+	// ever compares discriminators toward the same destination, where rank
+	// comparison is exactly raw comparison, so one unit serves Decide, the
+	// header it stamps and the wire mark.
 	ddQ []uint32
 	// pages is the shared-column page store when the FIB was compiled
 	// with ColumnsShared (dense planes above are nil then): identical
 	// page-sized runs of column content interned once and shared across
-	// destinations, with uint16 ranks and the dd plane dropped when
-	// derivable. See fibpages.go. Every read goes through the
-	// ndAt/ddAt/ddqAt accessors, which keep the dense fast path inlined.
+	// destinations, with uint16 ranks. See fibpages.go. Every read goes
+	// through the ndAt/ddqAt accessors, which keep the dense fast path
+	// inlined.
 	pages *fibPages
 	// ddBits is the bit budget of the largest rank; codec is the wire
 	// encoding Compile selected from it.
@@ -175,11 +174,6 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 	tbl := p.Routes()
 	n := g.NumNodes()
 	m := g.NumLinks()
-	// quantised: the protocol itself stamps ranks into Header.DD, so the
-	// abstract dd table must hold ranks too or Decide's termination test
-	// would compare mismatched units. The protocol's own quantiser wins
-	// over the supplied one — they are identical by construction, but the
-	// protocol's is the one its walks actually stamp from.
 	tr := opts.Tracer
 	var phaseHist *telemetry.Histogram
 	if opts.Metrics != nil {
@@ -188,9 +182,11 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 	root := tr.Start("compile", opts.TraceParent)
 	root.SetAttr(telemetry.AttrNodes, int64(n))
 	defer root.End()
-	quantised := p.Quantiser() != nil
-	if quantised {
-		quant = p.Quantiser()
+	// A quantised protocol's own quantiser wins over the supplied one —
+	// they are identical by construction, but the protocol's is the one its
+	// walks actually stamp from.
+	if pq := p.Quantiser(); pq != nil {
+		quant = pq
 	} else if quant == nil {
 		sp, t0 := tr.Start("compile.quantise", root.ID()), time.Now()
 		quant = core.BuildQuantiser(tbl)
@@ -226,29 +222,25 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 	fillSpan, fillT0 := tr.Start("compile.fill", root.ID()), time.Now()
 	obs := tr.RangeObserver("compile.fill.worker", fillSpan.ID())
 	if shared {
-		// Raw dd pages are only needed when the stamp space is neither
-		// ranks nor hop counts; otherwise ddAt derives dd from the rank.
-		rawDD := !quantised && tbl.DiscriminatorKind() == route.WeightSum
 		ps := opts.PageSize
 		if ps <= 0 {
 			ps = defaultPageSize
 		}
-		f.pages = newFIBPages(n, ps, rawDD)
+		f.pages = newFIBPages(n, ps)
 		st := newPageStores()
 		par.ForObserved(n, opts.Workers, obs, func(_, lo, hi int) {
-			sc := newColScratch(n, rawDD)
+			sc := newColScratch(n)
 			for dst := lo; dst < hi; dst++ {
-				f.computeColumn(graph.NodeID(dst), tbl, sys, quant, quantised, sc)
+				f.computeColumn(graph.NodeID(dst), tbl, sys, quant, sc)
 				f.pages.setColumn(dst, n, sc, st)
 			}
 		})
 	} else {
 		f.nextDart = make([]int32, n*n)
-		f.dd = make([]float64, n*n)
 		f.ddQ = make([]uint32, n*n)
 		par.ForObserved(n, opts.Workers, obs, func(_, lo, hi int) {
 			for dst := lo; dst < hi; dst++ {
-				f.fillDest(graph.NodeID(dst), tbl, sys, quant, quantised)
+				f.fillDest(graph.NodeID(dst), tbl, sys, quant)
 			}
 		})
 	}
@@ -265,18 +257,10 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 	return f, nil
 }
 
-// fillDest (re)writes destination dst's column of the compiled tables —
-// the per-destination unit the full compile and the delta recompiler
-// share. The column is a pure function of dst's shortest-path tree and
-// rank column, which is what makes per-destination delta patching exact.
-// In shared-column mode the column is rebuilt as fresh private pages.
-func (f *FIB) fillDest(dst graph.NodeID, tbl *route.Table, sys *rotation.System, quant *core.Quantiser, quantised bool) {
-	if f.pages != nil {
-		sc := newColScratch(f.numNodes, f.pages.dd != nil)
-		f.computeColumn(dst, tbl, sys, quant, quantised, sc)
-		f.pages.adoptColumn(int(dst), f.numNodes, sc.nd, sc.ddq, sc.dd)
-		return
-	}
+// fillDest writes destination dst's column of the dense planes. The column
+// is a pure function of dst's shortest-path tree and rank column, which is
+// what makes the recompiler's per-destination patching exact.
+func (f *FIB) fillDest(dst graph.NodeID, tbl *route.Table, sys *rotation.System, quant *core.Quantiser) {
 	n := f.numNodes
 	for node := 0; node < n; node++ {
 		idx := node*n + int(dst)
@@ -286,25 +270,14 @@ func (f *FIB) fillDest(dst graph.NodeID, tbl *route.Table, sys *rotation.System,
 		} else {
 			f.nextDart[idx] = int32(sys.OutgoingDart(graph.NodeID(node), link))
 		}
-		rank := quant.Rank(graph.NodeID(node), dst)
-		f.ddQ[idx] = rank
-		if !tbl.Reachable(graph.NodeID(node), dst) {
-			f.dd[idx] = math.Inf(1)
-			continue
-		}
-		if quantised {
-			f.dd[idx] = float64(rank)
-		} else {
-			f.dd[idx] = tbl.DD(graph.NodeID(node), dst)
-		}
+		f.ddQ[idx] = quant.Rank(graph.NodeID(node), dst)
 	}
 }
 
 // computeColumn writes destination dst's column into contiguous scratch
 // buffers — the shared-column analogue of fillDest's strided writes,
-// entry for entry the same values (sc.dd is only kept when the raw
-// plane cannot be derived, i.e. non-quantised weight sums).
-func (f *FIB) computeColumn(dst graph.NodeID, tbl *route.Table, sys *rotation.System, quant *core.Quantiser, _ bool, sc *colScratch) {
+// entry for entry the same values.
+func (f *FIB) computeColumn(dst graph.NodeID, tbl *route.Table, sys *rotation.System, quant *core.Quantiser, sc *colScratch) {
 	n := f.numNodes
 	for node := 0; node < n; node++ {
 		link := tbl.NextLink(graph.NodeID(node), dst)
@@ -314,13 +287,6 @@ func (f *FIB) computeColumn(dst graph.NodeID, tbl *route.Table, sys *rotation.Sy
 			sc.nd[node] = int32(sys.OutgoingDart(graph.NodeID(node), link))
 		}
 		sc.ddq[node] = rank16(quant.Rank(graph.NodeID(node), dst))
-		if sc.dd != nil {
-			if !tbl.Reachable(graph.NodeID(node), dst) {
-				sc.dd[node] = math.Inf(1)
-			} else {
-				sc.dd[node] = tbl.DD(graph.NodeID(node), dst)
-			}
-		}
 	}
 }
 
@@ -347,13 +313,13 @@ func newFaceTable(m int) (guarded, faceNext []int32) {
 
 // cloneFor returns a copy of f sized for numLinks links for the delta
 // recompiler to patch, copying only the planes that can change. The
-// next-hop table is always deep-copied; the discriminator planes are
-// shared when shareDD is set (no destination re-ranked, so dd and ddQ
-// are bit-identical by construction); the dart tables are freshly
-// allocated when structural is set — any edit that touched the link set
-// invalidates the dart space, even when the count happens to match —
-// and shared otherwise. The original stays immutable, which is what
-// lets an Engine keep forwarding on it while the copy is being patched.
+// next-hop table is always deep-copied; the rank plane is shared when
+// shareDD is set (no destination re-ranked, so it is bit-identical by
+// construction); the dart tables are freshly allocated when structural is
+// set — any edit that touched the link set invalidates the dart space,
+// even when the count happens to match — and shared otherwise. The
+// original stays immutable, which is what lets an Engine keep forwarding
+// on it while the copy is being patched.
 func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
 	c := &FIB{
 		variant:  f.variant,
@@ -370,9 +336,8 @@ func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
 	} else {
 		c.nextDart = append([]int32(nil), f.nextDart...)
 		if shareDD {
-			c.dd, c.ddQ = f.dd, f.ddQ
+			c.ddQ = f.ddQ
 		} else {
-			c.dd = append([]float64(nil), f.dd...)
 			c.ddQ = append([]uint32(nil), f.ddQ...)
 		}
 	}
@@ -386,10 +351,10 @@ func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
 	return c
 }
 
-// ndAt, ddAt and ddqAt are the only reads of the column planes. Both
-// layouts are inlined at every call site (-gcflags=-m shows the
-// fibPages methods inlined too), so a decision pays one nil test to
-// pick dense indexing or the shared-column page walk. ColumnsAuto pages
+// ndAt and ddqAt are the only reads of the column planes. Both layouts
+// are inlined at every call site (-gcflags=-m shows the fibPages methods
+// inlined too), so a decision pays one nil test to pick dense indexing
+// or the shared-column page walk. ColumnsAuto pages
 // from sharedAutoMinNodes up, so of the gated workloads the rand:512
 // ones (fwd_clean, fwd_egress, ctl_churn) run paged and only geant
 // (fwd_recycle, fwd_wire) runs dense. Neither path allocates.
@@ -401,15 +366,6 @@ func (f *FIB) ndAt(node, dst int) int32 {
 		return f.nextDart[node*f.numNodes+dst]
 	}
 	return f.pages.ndAt(node, dst)
-}
-
-// ddAt returns the abstract discriminator for (node, dst) in the units
-// the source protocol stamps; +Inf when unreachable.
-func (f *FIB) ddAt(node, dst int) float64 {
-	if f.dd != nil {
-		return f.dd[node*f.numNodes+dst]
-	}
-	return f.pages.ddAt(node, dst)
 }
 
 // ddqAt returns the rank-quantised discriminator for (node, dst);
@@ -447,9 +403,13 @@ func (f *FIB) WireDD(node, dst graph.NodeID) (uint32, bool) {
 	return q, q != core.RankUnreachable
 }
 
-// Decide performs one forwarding decision on the compiled tables:
-// bit-identical to core.Protocol.Decide with the same arguments (st
-// standing in for the failure set), with zero allocations.
+// Decide performs one forwarding decision on the compiled tables, with
+// zero allocations: bit-identical to the Decide of the Config.Quantise
+// protocol over the same tables with the same arguments (st standing in
+// for the failure set). Header.DD is a rank: stamped as one at detection,
+// compared as one in the termination test, otherwise passed through
+// untouched. It is the one slow half of the rule; the wire path calls it
+// too, on every frame that misses commonEgress.
 func (f *FIB) Decide(node, dst graph.NodeID, ingress rotation.DartID, hdr core.Header, st *LinkState) core.Decision {
 	if hdr.PR {
 		if ingress < 0 || int(ingress) >= len(f.faceNext) {
@@ -467,7 +427,7 @@ func (f *FIB) Decide(node, dst graph.NodeID, ingress rotation.DartID, hdr core.H
 			return core.Decision{Egress: rotation.DartID(eg), Event: core.EventCycle, Header: hdr, OK: true}
 		}
 		// Failure while cycle following: termination test.
-		if f.variant == core.Basic || f.ddAt(int(node), int(dst)) < hdr.DD {
+		if f.variant == core.Basic || rankDD(f.ddqAt(int(node), int(dst))) < hdr.DD {
 			hdr.PR = false
 			d := f.decideSP(node, dst, hdr, st, true)
 			if !d.OK {
@@ -498,10 +458,10 @@ func (f *FIB) decideSP(node, dst graph.NodeID, hdr core.Header, st *LinkState, r
 		return core.Decision{Egress: rotation.DartID(nd), Event: ev, Header: hdr, OK: true}
 	}
 	// Failure detected on the shortest-path egress: set the PR bit, stamp
-	// the discriminator, take the complementary cycle.
+	// this router's rank, take the complementary cycle.
 	hdr.PR = true
 	if f.variant == core.Full {
-		hdr.DD = f.ddAt(int(node), int(dst))
+		hdr.DD = rankDD(f.ddqAt(int(node), int(dst)))
 	}
 	if eg, ok := f.firstUp(nd, st); ok {
 		return core.Decision{Egress: rotation.DartID(eg), Event: core.EventDetect, Header: hdr, OK: true}
@@ -509,57 +469,15 @@ func (f *FIB) decideSP(node, dst graph.NodeID, hdr core.Header, st *LinkState, r
 	return core.Decision{Egress: rotation.NoDart, Header: hdr}
 }
 
-// decideWire is Decide in rank space: the same forwarding rule with the
-// packet's discriminator read and stamped as the quantised code the wire
-// codecs carry. Because rank comparison is exactly equivalent to raw
-// comparison per destination (core.Quantiser), decideWire chooses the same
-// egress dart and event as Decide on every input — proven by the
-// wire-vs-walk differential tests.
-func (f *FIB) decideWire(node, dst graph.NodeID, ingress rotation.DartID, pr bool, dd uint32, st *LinkState) (egress rotation.DartID, event core.Event, prOut bool, ddOut uint32, ok bool) {
-	if pr {
-		if ingress < 0 || int(ingress) >= len(f.faceNext) {
-			return rotation.NoDart, 0, pr, dd, false
-		}
-		eg := f.faceNext[ingress]
-		if !st.Down(graph.LinkID(eg >> 1)) {
-			return rotation.DartID(eg), core.EventCycle, pr, dd, true
-		}
-		if f.variant == core.Basic || f.ddqAt(int(node), int(dst)) < dd {
-			eg, ev, prOut, ddOut, ok := f.decideWireSP(node, dst, false, dd, st, true)
-			if !ok {
-				return rotation.NoDart, 0, pr, dd, false
-			}
-			return eg, ev, prOut, ddOut, true
-		}
-		if cand, up := f.firstUp(eg, st); up {
-			return rotation.DartID(cand), core.EventContinue, pr, dd, true
-		}
-		return rotation.NoDart, 0, pr, dd, false
+// rankDD is a rank as Header.DD carries it, the conversion core's
+// quantised protocol makes: float64 holds every uint32 exactly, and
+// RankUnreachable is +Inf, so that no forged header — however large — reads
+// as farther than a node that cannot reach the destination at all.
+func rankDD(r uint32) float64 {
+	if r == core.RankUnreachable {
+		return math.Inf(1)
 	}
-	return f.decideWireSP(node, dst, pr, dd, st, false)
-}
-
-// decideWireSP is decideSP in rank space.
-func (f *FIB) decideWireSP(node, dst graph.NodeID, pr bool, dd uint32, st *LinkState, resumed bool) (rotation.DartID, core.Event, bool, uint32, bool) {
-	nd := f.ndAt(int(node), int(dst))
-	if nd < 0 {
-		return rotation.NoDart, 0, pr, dd, false
-	}
-	if !st.Down(graph.LinkID(nd >> 1)) {
-		ev := core.EventRoute
-		if resumed {
-			ev = core.EventResume
-		}
-		return rotation.DartID(nd), ev, pr, dd, true
-	}
-	pr = true
-	if f.variant == core.Full {
-		dd = f.ddqAt(int(node), int(dst))
-	}
-	if eg, ok := f.firstUp(nd, st); ok {
-		return rotation.DartID(eg), core.EventDetect, pr, dd, true
-	}
-	return rotation.NoDart, 0, pr, dd, false
+	return float64(r)
 }
 
 // commonEgress is the egress of the two common cases, picked as data:

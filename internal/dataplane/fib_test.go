@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -29,26 +30,52 @@ func buildProtocol(t testing.TB, g *graph.Graph, sys *rotation.System, disc rout
 	return p
 }
 
+// references returns the protocols a FIB compiled from p is held to. twin
+// is the Config.Quantise protocol over p's graph, embedding and tables (p
+// itself when it is one): the contract, Header included, on every input;
+// core's invariant_test.go proves it step-identical to the raw protocol.
+// raw is that raw protocol, non-nil for hop counts only: there the rank is
+// the hop count, so the FIB must equal it too.
+func references(t testing.TB, p *core.Protocol) (twin, raw *core.Protocol) {
+	t.Helper()
+	as := func(quantise bool) *core.Protocol {
+		if quantise == (p.Quantiser() != nil) {
+			return p
+		}
+		q, err := core.New(p.Graph(), p.System(), p.Routes(), core.Config{Variant: p.Variant(), Quantise: quantise})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	twin = as(true)
+	if p.Routes().DiscriminatorKind() == route.HopCount {
+		raw = as(false)
+	}
+	return twin, raw
+}
+
 // ddProbes returns the header DD values worth testing toward dst: every
-// discriminator value any node holds (the only values real operation can
-// stamp), plus off-by-half probes to hit both sides of the strict
-// comparison, plus zero.
-func ddProbes(tbl *route.Table, g *graph.Graph, dst graph.NodeID) []float64 {
+// rank any node holds (the only values real operation can stamp), plus
+// off-by-half probes to hit both sides of the strict comparison, plus zero,
+// plus three values only a forged header carries — below every rank, and at
+// and above the float a narrowed RankUnreachable would read as.
+func ddProbes(q *core.Quantiser, g *graph.Graph, dst graph.NodeID) []float64 {
 	seen := map[float64]bool{0: true}
 	out := []float64{0}
 	for n := 0; n < g.NumNodes(); n++ {
-		if !tbl.Reachable(graph.NodeID(n), dst) {
+		rank := q.Rank(graph.NodeID(n), dst)
+		if rank == core.RankUnreachable {
 			continue
 		}
-		dd := tbl.DD(graph.NodeID(n), dst)
-		for _, v := range []float64{dd, dd + 0.5} {
+		for _, v := range []float64{float64(rank), float64(rank) + 0.5} {
 			if !seen[v] {
 				seen[v] = true
 				out = append(out, v)
 			}
 		}
 	}
-	return out
+	return append(out, -1, 1<<32, math.Inf(1))
 }
 
 // checkBatches holds the batch entry points to Decide: probes, packed into
@@ -111,10 +138,10 @@ func checkBatches(t *testing.T, fib *dataplane.FIB, st *dataplane.LinkState, pro
 	}
 }
 
-// diffProtocol exhaustively compares FIB.Decide against
-// core.Protocol.Decide over every node, destination, ingress dart and
-// plausible header, under each failure set. Decisions must be
-// bit-identical: same egress dart, same event, same output header. Each
+// diffProtocol exhaustively compares FIB.Decide against the Decide of
+// p's references over every node, destination, ingress dart and header
+// probe, under each failure set. Decisions must be bit-identical: same
+// egress dart, same event, same output header, not-OK exits included. Each
 // failure set's probes then go through the batch entry points as well
 // (checkBatches).
 func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) {
@@ -126,6 +153,16 @@ func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) 
 	g := p.Graph()
 	sys := p.System()
 	tbl := p.Routes()
+	twin, raw := references(t, p)
+	reference := func(node, dst graph.NodeID, in rotation.DartID, hdr core.Header, fs *graph.FailureSet) core.Decision {
+		want := twin.Decide(node, dst, in, hdr, fs)
+		if raw != nil {
+			if d := raw.Decide(node, dst, in, hdr, fs); d != want {
+				t.Fatalf("%v: Decide(%d→%d, in=%d, hdr=%+v): raw protocol %+v, quantised twin %+v", fs, node, dst, in, hdr, d, want)
+			}
+		}
+		return want
+	}
 	checked := 0
 	var probes []dataplane.Packet
 	for fi, fs := range failsets {
@@ -135,7 +172,7 @@ func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) 
 			for dst := 0; dst < g.NumNodes(); dst++ {
 				nid, did := graph.NodeID(node), graph.NodeID(dst)
 				// PR-clear decisions; ingress is irrelevant to the rule.
-				want := p.Decide(nid, did, rotation.NoDart, core.Header{}, fs)
+				want := reference(nid, did, rotation.NoDart, core.Header{}, fs)
 				got := fib.Decide(nid, did, rotation.NoDart, core.Header{}, st)
 				if got != want {
 					t.Fatalf("failset %d %v: Decide(%d→%d, clear) = %+v, core says %+v", fi, fs, node, dst, got, want)
@@ -143,14 +180,14 @@ func diffProtocol(t *testing.T, p *core.Protocol, failsets []*graph.FailureSet) 
 				probes = append(probes, dataplane.Packet{Node: nid, Dst: did, Ingress: rotation.NoDart})
 				checked++
 				if !tbl.Reachable(nid, did) {
-					continue // core's DD panics on unreachable pairs
+					continue // the raw protocol's DD panics on unreachable pairs
 				}
 				// PR-set decisions from every ingress interface.
 				for _, nb := range g.Neighbors(nid) {
 					in := rotation.ReverseID(sys.OutgoingDart(nid, nb.Link))
-					for _, dd := range ddProbes(tbl, g, did) {
+					for _, dd := range ddProbes(twin.Quantiser(), g, did) {
 						hdr := core.Header{PR: true, DD: dd}
-						want := p.Decide(nid, did, in, hdr, fs)
+						want := reference(nid, did, in, hdr, fs)
 						got := fib.Decide(nid, did, in, hdr, st)
 						if got != want {
 							t.Fatalf("failset %d %v: Decide(%d→%d, in=%d, dd=%v) = %+v, core says %+v",
@@ -193,7 +230,7 @@ func multiFailsets(t testing.TB, g *graph.Graph, ks []int, perK int, seed int64)
 	return out
 }
 
-// TestCompiledMatchesBuiltins proves FIB ≡ core.Protocol.Decide on all
+// TestCompiledMatchesBuiltins proves FIB ≡ its references' Decide on all
 // built-in topologies, both variants, both discriminators, under single
 // and multi-failure scenarios.
 func TestCompiledMatchesBuiltins(t *testing.T) {
@@ -245,11 +282,15 @@ func TestCompiledMatchesRandomGraphs(t *testing.T) {
 	}
 }
 
-// FuzzCompiledDecide cross-checks single decisions against core on fuzzed
+// FuzzCompiledDecide cross-checks single decisions against core — the
+// quantised twin, and the raw protocol it equals on hop counts — on fuzzed
 // (graph, failure set, packet state) coordinates.
 func FuzzCompiledDecide(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint8(2), uint8(4), uint8(0), false, float64(2))
 	f.Add(int64(9), uint8(0), uint8(7), uint8(1), uint8(3), true, float64(3.5))
+	f.Add(int64(9), uint8(0), uint8(7), uint8(1), uint8(3), true, float64(-1))
+	f.Add(int64(5), uint8(2), uint8(6), uint8(0), uint8(1), true, float64(1<<32))
+	f.Add(int64(5), uint8(2), uint8(6), uint8(0), uint8(1), true, math.Inf(1))
 	f.Fuzz(func(t *testing.T, seed int64, nodeSel, dstSel, inSel, failSel uint8, pr bool, dd float64) {
 		if seed < 0 {
 			seed = -seed
@@ -275,15 +316,20 @@ func FuzzCompiledDecide(f *testing.F) {
 		st := dataplane.FromFailureSet(g.NumLinks(), fs)
 		ingress := rotation.NoDart
 		if pr {
-			if dd != dd || dd < 0 || dd > 1e6 {
-				dd = 1 // clamp NaN/absurd discriminators the wire could never carry
+			if dd != dd {
+				dd = 1 // NaN is unequal to itself, so no Decision carrying it compares
 			}
 			nbrs := g.Neighbors(node)
 			nb := nbrs[int(inSel)%len(nbrs)]
 			ingress = rotation.ReverseID(sys.OutgoingDart(node, nb.Link))
 		}
 		hdr := core.Header{PR: pr, DD: dd}
-		want := p.Decide(node, dst, ingress, hdr, fs)
+		twin, raw := references(t, p)
+		want := twin.Decide(node, dst, ingress, hdr, fs)
+		if d := raw.Decide(node, dst, ingress, hdr, fs); d != want {
+			t.Fatalf("Decide(%d→%d, in=%d, hdr=%+v, fails=%v): raw protocol %+v, quantised twin %+v",
+				node, dst, ingress, hdr, fs, d, want)
+		}
 		got := fib.Decide(node, dst, ingress, hdr, st)
 		if got != want {
 			t.Fatalf("Decide(%d→%d, in=%d, hdr=%+v, fails=%v) = %+v, core says %+v",
@@ -327,7 +373,8 @@ var decisionSink core.Decision
 // compiler's limit (ssa.CanSSA: 4 words, 4 fields, each field likewise)
 // for keeping a struct in registers, and a Decision past it is built in
 // memory on every Decide return — 10 ns a decision instead of 3. The tree
-// planes' 16 bytes a node are pinned by graph's TestBuilderAllocs.
+// planes' 16 bytes a node are pinned by graph's TestBuilderAllocs; the
+// last row pins a dense FIB entry.
 func TestStateSizes(t *testing.T) {
 	if got := unsafe.Sizeof(dataplane.Packet{}); got != 40 {
 		t.Errorf("Packet is %d bytes; want 40", got)
@@ -353,6 +400,23 @@ func TestStateSizes(t *testing.T) {
 	if d := reflect.TypeOf(core.Decision{}); !canSSA(d) {
 		t.Errorf("core.Decision is %d bytes in %d fields; the compiler keeps it in registers only up to 32 bytes and 4 fields",
 			d.Size(), d.NumField())
+	}
+	// A dense FIB entry is a dart and a rank, 8 bytes per (node, dst): the
+	// rank is the only discriminator stored. The rest of MemBytes is the
+	// dart tables: faceGuard (2m+1), sigma and head (2m each), 4 bytes an
+	// entry.
+	tp := topo.Geant(topo.DistanceWeights)
+	sys, err := (embedding.Auto{Seed: 1}).Embed(tp.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib, err := dataplane.Compile(buildProtocol(t, tp.Graph, sys, route.HopCount, core.Full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := int64(tp.Graph.NumNodes()), int64(tp.Graph.NumLinks())
+	if got := fib.MemBytes() - (6*m+1)*4; fib.SharedColumns() || got != n*n*8 {
+		t.Errorf("geant FIB (shared=%v) holds %d bytes of columns; want %d, 8 per entry", fib.SharedColumns(), got, n*n*8)
 	}
 }
 

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"math"
 	"slices"
 	"sync"
 
@@ -25,13 +24,9 @@ import (
 // actually writes into it, so a patched FIB shares every untouched page
 // with the generation the engine is still forwarding on.
 //
-// Two further compressions, both exact:
-//   - ranks are stored as uint16 (ranks are < numNodes, and shared
-//     columns are only used below 2^16 nodes), halving the ddq plane;
-//   - the raw dd plane is dropped entirely whenever it is derivable from
-//     the ranks — quantised protocols stamp ranks into Header.DD, and a
-//     hop-count discriminator's rank *is* its hop count — leaving only
-//     non-quantised weight-sum FIBs paying for float64 pages.
+// One further compression, exact: ranks are stored as uint16 (ranks are
+// < numNodes, and shared columns are only used below 2^16 nodes), halving
+// the ddq plane.
 type fibPages struct {
 	pageBits uint // log2 of the page size in rows
 	pageMask int  // page size − 1
@@ -41,7 +36,6 @@ type fibPages struct {
 	// interned slab segments or private copy-on-write pages.
 	nd  [][]int32
 	ddq [][]uint16
-	dd  [][]float64 // nil when dd is derivable from ddq (see ddAt)
 }
 
 // rank16Unreachable is core.RankUnreachable narrowed to the uint16 rank
@@ -66,27 +60,23 @@ func rank16(r uint32) uint16 {
 	return uint16(r)
 }
 
-func newFIBPages(numNodes, pageSize int, rawDD bool) *fibPages {
+func newFIBPages(numNodes, pageSize int) *fibPages {
 	bits := uint(0)
 	for 1<<(bits+1) <= pageSize {
 		bits++
 	}
 	size := 1 << bits
 	perCol := (numNodes + size - 1) / size
-	pg := &fibPages{
+	return &fibPages{
 		pageBits: bits,
 		pageMask: size - 1,
 		perCol:   perCol,
 		nd:       make([][]int32, numNodes*perCol),
 		ddq:      make([][]uint16, numNodes*perCol),
 	}
-	if rawDD {
-		pg.dd = make([][]float64, numNodes*perCol)
-	}
-	return pg
 }
 
-// ndAt/ddqAt/ddAt are the paged halves of the FIB accessors.
+// ndAt/ddqAt are the paged halves of the FIB accessors.
 
 func (p *fibPages) ndAt(node, dst int) int32 {
 	return p.nd[dst*p.perCol+node>>p.pageBits][node&p.pageMask]
@@ -100,19 +90,6 @@ func (p *fibPages) ddqAt(node, dst int) uint32 {
 	return uint32(q)
 }
 
-func (p *fibPages) ddAt(node, dst int) float64 {
-	if p.dd != nil {
-		return p.dd[dst*p.perCol+node>>p.pageBits][node&p.pageMask]
-	}
-	// Derived: in both modes that drop the plane (quantised stamps, hop
-	// count) the abstract discriminator is exactly float64(rank).
-	q := p.ddq[dst*p.perCol+node>>p.pageBits][node&p.pageMask]
-	if q == rank16Unreachable {
-		return math.Inf(1)
-	}
-	return float64(q)
-}
-
 // pageSpan returns the row range [lo, hi) page pi of a column covers.
 func (p *fibPages) pageSpan(pi, numNodes int) (lo, hi int) {
 	lo = pi << p.pageBits
@@ -124,18 +101,15 @@ func (p *fibPages) pageSpan(pi, numNodes int) (lo, hi int) {
 }
 
 // clone copies the pointer tables (the CoW unit). shareDD additionally
-// aliases the discriminator tables themselves — no destination will be
-// re-ranked, so not even their table entries can change.
+// aliases the rank table itself — no destination will be re-ranked, so
+// not even its entries can change.
 func (p *fibPages) clone(shareDD bool) *fibPages {
 	c := &fibPages{pageBits: p.pageBits, pageMask: p.pageMask, perCol: p.perCol}
 	c.nd = append([][]int32(nil), p.nd...)
 	if shareDD {
-		c.ddq, c.dd = p.ddq, p.dd
+		c.ddq = p.ddq
 	} else {
 		c.ddq = append([][]uint16(nil), p.ddq...)
-		if p.dd != nil {
-			c.dd = append([][]float64(nil), p.dd...)
-		}
 	}
 	return c
 }
@@ -143,7 +117,7 @@ func (p *fibPages) clone(shareDD bool) *fibPages {
 // pageStore interns pages of one plane type: content-hash to candidate
 // list, full compare to rule out collisions, copy into the shared slab on
 // first sight. Safe for concurrent intern calls from compile workers.
-type pageStore[T int32 | uint16 | float64] struct {
+type pageStore[T int32 | uint16] struct {
 	mu   sync.Mutex
 	hash func([]T) uint64
 	m    map[uint64][][]T
@@ -153,7 +127,7 @@ type pageStore[T int32 | uint16 | float64] struct {
 // slabChunk is the slab growth quantum in elements.
 const slabChunk = 1 << 16
 
-func newPageStore[T int32 | uint16 | float64](hash func([]T) uint64) *pageStore[T] {
+func newPageStore[T int32 | uint16](hash func([]T) uint64) *pageStore[T] {
 	return &pageStore[T]{hash: hash, m: make(map[uint64][][]T)}
 }
 
@@ -200,27 +174,16 @@ func hashUint16s(p []uint16) uint64 {
 	return h
 }
 
-func hashFloat64s(p []float64) uint64 {
-	h := uint64(1469598103934665603)
-	for _, v := range p {
-		h ^= math.Float64bits(v)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// pageStores bundles the three per-plane interners of one compile.
+// pageStores bundles the two per-plane interners of one compile.
 type pageStores struct {
 	nd  *pageStore[int32]
 	ddq *pageStore[uint16]
-	dd  *pageStore[float64]
 }
 
 func newPageStores() *pageStores {
 	return &pageStores{
 		nd:  newPageStore(hashInt32s),
 		ddq: newPageStore(hashUint16s),
-		dd:  newPageStore(hashFloat64s),
 	}
 }
 
@@ -228,18 +191,13 @@ func newPageStores() *pageStores {
 type colScratch struct {
 	nd  []int32
 	ddq []uint16
-	dd  []float64 // nil unless the FIB keeps a raw dd plane
 }
 
-func newColScratch(numNodes int, rawDD bool) *colScratch {
-	sc := &colScratch{
+func newColScratch(numNodes int) *colScratch {
+	return &colScratch{
 		nd:  make([]int32, numNodes),
 		ddq: make([]uint16, numNodes),
 	}
-	if rawDD {
-		sc.dd = make([]float64, numNodes)
-	}
-	return sc
 }
 
 // setColumn interns a computed column's pages into the stores and points
@@ -250,28 +208,16 @@ func (p *fibPages) setColumn(dst, numNodes int, sc *colScratch, st *pageStores) 
 		slot := dst*p.perCol + pi
 		p.nd[slot] = st.nd.intern(sc.nd[lo:hi])
 		p.ddq[slot] = st.ddq.intern(sc.ddq[lo:hi])
-		if p.dd != nil {
-			p.dd[slot] = st.dd.intern(sc.dd[lo:hi])
-		}
 	}
 }
 
-// adoptColumn points the dst column at pages sliced straight out of
-// freshly allocated buffers — the recompiler's private-column fill: no
-// interning (a patched column rarely repeats) and no copying.
-func (p *fibPages) adoptColumn(dst, numNodes int, nd []int32, ddq []uint16, dd []float64) {
+// adoptRanks points the dst column's rank pages at pages sliced straight
+// out of a freshly allocated buffer — the recompiler's private-column
+// fill: no interning (a patched column rarely repeats) and no copying.
+func (p *fibPages) adoptRanks(dst, numNodes int, ddq []uint16) {
 	for pi := 0; pi < p.perCol; pi++ {
 		lo, hi := p.pageSpan(pi, numNodes)
-		slot := dst*p.perCol + pi
-		if nd != nil {
-			p.nd[slot] = nd[lo:hi:hi]
-		}
-		if ddq != nil {
-			p.ddq[slot] = ddq[lo:hi:hi]
-		}
-		if dd != nil {
-			p.dd[slot] = dd[lo:hi:hi]
-		}
+		p.ddq[dst*p.perCol+pi] = ddq[lo:hi:hi]
 	}
 }
 
@@ -284,10 +230,10 @@ func (f *FIB) MemBytes() int64 {
 	const sliceHeader = 24
 	total := int64(len(f.faceGuard)+len(f.sigma)+len(f.head)) * 4 // faceGuard: the guard entry counts
 	if f.pages == nil {
-		return total + int64(len(f.nextDart))*4 + int64(len(f.dd))*8 + int64(len(f.ddQ))*4
+		return total + int64(len(f.nextDart))*4 + int64(len(f.ddQ))*4
 	}
 	pg := f.pages
-	total += int64(len(pg.nd)+len(pg.ddq)+len(pg.dd)) * sliceHeader
+	total += int64(len(pg.nd)+len(pg.ddq)) * sliceHeader
 	seenND := make(map[*int32]struct{}, len(pg.nd))
 	for _, p := range pg.nd {
 		if len(p) == 0 {
@@ -306,16 +252,6 @@ func (f *FIB) MemBytes() int64 {
 		if _, ok := seenQ[&p[0]]; !ok {
 			seenQ[&p[0]] = struct{}{}
 			total += int64(len(p)) * 2
-		}
-	}
-	seenDD := make(map[*float64]struct{}, len(pg.dd))
-	for _, p := range pg.dd {
-		if len(p) == 0 {
-			continue
-		}
-		if _, ok := seenDD[&p[0]]; !ok {
-			seenDD[&p[0]] = struct{}{}
-			total += int64(len(p)) * 8
 		}
 	}
 	return total

@@ -33,9 +33,8 @@ import (
 // graph, tables, FIB, protocol) is immutable and safe to hand to
 // concurrent readers, including a running Engine via ApplyDelta.
 type Recompiler struct {
-	variant   core.Variant
-	quantised bool // the source protocol stamps ranks into Header.DD
-	disc      route.Discriminator
+	variant core.Variant
+	disc    route.Discriminator
 
 	g     *graph.Graph
 	sys   *rotation.System
@@ -104,7 +103,8 @@ type Delta struct {
 	Table     *route.Table
 	Quantiser *core.Quantiser
 	FIB       *FIB
-	// Protocol is the interpreted protocol over the same state —
+	// Protocol is the interpreted protocol over the same state, built with
+	// Config.Quantise over Quantiser whatever the source protocol was —
 	// bit-identical decisions to FIB, for simulators and walks.
 	Protocol *core.Protocol
 	// LinkMap maps the pre-edit link IDs into the edited graph's
@@ -145,14 +145,13 @@ func NewRecompiler(p *core.Protocol, quant *core.Quantiser, fib *FIB) (*Recompil
 		return nil, fmt.Errorf("dataplane: FIB variant %v ≠ protocol variant %v", fib.Variant(), p.Variant())
 	}
 	return &Recompiler{
-		variant:   p.Variant(),
-		quantised: p.Quantiser() != nil,
-		disc:      p.Routes().DiscriminatorKind(),
-		g:         p.Graph(),
-		sys:       p.System(),
-		tbl:       p.Routes(),
-		quant:     quant,
-		fib:       fib,
+		variant: p.Variant(),
+		disc:    p.Routes().DiscriminatorKind(),
+		g:       p.Graph(),
+		sys:     p.System(),
+		tbl:     p.Routes(),
+		quant:   quant,
+		fib:     fib,
 	}, nil
 }
 
@@ -410,20 +409,16 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 		for i := lo; i < hi; i++ {
 			dst := dirtyList[i]
 			fib.patchNextDarts(dst, r.tbl.Tree(dst), trees[dst], sys, linkMap)
-			// An unchanged discriminator column's dd and ddQ entries are
-			// bit-identical already.
+			// An unchanged discriminator column's ranks are bit-identical
+			// already.
 			if reranked[dst] {
-				fib.fillDDColumn(dst, trees[dst], quant, r.quantised, r.disc == route.HopCount)
+				fib.fillDDColumn(dst, quant)
 			}
 		}
 	})
 	patchSpan.End()
 
-	var pq *core.Quantiser
-	if r.quantised {
-		pq = quant
-	}
-	p, err := core.NewWithQuantiser(curG, sys, tbl, core.Config{Variant: r.variant, Quantise: r.quantised}, pq)
+	p, err := core.NewWithQuantiser(curG, sys, tbl, core.Config{Variant: r.variant, Quantise: true}, quant)
 	if err != nil {
 		return nil, err
 	}
@@ -522,49 +517,22 @@ func (f *FIB) patchNextDarts(dst graph.NodeID, old, nt *graph.SPTree, sys *rotat
 	}
 }
 
-// fillDDColumn rewrites destination dst's dd/ddQ entries straight from
-// the repaired tree and the re-ranked quantiser column — the delta form
-// of fillDest's discriminator half, paired with patchNextDarts. A
-// negative hop count is the tree's unreachable marker, exactly mirroring
-// route.Table.Reachable.
-func (f *FIB) fillDDColumn(dst graph.NodeID, tree *graph.SPTree, quant *core.Quantiser, quantised, hopDisc bool) {
+// fillDDColumn rewrites destination dst's rank entries from the re-ranked
+// quantiser column — the delta form of fillDest's discriminator half,
+// paired with patchNextDarts. In shared-column mode the column becomes
+// fresh private pages.
+func (f *FIB) fillDDColumn(dst graph.NodeID, quant *core.Quantiser) {
 	n := f.numNodes
 	if pg := f.pages; pg != nil {
-		// Re-ranked column: rewrite it as fresh private pages. The raw
-		// dd pages only exist for non-quantised weight sums (every other
-		// mode derives dd from the rank), so their value is tree.Dist.
 		ddq := make([]uint16, n)
-		var dd []float64
-		if pg.dd != nil {
-			dd = make([]float64, n)
-		}
 		for node := 0; node < n; node++ {
 			ddq[node] = rank16(quant.Rank(graph.NodeID(node), dst))
-			if dd != nil {
-				if tree.Hops[node] < 0 {
-					dd[node] = math.Inf(1)
-				} else {
-					dd[node] = tree.Dist[node]
-				}
-			}
 		}
-		pg.adoptColumn(int(dst), n, nil, ddq, dd)
+		pg.adoptRanks(int(dst), n, ddq)
 		return
 	}
 	for node := 0; node < n; node++ {
-		idx := node*n + int(dst)
-		rank := quant.Rank(graph.NodeID(node), dst)
-		f.ddQ[idx] = rank
-		switch {
-		case tree.Hops[node] < 0:
-			f.dd[idx] = math.Inf(1)
-		case quantised:
-			f.dd[idx] = float64(rank)
-		case hopDisc:
-			f.dd[idx] = float64(tree.Hops[node])
-		default:
-			f.dd[idx] = tree.Dist[node]
-		}
+		f.ddQ[node*n+int(dst)] = quant.Rank(graph.NodeID(node), dst)
 	}
 }
 

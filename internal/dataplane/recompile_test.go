@@ -7,8 +7,7 @@ package dataplane
 //
 //  1. Bit-identity: the Recompiler's patched FIB equals a from-scratch
 //     CompileWith over the same edited graph, rotation system and freshly
-//     built routing tables — every array, bit for bit (dd compared as raw
-//     float bits).
+//     built routing tables — every array, bit for bit.
 //  2. §4.3 survival: after every delta, the quantiser still
 //     order-preserves the raw discriminators and recycled walks stamp
 //     strictly decreasing DD codes.
@@ -27,7 +26,7 @@ import (
 )
 
 // fibsEqual compares every compiled table bit for bit. Entries are read
-// through the ndAt/ddAt/ddqAt accessors, so the comparison is
+// through the ndAt/ddqAt accessors, so the comparison is
 // representation-independent: dense and shared-column FIBs compare equal
 // exactly when every (node, dst) entry matches.
 func fibsEqual(t *testing.T, ctx string, got, want *FIB) {
@@ -44,9 +43,6 @@ func fibsEqual(t *testing.T, ctx string, got, want *FIB) {
 		for dst := 0; dst < n; dst++ {
 			if got.ndAt(node, dst) != want.ndAt(node, dst) {
 				t.Fatalf("%s: nextDart[%d,%d] %d ≠ %d", ctx, node, dst, got.ndAt(node, dst), want.ndAt(node, dst))
-			}
-			if math.Float64bits(got.ddAt(node, dst)) != math.Float64bits(want.ddAt(node, dst)) {
-				t.Fatalf("%s: dd[%d,%d] %v ≠ %v", ctx, node, dst, got.ddAt(node, dst), want.ddAt(node, dst))
 			}
 			if got.ddqAt(node, dst) != want.ddqAt(node, dst) {
 				t.Fatalf("%s: ddQ[%d,%d] %d ≠ %d", ctx, node, dst, got.ddqAt(node, dst), want.ddqAt(node, dst))
@@ -120,12 +116,13 @@ func randomEdit(g *graph.Graph, rng *rand.Rand) (graph.Edit, bool) {
 }
 
 // fullRecompile is the oracle: fresh routing tables over the delta's
-// graph, a fresh protocol over the delta's rotation system, a fresh
-// quantiser, a from-scratch CompileWith.
-func fullRecompile(t *testing.T, d *Delta, disc route.Discriminator, variant core.Variant, quantised bool) (*FIB, *route.Table) {
+// graph, a fresh Config.Quantise protocol (the one a FIB is held to) over
+// the delta's rotation system, its fresh quantiser, a from-scratch
+// CompileWith.
+func fullRecompile(t *testing.T, d *Delta, disc route.Discriminator, variant core.Variant) (*FIB, *route.Table) {
 	t.Helper()
 	tbl := route.Build(d.Graph, disc)
-	p, err := core.New(d.Graph, d.System, tbl, core.Config{Variant: variant, Quantise: quantised})
+	p, err := core.New(d.Graph, d.System, tbl, core.Config{Variant: variant, Quantise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,9 +135,9 @@ func fullRecompile(t *testing.T, d *Delta, disc route.Discriminator, variant cor
 
 // assertDeltaEqualsScratch holds a delta against the oracle: the FIB and
 // every routing tree bit for bit, and the quantiser's order invariant.
-func assertDeltaEqualsScratch(t *testing.T, ctx string, d *Delta, disc route.Discriminator, quantised bool) {
+func assertDeltaEqualsScratch(t *testing.T, ctx string, d *Delta, disc route.Discriminator) {
 	t.Helper()
-	wantFIB, wantTbl := fullRecompile(t, d, disc, core.Full, quantised)
+	wantFIB, wantTbl := fullRecompile(t, d, disc, core.Full)
 	fibsEqual(t, ctx, d.FIB, wantFIB)
 	for dst := 0; dst < d.Graph.NumNodes(); dst++ {
 		got, want := d.Table.Tree(graph.NodeID(dst)), wantTbl.Tree(graph.NodeID(dst))
@@ -154,6 +151,9 @@ func assertDeltaEqualsScratch(t *testing.T, ctx string, d *Delta, disc route.Dis
 	}
 	if !d.Quantiser.VerifyOrderPreserved(d.Table) {
 		t.Fatalf("%s: delta quantiser order violated", ctx)
+	}
+	if d.Protocol.Quantiser() != d.Quantiser {
+		t.Fatalf("%s: delta protocol does not stamp the delta quantiser's ranks", ctx)
 	}
 }
 
@@ -176,9 +176,8 @@ func TestRecompilerDifferential(t *testing.T) {
 		if seed%2 == 0 {
 			disc = route.WeightSum
 		}
-		quantised := seed%3 == 0
 		tbl := route.Build(g, disc)
-		p, err := core.New(g, sys, tbl, core.Config{Variant: core.Full, Quantise: quantised})
+		p, err := core.New(g, sys, tbl, core.Config{Variant: core.Full})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +239,7 @@ func TestRecompilerDifferential(t *testing.T) {
 				structurals++
 			}
 			ctx := testCtx(seed, step, edits)
-			assertDeltaEqualsScratch(t, ctx, d, disc, quantised)
+			assertDeltaEqualsScratch(t, ctx, d, disc)
 			assertStrictDecrease(t, ctx, d, rng)
 		}
 	}
@@ -350,8 +349,7 @@ func TestStructuralReachabilityEdits(t *testing.T) {
 	for ci, c := range cases {
 		for _, workers := range []int{1, 3} {
 			disc := []route.Discriminator{route.HopCount, route.WeightSum}[ci%2]
-			quantised := ci%3 == 0
-			p, err := core.New(c.g, rotation.AdjacencyOrder(c.g), route.Build(c.g, disc), core.Config{Variant: core.Full, Quantise: quantised})
+			p, err := core.New(c.g, rotation.AdjacencyOrder(c.g), route.Build(c.g, disc), core.Config{Variant: core.Full})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,7 +375,7 @@ func TestStructuralReachabilityEdits(t *testing.T) {
 						moved++
 					}
 				}
-				assertDeltaEqualsScratch(t, ctx, d, disc, quantised)
+				assertDeltaEqualsScratch(t, ctx, d, disc)
 				snap := reg.Snapshot()
 				if got := snap.Counter(MetricRecompileFullDests); got != wantFull {
 					t.Fatalf("%s: %s = %d after %d destinations' reachable sets changed (%d in this step)",

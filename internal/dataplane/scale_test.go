@@ -25,10 +25,10 @@ import (
 )
 
 // scaleProtocol builds the compile input for one differential case.
-func scaleProtocol(t *testing.T, g *graph.Graph, sys *rotation.System, disc route.Discriminator, quantised bool) *core.Protocol {
+func scaleProtocol(t *testing.T, g *graph.Graph, sys *rotation.System, disc route.Discriminator) *core.Protocol {
 	t.Helper()
 	tbl := route.Build(g, disc)
-	p, err := core.New(g, sys, tbl, core.Config{Variant: core.Full, Quantise: quantised})
+	p, err := core.New(g, sys, tbl, core.Config{Variant: core.Full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,10 @@ func scaleProtocol(t *testing.T, g *graph.Graph, sys *rotation.System, disc rout
 // flow-label codec.
 func TestParallelCompileDifferential(t *testing.T) {
 	type tcase struct {
-		name      string
-		g         *graph.Graph
-		sys       *rotation.System
-		disc      route.Discriminator
-		quantised bool
+		name string
+		g    *graph.Graph
+		sys  *rotation.System
+		disc route.Discriminator
 	}
 	var cases []tcase
 	for seed := int64(1); seed <= 100; seed++ {
@@ -63,24 +62,17 @@ func TestParallelCompileDifferential(t *testing.T) {
 			disc = route.WeightSum
 		}
 		cases = append(cases, tcase{
-			name: testCtx(seed, 0, nil), g: g, sys: rotation.Random(g, seed*13),
-			disc: disc, quantised: seed%3 == 0,
+			name: testCtx(seed, 0, nil), g: g, sys: rotation.Random(g, seed*13), disc: disc,
 		})
 	}
 	// Large-diameter families push the quantiser past 3 bits, so the
-	// flow-label codec's wire planes are covered too; both quantised
-	// and raw-discriminator compiles.
+	// flow-label codec's ranks are covered too.
 	for _, spec := range []string{"chain:8", "wring:24@3"} {
 		tp, err := topo.Generated(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range []bool{false, true} {
-			cases = append(cases, tcase{
-				name: spec, g: tp.Graph, sys: tp.Embedding,
-				disc: route.WeightSum, quantised: q,
-			})
-		}
+		cases = append(cases, tcase{name: spec, g: tp.Graph, sys: tp.Embedding, disc: route.WeightSum})
 	}
 	variants := []CompileOptions{
 		{Workers: 4, Columns: ColumnsDense},
@@ -89,7 +81,7 @@ func TestParallelCompileDifferential(t *testing.T) {
 		{Workers: 3, Columns: ColumnsShared},
 	}
 	for _, tc := range cases {
-		p := scaleProtocol(t, tc.g, tc.sys, tc.disc, tc.quantised)
+		p := scaleProtocol(t, tc.g, tc.sys, tc.disc)
 		oracle, err := CompileWithOptions(p, nil, CompileOptions{Workers: 1, Columns: ColumnsDense})
 		if err != nil {
 			t.Fatal(err)
@@ -116,7 +108,7 @@ func TestParallelCompileDifferential(t *testing.T) {
 // untouched.
 func TestApplyEmptyNoOp(t *testing.T) {
 	g := graph.RandomTwoConnected(8, 12, 5)
-	p := scaleProtocol(t, g, rotation.Random(g, 7), route.HopCount, false)
+	p := scaleProtocol(t, g, rotation.Random(g, 7), route.HopCount)
 	rec, err := NewRecompiler(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +133,7 @@ func TestApplyEmptyNoOp(t *testing.T) {
 func TestCoalescePinned(t *testing.T) {
 	build := func(t *testing.T, disc route.Discriminator) *Recompiler {
 		g := graph.RandomTwoConnected(8, 13, 11)
-		p := scaleProtocol(t, g, rotation.Random(g, 3), disc, false)
+		p := scaleProtocol(t, g, rotation.Random(g, 3), disc)
 		rec, err := NewRecompiler(p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +207,7 @@ func TestCoalescePinned(t *testing.T) {
 		}
 		fibsEqual(t, "lww vs single", d.FIB, dB.FIB)
 		// …and as compiling the final graph from scratch.
-		want, _ := fullRecompile(t, d, route.WeightSum, core.Full, false)
+		want, _ := fullRecompile(t, d, route.WeightSum, core.Full)
 		fibsEqual(t, "lww vs scratch", d.FIB, want)
 	})
 
@@ -229,7 +221,7 @@ func TestCoalescePinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		mk := func(t *testing.T) *Recompiler {
-			p := scaleProtocol(t, tp.Graph, tp.Embedding, route.WeightSum, false)
+			p := scaleProtocol(t, tp.Graph, tp.Embedding, route.WeightSum)
 			rec, err := NewRecompiler(p, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -255,7 +247,7 @@ func TestCoalescePinned(t *testing.T) {
 			t.Fatal("expected deltas")
 		}
 		fibsEqual(t, "tie-break flip", dA.FIB, dB.FIB)
-		want, _ := fullRecompile(t, dA, route.WeightSum, core.Full, false)
+		want, _ := fullRecompile(t, dA, route.WeightSum, core.Full)
 		fibsEqual(t, "tie-break flip vs scratch", dA.FIB, want)
 	})
 
@@ -286,7 +278,7 @@ func TestCoalescePinned(t *testing.T) {
 		if got := rec.stats.coalescedEdits; got != 0 {
 			t.Fatalf("CoalescedEdits = %d, want 0 (replayed)", got)
 		}
-		want, _ := fullRecompile(t, d, route.HopCount, core.Full, false)
+		want, _ := fullRecompile(t, d, route.HopCount, core.Full)
 		fibsEqual(t, "remove+re-add", d.FIB, want)
 	})
 
@@ -335,9 +327,8 @@ func TestCoalescedDifferential(t *testing.T) {
 		if seed%2 == 0 {
 			disc = route.WeightSum
 		}
-		quantised := seed%3 == 1
 		mk := func() *Recompiler {
-			p := scaleProtocol(t, g, sys, disc, quantised)
+			p := scaleProtocol(t, g, sys, disc)
 			rec, err := NewRecompiler(p, nil, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -386,7 +377,7 @@ func TestCoalescedDifferential(t *testing.T) {
 				continue
 			}
 			fibsEqual(t, ctx, dA.FIB, dB.FIB)
-			want, _ := fullRecompile(t, dA, disc, core.Full, quantised)
+			want, _ := fullRecompile(t, dA, disc, core.Full)
 			fibsEqual(t, ctx+" vs scratch", dA.FIB, want)
 		}
 		coalesced += recA.stats.coalescedEdits
@@ -413,7 +404,7 @@ func TestSharedColumnsChainedDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(cols ColumnMode) *Recompiler {
-		p := scaleProtocol(t, g, sys, route.WeightSum, true)
+		p := scaleProtocol(t, g, sys, route.WeightSum)
 		fib, err := CompileWithOptions(p, nil, CompileOptions{Columns: cols, PageSize: 16})
 		if err != nil {
 			t.Fatal(err)
@@ -521,7 +512,7 @@ func TestSharedColumnsMemBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := scaleProtocol(t, tp.Graph, sys, route.HopCount, true)
+	p := scaleProtocol(t, tp.Graph, sys, route.HopCount)
 	dense, err := CompileWithOptions(p, nil, CompileOptions{Columns: ColumnsDense})
 	if err != nil {
 		t.Fatal(err)
@@ -548,7 +539,6 @@ func TestSharedColumnsMemBytes(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		node, dst := rng.Intn(2000), rng.Intn(2000)
 		if dense.ndAt(node, dst) != shared.ndAt(node, dst) ||
-			dense.ddAt(node, dst) != shared.ddAt(node, dst) ||
 			dense.ddqAt(node, dst) != shared.ddqAt(node, dst) {
 			t.Fatalf("entry (%d,%d) diverges between layouts", node, dst)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"net/netip"
 
+	"recycle/internal/core"
 	"recycle/internal/graph"
 	"recycle/internal/header"
 	"recycle/internal/rotation"
@@ -11,7 +12,8 @@ import (
 
 // The wire path forwards real packet bytes in both address families:
 // decode the PR mark (DSCP pool 2 on IPv4, flow label on IPv6), decide on
-// the compiled FIB in rank space, re-encode the mark in place and repair
+// the compiled FIB (Header.DD is the rank the mark carries, so FIB.Decide
+// is the wire path's slow half too), re-encode the mark in place and repair
 // the IPv4 checksum incrementally (RFC 1624; IPv6 has none) — no parsing
 // structs, no full checksum recomputation, no allocations.
 //
@@ -222,10 +224,11 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 		// come from a PR router; refuse it rather than guess.
 		return rotation.NoDart, WireDropBadMark
 	}
-	egress, _, prOut, ddOut, ok := f.decideWire(node, dst, ingress, pr, dd, st)
-	if !ok {
+	d := f.Decide(node, dst, ingress, core.Header{PR: pr, DD: float64(dd)}, st)
+	if !d.OK {
 		return rotation.NoDart, WireDropNoRoute
 	}
+	prOut, ddOut := d.Header.PR, uint32(d.Header.DD) // a rank either way: the mark's, or the one just stamped
 	newTOS := tos
 	if prOut || marked {
 		if ddOut > header.MaxDD {
@@ -243,7 +246,7 @@ func (f *FIB) forwardWire4(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	buf[8]--
 	ck = foldChecksum(ck, 0xFFFF+uint32(newTOS)-uint32(tos)+ttlDelta)
 	buf[10], buf[11] = byte(ck>>8), byte(ck)
-	return egress, WireForward
+	return d.Egress, WireForward
 }
 
 // forwardWire6 is the IPv6 half of the wire path: flow-label marks on the
@@ -285,10 +288,11 @@ func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkS
 	if pr && ingress == rotation.NoDart {
 		return rotation.NoDart, WireDropBadMark
 	}
-	egress, _, prOut, ddOut, ok := f.decideWire(node, dst, ingress, pr, dd, st)
-	if !ok {
+	d := f.Decide(node, dst, ingress, core.Header{PR: pr, DD: float64(dd)}, st)
+	if !d.OK {
 		return rotation.NoDart, WireDropNoRoute
 	}
+	prOut, ddOut := d.Header.PR, uint32(d.Header.DD) // a rank either way: the mark's, or the one just stamped
 	if prOut || marked {
 		// Compile guarantees every rank fits the flow label's 17 DD bits,
 		// so unlike the IPv4 half this re-encode cannot overflow.
@@ -301,7 +305,7 @@ func (f *FIB) forwardWire6(node graph.NodeID, ingress rotation.DartID, st *LinkS
 		buf[3] = byte(newFL)
 	}
 	buf[7]--
-	return egress, WireForward
+	return d.Egress, WireForward
 }
 
 // WirePacket is one raw frame awaiting a wire-path forwarding step — the

@@ -468,9 +468,9 @@ func TestForwardWireZeroLinkFIB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three dense 3×3 planes (4 + 8 + 4 bytes an entry) and the guard entry.
-	if got := fib.MemBytes(); got != 9*16+4 {
-		t.Errorf("MemBytes() = %d, want %d: the guard entry is resident", got, 9*16+4)
+	// Two dense 3×3 planes (4 + 4 bytes an entry) and the guard entry.
+	if got := fib.MemBytes(); got != 9*8+4 {
+		t.Errorf("MemBytes() = %d, want %d: the guard entry is resident", got, 9*8+4)
 	}
 	st := dataplane.FromFailureSet(0, nil)
 	for _, local := range [][]byte{mkPacket(t, 0, 1, 64), mkPacket6(t, 0, 1, 64)} {

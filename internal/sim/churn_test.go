@@ -179,3 +179,43 @@ func TestTopologyUpdateFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleSchemeIgnoresUnknownLink: a compiled scheme the control plane
+// has not updated keeps the link space of its FIB. When a link added after
+// that fails, the router was never told of it and cannot detect its
+// failure: the detection is ignored, not written past the link-state
+// bitset (a panic on ring:64, whose 64 links fill one word exactly; a
+// skewed failed-link count on other sizes).
+func TestStaleSchemeIgnoresUnknownLink(t *testing.T) {
+	g := graph.Ring(64)
+	fib := churnScheme(t, prScheme(t, g, core.Full)).FIB
+	compiled, wire := &CompiledPRScheme{FIB: fib}, &WirePRScheme{FIB: fib}
+	for _, tc := range []struct {
+		scheme Scheme
+		state  func() *dataplane.LinkState
+	}{
+		{compiled, func() *dataplane.LinkState { return compiled.state }},
+		{wire, func() *dataplane.LinkState { return wire.state }},
+	} {
+		s, err := New(Config{
+			Graph:   g,
+			Scheme:  tc.scheme,
+			Flows:   []Flow{{Src: 0, Dst: 32, Interval: time.Millisecond}},
+			Horizon: 3 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.UpdateTopologyAt(time.Second, graph.AddLinkEdit(0, 32, 1)); err != nil {
+			t.Fatal(err)
+		}
+		s.FailLinkAt(64, 2*time.Second)
+		res := s.Run()
+		if got := tc.state().CountDown(); got != 0 {
+			t.Errorf("%s: %d links down in a link space that does not hold the failed one", tc.scheme.Name(), got)
+		}
+		if gen, del := res.Counter(MetricGenerated), res.Counter(MetricDelivered); gen < 2900 || del != gen {
+			t.Errorf("%s: delivered %d of %d on the stale FIB", tc.scheme.Name(), del, gen)
+		}
+	}
+}

@@ -152,7 +152,18 @@ func (c *CompiledPRScheme) LastEvent() core.Event { return c.lastEvent }
 // TopologyChanged implements Scheme: mirror the detection into the
 // compiled link-state bitset.
 func (c *CompiledPRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
-	c.state.Set(l, down)
+	mirrorDetection(c.state, l, down)
+}
+
+// mirrorDetection records a local detection in a compiled scheme's link
+// state. A scheme the control plane has not updated keeps the link space of
+// its FIB, and a link added since lies outside it: a router that has not
+// been told of a link cannot detect its failure, so that detection is
+// ignored.
+func mirrorDetection(st *dataplane.LinkState, l graph.LinkID, down bool) {
+	if int(l) < st.NumLinks() {
+		st.Set(l, down)
+	}
 }
 
 // TopologyUpdated implements TopologyUpdater: delta-recompile the edit
@@ -186,7 +197,7 @@ func (c *CompiledPRScheme) Converge(*Simulator) {}
 // WirePRScheme forwards *real packet bytes* through the FIB's wire fast
 // path: each simulated packet owns a marshalled IPv4 or IPv6 frame —
 // matching the codec Compile selected for the network — and every hop runs
-// ForwardWire on it: mark decode, rank-space decision, in-place rewrite.
+// ForwardWire on it: mark decode, FIB decision, in-place rewrite.
 // It is the end-to-end proof that the codec machinery (quantised DD codes,
 // DSCP or flow-label marks, TTL, checksums) loses nothing the abstract
 // protocol delivers *within the IP TTL budget*: frames start with the
@@ -239,7 +250,7 @@ func (w *WirePRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (ro
 // TopologyChanged implements Scheme: mirror the detection into the
 // compiled link-state bitset.
 func (w *WirePRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
-	w.state.Set(l, down)
+	mirrorDetection(w.state, l, down)
 }
 
 // Converge implements Scheme.

@@ -58,8 +58,8 @@ const (
 )
 
 // Flow emits packets between two nodes. By default it is fixed-interval
-// (Interval/Bits, the legacy behaviour); setting Source drives the flow
-// with any traffic arrival process instead — Poisson, MMPP bursts,
+// (Interval/Bits: the stream of traffic.Fixed); setting Source drives the
+// flow with any traffic arrival process instead — Poisson, MMPP bursts,
 // bounded-Pareto sizes, trace replay (package traffic).
 type Flow struct {
 	Src, Dst graph.NodeID
@@ -76,8 +76,8 @@ type Flow struct {
 	Class string
 	// Source optionally replaces the fixed-interval process. The
 	// simulator mints a fresh deterministic stream per run, so reusing a
-	// Config replays identical traffic. traffic.Fixed reproduces the nil
-	// behaviour bit-identically (see the differential test).
+	// Config replays identical traffic. A nil Source is
+	// traffic.Fixed{Interval, Bits}.
 	Source traffic.Source
 }
 
@@ -208,7 +208,7 @@ type Simulator struct {
 	linkGen   []uint64          // physical state generation, for flap damping
 	knownDown *graph.FailureSet // locally detected state, fed to schemes
 	linkFree  []time.Duration   // next instant each link's transmitter is idle (per direction)
-	streams   []traffic.Stream  // per-flow emission streams (nil = legacy fixed-interval)
+	streams   []traffic.Stream  // per-flow emission streams
 	oracle    *failure.Oracle   // loss referee installed by ApplyScenario (nil = don't classify)
 
 	reg      *telemetry.Registry
@@ -321,13 +321,11 @@ func New(cfg Config) (*Simulator, error) {
 		if err := validateFlow(cfg.Graph, i, f); err != nil {
 			return nil, err
 		}
-		if f.Source == nil {
-			// Legacy fixed-interval path, kept verbatim: the differential
-			// test pins traffic.Fixed bit-identical to it.
-			s.schedule(&event{at: f.Start, kind: evGenerate, flow: i})
-			continue
+		src := f.Source
+		if src == nil {
+			src = traffic.Fixed{Interval: f.Interval, Bits: f.Bits}
 		}
-		st := f.Source.Stream()
+		st := src.Stream()
 		s.streams[i] = st
 		if gap, bits, ok := st.Next(); ok {
 			s.schedule(&event{at: f.Start + gap, kind: evGenerate, flow: i, bits: bits})
@@ -654,14 +652,6 @@ func (s *Simulator) ScheduleConvergeAt(at time.Duration) {
 
 func (s *Simulator) handleGenerate(flowIdx, bits int) {
 	f := s.cfg.Flows[flowIdx]
-	stream := s.streams[flowIdx]
-	if stream == nil {
-		// Legacy fixed-interval flow: the event carries no size.
-		bits = f.Bits
-		if bits == 0 {
-			bits = 8192
-		}
-	}
 	pkt := &Packet{
 		ID:      s.nextPacketID,
 		Src:     f.Src,
@@ -677,9 +667,7 @@ func (s *Simulator) handleGenerate(flowIdx, bits int) {
 		pkt.flight = s.cfg.Recorder.Begin(pkt.ID, pkt.Src, pkt.Dst, s.now)
 	}
 	// Schedule the flow's next emission, then process this packet.
-	if stream == nil {
-		s.schedule(&event{at: s.now + f.Interval, kind: evGenerate, flow: flowIdx})
-	} else if gap, nbits, ok := stream.Next(); ok {
+	if gap, nbits, ok := s.streams[flowIdx].Next(); ok {
 		s.schedule(&event{at: s.now + gap, kind: evGenerate, flow: flowIdx, bits: nbits})
 	}
 	s.handleArrive(pkt, f.Src)

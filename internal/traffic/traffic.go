@@ -101,14 +101,12 @@ func (f FixedSize) SampleBits(*rand.Rand) int {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-interval arrivals (the legacy sim.Flow process, extracted)
+// Fixed-interval arrivals (a sim.Flow with no Source)
 // ---------------------------------------------------------------------------
 
-// Fixed emits fixed-size packets at a fixed interval — the process the
-// simulator's Flow used before this package existed, extracted so it is
-// one Source among many. Its first packet is emitted at the flow's start
-// instant (first gap zero), exactly like the legacy behaviour; the
-// differential test in internal/sim proves the schedules bit-identical.
+// Fixed emits fixed-size packets at a fixed interval, the first at the
+// flow's start instant (first gap zero). It is the process a sim.Flow
+// without a Source runs.
 type Fixed struct {
 	// Interval between packets.
 	Interval time.Duration

@@ -117,15 +117,20 @@ func buildNetwork(tp Topology, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("recycle: invalid embedding: %w", err)
 	}
 	tbl := route.Build(g, o.disc)
-	full, err := core.New(g, sys, tbl, core.Config{Variant: o.variant})
+	// Both protocols stamp the quantiser's ranks — the unit the compiled
+	// FIB holds and the wire carries — so Protocol(), Compile() and a
+	// frame's mark agree under either discriminator. For hop counts the
+	// rank is the hop count.
+	quant := core.BuildQuantiser(tbl)
+	full, err := core.NewWithQuantiser(g, sys, tbl, core.Config{Variant: o.variant, Quantise: true}, quant)
 	if err != nil {
 		return nil, err
 	}
-	basic, err := core.New(g, sys, tbl, core.Config{Variant: Basic})
+	basic, err := core.NewWithQuantiser(g, sys, tbl, core.Config{Variant: Basic, Quantise: true}, quant)
 	if err != nil {
 		return nil, err
 	}
-	return &Network{g: g, sys: sys, tbl: tbl, quant: core.BuildQuantiser(tbl),
+	return &Network{g: g, sys: sys, tbl: tbl, quant: quant,
 		protocol: full, basic: basic, name: tp.Name}, nil
 }
 
@@ -144,13 +149,15 @@ func (n *Network) Embedding() *RotationSystem { return n.sys }
 func (n *Network) Genus() int { return n.sys.Genus() }
 
 // Protocol exposes the underlying PR forwarding engine for advanced use
-// (per-hop decisions, event-driven simulation).
+// (per-hop decisions, event-driven simulation). Its Header.DD carries the
+// Quantiser's ranks, the unit Compile's FIB and the wire use.
 func (n *Network) Protocol() *core.Protocol { return n.protocol }
 
 // Compile flattens the network's forwarding state (routing tables,
 // rotation system, variant) into a dataplane FIB: dense arrays on which a
 // per-hop decision is a handful of indexings with zero allocations,
-// bit-identical to Protocol().Decide. This is the offline step the paper
+// bit-identical to Protocol().Decide, the header's rank-quantised
+// discriminator included. This is the offline step the paper
 // assigns to the designated server — run once, never at failure time.
 // The FIB is immutable, built once and shared by every caller (and by
 // Update's delta path).
@@ -192,7 +199,7 @@ func (n *Network) Update(edits ...Edit) (*Network, *TopologyDelta, error) {
 	if d == nil {
 		return n, nil, nil
 	}
-	basic, err := core.New(d.Graph, d.System, d.Table, core.Config{Variant: Basic})
+	basic, err := core.NewWithQuantiser(d.Graph, d.System, d.Table, core.Config{Variant: Basic, Quantise: true}, d.Quantiser)
 	if err != nil {
 		return nil, nil, err
 	}
