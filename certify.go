@@ -10,9 +10,8 @@ import (
 )
 
 // CertifyConfig parameterises a k-failure certification run: the shared
-// Panel (topologies, seed, metrics) plus the adversary's power — up to K
-// simultaneous failures drawn from the link, node or combined universe —
-// and the guided-search knobs for regimes too large to enumerate.
+// Panel (topologies, metrics, tracer) plus the adversary's power — up to
+// K simultaneous failures drawn from the link, node or combined universe.
 type CertifyConfig = eval.CertifyConfig
 
 // Certificate is a per-topology resilience certificate: either
@@ -45,9 +44,9 @@ const (
 // RunCertify compiles the named topology's dataplane and runs the
 // adversarial failure search against it (or, with cfg.Baseline, against
 // the reconvergence control arm), returning the resilience certificate.
-// Small regimes are proved by exhaustion; larger ones fall back to the
-// guided search (cut-targeting DFS plus seeded annealing), whose
-// certificates say CLEAR rather than CERTIFIED when incomplete.
+// Small regimes are proved by exhaustion; larger ones by the guided
+// search (cut-targeting DFS), which is complete for subset-minimal
+// counterexamples too, so either verdict is CERTIFIED or COUNTEREXAMPLE.
 func RunCertify(topology string, cfg CertifyConfig) (*Certificate, error) {
 	tp, err := topo.ByName(topology)
 	if err != nil {

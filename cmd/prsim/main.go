@@ -284,8 +284,6 @@ func cmdCertify(g *globals, args []string) error {
 	mode := g.fs.String("mode", "links", "element universe: links, nodes or both")
 	baseline := g.fs.Bool("baseline", false, "certify the reconvergence baseline instead of compiled PR — the control arm that is expected to yield counterexamples")
 	workers := g.fs.Int("workers", 0, "per-destination search fan-out (0 = auto)")
-	restarts := g.fs.Int("restarts", 0, "annealing restarts for the guided search (0 = default)")
-	iters := g.fs.Int("iters", 0, "annealing iterations per restart (0 = default)")
 	if err := g.parse(args); err != nil {
 		return err
 	}
@@ -294,8 +292,7 @@ func cmdCertify(g *globals, args []string) error {
 		return err
 	}
 	certs, err := eval.WriteCertifyReport(g.out, eval.CertifyConfig{
-		Panel: g.panel(), K: *k, Mode: m, Baseline: *baseline,
-		Workers: *workers, Restarts: *restarts, Iters: *iters,
+		Panel: g.panel(), K: *k, Mode: m, Baseline: *baseline, Workers: *workers,
 	})
 	if err != nil {
 		return err

@@ -110,6 +110,7 @@ func TestExitStatus(t *testing.T) {
 		{"unknown verb", []string{"frobnicate"}, 2, `prsim: unknown command "frobnicate" (have: ` + verbList + ")"},
 		{"former flat flag", []string{"-fig", "2a"}, 2, "usage: prsim <"},
 		{"bad -mode", []string{"certify", "-mode", "bogus"}, 1, `prsim: unknown -mode "bogus"`},
+		{"negative -k", []string{"certify", "-k", "-1"}, 1, "prsim: eval: certify ring:24: certify: K must be ≥ 0 (got -1)"},
 		{"missing script", []string{"resilience", "-scenario", "@testdata/nosuch.txt"}, 1, "prsim: scenario script: open testdata/nosuch.txt"},
 		{"unknown topology", []string{"certify", "-topo", "nosuch"}, 1, `prsim: topo: unknown topology "nosuch"`},
 		{"unknown figure", []string{"figures", "-fig", "9z"}, 1, `prsim: eval: unknown figure "9z"`},

@@ -87,15 +87,13 @@ type Certificate struct {
 	K            int
 	Mode         failure.ElementMode
 	UniverseSize int
-	// Method is "exhaustive" or "guided"; Complete reports whether the
-	// search provably covered every subset-minimal counterexample of size
-	// ≤ K (true for both: the exhaustive sweep by enumeration, the guided
-	// DFS by the consulted-link completeness argument — see guided.go).
-	Method   string
-	Complete bool
-	// Certified is the headline: Complete and zero counterexamples — no
-	// packet loss under any ≤K-element failure leaving its pair
-	// connected.
+	// Method is "exhaustive" or "guided". Both searches provably cover
+	// every subset-minimal counterexample of size ≤ K: the exhaustive
+	// sweep by enumeration, the guided DFS by the consulted-link
+	// completeness argument (see guided.go).
+	Method string
+	// Certified is the headline: zero counterexamples — no packet loss
+	// under any ≤K-element failure leaving its pair connected.
 	Certified bool
 	// DistinctSets is the number of failure sets of size 1..K in the
 	// universe (what "all ≤k failures" quantifies over).
@@ -109,7 +107,7 @@ type Certificate struct {
 
 // buildCertificate finalises a search: dedup + minimise + referee every
 // violation, then assemble and publish.
-func buildCertificate(g *graph.Graph, w Walker, sp *space, cfg Config, method string, complete bool, viols []Violation, stats SearchStats) (*Certificate, error) {
+func buildCertificate(g *graph.Graph, w Walker, sp *space, cfg Config, method string, viols []Violation, stats SearchStats) (*Certificate, error) {
 	minimised := make([]Violation, 0, len(viols))
 	for _, v := range viols {
 		mv, err := Minimise(g, w, sp, v)
@@ -137,8 +135,7 @@ func buildCertificate(g *graph.Graph, w Walker, sp *space, cfg Config, method st
 		Mode:            cfg.Mode,
 		UniverseSize:    sp.size(),
 		Method:          method,
-		Complete:        complete,
-		Certified:       complete && len(minimised) == 0,
+		Certified:       len(minimised) == 0,
 		DistinctSets:    distinct,
 		Counterexamples: minimised,
 		Stats:           stats,
@@ -149,10 +146,10 @@ func buildCertificate(g *graph.Graph, w Walker, sp *space, cfg Config, method st
 
 // Minimise greedily reduces a violating set to a subset-minimal one: as
 // long as removing some element keeps the walk violating (undelivered
-// with the pair still connected), remove it. The searches emit minimal
-// sets by construction; Minimise re-establishes the property
-// unconditionally (and is what the annealing stage, which examines sets
-// out of subset order, relies on).
+// with the pair still connected), remove it. Both searches emit minimal
+// sets by construction; Minimise re-checks the property at run time, so
+// a search bug surfaces as a smaller set rather than a false minimality
+// claim.
 func Minimise(g *graph.Graph, w Walker, sp *space, v Violation) (Violation, error) {
 	idx := append([]int(nil), v.indices...)
 	if len(idx) == 0 {
@@ -203,7 +200,6 @@ func referee(g *graph.Graph, v *Violation) error {
 //
 //	certificate: CERTIFIED k=2 — ...
 //	certificate: COUNTEREXAMPLE k=2 — ...
-//	certificate: CLEAR k=4 — ... (incomplete search found nothing)
 func (c *Certificate) Headline() string {
 	genus := ""
 	if c.Genus != GenusUnknown {
@@ -211,18 +207,13 @@ func (c *Certificate) Headline() string {
 	}
 	subject := fmt.Sprintf("topology %s, scheme %s%s, universe %s (%d elements), method %s",
 		c.Topology, c.Walker, genus, c.Mode, c.UniverseSize, c.Method)
-	switch {
-	case c.Certified:
+	if len(c.Counterexamples) == 0 {
 		return fmt.Sprintf("certificate: CERTIFIED k=%d — %s: zero violations across all %d failure sets of ≤%d elements (%d walks)",
 			c.K, subject, c.DistinctSets, c.K, c.Stats.Walks)
-	case len(c.Counterexamples) > 0:
-		v := c.Counterexamples[0]
-		return fmt.Sprintf("certificate: COUNTEREXAMPLE k=%d — %s: %d minimal violating sets; smallest %s breaks pair %d→%d (%s while the pair stays connected; refereed)",
-			c.K, subject, len(c.Counterexamples), v.SetString(), v.Src, v.Dst, v.Walk.Verdict)
-	default:
-		return fmt.Sprintf("certificate: CLEAR k=%d — %s: no violation found, but the search was not exhaustive",
-			c.K, subject)
 	}
+	v := c.Counterexamples[0]
+	return fmt.Sprintf("certificate: COUNTEREXAMPLE k=%d — %s: %d minimal violating sets; smallest %s breaks pair %d→%d (%s while the pair stays connected; refereed)",
+		c.K, subject, len(c.Counterexamples), v.SetString(), v.Src, v.Dst, v.Walk.Verdict)
 }
 
 // Write renders the full certificate: the headline, the search
@@ -235,9 +226,8 @@ func (c *Certificate) Write(w io.Writer) error {
 	st := c.Stats
 	fmt.Fprintf(w, "  search: %d set enumerations, %d walks, %d pair-sets pruned unaffected, %d pruned dominated, %d excused by disconnection\n",
 		st.Sets, st.Walks, st.PrunedUnaffected, st.PrunedDominated, st.Excused)
-	if st.DFSStates > 0 || st.AnnealMoves > 0 {
-		fmt.Fprintf(w, "  guided: %d DFS states, %d annealing moves (%d accepted)\n",
-			st.DFSStates, st.AnnealMoves, st.AnnealAccepts)
+	if st.DFSStates > 0 {
+		fmt.Fprintf(w, "  guided: %d DFS states\n", st.DFSStates)
 	}
 	if len(c.Counterexamples) == 0 {
 		return nil

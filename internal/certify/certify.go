@@ -12,8 +12,9 @@
 // way the related work does (Chiesa et al., *Exploring the Limits of
 // Static Failover Routing*): k approaching the edge connectivity.
 //
-// Two search strategies share one vocabulary (failure.Element universes,
-// failure.Subsets enumeration, failure.NeighbourMove perturbations):
+// Two complete search strategies share one vocabulary (failure.Element
+// universes, failure.Subsets enumeration), and Certify picks between them
+// by universe size:
 //
 //   - Exhaustive sweeps every failure set of size ≤ k, pruned by the
 //     affected-pair test (a pair whose failure-free walk consults no
@@ -21,14 +22,13 @@
 //     domination (a set containing an already-found violating subset for
 //     the pair cannot be minimal). Sets that disconnect the pair are
 //     excused by definition — the Oracle's rule.
-//   - Guided combines walk-guided DFS ("greedy cut-targeting": attack
-//     only the links the current walk actually consults, which is
-//     *complete* for subset-minimal counterexamples — see guided.go) with
-//     seeded simulated annealing in the style of
-//     internal/embedding/anneal.go for the large-k regime.
+//   - Guided is walk-guided DFS ("greedy cut-targeting": attack only the
+//     links the current walk actually consults, which is *complete* for
+//     subset-minimal counterexamples — see guided.go).
 //
 // Both fan out across destinations via internal/par and are
-// deterministic for a fixed Config.Seed. Every emitted counterexample is
+// deterministic: the same Config yields the same certificate at any
+// Workers setting. Every emitted counterexample is
 // re-refereed through the connectivity Oracle (the same code that judges
 // simulated losses) and carries the full violating walk as a
 // telemetry.Flight transcript.
@@ -68,9 +68,6 @@ type Walk struct {
 	// incident to Decided are a sound superset of every link whose state
 	// the walk read: the branching set of the guided search.
 	Decided []graph.NodeID
-	// Recycled counts decisions off the shortest path (detect, cycle,
-	// continue) — the annealing search's stress signal.
-	Recycled int
 	// Hops is the per-decision transcript (only when requested).
 	Hops []telemetry.Hop
 }
@@ -149,10 +146,6 @@ func (w *PRWalker) Walk(src, dst graph.NodeID, fs *graph.FailureSet, transcript 
 		if !d.OK {
 			res.Verdict = VerdictBlackhole
 			return res
-		}
-		switch d.Event {
-		case core.EventDetect, core.EventCycle, core.EventContinue:
-			res.Recycled++
 		}
 		if transcript {
 			res.Hops = append(res.Hops, telemetry.Hop{Node: node, Ingress: ingress, Egress: d.Egress, Event: d.Event, Header: d.Header})

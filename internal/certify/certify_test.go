@@ -110,7 +110,7 @@ func TestExhaustiveCertifiesPR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cert.Certified || !cert.Complete || cert.Method != "exhaustive" {
+	if !cert.Certified || cert.Method != "exhaustive" {
 		t.Fatalf("expected exhaustive certification, got %+v", cert.Headline())
 	}
 	if want := int64(12 + 66); cert.DistinctSets != want {
@@ -208,14 +208,14 @@ func TestCounterexampleMinimality(t *testing.T) {
 	}
 }
 
-// TestSearchDeterminism re-runs both strategies under a fixed seed and
-// demands bit-identical certificates — the property that makes a
+// TestSearchDeterminism re-runs both strategies sequentially and fanned
+// out and demands bit-identical certificates — the property that makes a
 // certificate a reproducible artefact rather than a lucky draw.
 func TestSearchDeterminism(t *testing.T) {
 	tp := mustTopo(t, "rand:12@9")
 	w := prWalker(t, tp, core.Basic)
 	run := func(strategy func(*graph.Graph, Walker, Config) (*Certificate, error), workers int) *Certificate {
-		cert, err := strategy(tp.Graph, w, Config{K: 3, Seed: 11, Label: tp.Name, Workers: workers})
+		cert, err := strategy(tp.Graph, w, Config{K: 3, Label: tp.Name, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,6 @@ func TestCertifyAutoStrategy(t *testing.T) {
 	cert, err = Certify(big.Graph, NewReconvWalker(big.Graph), Config{
 		K:     3,
 		Pairs: []Pair{{Src: 0, Dst: graph.NodeID(big.Graph.NumNodes() - 1)}},
-		Iters: 50, Restarts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,6 +259,53 @@ func TestCertifyAutoStrategy(t *testing.T) {
 	}
 	if len(cert.Counterexamples) == 0 {
 		t.Fatal("stale-table baseline must fail even under guided search")
+	}
+}
+
+// TestNegativeKRejected: a negative K would quantify over zero failure
+// sets and certify vacuously, so every entry point refuses it; K = 0
+// still selects the default of 2.
+func TestNegativeKRejected(t *testing.T) {
+	tp := mustTopo(t, "ring:8")
+	w := NewReconvWalker(tp.Graph)
+	for name, search := range map[string]func(*graph.Graph, Walker, Config) (*Certificate, error){
+		"Certify": Certify, "Exhaustive": Exhaustive, "Guided": Guided,
+	} {
+		if cert, err := search(tp.Graph, w, Config{K: -1}); err == nil {
+			t.Errorf("%s accepted K = -1: %s", name, cert.Headline())
+		}
+		cert, err := search(tp.Graph, w, Config{})
+		if err != nil {
+			t.Fatalf("%s with K = 0: %v", name, err)
+		}
+		if cert.K != 2 {
+			t.Errorf("%s: K = 0 resolved to %d, want the default 2", name, cert.K)
+		}
+	}
+}
+
+// TestGuidedCertifiesPR runs the guided search against the Full PR
+// walker, past the exhaustive budget: grid:8x8 has 112 links, so K = 3
+// is ~230k sets. It must certify, and every walk it spends must be a DFS
+// state — there is no second search behind the DFS.
+func TestGuidedCertifiesPR(t *testing.T) {
+	tp := mustTopo(t, "grid:8x8")
+	cert, err := Certify(tp.Graph, prWalker(t, tp, core.Full), Config{
+		K:     3,
+		Pairs: []Pair{{Src: 0, Dst: 63}, {Src: 63, Dst: 0}, {Src: 3, Dst: 32}},
+		Label: tp.Name,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Method != "guided" {
+		t.Fatalf("grid:8x8 at k=3 should use the guided search, got %s", cert.Method)
+	}
+	if !strings.Contains(cert.Headline(), "certificate: CERTIFIED k=3") {
+		t.Fatalf("PR failed guided certification: %s", cert.Headline())
+	}
+	if cert.Stats.Walks > cert.Stats.DFSStates {
+		t.Fatalf("%d walks for %d DFS states: walks outside the DFS", cert.Stats.Walks, cert.Stats.DFSStates)
 	}
 }
 

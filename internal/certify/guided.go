@@ -8,33 +8,28 @@ import (
 	"recycle/internal/telemetry"
 )
 
-// Guided hunts counterexamples without enumerating the whole ≤K universe,
-// combining two strategies and merging their finds:
+// Guided hunts counterexamples without enumerating the whole ≤K universe
+// by walk-guided DFS — greedy cut-targeting made rigorous. From the empty
+// set, each state walks the pair and branches only on elements the walk
+// consulted (links incident to deciding routers). This is COMPLETE for
+// subset-minimal counterexamples: let F (|F| ≤ K) be minimal violating
+// and S ⊊ F reachable. The pair is connected under F, hence under S
+// (fewer failures), so S is not excused; S is not violating (F is
+// minimal), so the walk under S delivers. If that walk consulted no
+// element of F∖S it would be the identical walk under F — contradicting
+// F violating — so it consults some e ∈ F∖S, and the DFS explores S∪{e}.
+// By induction from S = ∅, F is reached. Branching is therefore bounded
+// by the walk's footprint, not the graph: the search only ever attacks
+// links the compiled FIB's current walk actually traverses or inspects.
 //
-//   - Walk-guided DFS — greedy cut-targeting made rigorous. From the
-//     empty set, each state walks the pair and branches only on elements
-//     the walk consulted (links incident to deciding routers). This is
-//     COMPLETE for subset-minimal counterexamples: let F (|F| ≤ K) be
-//     minimal violating and S ⊊ F reachable. The pair is connected under
-//     F, hence under S (fewer failures), so S is not excused; S is not
-//     violating (F is minimal), so the walk under S delivers. If that
-//     walk consulted no element of F∖S it would be the identical walk
-//     under F — contradicting F violating — so it consults some e ∈ F∖S,
-//     and the DFS explores S∪{e}. By induction from S = ∅, F is reached.
-//     Branching is therefore bounded by the walk's footprint, not the
-//     graph: the search only ever attacks links the compiled FIB's
-//     current walk actually traverses or inspects.
-//
-//   - Seeded simulated annealing (anneal.go) — the stochastic prong for
-//     the large-k regime where even footprint-bounded branching explodes.
-//     Its finds are minimised before merging, so the two prongs emit the
-//     same vocabulary.
-//
-// The certificate is Complete (the DFS argument above), so a clean guided
-// run certifies — and the differential gate in the tests holds it to
-// exactly that promise against the exhaustive sweep.
+// A clean guided run therefore certifies — and the differential gate in
+// the tests holds it to exactly that promise against the exhaustive
+// sweep.
 func Guided(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	sp := newSpace(g, cfg.Mode)
 	dsts, srcs := pairsByDst(g, cfg.Pairs)
 
@@ -45,8 +40,7 @@ func Guided(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
 
 	stats := make([]SearchStats, len(dsts))
 	viols := make([][]Violation, len(dsts))
-	dfsSpan := cfg.Tracer.Start("certify.dfs", root.ID())
-	obs := cfg.Tracer.RangeObserver("certify.dfs.worker", dfsSpan.ID())
+	obs := cfg.Tracer.RangeObserver("certify.dfs.worker", root.ID())
 	par.ForObserved(len(dsts), cfg.Workers, obs, func(_, lo, hi int) {
 		for di := lo; di < hi; di++ {
 			for _, src := range srcs[di] {
@@ -54,7 +48,6 @@ func Guided(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
 			}
 		}
 	})
-	dfsSpan.End()
 
 	var all []Violation
 	var total SearchStats
@@ -62,14 +55,7 @@ func Guided(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
 		all = append(all, viols[i]...)
 		total.merge(stats[i])
 	}
-
-	annealSpan := cfg.Tracer.Start("certify.anneal", root.ID())
-	annealed, annealStats := annealSearch(g, w, sp, cfg, annealSpan.ID(), dsts, srcs)
-	annealSpan.End()
-	all = append(all, annealed...)
-	total.merge(annealStats)
-
-	return buildCertificate(g, w, sp, cfg, "guided", true, all, total)
+	return buildCertificate(g, w, sp, cfg, "guided", all, total)
 }
 
 // dfsPair runs the walk-guided DFS for one pair.

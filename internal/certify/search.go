@@ -21,16 +21,14 @@ type Pair struct {
 
 // Config parameterises a certification search.
 type Config struct {
-	// K is the maximum number of simultaneous element failures (default 2).
+	// K is the maximum number of simultaneous element failures (0 selects
+	// the default of 2; negative is an error).
 	K int
 	// Mode selects the element universe (default LinkFailures).
 	Mode failure.ElementMode
 	// Pairs restricts the sweep to specific flows; nil certifies every
 	// ordered pair.
 	Pairs []Pair
-	// Seed drives the annealing search (default 1). Exhaustive sweeps and
-	// the guided DFS are deterministic regardless.
-	Seed int64
 	// Workers bounds the par fan-out across destinations (0 = automatic,
 	// 1 = sequential).
 	Workers int
@@ -46,38 +44,22 @@ type Config struct {
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, receives the search's span tree: a root
 	// "certify.exhaustive" or "certify.guided" span with per-worker
-	// sweep/DFS children and, for the guided strategy, per-restart
-	// annealing chains. TraceParent parents the root (0 makes it a root).
+	// sweep/DFS children. TraceParent parents the root (0 makes it a
+	// root).
 	Tracer      *telemetry.Tracer
 	TraceParent telemetry.SpanID
-	// Restarts is the annealing restart count per attacked pair (default
-	// 2); Iters the iteration budget per restart (default 400).
-	Restarts int
-	Iters    int
-	// AnnealPairs bounds how many pairs the annealing stage attacks
-	// (default 8, the highest-cost pairs first). The DFS stage covers
-	// every pair regardless; annealing is the stochastic cross-check and
-	// the only strategy that scales past DFS's branching at large k.
-	AnnealPairs int
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults resolves K: 0 selects 2, and a negative K — which would
+// certify vacuously over zero failure sets — is an error.
+func (c Config) withDefaults() (Config, error) {
+	if c.K < 0 {
+		return c, fmt.Errorf("certify: K must be ≥ 0 (got %d)", c.K)
+	}
 	if c.K == 0 {
 		c.K = 2
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Restarts == 0 {
-		c.Restarts = 2
-	}
-	if c.Iters == 0 {
-		c.Iters = 400
-	}
-	if c.AnnealPairs == 0 {
-		c.AnnealPairs = 8
-	}
-	return c
+	return c, nil
 }
 
 // SearchStats counts the work a search did — the telemetry of the hunt.
@@ -99,11 +81,8 @@ type SearchStats struct {
 	// ViolationsFound counts violations recorded before minimisation and
 	// dedup.
 	ViolationsFound uint64
-	// DFSStates / AnnealMoves / AnnealAccepts instrument the guided
-	// strategies.
-	DFSStates     uint64
-	AnnealMoves   uint64
-	AnnealAccepts uint64
+	// DFSStates counts the distinct sets the guided DFS visited.
+	DFSStates uint64
 }
 
 func (s *SearchStats) merge(o SearchStats) {
@@ -114,8 +93,6 @@ func (s *SearchStats) merge(o SearchStats) {
 	s.Excused += o.Excused
 	s.ViolationsFound += o.ViolationsFound
 	s.DFSStates += o.DFSStates
-	s.AnnealMoves += o.AnnealMoves
-	s.AnnealAccepts += o.AnnealAccepts
 }
 
 // Metric names of the search-progress counters.
@@ -127,8 +104,6 @@ const (
 	MetricExcused          = "certify.excused"
 	MetricViolations       = "certify.violations"
 	MetricDFSStates        = "certify.dfs_states"
-	MetricAnnealMoves      = "certify.anneal_moves"
-	MetricAnnealAccepts    = "certify.anneal_accepts"
 )
 
 // publish records the final stats into a registry (nil-tolerant).
@@ -143,8 +118,6 @@ func (s SearchStats) publish(reg *telemetry.Registry) {
 	reg.Counter(MetricExcused).Add(s.Excused)
 	reg.Counter(MetricViolations).Add(s.ViolationsFound)
 	reg.Counter(MetricDFSStates).Add(s.DFSStates)
-	reg.Counter(MetricAnnealMoves).Add(s.AnnealMoves)
-	reg.Counter(MetricAnnealAccepts).Add(s.AnnealAccepts)
 }
 
 // pairsByDst groups the configured pairs by destination: dsts lists the
@@ -237,7 +210,10 @@ func containsAll(a, b []int) bool {
 //     cannot be subset-minimal for it;
 //   - sets disconnecting the pair are excused by the Oracle's own rule.
 func Exhaustive(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	sp := newSpace(g, cfg.Mode)
 	dsts, srcs := pairsByDst(g, cfg.Pairs)
 
@@ -263,7 +239,7 @@ func Exhaustive(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
 	for _, vs := range viols {
 		all = append(all, vs...)
 	}
-	return buildCertificate(g, w, sp, cfg, "exhaustive", true, all, total)
+	return buildCertificate(g, w, sp, cfg, "exhaustive", all, total)
 }
 
 // sweepDst runs the exhaustive enumeration for one destination: sizes
@@ -369,7 +345,10 @@ func newViolation(sp *space, src, dst graph.NodeID, idx []int, w Walker) Violati
 // Certify picks the strategy by universe size: the exhaustive sweep when
 // the number of ≤K-subsets is within budget, the guided search beyond it.
 func Certify(g *graph.Graph, w Walker, cfg Config) (*Certificate, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	sp := newSpace(g, cfg.Mode)
 	var sets int64
 	for k := 1; k <= cfg.K; k++ {

@@ -12,15 +12,15 @@ import (
 
 // CertifyConfig parameterises a k-failure certification run: the
 // adversarial counterpart of ResilienceConfig's Monte-Carlo sampling.
-// The embedded Panel's Topologies, Seed, Metrics and Tracer are consumed
+// The embedded Panel's Topologies, Metrics and Tracer are consumed
 // (certify.* search-progress counters land in Metrics, the search's span
-// tree in Tracer); the
-// failure-process fields are ignored — the adversary enumerates failure
-// sets, it does not sample a process.
+// tree in Tracer); Seed and the failure-process fields are ignored — both
+// searches are deterministic, and the adversary enumerates failure sets,
+// it does not sample a process.
 type CertifyConfig struct {
 	Panel
 	// K is the maximum number of simultaneous element failures to
-	// certify against (default 2).
+	// certify against (default 2; negative is an error).
 	K int
 	// Mode selects the element universe: link failures (default), node
 	// failures, or both.
@@ -32,10 +32,6 @@ type CertifyConfig struct {
 	Baseline bool
 	// Workers bounds the per-destination fan-out (0 = automatic).
 	Workers int
-	// Restarts and Iters forward to the annealing stage of the guided
-	// search (certify.Config defaults apply when zero).
-	Restarts int
-	Iters    int
 }
 
 func (c *CertifyConfig) withDefaults() CertifyConfig {
@@ -73,16 +69,13 @@ func RunCertify(tp topo.Topology, cfg CertifyConfig) (*certify.Certificate, erro
 	}
 
 	return certify.Certify(g, walker, certify.Config{
-		K:        eff.K,
-		Mode:     eff.Mode,
-		Seed:     eff.Seed,
-		Workers:  eff.Workers,
-		Label:    tp.Name,
-		Genus:    genus,
-		Metrics:  eff.Metrics,
-		Tracer:   eff.Tracer,
-		Restarts: eff.Restarts,
-		Iters:    eff.Iters,
+		K:       eff.K,
+		Mode:    eff.Mode,
+		Workers: eff.Workers,
+		Label:   tp.Name,
+		Genus:   genus,
+		Metrics: eff.Metrics,
+		Tracer:  eff.Tracer,
 	})
 }
 

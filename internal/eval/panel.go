@@ -36,7 +36,7 @@ type Panel struct {
 	// is used verbatim and Spec only labels the report.
 	Process failure.Process
 	// Seed is the harness's master seed (default 1). Every derived
-	// stream (scenario draws, traffic, annealing) sub-seeds from it, so
+	// stream (scenario draws, traffic) sub-seeds from it, so
 	// a fixed Seed reproduces the run bit-for-bit.
 	Seed int64
 	// Metrics optionally shares a live registry (e.g. one served over

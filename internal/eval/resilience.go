@@ -211,7 +211,7 @@ func WriteResilienceReport(w io.Writer, cfg ResilienceConfig) error {
 		if err != nil {
 			return err
 		}
-		cert, err := RunCertify(tp, CertifyConfig{Panel: Panel{Seed: cfg.Seed}, K: cfg.CertifyPins, Baseline: true})
+		cert, err := RunCertify(tp, CertifyConfig{K: cfg.CertifyPins, Baseline: true})
 		if err != nil {
 			return err
 		}

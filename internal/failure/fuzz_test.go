@@ -1,7 +1,6 @@
 package failure
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -83,67 +82,6 @@ func FuzzParseScript(f *testing.F) {
 		}
 		if p == nil {
 			t.Fatalf("ParseScript(%q) returned nil process and nil error", script)
-		}
-	})
-}
-
-// FuzzNeighbourMove asserts the annealing move kernel preserves its
-// invariants for arbitrary (universe, cap, set, prefer) shapes: the
-// result is non-empty, capped, strictly sorted (so dup-free), in-range,
-// and at most one element away from the input — a real neighbour.
-func FuzzNeighbourMove(f *testing.F) {
-	f.Add(int64(1), 12, 4, uint16(0b10100100), uint16(0b0110))
-	f.Add(int64(7), 3, 3, uint16(0b111), uint16(0))
-	f.Add(int64(9), 1, 1, uint16(1), uint16(1))
-	f.Fuzz(func(t *testing.T, seed int64, n, maxSize int, setBits, preferBits uint16) {
-		if n < 1 || n > 16 || maxSize < 1 || maxSize > n {
-			t.Skip()
-		}
-		var set, prefer []int
-		for i := 0; i < n; i++ {
-			if setBits&(1<<i) != 0 && len(set) < maxSize {
-				set = append(set, i)
-			}
-			if preferBits&(1<<i) != 0 {
-				prefer = append(prefer, i)
-			}
-		}
-		if len(set) == 0 {
-			set = []int{0}
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for step := 0; step < 32; step++ {
-			next := NeighbourMove(rng, set, n, maxSize, prefer)
-			if len(next) < 1 || len(next) > maxSize {
-				t.Fatalf("size %d outside [1,%d]: %v", len(next), maxSize, next)
-			}
-			inNext := map[int]bool{}
-			for i, m := range next {
-				if m < 0 || m >= n {
-					t.Fatalf("member %d outside universe [0,%d): %v", m, n, next)
-				}
-				if i > 0 && next[i] <= next[i-1] {
-					t.Fatalf("not strictly sorted: %v", next)
-				}
-				inNext[m] = true
-			}
-			inSet := map[int]bool{}
-			added, removed := 0, 0
-			for _, m := range set {
-				inSet[m] = true
-				if !inNext[m] {
-					removed++
-				}
-			}
-			for _, m := range next {
-				if !inSet[m] {
-					added++
-				}
-			}
-			if added > 1 || removed > 1 {
-				t.Fatalf("move %v -> %v changes %d+%d elements; a neighbour changes at most one each way", set, next, added, removed)
-			}
-			set = next
 		}
 	})
 }

@@ -2,17 +2,14 @@ package failure
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"recycle/internal/graph"
 )
 
 // This file is the combinatorial substrate of k-failure certification
 // (internal/certify): the element universe an adversary draws failure
-// sets from, exact k-subset enumeration for the exhaustive sweeps, and
-// the seeded neighbour moves the simulated-annealing search perturbs
-// candidate sets with. It lives here, beside the Oracle, so the set a
+// sets from and exact k-subset enumeration for the exhaustive sweeps. It
+// lives here, beside the Oracle, so the set a
 // search examines and the scenario the referee judges are built from the
 // same vocabulary (StaticScenario bridges the two).
 
@@ -73,8 +70,8 @@ func (m ElementMode) String() string {
 }
 
 // Universe returns the ordered element universe of g for a mode: links in
-// LinkID order, then nodes in NodeID order. Enumeration and neighbour
-// moves index into this slice, so a (graph, mode) pair fixes the search
+// LinkID order, then nodes in NodeID order. Enumeration and the guided
+// search index into this slice, so a (graph, mode) pair fixes the search
 // space deterministically.
 func Universe(g *graph.Graph, mode ElementMode) []Element {
 	var out []Element
@@ -175,82 +172,4 @@ func CountSubsets(n, k int) int64 {
 		c = c * hi / int64(i)
 	}
 	return c
-}
-
-// RandomSubset draws a uniform random size-k subset of [0, n), sorted —
-// the restart state of the annealing search. It panics when k > n.
-func RandomSubset(rng *rand.Rand, n, k int) []int {
-	if k > n {
-		panic(fmt.Sprintf("failure: RandomSubset(%d, %d): k exceeds universe", n, k))
-	}
-	perm := rng.Perm(n)[:k]
-	sort.Ints(perm)
-	return perm
-}
-
-// NeighbourMove proposes an annealing neighbour of a sorted element-index
-// set over a universe of n elements: usually one member is swapped for a
-// random non-member; with small probability the set grows (below maxSize)
-// or shrinks (above one element). `prefer` optionally biases the inserted
-// element — when non-empty, the replacement is drawn from it (filtered to
-// non-members) with probability ~2/3, which is how the guided search
-// steers moves toward the links the current walk actually consulted. The
-// returned set is fresh, sorted and duplicate-free; the input is never
-// modified. When no move is possible (the set already is the whole
-// universe and at both size bounds) the result is an unchanged copy.
-func NeighbourMove(rng *rand.Rand, set []int, n, maxSize int, prefer []int) []int {
-	out := append([]int(nil), set...)
-	if n == 0 {
-		return out
-	}
-	member := make(map[int]bool, len(out))
-	for _, i := range out {
-		member[i] = true
-	}
-	pick := func() (int, bool) {
-		// Draw an element outside the set, honouring the preference list
-		// when it still has non-members.
-		if len(prefer) > 0 && rng.Intn(3) != 0 {
-			cand := make([]int, 0, len(prefer))
-			for _, p := range prefer {
-				if p >= 0 && p < n && !member[p] {
-					cand = append(cand, p)
-				}
-			}
-			if len(cand) > 0 {
-				return cand[rng.Intn(len(cand))], true
-			}
-		}
-		if len(out) >= n {
-			return 0, false
-		}
-		for {
-			if c := rng.Intn(n); !member[c] {
-				return c, true
-			}
-		}
-	}
-
-	op := rng.Intn(10)
-	switch {
-	case op == 0 && len(out) < maxSize: // grow
-		if c, ok := pick(); ok {
-			out = append(out, c)
-		}
-	case op == 1 && len(out) > 1: // shrink
-		i := rng.Intn(len(out))
-		out = append(out[:i], out[i+1:]...)
-	default: // swap
-		if len(out) == 0 {
-			if c, ok := pick(); ok && maxSize > 0 {
-				out = append(out, c)
-			}
-			break
-		}
-		if c, ok := pick(); ok {
-			out[rng.Intn(len(out))] = c
-		}
-	}
-	sort.Ints(out)
-	return out
 }

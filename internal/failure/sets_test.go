@@ -1,9 +1,7 @@
 package failure
 
 import (
-	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"time"
 
@@ -136,57 +134,5 @@ func TestCountSubsets(t *testing.T) {
 	}
 	if got := CountSubsets(500, 250); got <= 0 {
 		t.Fatalf("saturating count must stay positive, got %d", got)
-	}
-}
-
-func TestRandomSubsetDeterministic(t *testing.T) {
-	a := RandomSubset(rand.New(rand.NewSource(9)), 20, 5)
-	b := RandomSubset(rand.New(rand.NewSource(9)), 20, 5)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed, different subsets: %v vs %v", a, b)
-	}
-	if !sort.IntsAreSorted(a) || len(a) != 5 {
-		t.Fatalf("malformed subset %v", a)
-	}
-}
-
-func TestNeighbourMoveInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	set := []int{2, 5, 7}
-	for i := 0; i < 2000; i++ {
-		prefer := []int{1, 5, 9}
-		if i%3 == 0 {
-			prefer = nil
-		}
-		next := NeighbourMove(rng, set, 12, 4, prefer)
-		if len(next) < 1 || len(next) > 4 {
-			t.Fatalf("move produced size %d outside [1,4]: %v", len(next), next)
-		}
-		if !sort.IntsAreSorted(next) {
-			t.Fatalf("unsorted move result %v", next)
-		}
-		for j := 1; j < len(next); j++ {
-			if next[j] == next[j-1] {
-				t.Fatalf("duplicate member in %v", next)
-			}
-		}
-		for _, m := range next {
-			if m < 0 || m >= 12 {
-				t.Fatalf("member %d outside universe in %v", m, next)
-			}
-		}
-		set = next
-	}
-}
-
-func TestNeighbourMoveFullUniverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	set := []int{0, 1, 2}
-	for i := 0; i < 50; i++ {
-		next := NeighbourMove(rng, set, 3, 3, nil)
-		if len(next) < 1 || len(next) > 3 {
-			t.Fatalf("degenerate universe move produced %v", next)
-		}
-		set = next
 	}
 }
