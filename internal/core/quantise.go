@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"recycle/internal/graph"
@@ -36,9 +37,11 @@ const RankUnreachable = ^uint32(0)
 // A Quantiser is immutable after Build and safe for concurrent use.
 type Quantiser struct {
 	n int
-	// rank[dst][node]; RankUnreachable when no route. One slice per
-	// destination, so a delta rebuild (Rebuild) shares untouched columns.
-	rank    [][]uint32
+	// rank[dst][node]; -1 when no route, which converts to RankUnreachable.
+	// One slice per destination, so a delta rebuild (Rebuild) shares
+	// untouched columns. A hop-count column is the tree's Hops plane
+	// itself, not a copy: trees are copy-on-write, so it never changes.
+	rank    [][]int32
 	maxRank uint32
 	// dstMax[dst] is the largest rank in dst's column, so a delta rebuild
 	// (Rebuild) can recompute the global max from per-column maxima.
@@ -60,12 +63,17 @@ func BuildQuantiser(tbl *route.Table) *Quantiser {
 // 0 picks the automatic fan-out, 1 forces the sequential build.
 func BuildQuantiserWorkers(tbl *route.Table, workers int) *Quantiser {
 	n := tbl.Graph().NumNodes()
-	q := &Quantiser{n: n, rank: make([][]uint32, n), dstMax: make([]uint32, n)}
-	plane := make([]uint32, n*n)
+	q := &Quantiser{n: n, rank: make([][]int32, n), dstMax: make([]uint32, n)}
+	var plane []int32 // weight-sum columns only: hop counts need no copy
+	if tbl.DiscriminatorKind() != route.HopCount {
+		plane = make([]int32, n*n)
+	}
 	par.For(n, workers, func(_, lo, hi int) {
-		vals := make([]float64, 0, n)
+		var vals []float64
 		for dst := lo; dst < hi; dst++ {
-			q.rank[dst] = plane[dst*n : (dst+1)*n : (dst+1)*n]
+			if plane != nil {
+				q.rank[dst] = plane[dst*n : (dst+1)*n : (dst+1)*n]
+			}
 			vals = q.rankColumn(tbl, graph.NodeID(dst), vals)
 		}
 	})
@@ -73,34 +81,27 @@ func BuildQuantiserWorkers(tbl *route.Table, workers int) *Quantiser {
 	return q
 }
 
-// rankColumn recomputes destination dst's rank column (q.rank[dst], which
-// the caller allocated) and per-column max from tbl, reusing vals as
-// scratch. It is the per-destination unit both BuildQuantiser and the
-// delta path's Rebuild share.
+// rankColumn recomputes destination dst's rank column and per-column max
+// from tbl, reusing vals as scratch. A hop-count column is aliased from
+// the tree; a weight-sum column is written into q.rank[dst], which the
+// caller allocated. It is the per-destination unit both BuildQuantiser
+// and the delta path's Rebuild share.
 func (q *Quantiser) rankColumn(tbl *route.Table, dst graph.NodeID, vals []float64) []float64 {
-	n, col := q.n, q.rank[dst]
 	if tbl.DiscriminatorKind() == route.HopCount {
 		// Hop counts toward a destination are dense: every node's parent
 		// is exactly one hop closer, so each value 0..max occurs and the
-		// rank of hop count h among the distinct values is h itself. This
-		// skips the sort the general (weight-sum) column needs.
-		tree := tbl.Tree(dst)
-		max := uint32(0)
-		for node := 0; node < n; node++ {
-			h := tree.Hops[node]
-			if h < 0 {
-				col[node] = RankUnreachable
-				continue
-			}
-			col[node] = uint32(h)
-			if uint32(h) > max {
-				max = uint32(h)
-			}
+		// rank of hop count h among the distinct values is h itself. The
+		// column is the tree's Hops plane, -1 included.
+		col := tbl.Tree(dst).Hops
+		top := int32(0)
+		for _, h := range col {
+			top = max(top, h)
 		}
-		q.dstMax[dst] = max
+		q.rank[dst], q.dstMax[dst] = col, uint32(top)
 		return vals
 	}
-	vals = vals[:0]
+	n, col := q.n, q.rank[dst]
+	vals = slices.Grow(vals[:0], n)
 	for node := 0; node < n; node++ {
 		if tbl.Reachable(graph.NodeID(node), dst) {
 			vals = append(vals, tbl.DD(graph.NodeID(node), dst))
@@ -118,15 +119,13 @@ func (q *Quantiser) rankColumn(tbl *route.Table, dst graph.NodeID, vals []float6
 	q.dstMax[dst] = 0
 	for node := 0; node < n; node++ {
 		if !tbl.Reachable(graph.NodeID(node), dst) {
-			col[node] = RankUnreachable
+			col[node] = -1
 			continue
 		}
 		dd := tbl.DD(graph.NodeID(node), dst)
-		r := uint32(sort.SearchFloat64s(distinct, dd))
-		col[node] = r
-		if r > q.dstMax[dst] {
-			q.dstMax[dst] = r
-		}
+		r := sort.SearchFloat64s(distinct, dd)
+		col[node] = int32(r)
+		q.dstMax[dst] = max(q.dstMax[dst], uint32(r))
 	}
 	return vals
 }
@@ -153,16 +152,19 @@ func (q *Quantiser) Rebuild(tbl *route.Table, dirty []graph.NodeID) *Quantiser {
 	}
 	nq := &Quantiser{
 		n:      q.n,
-		rank:   append([][]uint32(nil), q.rank...),
+		rank:   append([][]int32(nil), q.rank...),
 		dstMax: append([]uint32(nil), q.dstMax...),
 	}
+	hops := tbl.DiscriminatorKind() == route.HopCount
 	// Dirty columns are disjoint slices, so re-rank them in parallel
 	// like BuildQuantiser does (small dirty sets stay sequential under
 	// the fan-out floor).
 	par.For(len(dirty), 0, func(_, lo, hi int) {
-		vals := make([]float64, 0, q.n)
+		var vals []float64
 		for i := lo; i < hi; i++ {
-			nq.rank[dirty[i]] = make([]uint32, q.n)
+			if !hops {
+				nq.rank[dirty[i]] = make([]int32, q.n)
+			}
 			vals = nq.rankColumn(tbl, dirty[i], vals)
 		}
 	})
@@ -173,7 +175,7 @@ func (q *Quantiser) Rebuild(tbl *route.Table, dirty []graph.NodeID) *Quantiser {
 // Rank returns the quantised discriminator of node toward dst, or
 // RankUnreachable when no route exists.
 func (q *Quantiser) Rank(node, dst graph.NodeID) uint32 {
-	return q.rank[dst][node]
+	return uint32(q.rank[dst][node])
 }
 
 // MaxRank returns the largest rank assigned to any reachable pair.
@@ -202,13 +204,13 @@ func (q *Quantiser) VerifyOrderPreserved(tbl *route.Table) bool {
 	for dst := 0; dst < n; dst++ {
 		for a := 0; a < n; a++ {
 			ra := q.rank[dst][a]
-			if ra == RankUnreachable {
+			if ra < 0 {
 				continue
 			}
 			dda := tbl.DD(graph.NodeID(a), graph.NodeID(dst))
 			for b := a + 1; b < n; b++ {
 				rb := q.rank[dst][b]
-				if rb == RankUnreachable {
+				if rb < 0 {
 					continue
 				}
 				ddb := tbl.DD(graph.NodeID(b), graph.NodeID(dst))

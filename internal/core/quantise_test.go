@@ -97,3 +97,98 @@ func TestQuantiserEqualValuesShareRank(t *testing.T) {
 		t.Fatalf("antipode rank = %d; want 4", q.Rank(4, 0))
 	}
 }
+
+// TestHopCountRanksAreTreeHops: a hop-count rank column is the routing
+// tree's Hops plane itself, -1 for unreachable converting to
+// RankUnreachable, after a full build and after a delta rebuild — on a
+// graph of two components, so every column holds unreachable nodes.
+func TestHopCountRanksAreTreeHops(t *testing.T) {
+	g := graph.New(10, 12)
+	for i := 0; i < 10; i++ {
+		g.AddNode("")
+	}
+	for i := 0; i < 6; i++ { // ring 0..5 with one chord
+		g.MustAddLink(graph.NodeID(i), graph.NodeID((i+1)%6), 1)
+	}
+	g.MustAddLink(0, 3, 1)
+	for i := 6; i < 9; i++ { // path 6-7-8-9
+		g.MustAddLink(graph.NodeID(i), graph.NodeID(i+1), 1)
+	}
+	g.Freeze()
+	check := func(ctx string, tbl *route.Table, q *Quantiser) {
+		t.Helper()
+		for d := 0; d < g.NumNodes(); d++ {
+			dst := graph.NodeID(d)
+			hops := tbl.Tree(dst).Hops
+			if &q.rank[d][0] != &hops[0] {
+				t.Fatalf("%s: column %d is a copy of the tree's Hops plane", ctx, d)
+			}
+			for node, h := range hops {
+				want := uint32(h)
+				if h < 0 {
+					want = RankUnreachable
+				}
+				if got := q.Rank(graph.NodeID(node), dst); got != want {
+					t.Fatalf("%s: Rank(%d, %d) = %d; Hops says %d", ctx, node, d, got, h)
+				}
+			}
+		}
+		if !q.VerifyOrderPreserved(tbl) {
+			t.Fatalf("%s: order not preserved", ctx)
+		}
+	}
+	tbl := route.Build(g, route.HopCount)
+	q := BuildQuantiser(tbl)
+	check("build", tbl, q)
+
+	// Raise the 0-1 ring link: toward some destinations the hop counts
+	// move, toward the path's they cannot. Re-rank exactly the trees whose
+	// Hops plane the repair replaced; the rest share theirs.
+	g2, _, err := graph.ApplyEdit(g, graph.SetWeight(0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep graph.SPTRepairer
+	trees := make([]*graph.SPTree, g.NumNodes())
+	var dirty []graph.NodeID
+	for d := range trees {
+		old := tbl.Tree(graph.NodeID(d))
+		trees[d], _ = rep.WeightChange(g2, old, 0, 1)
+		if !graph.SharedHops(old, trees[d]) {
+			dirty = append(dirty, graph.NodeID(d))
+		}
+	}
+	if len(dirty) == 0 || len(dirty) == len(trees) {
+		t.Fatalf("%d of %d hop planes replaced: want some but not all", len(dirty), len(trees))
+	}
+	tbl2, err := route.NewFromTrees(g2, route.HopCount, trees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("rebuild", tbl2, q.Rebuild(tbl2, dirty))
+	check("build after edit", tbl2, BuildQuantiser(tbl2))
+}
+
+// BenchmarkBuildQuantiser times the rank stage of a cold build on
+// rand:1000 with one worker, over a prebuilt table. A hop-count build
+// aliases each column from its tree's Hops plane, so its allocs/op is a
+// handful and its bytes/op hold no n² plane; a weight-sum build sorts
+// each column and fills one n² plane of its own.
+func BenchmarkBuildQuantiser(b *testing.B) {
+	tp, err := topo.Generated("rand:1000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []route.Discriminator{route.HopCount, route.WeightSum} {
+		b.Run(kind.String(), func(b *testing.B) {
+			tbl := route.BuildWorkers(tp.Graph, kind, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				quantSink = BuildQuantiserWorkers(tbl, 1)
+			}
+		})
+	}
+}
+
+var quantSink *Quantiser

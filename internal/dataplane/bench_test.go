@@ -733,7 +733,8 @@ func BenchmarkRecompileFull(b *testing.B) {
 // routing tables and quantiser are prebuilt outside the timer — this
 // measures column fill plus page interning, the piece the shared layout
 // changed. The tables themselves, most of a cold build, are timed by
-// BenchmarkRouteBuild in internal/route.
+// BenchmarkRouteBuild in internal/route, the quantiser by
+// BenchmarkBuildQuantiser in internal/core.
 func BenchmarkCompile(b *testing.B) {
 	for _, spec := range []string{"rand:512", "rand:2000"} {
 		b.Run(spec, func(b *testing.B) {

@@ -231,7 +231,7 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 		par.ForObserved(n, opts.Workers, obs, func(_, lo, hi int) {
 			sc := newColScratch(n)
 			for dst := lo; dst < hi; dst++ {
-				f.computeColumn(graph.NodeID(dst), tbl, sys, quant, sc)
+				f.computeColumn(graph.NodeID(dst), tbl, quant, sc)
 				f.pages.setColumn(dst, n, sc, st)
 			}
 		})
@@ -276,16 +276,19 @@ func (f *FIB) fillDest(dst graph.NodeID, tbl *route.Table, sys *rotation.System,
 
 // computeColumn writes destination dst's column into contiguous scratch
 // buffers — the shared-column analogue of fillDest's strided writes,
-// entry for entry the same values.
-func (f *FIB) computeColumn(dst graph.NodeID, tbl *route.Table, sys *rotation.System, quant *core.Quantiser, sc *colScratch) {
-	n := f.numNodes
-	for node := 0; node < n; node++ {
-		link := tbl.NextLink(graph.NodeID(node), dst)
-		if link == graph.NoLink {
-			sc.nd[node] = -1
-		} else {
-			sc.nd[node] = int32(sys.OutgoingDart(graph.NodeID(node), link))
+// entry for entry the same values. The dart is formed inline: link l's
+// darts are 2l from its A end and 2l+1 from its B end (rotation.DartsOf).
+func (f *FIB) computeColumn(dst graph.NodeID, tbl *route.Table, quant *core.Quantiser, sc *colScratch) {
+	links := tbl.Graph().Links()
+	for node, link := range tbl.Tree(dst).NextLink {
+		d := int32(-1)
+		if link != graph.NoLink {
+			d = 2 * int32(link)
+			if links[link].A != graph.NodeID(node) {
+				d++
+			}
 		}
+		sc.nd[node] = d
 		sc.ddq[node] = rank16(quant.Rank(graph.NodeID(node), dst))
 	}
 }

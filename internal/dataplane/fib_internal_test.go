@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"recycle/internal/core"
@@ -207,6 +208,60 @@ func TestDecideBatchMaskedEdges(t *testing.T) {
 	} {
 		if got := recycling(tc.batch); got != tc.want {
 			t.Errorf("recycling(%s) = %v; want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestPageStoreInternsByContent: the full compare, not the hash, decides
+// interning — under a constant hash distinct pages (a prefix of another
+// among them) stay apart and equal pages intern once, into a copy — and
+// the word hashes see every element: at each page length, changing any
+// one element changes the hash, which covers both lanes and the tail.
+func TestPageStoreInternsByContent(t *testing.T) {
+	st := newPageStore(func([]int32) uint64 { return 7 })
+	pages := [][]int32{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 6}, {1, 2, 3, 4}, {-1, 2, 3, 4, 5}}
+	var interned [][]int32
+	for _, p := range pages {
+		got := st.intern(append([]int32(nil), p...))
+		if !slices.Equal(got, p) {
+			t.Fatalf("intern(%v) = %v", p, got)
+		}
+		for _, prev := range interned {
+			if &prev[0] == &got[0] {
+				t.Fatalf("intern(%v) returned the page interned for %v", p, prev)
+			}
+		}
+		interned = append(interned, got)
+	}
+	for i, p := range pages {
+		in := append([]int32(nil), p...)
+		if got := st.intern(in); &got[0] != &interned[i][0] || &got[0] == &in[0] {
+			t.Fatalf("re-interning %v did not return its first copy", p)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	lengths := []int{128}
+	for n := 1; n <= 17; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, n := range lengths {
+		p32, p16 := make([]int32, n), make([]uint16, n)
+		for i := range p32 {
+			p32[i], p16[i] = int32(rng.Uint32()), uint16(rng.Uint32())
+		}
+		h32, h16 := hashInt32s(p32), hashUint16s(p16)
+		for i := 0; i < n; i++ {
+			old32, old16 := p32[i], p16[i]
+			p32[i] ^= int32(1 + rng.Intn(math.MaxInt32))
+			p16[i] ^= uint16(1 + rng.Intn(math.MaxUint16))
+			if hashInt32s(p32) == h32 {
+				t.Fatalf("length %d: changing int32 element %d left the hash unchanged", n, i)
+			}
+			if hashUint16s(p16) == h16 {
+				t.Fatalf("length %d: changing uint16 element %d left the hash unchanged", n, i)
+			}
+			p32[i], p16[i] = old32, old16
 		}
 	}
 }

@@ -154,22 +154,40 @@ func (s *pageStore[T]) intern(page []T) []T {
 	return cp
 }
 
-// FNV-1a over the element bits, per plane type.
+// Page hashes: FNV-style xor-multiply over 64-bit words, two elements of
+// an int32 page or four of a uint16 page to a word, two words at a time
+// on independent lanes, then the leftover elements one by one. Each step
+// is a bijection of the lane (xor, then multiply by an odd constant), so
+// changing any one element changes the hash; the interner's full compare
+// decides equality either way.
+
+const (
+	hashBasis = 1469598103934665603
+	hashPrime = 1099511628211
+)
 
 func hashInt32s(p []int32) uint64 {
-	h := uint64(1469598103934665603)
+	a, b := uint64(hashBasis), uint64(hashBasis)
+	for ; len(p) >= 4; p = p[4:] {
+		a = (a ^ (uint64(uint32(p[0])) | uint64(uint32(p[1]))<<32)) * hashPrime
+		b = (b ^ (uint64(uint32(p[2])) | uint64(uint32(p[3]))<<32)) * hashPrime
+	}
+	h := a ^ b*hashPrime
 	for _, v := range p {
-		h ^= uint64(uint32(v))
-		h *= 1099511628211
+		h = (h ^ uint64(uint32(v))) * hashPrime
 	}
 	return h
 }
 
 func hashUint16s(p []uint16) uint64 {
-	h := uint64(1469598103934665603)
+	a, b := uint64(hashBasis), uint64(hashBasis)
+	for ; len(p) >= 8; p = p[8:] {
+		a = (a ^ (uint64(p[0]) | uint64(p[1])<<16 | uint64(p[2])<<32 | uint64(p[3])<<48)) * hashPrime
+		b = (b ^ (uint64(p[4]) | uint64(p[5])<<16 | uint64(p[6])<<32 | uint64(p[7])<<48)) * hashPrime
+	}
+	h := a ^ b*hashPrime
 	for _, v := range p {
-		h ^= uint64(v)
-		h *= 1099511628211
+		h = (h ^ uint64(v)) * hashPrime
 	}
 	return h
 }

@@ -75,12 +75,14 @@ func WriteCompileReport(w io.Writer, p Panel) error {
 		start := time.Now()
 		tbl := route.BuildWorkers(g, route.HopCount, workers)
 		ph.trees = time.Since(start)
-		if prot, err = core.New(g, sys, tbl, core.Config{Variant: core.Full, Quantise: true}); err != nil {
-			return ph, err
-		}
 		start = time.Now()
 		quant := core.BuildQuantiserWorkers(tbl, workers)
 		ph.quant = time.Since(start)
+		// The protocol stamps from the timed quantiser, so the FIB compiles
+		// the table the quantiser row measured.
+		if prot, err = core.NewWithQuantiser(g, sys, tbl, core.Config{Variant: core.Full, Quantise: true}, quant); err != nil {
+			return ph, err
+		}
 		if ph.dense, ph.denseB, err = build(prot, quant, workers, dataplane.ColumnsDense); err != nil {
 			return ph, err
 		}

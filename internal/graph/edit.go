@@ -110,10 +110,10 @@ func ApplyEdit(g *Graph, e Edit) (*Graph, []LinkID, error) {
 		linkMap[i] = LinkID(i)
 	}
 	if e.Kind == EditWeight && g.Frozen() {
-		// Weight-only fast path: adjacency and names are weight-free, so
-		// the edited graph shares them and clones just the link table and
-		// the arcs that carry the weight inline — the delta recompiler
-		// applies thousands of these.
+		// Weight-only fast path: adjacency, names and the through-arc
+		// table are weight-free, so the edited graph shares them and
+		// clones just the link table and the arcs that carry the weight
+		// inline — the delta recompiler applies thousands of these.
 		links := append([]Link(nil), g.links...)
 		links[e.Link].Weight = e.Weight
 		arcs := append([]arc(nil), g.arcs...)
@@ -125,7 +125,7 @@ func ApplyEdit(g *Graph, e Edit) (*Graph, []LinkID, error) {
 			}
 		}
 		return &Graph{names: g.names, links: links, adj: g.adj, frozen: true,
-			arcStart: g.arcStart, arcs: arcs}, linkMap, nil
+			arcStart: g.arcStart, arcs: arcs, thru: g.thru}, linkMap, nil
 	}
 	out := New(g.NumNodes(), g.NumLinks()+1)
 	for n := 0; n < g.NumNodes(); n++ {

@@ -87,9 +87,11 @@ type Graph struct {
 	frozen bool
 	// Flat (CSR) copy of the frozen adjacency for the shortest-path inner
 	// loops: node u's arcs are arcs[arcStart[u]:arcStart[u+1]], in adj[u]'s
-	// order. Built by Freeze; nil on a mutable graph (see flat).
+	// order, and thru is their through-arc table (see flat). Built by
+	// Freeze; nil on a mutable graph.
 	arcStart []int32
 	arcs     []arc
+	thru     []int32
 }
 
 // arc is one directed adjacency entry with the link's weight inline, so a
@@ -104,20 +106,35 @@ type arc struct {
 func (g *Graph) out(u NodeID) []arc { return g.arcs[g.arcStart[u]:g.arcStart[u+1]] }
 
 // flat returns the CSR adjacency: the frozen graph's own, or a throwaway
-// one for a graph still under construction.
-func (g *Graph) flat() (start []int32, arcs []arc) {
+// one for a graph still under construction. With it comes the through-arc
+// table: thru[i] is the index of the other arc at arc i's head when that
+// head has exactly two arcs, -1 otherwise — the next step of a walk
+// through a pass-through node. It depends on the link set alone, and
+// shares start's allocation.
+func (g *Graph) flat() (start []int32, arcs []arc, thru []int32) {
 	if g.frozen {
-		return g.arcStart, g.arcs
+		return g.arcStart, g.arcs, g.thru
 	}
-	start = make([]int32, 1, len(g.adj)+1)
-	arcs = make([]arc, 0, 2*len(g.links))
+	n, m := len(g.adj), 2*len(g.links)
+	buf := make([]int32, n+1+m)
+	start, thru = buf[:1:n+1], buf[n+1:]
+	arcs = make([]arc, 0, m)
 	for _, nbrs := range g.adj {
 		for _, nb := range nbrs {
 			arcs = append(arcs, arc{int32(nb.Node), int32(nb.Link), g.links[nb.Link].Weight})
 		}
 		start = append(start, int32(len(arcs)))
 	}
-	return start, arcs
+	for i, a := range arcs {
+		thru[i] = -1
+		if lo := start[a.node]; start[a.node+1]-lo == 2 {
+			if arcs[lo].link == a.link {
+				lo++
+			}
+			thru[i] = lo
+		}
+	}
+	return start, arcs, thru
 }
 
 // New returns an empty mutable graph with capacity hints for n nodes and m
@@ -196,7 +213,7 @@ func (g *Graph) Freeze() *Graph {
 			return nbrs[i].Link < nbrs[j].Link
 		})
 	}
-	g.arcStart, g.arcs = g.flat()
+	g.arcStart, g.arcs, g.thru = g.flat()
 	g.frozen = true
 	return g
 }

@@ -167,11 +167,12 @@ type SPTBuilder struct {
 // under failures (nil means none) and returns the tree oriented toward
 // dest. Chains are contracted: only dest and nodes without exactly two
 // arcs are queued. A strict improvement landing on a pass-through node
-// (two arcs, up or down) is carried down the node's other arc, planes
-// written as it goes, until it reaches a node to queue, a down link, or a
-// node it does not strictly improve. A tie is settled by betterTie and
-// goes no further: the tied node got its distance from the far side,
-// which is therefore nearer than anything the tie could offer.
+// (two arcs, up or down) is carried down the node's other arc, read from
+// the graph's through-arc table, planes written as it goes, until it
+// reaches a node to queue, a down link, or a node it does not strictly
+// improve. A tie is settled by betterTie and goes no further: the tied
+// node got its distance from the far side, which is therefore nearer
+// than anything the tie could offer.
 //
 // The result is the canonical tree spelled out at SPTRepairer, bit for bit
 // the textbook loop's (referenceTree in the tests). Weights are positive,
@@ -195,13 +196,13 @@ func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	t := &cut(&b.treeSlab, 1)[0]
 	*t = SPTree{Dest: dest, Dist: cut(&b.distSlab, n), Hops: cut(&b.hopSlab, n),
 		NextLink: cut(&b.linkSlab, n)}
-	for i := 0; i < n; i++ {
-		t.Dist[i], t.Hops[i], t.NextLink[i] = Infinity, -1, NoLink
-	}
+	fill(t.Dist, Infinity)
+	fill(t.Hops, -1)
+	fill(t.NextLink, NoLink)
 	if n == 0 {
 		return t
 	}
-	start, arcs := g.flat()
+	start, arcs, thru := g.flat()
 	failing := failures.Len() > 0
 	h := &b.heap
 	h.reset(n)
@@ -210,7 +211,8 @@ func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	for len(h.items) > 0 {
 		u, du := h.popMin()
 		b.Queued++
-		for _, a := range arcs[start[u]:start[u+1]] {
+		for i := start[u]; i < start[u+1]; i++ {
+			a, at := arcs[i], i // at: the arc the walk last crossed
 			p, v, link, cand, hops := u, NodeID(a.node), LinkID(a.link), du+a.w, t.Hops[u]+1
 			for !(failing && failures.down[link]) {
 				dv := t.Dist[v]
@@ -222,20 +224,28 @@ func (b *SPTBuilder) Tree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 					break // equal cost, deterministically preferred parent
 				}
 				t.Dist[v] = cand
-				if start[v+1]-start[v] != 2 {
+				if at = thru[at]; at < 0 {
 					h.update(v, cand)
 					break
 				}
 				b.Followed++
-				o := arcs[start[v]]
-				if LinkID(o.link) == link {
-					o = arcs[start[v]+1]
-				}
+				o := arcs[at]
 				p, v, link, cand, hops = v, NodeID(o.node), LinkID(o.link), cand+o.w, hops+1
 			}
 		}
 	}
 	return t
+}
+
+// fill sets every element of s to v, doubling the copied prefix each step.
+func fill[T any](s []T, v T) {
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for k := 1; k < len(s); k *= 2 {
+		copy(s[k:], s[:k])
+	}
 }
 
 // builders recycles scratch behind ShortestPathTree.
@@ -367,7 +377,7 @@ func HopDiameter(g *Graph) int {
 	if n < 2 {
 		return 0
 	}
-	start, arcs := g.flat()
+	start, arcs, _ := g.flat()
 	scratch := make([]int32, 2*n)
 	dist, queue := scratch[:n], scratch[n:]
 	diam := int32(0)
@@ -409,7 +419,7 @@ func bfsHops(start []int32, arcs []arc, src NodeID, failures *FailureSet, dist, 
 // HopDistances returns hop distances from src under failures (-1 if
 // unreachable). Exposed for baselines and tests.
 func HopDistances(g *Graph, src NodeID, failures *FailureSet) []int {
-	start, arcs := g.flat()
+	start, arcs, _ := g.flat()
 	out := make([]int, g.NumNodes())
 	scratch := make([]int32, 2*len(out))
 	bfsHops(start, arcs, src, failures, scratch[:len(out)], scratch[len(out):])

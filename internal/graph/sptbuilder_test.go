@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -174,7 +175,7 @@ func referenceTree(g *Graph, dest NodeID, failures *FailureSet) *SPTree {
 	if n == 0 {
 		return t
 	}
-	start, arcs := g.flat()
+	start, arcs, _ := g.flat()
 	var h distHeap
 	h.reset(n)
 	t.Dist[dest], t.Hops[dest] = 0, 0
@@ -553,3 +554,81 @@ func TestDistHeap(t *testing.T) {
 		}
 	}
 }
+
+// checkThru verifies g's through-arc table against its definition: arc
+// i's entry is the other arc at its head when the head has two arcs, -1
+// otherwise.
+func checkThru(t *testing.T, ctx string, g *Graph) {
+	t.Helper()
+	if len(g.thru) != len(g.arcs) {
+		t.Fatalf("%s: %d through-arc entries for %d arcs", ctx, len(g.thru), len(g.arcs))
+	}
+	for i, a := range g.arcs {
+		lo, hi := g.arcStart[a.node], g.arcStart[a.node+1]
+		want := int32(-1)
+		if hi-lo == 2 {
+			want = lo
+			if g.arcs[lo].link == a.link {
+				want++
+			}
+		}
+		if g.thru[i] != want {
+			t.Fatalf("%s: thru[%d] = %d; want %d", ctx, i, g.thru[i], want)
+		}
+	}
+}
+
+// TestThroughArcsSurviveEdits: the through-arc table is a function of the
+// link set. A weight edit's clone shares its parent's table; a structural
+// edit's equals the one a fresh Freeze of the same links builds; and on
+// every graph along the way the builder's trees equal the textbook loop's.
+func TestThroughArcsSurviveEdits(t *testing.T) {
+	var b SPTBuilder
+	for seed := int64(0); seed < 40; seed++ {
+		g, fs := chainyGraph(seed)
+		g.Freeze()
+		if g.NumLinks() < 2 {
+			continue
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ctx := fmt.Sprintf("seed %d %v", seed, g)
+		checkThru(t, ctx, g)
+		wg, _, err := ApplyEdit(g, SetWeight(LinkID(rng.Intn(g.NumLinks())), palette(rng)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &wg.thru[0] != &g.thru[0] {
+			t.Fatalf("%s: the weight edit copied the through-arc table", ctx)
+		}
+		graphs := []*Graph{g, wg}
+		u, v := NodeID(rng.Intn(g.NumNodes())), NodeID(rng.Intn(g.NumNodes()-1))
+		if v >= u {
+			v++
+		}
+		for _, e := range []Edit{RemoveLinkEdit(LinkID(rng.Intn(g.NumLinks()))), AddLinkEdit(u, v, palette(rng))} {
+			sg, _, err := ApplyEdit(wg, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := sg.Clone().Freeze()
+			if !slices.Equal(sg.thru, fresh.thru) {
+				t.Fatalf("%s after %v: through-arc table %v; a fresh Freeze builds %v", ctx, e, sg.thru, fresh.thru)
+			}
+			checkThru(t, fmt.Sprintf("%s after %v", ctx, e), sg)
+			graphs = append(graphs, sg)
+		}
+		for i, h := range graphs {
+			for d := 0; d < h.NumNodes(); d++ {
+				treesEqual(t, fmt.Sprintf("%s graph %d dst %d", ctx, i, d),
+					b.Tree(h, NodeID(d), nil), referenceTree(h, NodeID(d), nil))
+			}
+		}
+		for d := 0; d < wg.NumNodes(); d++ {
+			treesEqual(t, fmt.Sprintf("%s weight-edited, down %v, dst %d", ctx, fs, d),
+				b.Tree(wg, NodeID(d), fs), referenceTree(wg, NodeID(d), fs))
+		}
+	}
+}
+
+// palette draws a link weight that makes ties likely.
+func palette(rng *rand.Rand) float64 { return []float64{1, 2, 0.5, 0.1}[rng.Intn(4)] }

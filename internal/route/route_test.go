@@ -132,9 +132,10 @@ func TestDiscriminatorString(t *testing.T) {
 // shortest-path tree per destination. Workers is pinned so the number does
 // not depend on the host's core count. The builder queues only nodes that
 // do not have exactly two links, which is 27 % of rand:1000 and 32 % of
-// rand:512; grid:32x32 (four such nodes in 1024) is the control that gets
-// nothing from that and pays one degree test per improvement for it (0–8 %,
-// inside one run's spread), ring:256 the all-chain limit.
+// rand:512, and walks through the rest by the graph's through-arc table
+// (thru: one load per pass-through node, no degree test); grid:32x32
+// (four such nodes in 1024) is the control that gets nothing from that and
+// pays one thru load per improvement for it, ring:256 the all-chain limit.
 func BenchmarkRouteBuild(b *testing.B) {
 	for _, spec := range []string{"rand:512", "rand:1000", "grid:32x32", "ring:256"} {
 		b.Run(spec, func(b *testing.B) {
