@@ -109,11 +109,15 @@ func BenchmarkLossWindowMotivation(b *testing.B) {
 	g := net.Graph()
 	src, _ := net.Node("Seattle")
 	dst, _ := net.Node("LosAngeles")
+	fib, err := net.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
 	const scale = 100.0
 	var prLost, rcLost float64
 	for i := 0; i < b.N; i++ {
 		pr, err := sim.RunLossWindow(sim.Config{
-			Graph: g, Scheme: &sim.PRScheme{Protocol: net.Protocol()},
+			Graph: g, Scheme: &sim.PRScheme{FIB: fib},
 			Horizon: 3 * time.Second, DetectionDelay: 50 * time.Millisecond,
 		}, src, dst, 2430, time.Second)
 		if err != nil {

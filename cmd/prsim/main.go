@@ -20,6 +20,10 @@
 //	prsim churn -edits 10               # full-vs-delta recompile + live hot-swap
 //	prsim throughput -topo geant -shards 4
 //	prsim throughput -topo ring:24 -wire
+//	prsim tables                        # every router's tables, paper example
+//	prsim tables -topo abilene -node Denver -dd weight
+//	prsim tables -topo geant -faces     # the embedding's cycle system (-dot: Graphviz)
+//	prsim topo -topo geant -unit-weights  # a topology in the edge-list format
 //
 // `prsim certify` runs the adversarial failure search of internal/certify
 // over the topology panel and prints one resilience certificate per
@@ -31,6 +35,13 @@
 // baseline on -topo, then replays every counterexample as a pinned extra
 // draw of the Monte-Carlo sweep — PR must survive the sets that break
 // reconvergence. `prsim soak` exits non-zero on a FAIL verdict.
+//
+// `prsim tables` prints the PR state a router holds — its cycle
+// following table (paper Table 1) and its routing table with the §4.3
+// DD column — and `prsim topo` writes a topology in the edge-list format
+// graph.Parse loads; both default to the paper's example network. They
+// replace the former prtables and topogen commands, and take topology
+// names from internal/topo alone.
 //
 // One global -seed makes every verb reproducible; -metrics serves live
 // registry snapshots over HTTP while any metered verb runs. -topo accepts
@@ -56,7 +67,9 @@ import (
 
 	"recycle/internal/eval"
 	"recycle/internal/failure"
+	"recycle/internal/route"
 	"recycle/internal/telemetry"
+	"recycle/internal/topo"
 	"recycle/internal/traffic"
 )
 
@@ -82,6 +95,8 @@ var verbs = map[string]verb{
 	"compile":    {[]string{"geant"}, cmdCompile},
 	"churn":      {[]string{"geant"}, cmdChurn},
 	"throughput": {[]string{"geant"}, cmdThroughput},
+	"tables":     {[]string{"paper"}, cmdTables},
+	"topo":       {[]string{"paper"}, cmdTopo},
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -408,4 +423,37 @@ func cmdThroughput(g *globals, args []string) error {
 		Panel: g.panel(), Shards: *shards, Packets: *packets, BatchSize: *batch,
 		Wire: *wire, BandwidthBps: *egressBw, Traffic: *trafficArg,
 	})
+}
+
+// cmdTables prints the PR state a router holds: its cycle following
+// table and its routing table with the DD column, or with -faces the
+// embedding's cycle system, or with -dot the embedding as Graphviz DOT.
+func cmdTables(g *globals, args []string) error {
+	node := g.fs.String("node", "", "print only this node's tables")
+	faces := g.fs.Bool("faces", false, "print the embedding's cycle system")
+	dot := g.fs.Bool("dot", false, "emit the embedding as Graphviz DOT (faces on edge labels)")
+	dd := g.fs.String("dd", "hops", "distance discriminator: hops or weight")
+	if err := g.parse(args); err != nil {
+		return err
+	}
+	disc, ok := map[string]route.Discriminator{"hops": route.HopCount, "weight": route.WeightSum}[*dd]
+	if !ok {
+		return fmt.Errorf("unknown -dd %q (want hops or weight)", *dd)
+	}
+	return eval.WriteTablesReport(g.out, eval.TablesConfig{
+		Panel: g.panel(), Node: *node, Faces: *faces, DOT: *dot, Discriminator: disc,
+	})
+}
+
+// cmdTopo writes -topo in the edge-list format graph.Parse loads.
+func cmdTopo(g *globals, args []string) error {
+	unit := g.fs.Bool("unit-weights", false, "weight the ISP topologies' links 1 instead of by distance")
+	if err := g.parse(args); err != nil {
+		return err
+	}
+	w := topo.DistanceWeights
+	if *unit {
+		w = topo.UnitWeights
+	}
+	return eval.WriteTopoReport(g.out, g.panel().Topologies[0], w)
 }

@@ -35,6 +35,13 @@ func TestGolden(t *testing.T) {
 		{"ablation_geant", []string{"ablation", "-topo", "geant"}},
 		{"certify_ring8_k1", []string{"certify", "-topo", "ring:8", "-k", "1"}},
 		{"resilience_ring24_d3", []string{"resilience", "-topo", "ring:24", "-draws", "3", "-seed", "1"}},
+		{"tables_paper", []string{"tables"}},
+		{"tables_abilene_denver", []string{"tables", "-topo", "abilene", "-node", "Denver"}},
+		{"tables_geant_faces", []string{"tables", "-topo", "geant", "-faces"}},
+		{"tables_paper_dot", []string{"tables", "-topo", "paper", "-dot"}},
+		{"tables_abilene_weight_denver", []string{"tables", "-topo", "abilene", "-dd", "weight", "-node", "Denver"}},
+		{"topo_abilene", []string{"topo", "-topo", "abilene"}},
+		{"topo_geant_unit", []string{"topo", "-topo", "geant", "-unit-weights"}},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.file+".golden"))
@@ -99,7 +106,7 @@ func TestTimedVerbs(t *testing.T) {
 // TestExitStatus: a usage error exits 2 and a failed run 1, each with
 // one line on stderr and nothing on stdout.
 func TestExitStatus(t *testing.T) {
-	verbList := "ablation, certify, churn, compile, figures, losswindow, overheads, resilience, soak, throughput"
+	verbList := "ablation, certify, churn, compile, figures, losswindow, overheads, resilience, soak, tables, throughput, topo"
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -117,6 +124,8 @@ func TestExitStatus(t *testing.T) {
 		{"bad traffic spec", []string{"losswindow", "-traffic", "quake:mag=9"}, 1, "prsim: "},
 		{"zero edits", []string{"churn", "-edits", "0"}, 1, "prsim: churn needs -edits ≥ 1 (got 0)"},
 		{"pins without -topo", []string{"resilience", "-certify-pins", "2"}, 1, "prsim: certify pins need one explicit topology"},
+		{"bad -dd", []string{"tables", "-dd", "bogus"}, 1, `prsim: unknown -dd "bogus" (want hops or weight)`},
+		{"unknown -node", []string{"tables", "-node", "Nowhere"}, 1, `prsim: unknown -node "Nowhere" in paper`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := prsim(tc.args...)

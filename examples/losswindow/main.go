@@ -21,6 +21,10 @@ func main() {
 	g := net.Graph()
 	src, _ := net.Node("Seattle")
 	dst, _ := net.Node("LosAngeles")
+	fib, err := net.Compile()
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// A 20%-loaded OC-192 at 1 kB packets carries ≈243k pps; simulate at
 	// 1:100 scale (losses scale linearly with the rate).
@@ -28,7 +32,7 @@ func main() {
 	const scale = 100.0
 
 	schemes := []sim.Scheme{
-		&sim.PRScheme{Protocol: net.Protocol()},
+		&sim.PRScheme{FIB: fib},
 		&sim.FCPScheme{},
 		&sim.ReconvScheme{},
 	}

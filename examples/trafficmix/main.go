@@ -76,7 +76,7 @@ func main() {
 		return st
 	}
 
-	pr := run(&sim.CompiledPRScheme{FIB: fib})
+	pr := run(&sim.PRScheme{FIB: fib})
 	run(&sim.FCPScheme{})
 	run(&sim.ReconvScheme{})
 

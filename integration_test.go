@@ -22,6 +22,10 @@ func TestWalkMatchesSimulator(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := net.Graph()
+	fib, err := net.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
 	failSets, err := recycle.SampleFailures(g, 3, 10, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +41,7 @@ func TestWalkMatchesSimulator(t *testing.T) {
 
 				s, err := sim.New(sim.Config{
 					Graph:          g,
-					Scheme:         &sim.PRScheme{Protocol: net.Protocol()},
+					Scheme:         &sim.PRScheme{FIB: fib},
 					Horizon:        10 * time.Second,
 					DetectionDelay: time.Microsecond,
 					Flows: []sim.Flow{{

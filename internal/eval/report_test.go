@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"recycle/internal/route"
+	"recycle/internal/topo"
 )
 
 // TestVerbReports runs each report entry point behind a prsim verb at toy
@@ -53,6 +56,12 @@ func TestVerbReports(t *testing.T) {
 			_, err := RunSoakReport(w, cfg)
 			return err
 		}, []string{"# soak: ring:8 (genus 0), 500 flows", "verdict:"}},
+		{"tables", func(w io.Writer) error {
+			return WriteTablesReport(w, TablesConfig{Panel: Panel{Topologies: []string{"wring:16@7"}},
+				Node: "r0", Discriminator: route.WeightSum})
+		}, []string{"PR header 5 bits (1 PR + 4 DD, raw 6), flow-label codec", "Routing table at node r0 (with DD column, weight-sum)"}},
+		{"topo", func(w io.Writer) error { return WriteTopoReport(w, "teleglobe", topo.UnitWeights) },
+			[]string{"node Montreal\n", "link Montreal Toronto 1\n"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.name == "soak" && testing.Short() {
@@ -81,6 +90,8 @@ func TestVerbReports(t *testing.T) {
 		"zero edits":    WriteChurnReport(&sb, ChurnConfig{Panel: Panel{Topologies: []string{"ring:8"}}}),
 		"unknown panel": WriteFiguresReport(&sb, FiguresConfig{ID: "9z"}),
 		"bad traffic":   WriteThroughputReport(&sb, ThroughputConfig{Panel: Panel{Topologies: []string{"ring:8"}}, Traffic: "quake:mag=9"}),
+		"unknown node":  WriteTablesReport(&sb, TablesConfig{Panel: Panel{Topologies: []string{"ring:8"}}, Node: "Denver"}),
+		"unknown topo":  WriteTopoReport(&sb, "nosuch", topo.DistanceWeights),
 	} {
 		if err == nil {
 			t.Errorf("%s: accepted", name)

@@ -140,7 +140,7 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 		{Src: dst, Dst: src, Interval: interval, Bits: 8192, Start: interval / 2},
 	}
 	schemes := []func() sim.Scheme{
-		func() sim.Scheme { return &sim.CompiledPRScheme{FIB: fib} },
+		func() sim.Scheme { return &sim.PRScheme{FIB: fib} },
 		func() sim.Scheme { return &sim.ReconvScheme{} },
 	}
 	rows := make([]ResilienceRow, len(schemes))

@@ -594,9 +594,11 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	p.delivered = reg.Counter(MetricSoakDelivered).Handle()
 	p.noRoute = reg.Counter(MetricSoakDropNoRoute).Handle()
 	p.ttl = reg.Counter(MetricSoakDropTTL).Handle()
-	p.violation = reg.Counter(MetricSoakViolation).Handle()
-	p.transient = reg.Counter(MetricSoakTransient).Handle()
-	p.excused = reg.Counter(MetricSoakExcused).Handle()
+	p.loss = [3]telemetry.CounterHandle{
+		failure.LossViolation: reg.Counter(MetricSoakViolation).Handle(),
+		failure.LossTransient: reg.Counter(MetricSoakTransient).Handle(),
+		failure.LossExcused:   reg.Counter(MetricSoakExcused).Handle(),
+	}
 	p.hops = reg.Histogram(MetricSoakHops, telemetry.ExponentialBuckets(1, 2, 10)).Handle()
 	p.latency = reg.Histogram(MetricSoakLatencyNs, telemetry.ExponentialBuckets(1000, 4, 12)).Handle()
 
@@ -759,9 +761,7 @@ type soakPump struct {
 	delivered telemetry.CounterHandle
 	noRoute   telemetry.CounterHandle
 	ttl       telemetry.CounterHandle
-	violation telemetry.CounterHandle
-	transient telemetry.CounterHandle
-	excused   telemetry.CounterHandle
+	loss      [3]telemetry.CounterHandle // by failure.Loss
 	hops      telemetry.HistogramHandle
 	latency   telemetry.HistogramHandle
 	lag       *telemetry.Gauge
@@ -928,24 +928,20 @@ func (p *soakPump) process(d soakDone, now, horizon time.Duration) {
 	p.submit(sb)
 }
 
-// refereeDrop resolves one lost packet into violation / transient /
-// excused, mirroring the simulator's oracle referee. The stability
-// window is widened backwards by the worst observed control-plane lag,
-// and the churn log's applied instants are checked directly: a loss
-// whose flight window brushed a transition in either time base is a §7
-// transient, never a false violation minted by scheduling jitter.
+// refereeDrop classifies one lost packet with Oracle.Classify, the
+// simulator's referee. The soak adds one rule of its own: a violation whose
+// flight window, widened backwards by the worst observed control-plane
+// lag, holds a transition — or holds an applied instant in the churn log
+// — is a §7 transient, never a false violation minted by scheduling
+// jitter.
 func (p *soakPump) refereeDrop(m *soakMeta, dst graph.NodeID, now time.Duration, drop telemetry.CounterHandle) {
 	p.resolved++
 	drop.Inc()
-	src := graph.NodeID(m.src)
-	switch {
-	case !p.oracle.ConnectedThroughout(src, dst, m.emit, now):
-		p.excused.Inc()
-	case !p.oracle.StableThroughout(m.emit-p.churn.lag(), now) || p.churn.overlaps(m.emit, now):
-		p.transient.Inc()
-	default:
-		p.violation.Inc()
+	c := p.oracle.Classify(graph.NodeID(m.src), dst, m.emit, now)
+	if c == failure.LossViolation && (!p.oracle.StableThroughout(m.emit-p.churn.lag(), now) || p.churn.overlaps(m.emit, now)) {
+		c = failure.LossTransient
 	}
+	p.loss[c].Inc()
 }
 
 // ---------------------------------------------------------------------------

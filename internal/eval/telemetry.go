@@ -93,7 +93,7 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 		}
 		rec := telemetry.NewRecorder(telemetry.RecorderConfig{SampleEvery: 1, Capacity: 256})
 		base := reg.Snapshot()
-		scheme := &sim.CompiledPRScheme{FIB: fib}
+		scheme := &sim.PRScheme{FIB: fib}
 		s, err := sim.New(sim.Config{
 			Graph:          g,
 			Scheme:         scheme,

@@ -64,7 +64,7 @@ func runTrafficLoss(tp topo.Topology, src, dst graph.NodeID, sources []traffic.S
 			return nil, fmt.Errorf("eval: traffic mix: %w", err)
 		}
 		schemes := []sim.Scheme{
-			&sim.CompiledPRScheme{FIB: st.fib},
+			&sim.PRScheme{FIB: st.fib},
 			&sim.FCPScheme{},
 			&sim.ReconvScheme{},
 		}

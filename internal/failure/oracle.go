@@ -132,15 +132,51 @@ func (o *Oracle) ConnectedThroughout(src, dst graph.NodeID, from, to time.Durati
 // constant over (from, to] — no failure or repair took effect strictly
 // after from and up to to. A transition exactly at from does not count:
 // a packet created in the same instant a link flips lives entirely under
-// the new state. This is the paper's guarantee regime discriminator: §1
-// promises zero loss for any *static* failure combination that leaves
-// the pair connected, while §7 separately discusses (and damps) the
-// transients of packets in flight across a state change.
+// the new state. A to before from reads as from, as in
+// ConnectedThroughout. This is the paper's guarantee regime
+// discriminator: §1 promises zero loss for any *static* failure
+// combination that leaves the pair connected, while §7 separately
+// discusses (and damps) the transients of packets in flight across a
+// state change.
 func (o *Oracle) StableThroughout(from, to time.Duration) bool {
 	if from < 0 {
 		from = 0
 	}
+	if to < from {
+		to = from
+	}
 	return o.epochAt(from) == o.epochAt(to)
+}
+
+// Loss is the referee's class for one lost packet. Its values index a
+// per-class counter array.
+type Loss uint8
+
+const (
+	// LossViolation: the pair stayed connected and the link state held
+	// still over the packet's lifetime — the loss counts against the
+	// scheme.
+	LossViolation Loss = iota
+	// LossTransient: the pair stayed connected, but a failure or repair
+	// took effect mid-flight (§7's damped regime).
+	LossTransient
+	// LossExcused: the pair was partitioned at some instant of the
+	// packet's lifetime; no scheme delivers across a partition.
+	LossExcused
+)
+
+// Classify referees a packet from src to dst created at from and lost at
+// to: excused when the pair was cut at any instant of [from, to],
+// transient when a transition took effect in (from, to], a violation
+// otherwise.
+func (o *Oracle) Classify(src, dst graph.NodeID, from, to time.Duration) Loss {
+	switch {
+	case !o.ConnectedThroughout(src, dst, from, to):
+		return LossExcused
+	case !o.StableThroughout(from, to):
+		return LossTransient
+	}
+	return LossViolation
 }
 
 // Epochs returns the number of distinct link-state periods the scenario

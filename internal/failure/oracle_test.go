@@ -137,6 +137,43 @@ func TestOracleStableThroughout(t *testing.T) {
 	}
 }
 
+// TestOracleClassify drives the loss referee through each class and its
+// window edges. On ring:4, links 0 (0-1) and 3 (3-0) cut node 0 off over
+// [1s, 2s); link 1 (1-2) fails at 3s for good, which leaves 0 and 2
+// connected through 3.
+func TestOracleClassify(t *testing.T) {
+	g := graph.Ring(4)
+	sc := &Scenario{Name: "classify", Outages: []Outage{
+		LinkOutage(0, time.Second, 2*time.Second),
+		LinkOutage(3, time.Second, 2*time.Second),
+		LinkOutage(1, 3*time.Second, Forever),
+	}}
+	oracle, err := NewOracle(g, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := time.Millisecond
+	for _, tc := range []struct {
+		name     string
+		from, to time.Duration
+		want     Loss
+	}{
+		{"stable and connected", 0, 900 * ms, LossViolation},
+		{"plain transition mid-flight", 2500 * ms, 3500 * ms, LossTransient},
+		{"partition mid-flight", 500 * ms, 1500 * ms, LossExcused},
+		{"transition exactly at from", 3 * time.Second, 3500 * ms, LossViolation},
+		{"partition and transition in one window", 1500 * ms, 3500 * ms, LossExcused},
+		{"negative from, stable", -time.Second, 900 * ms, LossViolation},
+		{"negative from, partitioned", -time.Second, 1500 * ms, LossExcused},
+		{"to before from, stable", 3500 * ms, 2500 * ms, LossViolation},
+		{"to before from, partitioned", 1500 * ms, 500 * ms, LossExcused},
+	} {
+		if got := oracle.Classify(0, 2, tc.from, tc.to); got != tc.want {
+			t.Errorf("%s: Classify(0, 2, %v, %v) = %d; want %d", tc.name, tc.from, tc.to, got, tc.want)
+		}
+	}
+}
+
 func TestOracleOutagesAtTimeZero(t *testing.T) {
 	// An outage from t=0 must land in epoch 0, not create a same-instant
 	// second epoch.

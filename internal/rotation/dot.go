@@ -11,7 +11,7 @@ import (
 // WriteDOT renders the embedded graph in Graphviz DOT format. Each
 // undirected link is annotated with the two oriented faces it separates
 // ("c<i>|c<j>"), making the cycle system visible: the paper's Figure 1(a)
-// can be regenerated directly from `prtables`-style output piped through
+// can be regenerated directly from `prsim tables -dot` piped through
 // Graphviz. Links whose two darts lie on a single face — the configuration
 // that breaks PR's delivery guarantee — are drawn red and bold so embedding
 // defects are visually obvious.

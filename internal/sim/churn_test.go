@@ -13,13 +13,13 @@ import (
 
 // churnScheme builds a compiled PR scheme with a delta recompiler over a
 // topology.
-func churnScheme(t *testing.T, p *PRScheme) *CompiledPRScheme {
+func churnScheme(t *testing.T, p *core.Protocol) *PRScheme {
 	t.Helper()
-	rec, err := dataplane.NewRecompiler(p.Protocol, nil, nil)
+	rec, err := dataplane.NewRecompiler(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &CompiledPRScheme{FIB: rec.FIB(), Recompiler: rec}
+	return &PRScheme{FIB: rec.FIB(), Recompiler: rec}
 }
 
 // TestMaintenanceDrain pins the maintenance scenario class: drain, then
@@ -38,7 +38,7 @@ func TestMaintenanceDrain(t *testing.T) {
 	const pps = 1000
 	drainAt, failAt := 1*time.Second, 2*time.Second
 
-	interpreted := prScheme(t, tp.Graph, core.Full)
+	interpreted := prProtocol(t, tp.Graph, core.Full)
 
 	// Updated PR: zero loss across the planned outage.
 	cfg.Scheme = churnScheme(t, interpreted)
@@ -56,7 +56,7 @@ func TestMaintenanceDrain(t *testing.T) {
 	// Stale PR (no recompiler): still forwarding over the drained link
 	// when it dies — the detection window's blackhole loss, even though
 	// the outage was announced.
-	cfg.Scheme = &CompiledPRScheme{FIB: churnScheme(t, interpreted).FIB}
+	cfg.Scheme = &PRScheme{FIB: churnScheme(t, interpreted).FIB}
 	stale, err := RunMaintenance(cfg, src, dst, pps, drainAt, failAt)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestMaintenanceDrain(t *testing.T) {
 // delivered) route.
 func TestTopologyUpdateAddLink(t *testing.T) {
 	g := graph.Ring(12)
-	interpreted := prScheme(t, g, core.Full)
+	interpreted := prProtocol(t, g, core.Full)
 
 	run := func(scheme Scheme) *telemetry.Snapshot {
 		s, err := New(Config{
@@ -102,7 +102,7 @@ func TestTopologyUpdateAddLink(t *testing.T) {
 	}
 
 	withDelta := run(churnScheme(t, interpreted))
-	stale := run(&CompiledPRScheme{FIB: churnScheme(t, interpreted).FIB})
+	stale := run(&PRScheme{FIB: churnScheme(t, interpreted).FIB})
 	if withDelta.Counter(MetricDelivered) != withDelta.Counter(MetricGenerated) {
 		t.Fatalf("delta scheme dropped: %+v", withDelta)
 	}
@@ -143,9 +143,9 @@ func TestUpdateTopologyAtValidation(t *testing.T) {
 // fault counted once.
 func TestTopologyUpdateFaults(t *testing.T) {
 	g := graph.Ring(12)
-	scheme := churnScheme(t, prScheme(t, g, core.Full))
+	scheme := churnScheme(t, prProtocol(t, g, core.Full))
 	// A recompiler over a smaller ring: link 9 exists in g, not there.
-	scheme.Recompiler = churnScheme(t, prScheme(t, graph.Ring(6), core.Full)).Recompiler
+	scheme.Recompiler = churnScheme(t, prProtocol(t, graph.Ring(6), core.Full)).Recompiler
 
 	for _, tc := range []struct {
 		name   string
@@ -188,8 +188,8 @@ func TestTopologyUpdateFaults(t *testing.T) {
 // skewed failed-link count on other sizes).
 func TestStaleSchemeIgnoresUnknownLink(t *testing.T) {
 	g := graph.Ring(64)
-	fib := churnScheme(t, prScheme(t, g, core.Full)).FIB
-	compiled, wire := &CompiledPRScheme{FIB: fib}, &WirePRScheme{FIB: fib}
+	fib := churnScheme(t, prProtocol(t, g, core.Full)).FIB
+	compiled, wire := &PRScheme{FIB: fib}, &WirePRScheme{FIB: fib}
 	for _, tc := range []struct {
 		scheme Scheme
 		state  func() *dataplane.LinkState

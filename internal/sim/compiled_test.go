@@ -5,20 +5,32 @@ import (
 	"time"
 
 	"recycle/internal/core"
-	"recycle/internal/dataplane"
 	"recycle/internal/graph"
+	"recycle/internal/rotation"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 )
 
-func compiledScheme(t *testing.T, p *PRScheme) *CompiledPRScheme {
-	t.Helper()
-	fib, err := dataplane.Compile(p.Protocol)
-	if err != nil {
-		t.Fatal(err)
+// protocolScheme forwards with core.Protocol itself: the reference the
+// compiled PRScheme is held to.
+type protocolScheme struct{ p *core.Protocol }
+
+func (r protocolScheme) Name() string { return "packet-recycling-" + r.p.Variant().String() }
+
+func (protocolScheme) Init(*Simulator) {}
+
+func (r protocolScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, core.Event, bool) {
+	hdr, _ := pkt.State.(core.Header)
+	d := r.p.Decide(node, pkt.Dst, pkt.Ingress, hdr, s.KnownFailures())
+	if d.OK {
+		pkt.State = d.Header
 	}
-	return &CompiledPRScheme{FIB: fib}
+	return d.Egress, d.Event, d.OK
 }
+
+func (protocolScheme) TopologyChanged(*Simulator, graph.LinkID, bool) {}
+
+func (protocolScheme) Converge(*Simulator) {}
 
 // TestCompiledSchemeMatchesInterpreted: the discrete-event simulator must
 // produce identical outcomes whether PR runs on core.Protocol or on the
@@ -26,8 +38,9 @@ func compiledScheme(t *testing.T, p *PRScheme) *CompiledPRScheme {
 func TestCompiledSchemeMatchesInterpreted(t *testing.T) {
 	tp := topo.Abilene(topo.DistanceWeights)
 	g := tp.Graph
-	interpreted := prScheme(t, g, core.Full)
-	compiled := compiledScheme(t, interpreted)
+	prot := prProtocol(t, g, core.Full)
+	interpreted := protocolScheme{prot}
+	compiled := compiledScheme(t, prot)
 
 	run := func(scheme Scheme) *telemetry.Snapshot {
 		s, err := New(Config{

@@ -18,9 +18,10 @@ type Scheme interface {
 	Name() string
 	// Init is called once before the run.
 	Init(s *Simulator)
-	// Process decides the egress dart for a packet at a node. Returning
-	// ok=false drops the packet (no usable route).
-	Process(s *Simulator, node graph.NodeID, pkt *Packet) (egress rotation.DartID, ok bool)
+	// Process decides the egress dart for a packet at a node and returns
+	// the decision's core.Event, which labels the hop in a flight
+	// transcript. Returning ok=false drops the packet (no usable route).
+	Process(s *Simulator, node graph.NodeID, pkt *Packet) (egress rotation.DartID, ev core.Event, ok bool)
 	// TopologyChanged notifies the scheme that routers adjacent to a link
 	// have locally detected a state change.
 	TopologyChanged(s *Simulator, l graph.LinkID, down bool)
@@ -28,83 +29,15 @@ type Scheme interface {
 	Converge(s *Simulator)
 }
 
-// Explainer is optionally implemented by schemes that can attribute
-// their last Process decision to a core.Event — the flight recorder
-// uses it to label each recorded hop exactly (route, detect, cycle,
-// continue, resume) instead of inferring from the PR bit. LastEvent is
-// meaningful only immediately after a Process call, on the simulator's
-// single event loop.
-type Explainer interface {
-	LastEvent() core.Event
-}
-
 // ---------------------------------------------------------------------------
 // Packet Re-cycling
 // ---------------------------------------------------------------------------
 
-// PRScheme forwards with a core.Protocol. Routers consult only locally
-// detected failures; packets sent into a not-yet-detected dead link are
-// lost, so PR's loss window is exactly the detection delay.
-type PRScheme struct {
-	Protocol *core.Protocol
-	// Protect optionally restricts re-cycling to selected traffic (the
-	// paper's §7 policy knob: "ISPs can include extra rules and policies
-	// to limit PR to certain types of traffic"). Unprotected packets are
-	// forwarded on plain shortest paths and dropped at failures, like
-	// ordinary best-effort traffic before reconvergence. Nil protects
-	// everything.
-	Protect func(*Packet) bool
-
-	lastEvent core.Event
-}
-
-// Name implements Scheme.
-func (p *PRScheme) Name() string { return "packet-recycling-" + p.Protocol.Variant().String() }
-
-// Init implements Scheme.
-func (p *PRScheme) Init(*Simulator) {}
-
-// Process implements Scheme.
-func (p *PRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, bool) {
-	if p.Protect != nil && !p.Protect(pkt) {
-		// Unprotected class: shortest path only, drop at known failures.
-		p.lastEvent = core.EventRoute
-		next := p.Protocol.Routes().NextLink(node, pkt.Dst)
-		if next == graph.NoLink || s.KnownFailures().Down(next) {
-			return rotation.NoDart, false
-		}
-		return dartFrom(s.Graph(), node, next), true
-	}
-	hdr, _ := pkt.State.(core.Header)
-	d := p.Protocol.Decide(node, pkt.Dst, pkt.Ingress, hdr, s.KnownFailures())
-	p.lastEvent = d.Event
-	if !d.OK {
-		return rotation.NoDart, false
-	}
-	pkt.State = d.Header
-	return d.Egress, true
-}
-
-// LastEvent implements Explainer.
-func (p *PRScheme) LastEvent() core.Event { return p.lastEvent }
-
-// TopologyChanged implements Scheme. PR precomputes everything offline;
-// detection alone flips the local interface state, which Process already
-// reads from the simulator.
-func (p *PRScheme) TopologyChanged(*Simulator, graph.LinkID, bool) {}
-
-// Converge implements Scheme.
-func (p *PRScheme) Converge(*Simulator) {}
-
-// ---------------------------------------------------------------------------
-// Packet Re-cycling on the compiled dataplane
-// ---------------------------------------------------------------------------
-
-// CompiledPRScheme forwards with a compiled dataplane.FIB instead of
-// interpreting core.Protocol: identical decisions (the dataplane
-// differential test proves bit-identity), a fraction of the per-packet
-// cost. Local failure detections flip bits in a dataplane.LinkState
-// mirror of the simulator's known-failure set.
+// PRScheme forwards with a compiled dataplane.FIB, the per-router
+// forwarding function of §4. Routers consult only locally detected
+// failures, which flip bits in a dataplane.LinkState mirror of the
+// simulator's known-failure set; packets sent into a not-yet-detected
+// dead link are lost, so PR's loss window is exactly the detection delay.
 //
 // With a Recompiler attached the scheme also covers the maintenance
 // scenario class: a planned topology change (Simulator.UpdateTopologyAt)
@@ -113,46 +46,40 @@ func (p *PRScheme) Converge(*Simulator) {}
 // keeps its pre-maintenance FIB, modelling a router the control plane
 // has not updated yet (still loss-free for weight changes: stale
 // shortest paths remain live paths, just not optimal ones).
-type CompiledPRScheme struct {
+type PRScheme struct {
 	FIB *dataplane.FIB
 	// Recompiler, when non-nil, reacts to planned topology updates with
 	// a delta recompile. It must have been built over the same network
 	// state FIB was compiled from.
 	Recompiler *dataplane.Recompiler
 
-	state     *dataplane.LinkState
-	lastEvent core.Event
+	state *dataplane.LinkState
 }
 
 // Name implements Scheme.
-func (c *CompiledPRScheme) Name() string {
-	return "packet-recycling-compiled-" + c.FIB.Variant().String()
+func (p *PRScheme) Name() string {
+	return "packet-recycling-compiled-" + p.FIB.Variant().String()
 }
 
 // Init implements Scheme.
-func (c *CompiledPRScheme) Init(s *Simulator) {
-	c.state = dataplane.FromFailureSet(s.Graph().NumLinks(), s.KnownFailures())
+func (p *PRScheme) Init(s *Simulator) {
+	p.state = dataplane.FromFailureSet(s.Graph().NumLinks(), s.KnownFailures())
 }
 
 // Process implements Scheme.
-func (c *CompiledPRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, bool) {
+func (p *PRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, core.Event, bool) {
 	hdr, _ := pkt.State.(core.Header)
-	d := c.FIB.Decide(node, pkt.Dst, pkt.Ingress, hdr, c.state)
-	c.lastEvent = d.Event
-	if !d.OK {
-		return rotation.NoDart, false
+	d := p.FIB.Decide(node, pkt.Dst, pkt.Ingress, hdr, p.state)
+	if d.OK {
+		pkt.State = d.Header
 	}
-	pkt.State = d.Header
-	return d.Egress, true
+	return d.Egress, d.Event, d.OK
 }
-
-// LastEvent implements Explainer.
-func (c *CompiledPRScheme) LastEvent() core.Event { return c.lastEvent }
 
 // TopologyChanged implements Scheme: mirror the detection into the
 // compiled link-state bitset.
-func (c *CompiledPRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
-	mirrorDetection(c.state, l, down)
+func (p *PRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
+	mirrorDetection(p.state, l, down)
 }
 
 // mirrorDetection records a local detection in a compiled scheme's link
@@ -171,11 +98,11 @@ func mirrorDetection(st *dataplane.LinkState, l graph.LinkID, down bool) {
 // the new link space from the simulator's known failures — the same
 // carry-over Engine.ApplyDelta performs. A recompile that fails leaves the
 // router where a missing recompiler does, on the stale FIB, and is counted.
-func (c *CompiledPRScheme) TopologyUpdated(s *Simulator, edits []graph.Edit) {
-	if c.Recompiler == nil {
+func (p *PRScheme) TopologyUpdated(s *Simulator, edits []graph.Edit) {
+	if p.Recompiler == nil {
 		return // un-updated router: keep forwarding on the stale FIB
 	}
-	d, err := c.Recompiler.Apply(edits...)
+	d, err := p.Recompiler.Apply(edits...)
 	if err != nil {
 		s.met.faultCompile.Inc()
 		return
@@ -183,89 +110,12 @@ func (c *CompiledPRScheme) TopologyUpdated(s *Simulator, edits []graph.Edit) {
 	if d == nil {
 		return // the batch netted out to nothing; current FIB stands
 	}
-	c.FIB = d.FIB
-	c.state = dataplane.FromFailureSet(d.Graph.NumLinks(), s.KnownFailures())
+	p.FIB = d.FIB
+	p.state = dataplane.FromFailureSet(d.Graph.NumLinks(), s.KnownFailures())
 }
 
 // Converge implements Scheme.
-func (c *CompiledPRScheme) Converge(*Simulator) {}
-
-// ---------------------------------------------------------------------------
-// Packet Re-cycling on the wire fast path (real packet bytes)
-// ---------------------------------------------------------------------------
-
-// WirePRScheme forwards *real packet bytes* through the FIB's wire fast
-// path: each simulated packet owns a marshalled IPv4 or IPv6 frame —
-// matching the codec Compile selected for the network — and every hop runs
-// ForwardWire on it: mark decode, FIB decision, in-place rewrite.
-// It is the end-to-end proof that the codec machinery (quantised DD codes,
-// DSCP or flow-label marks, TTL, checksums) loses nothing the abstract
-// protocol delivers *within the IP TTL budget*: frames start with the
-// maximum TTL/hop limit of 255, so a recycled walk longer than 255 hops —
-// possible only when the topology's worst-case recovery path exceeds it,
-// e.g. a ring of several hundred nodes — drops as WireDropTTL where the
-// abstract protocol (capped only by the simulator's 4×nodes budget) still
-// delivers. No IP dataplane can do better; the divergence is visible, not
-// silent: Verdicts tallies every wire outcome for assertions.
-type WirePRScheme struct {
-	FIB *dataplane.FIB
-	// Verdicts counts ForwardWire outcomes, populated during the run.
-	Verdicts map[dataplane.WireVerdict]int
-
-	state *dataplane.LinkState
-}
-
-// Name implements Scheme.
-func (w *WirePRScheme) Name() string {
-	return "packet-recycling-wire-" + w.FIB.Variant().String() + "-" + w.FIB.Codec().String()
-}
-
-// Init implements Scheme.
-func (w *WirePRScheme) Init(s *Simulator) {
-	w.state = dataplane.FromFailureSet(s.Graph().NumLinks(), s.KnownFailures())
-	w.Verdicts = make(map[dataplane.WireVerdict]int)
-}
-
-// Process implements Scheme: marshal the frame on first contact (in the
-// codec's address family, full TTL budget — the simulator's own hop cap
-// fires first on sane configurations), then let the wire path decide and
-// rewrite it in place.
-func (w *WirePRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, bool) {
-	buf, ok := pkt.State.([]byte)
-	if !ok {
-		var err error
-		if buf, err = w.FIB.NewWireFrame(pkt.Src, pkt.Dst); err != nil {
-			return rotation.NoDart, false
-		}
-		pkt.State = buf
-	}
-	egress, verdict := w.FIB.ForwardWire(node, pkt.Ingress, w.state, buf)
-	w.Verdicts[verdict]++
-	if verdict != dataplane.WireForward {
-		return rotation.NoDart, false
-	}
-	return egress, true
-}
-
-// TopologyChanged implements Scheme: mirror the detection into the
-// compiled link-state bitset.
-func (w *WirePRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
-	mirrorDetection(w.state, l, down)
-}
-
-// Converge implements Scheme.
-func (w *WirePRScheme) Converge(*Simulator) {}
-
-// WireDrops sums the drop verdicts the wire path returned.
-func (w *WirePRScheme) WireDrops() int {
-	n := 0
-	for v, c := range w.Verdicts {
-		if v.Dropped() {
-			n += c
-		}
-	}
-	return n
-}
+func (p *PRScheme) Converge(*Simulator) {}
 
 // ---------------------------------------------------------------------------
 // Failure-Carrying Packets
@@ -286,7 +136,7 @@ func (f *FCPScheme) Name() string { return "failure-carrying-packets" }
 func (f *FCPScheme) Init(s *Simulator) { f.g = s.Graph() }
 
 // Process implements Scheme.
-func (f *FCPScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, bool) {
+func (f *FCPScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, core.Event, bool) {
 	carried, _ := pkt.State.(*graph.FailureSet)
 	if carried == nil {
 		carried = graph.NewFailureSet()
@@ -296,13 +146,13 @@ func (f *FCPScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotat
 		tree := graph.ShortestPathTree(f.g, pkt.Dst, carried)
 		next := tree.NextLink[node]
 		if next == graph.NoLink {
-			return rotation.NoDart, false
+			return rotation.NoDart, core.EventRoute, false
 		}
 		if s.KnownFailures().Down(next) {
 			carried.Add(next) // learn and recompute
 			continue
 		}
-		return dartFrom(f.g, node, next), true
+		return dartFrom(f.g, node, next), core.EventRoute, true
 	}
 }
 
@@ -352,17 +202,15 @@ func (r *ReconvScheme) recompute(failures *graph.FailureSet) {
 }
 
 // Process implements Scheme.
-func (r *ReconvScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, bool) {
+func (r *ReconvScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, core.Event, bool) {
 	next := r.trees[pkt.Dst].NextLink[node]
-	if next == graph.NoLink {
-		return rotation.NoDart, false
+	if next == graph.NoLink || s.KnownFailures().Down(next) {
+		// No route, or the old FIB points into a failed link the router
+		// already knows is dead: traffic is dropped until convergence
+		// completes.
+		return rotation.NoDart, core.EventRoute, false
 	}
-	if s.KnownFailures().Down(next) {
-		// Old FIB points into a failed link the router already knows is
-		// dead: traffic is dropped until convergence completes.
-		return rotation.NoDart, false
-	}
-	return dartFrom(r.g, node, next), true
+	return dartFrom(r.g, node, next), core.EventRoute, true
 }
 
 // TopologyChanged implements Scheme: detection starts the convergence

@@ -27,9 +27,6 @@ type Packet struct {
 	Hops int
 	// Ingress is the dart the packet arrived on (NoDart at origin).
 	Ingress rotation.DartID
-	// Class is the traffic class inherited from the emitting flow, used
-	// by per-class policies (§7).
-	Class string
 	// State carries scheme-specific per-packet data (PR header, FCP
 	// carried-failure set). Owned by the scheme.
 	State any
@@ -72,8 +69,6 @@ type Flow struct {
 	// process origin: the first packet lands at Start plus the source's
 	// first inter-arrival gap).
 	Start time.Duration
-	// Class tags emitted packets for per-class policies (§7).
-	Class string
 	// Source optionally replaces the fixed-interval process. The
 	// simulator mints a fresh deterministic stream per run, so reusing a
 	// Config replays identical traffic. A nil Source is
@@ -224,13 +219,13 @@ type Simulator struct {
 // histograms looked up once in New, so the event loop never touches
 // the registry's lock.
 type simMetrics struct {
-	generated, delivered                      telemetry.CounterHandle
-	dropBlackhole, dropNoRoute, dropTTL       telemetry.CounterHandle
-	lossViolation, lossTransient, lossExcused telemetry.CounterHandle
-	latencyNs, hops                           telemetry.CounterHandle
-	faultUpdate, faultCompile                 telemetry.CounterHandle
-	latencyMax                                *telemetry.Gauge
-	latencyUs, recycleHops, stretchPct        telemetry.HistogramHandle
+	generated, delivered                telemetry.CounterHandle
+	dropBlackhole, dropNoRoute, dropTTL telemetry.CounterHandle
+	loss                                [3]telemetry.CounterHandle // by failure.Loss
+	latencyNs, hops                     telemetry.CounterHandle
+	faultUpdate, faultCompile           telemetry.CounterHandle
+	latencyMax                          *telemetry.Gauge
+	latencyUs, recycleHops, stretchPct  telemetry.HistogramHandle
 }
 
 func newSimMetrics(r *telemetry.Registry) *simMetrics {
@@ -240,14 +235,16 @@ func newSimMetrics(r *telemetry.Registry) *simMetrics {
 		dropBlackhole: r.Counter(MetricDropBlackhole).Handle(),
 		dropNoRoute:   r.Counter(MetricDropNoRoute).Handle(),
 		dropTTL:       r.Counter(MetricDropTTL).Handle(),
-		lossViolation: r.Counter(MetricLossViolation).Handle(),
-		lossTransient: r.Counter(MetricLossTransient).Handle(),
-		lossExcused:   r.Counter(MetricLossExcused).Handle(),
-		latencyNs:     r.Counter(MetricLatencyNs).Handle(),
-		hops:          r.Counter(MetricHops).Handle(),
-		faultUpdate:   r.Counter(MetricFaultTopoUpdate).Handle(),
-		faultCompile:  r.Counter(MetricFaultRecompile).Handle(),
-		latencyMax:    r.Gauge(MetricLatencyMaxNs),
+		loss: [3]telemetry.CounterHandle{
+			failure.LossViolation: r.Counter(MetricLossViolation).Handle(),
+			failure.LossTransient: r.Counter(MetricLossTransient).Handle(),
+			failure.LossExcused:   r.Counter(MetricLossExcused).Handle(),
+		},
+		latencyNs:    r.Counter(MetricLatencyNs).Handle(),
+		hops:         r.Counter(MetricHops).Handle(),
+		faultUpdate:  r.Counter(MetricFaultTopoUpdate).Handle(),
+		faultCompile: r.Counter(MetricFaultRecompile).Handle(),
+		latencyMax:   r.Gauge(MetricLatencyMaxNs),
 		// 10 µs .. ~2.6 s delivery latency.
 		latencyUs: r.Histogram(MetricLatencyUs, telemetry.ExponentialBuckets(10, 4, 9)).Handle(),
 		// 0, 1, 2, ... 15 hops off the shortest path (16+ overflows).
@@ -444,27 +441,14 @@ func (s *Simulator) Metrics() *telemetry.Registry { return s.reg }
 // numbering (same-instant events share a boundary). Nil before Run.
 func (s *Simulator) Timeline() *telemetry.Timeline { return s.timeline }
 
-// classifyLoss referees one drop against the scenario oracle.
-func (s *Simulator) classifyLoss(pkt *Packet) {
-	if s.oracle == nil {
-		return
-	}
-	switch {
-	case !s.oracle.ConnectedThroughout(pkt.Src, pkt.Dst, pkt.Created, s.now):
-		s.met.lossExcused.Inc()
-	case !s.oracle.StableThroughout(pkt.Created, s.now):
-		s.met.lossTransient.Inc()
-	default:
-		s.met.lossViolation.Inc()
-	}
-}
-
-// drop retires a lost packet: count the reason, referee it, close its
-// flight transcript.
+// drop retires a lost packet: count the reason, referee it against the
+// scenario oracle when one is installed, close its flight transcript.
 func (s *Simulator) drop(pkt *Packet, reason DropReason, c telemetry.CounterHandle) {
 	c.Inc()
 	s.met.recycleHops.Observe(int64(pkt.prHops))
-	s.classifyLoss(pkt)
+	if s.oracle != nil {
+		s.met.loss[s.oracle.Classify(pkt.Src, pkt.Dst, pkt.Created, s.now)].Inc()
+	}
 	if pkt.flight != nil {
 		s.cfg.Recorder.Finish(pkt.flight, string(reason), s.now)
 	}
@@ -474,19 +458,6 @@ func (s *Simulator) drop(pkt *Packet, reason DropReason, c telemetry.CounterHand
 func headerOf(pkt *Packet) core.Header {
 	h, _ := pkt.State.(core.Header)
 	return h
-}
-
-// decisionEvent attributes the scheme's last Process decision: schemes
-// implementing Explainer report it exactly; otherwise it is inferred
-// from the PR bit (on the cycle vs. plain routing).
-func (s *Simulator) decisionEvent(pkt *Packet) core.Event {
-	if ex, ok := s.cfg.Scheme.(Explainer); ok {
-		return ex.LastEvent()
-	}
-	if h, ok := pkt.State.(core.Header); ok && h.PR {
-		return core.EventCycle
-	}
-	return core.EventRoute
 }
 
 // shortestHops returns the failure-free hop distance src→dst (−1 when
@@ -659,7 +630,6 @@ func (s *Simulator) handleGenerate(flowIdx, bits int) {
 		Bits:    bits,
 		Created: s.now,
 		Ingress: rotation.NoDart,
-		Class:   f.Class,
 	}
 	s.nextPacketID++
 	s.met.generated.Inc()
@@ -696,12 +666,11 @@ func (s *Simulator) handleArrive(pkt *Packet, node graph.NodeID) {
 		s.drop(pkt, DropTTL, s.met.dropTTL)
 		return
 	}
-	egress, ok := s.cfg.Scheme.Process(s, node, pkt)
+	egress, ev, ok := s.cfg.Scheme.Process(s, node, pkt)
 	if !ok {
 		s.drop(pkt, DropNoRoute, s.met.dropNoRoute)
 		return
 	}
-	ev := s.decisionEvent(pkt)
 	switch ev {
 	case core.EventDetect, core.EventCycle, core.EventContinue:
 		pkt.prHops++

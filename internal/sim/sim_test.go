@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"recycle/internal/core"
+	"recycle/internal/dataplane"
 	"recycle/internal/embedding"
 	"recycle/internal/graph"
 	"recycle/internal/route"
@@ -12,7 +13,9 @@ import (
 	"recycle/internal/topo"
 )
 
-func prScheme(t *testing.T, g *graph.Graph, v core.Variant) *PRScheme {
+// prProtocol builds the v-variant protocol over g's automatic embedding
+// and hop-count tables.
+func prProtocol(t *testing.T, g *graph.Graph, v core.Variant) *core.Protocol {
 	t.Helper()
 	sys, err := (embedding.Auto{Seed: 1}).Embed(g)
 	if err != nil {
@@ -22,7 +25,23 @@ func prScheme(t *testing.T, g *graph.Graph, v core.Variant) *PRScheme {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &PRScheme{Protocol: p}
+	return p
+}
+
+// prScheme is PR on the FIB compiled from prProtocol.
+func prScheme(t *testing.T, g *graph.Graph, v core.Variant) *PRScheme {
+	t.Helper()
+	return compiledScheme(t, prProtocol(t, g, v))
+}
+
+// compiledScheme is PR on the FIB compiled from p.
+func compiledScheme(t *testing.T, p *core.Protocol) *PRScheme {
+	t.Helper()
+	fib, err := dataplane.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &PRScheme{FIB: fib}
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -232,7 +251,7 @@ func TestTTLDropsOnLoop(t *testing.T) {
 	}
 	s, err := New(Config{
 		Graph:          g,
-		Scheme:         &PRScheme{Protocol: p},
+		Scheme:         compiledScheme(t, p),
 		Horizon:        200 * time.Millisecond,
 		DetectionDelay: time.Millisecond,
 		Flows:          []Flow{{Src: g.NodeByName("A"), Dst: g.NodeByName("F"), Interval: 10 * time.Millisecond}},

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"recycle/internal/core"
-	"recycle/internal/dataplane"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/telemetry"
@@ -30,7 +29,7 @@ type recordingScheme struct {
 	emissions []emission
 }
 
-func (r *recordingScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, bool) {
+func (r *recordingScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotation.DartID, core.Event, bool) {
 	if node == pkt.Src && pkt.Hops == 0 {
 		r.emissions = append(r.emissions, emission{id: pkt.ID, at: pkt.Created, bits: pkt.Bits})
 	}
@@ -123,11 +122,7 @@ func TestPoissonSourceDrivesSimulator(t *testing.T) {
 func TestSourcesDriveCompiledEngine(t *testing.T) {
 	tp := topo.Abilene(topo.UnitWeights)
 	g := tp.Graph
-	prot := prScheme(t, g, core.Full).Protocol
-	fib, err := dataplane.Compile(prot)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fib := prScheme(t, g, core.Full).FIB
 	sources := []traffic.Source{
 		traffic.Poisson{Rate: 1000, Seed: 7},
 		traffic.MMPP{RateOn: 5000, MeanOn: 20 * time.Millisecond, MeanOff: 80 * time.Millisecond, Seed: 7},
@@ -138,7 +133,7 @@ func TestSourcesDriveCompiledEngine(t *testing.T) {
 	}
 	for _, src := range sources {
 		for _, scheme := range []Scheme{
-			&CompiledPRScheme{FIB: fib},
+			&PRScheme{FIB: fib},
 			&WirePRScheme{FIB: fib},
 		} {
 			res, err := RunLossWindowTraffic(Config{
