@@ -126,6 +126,11 @@ func TestExitStatus(t *testing.T) {
 		{"pins without -topo", []string{"resilience", "-certify-pins", "2"}, 1, "prsim: certify pins need one explicit topology"},
 		{"bad -dd", []string{"tables", "-dd", "bogus"}, 1, `prsim: unknown -dd "bogus" (want hops or weight)`},
 		{"unknown -node", []string{"tables", "-node", "Nowhere"}, 1, `prsim: unknown -node "Nowhere" in paper`},
+		{"negative -flows", []string{"soak", "-flows", "-5"}, 1, "prsim: eval: soak Flows must be ≥ 0 (got -5)"},
+		{"negative -batch", []string{"soak", "-batch", "-3"}, 1, "prsim: eval: soak BatchSize must be ≥ 0 (got -3)"},
+		{"negative -duration", []string{"soak", "-duration", "-1s"}, 1, "prsim: eval: soak Duration must be ≥ 0 (got -1s)"},
+		{"negative -swap-every", []string{"soak", "-swap-every", "-1s"}, 1, "prsim: eval: soak SwapEvery must be ≥ 0 (got -1s)"},
+		{"negative -draws", []string{"resilience", "-draws", "-2"}, 1, "prsim: eval: resilience Draws must be ≥ 0 (got -2)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stdout, stderr, code := prsim(tc.args...)

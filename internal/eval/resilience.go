@@ -63,6 +63,15 @@ func (c *ResilienceConfig) withDefaults() ResilienceConfig {
 	return out
 }
 
+// validate rejects a negative draw count: it would size the draw list
+// below zero.
+func (c *ResilienceConfig) validate() error {
+	if c.Draws < 0 {
+		return fmt.Errorf("eval: resilience Draws must be ≥ 0 (got %d)", c.Draws)
+	}
+	return nil
+}
+
 // ResilienceRow aggregates one (topology, scheme) cell of the sweep.
 type ResilienceRow struct {
 	Topology string
@@ -123,6 +132,9 @@ func frac(num, den int) float64 {
 // flooding+SPF+FIB-install window, which is where its violations come
 // from. Every loss is refereed by the scenario's connectivity oracle.
 func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	proc, err := cfg.process()
 	if err != nil {
@@ -200,6 +212,9 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 // zero violations; the reconvergence baseline's violation column is the
 // loss PR exists to eliminate.
 func WriteResilienceReport(w io.Writer, cfg ResilienceConfig) error {
+	if err := cfg.validate(); err != nil {
+		return err
+	}
 	if err := cfg.loadScript(); err != nil {
 		return err
 	}

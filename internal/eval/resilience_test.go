@@ -125,6 +125,19 @@ func TestResilienceBadSpec(t *testing.T) {
 	if _, err := RunResilience(tp, ResilienceConfig{Panel: Panel{Spec: "quake:mag=9"}, Draws: 1}); err == nil {
 		t.Fatal("unknown spec accepted")
 	}
+	// A negative draw count is refused by every entry point before any
+	// output: it once sized the draw list below zero and panicked.
+	bad := ResilienceConfig{Panel: Panel{Topologies: []string{"ring:8"}}, Draws: -2}
+	if _, err := RunResilience(tp, bad); err == nil {
+		t.Fatal("RunResilience accepted Draws -2")
+	}
+	if _, err := TraceResilience(tp, bad); err == nil {
+		t.Fatal("TraceResilience accepted Draws -2")
+	}
+	var b strings.Builder
+	if err := WriteResilienceReport(&b, bad); err == nil || b.Len() != 0 {
+		t.Fatalf("WriteResilienceReport with Draws -2: err %v, wrote %q", err, b.String())
+	}
 }
 
 func TestWriteResilienceReport(t *testing.T) {

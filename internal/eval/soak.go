@@ -6,9 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"recycle/internal/dataplane"
@@ -31,12 +28,16 @@ import (
 // proven equal to the aggregate exactly (the same lossless-exposition
 // invariant TraceResilience pins).
 //
-// Every loss is refereed live, with the semantics the simulator's
-// oracle referee established: a drop while the pair was partitioned is
-// excused; a drop whose flight window overlapped a link-state
-// transition or a hot-swap is a §7 transient; a drop under steady
-// connected state is a violation — the class the paper's guarantee
-// (and the soak verdict) demands stay at zero.
+// One goroutine, the pump, owns the traffic, the control plane and the
+// referee; only the engine's workers decide concurrently. The pump lands
+// every scenario event and hot-swap due by now before each fill, so all
+// a packet meets after its emission is scheduled inside its flight
+// window (emit, lost]. Oracle.Classify therefore referees every loss as
+// it does the simulator's: excused while the pair was partitioned, a §7
+// transient when a failure or repair is scheduled mid-flight, otherwise
+// a violation — the class the paper's guarantee (and the soak verdict)
+// demands stay at zero. The soak adds one rule: a hot-swap scheduled
+// mid-flight also makes the loss transient.
 
 // Soak metric names. The soak.* counters are written by the
 // single-threaded referee pump, so the per-epoch timeline attributes
@@ -130,7 +131,7 @@ func (c *SoakConfig) withDefaults() SoakConfig {
 		out.Traffic = "poisson:rate=2"
 	}
 	if out.SwapEvery == 0 {
-		out.SwapEvery = out.Duration / 12
+		out.SwapEvery = max(out.Duration/12, 1) // a horizon under 12 ns still advances
 	}
 	if out.BatchSize == 0 {
 		out.BatchSize = 256
@@ -139,6 +140,24 @@ func (c *SoakConfig) withDefaults() SoakConfig {
 		out.MaxDropFrac = 0.02
 	}
 	return out
+}
+
+// validate rejects negative sizes and intervals: they cannot be
+// allocated, pass over no packets, or never advance the swap schedule.
+func (c *SoakConfig) validate() error {
+	switch {
+	case c.Flows < 0:
+		return fmt.Errorf("eval: soak Flows must be ≥ 0 (got %d)", c.Flows)
+	case c.BatchSize < 0:
+		return fmt.Errorf("eval: soak BatchSize must be ≥ 0 (got %d)", c.BatchSize)
+	case c.MaxHops < 0:
+		return fmt.Errorf("eval: soak MaxHops must be ≥ 0 (got %d)", c.MaxHops)
+	case c.Duration < 0:
+		return fmt.Errorf("eval: soak Duration must be ≥ 0 (got %v)", c.Duration)
+	case c.SwapEvery < 0:
+		return fmt.Errorf("eval: soak SwapEvery must be ≥ 0 (got %v)", c.SwapEvery)
+	}
+	return nil
 }
 
 // SoakResult is one soak run's full account.
@@ -164,8 +183,8 @@ type SoakResult struct {
 	// Violations/Transient/Excused referee the drops: a violation is a
 	// loss under steady connected state (the class the §5 guarantee
 	// forbids on genus-0 embeddings), a transient had a failure, repair
-	// or hot-swap land mid-flight (§7's damped regime), an excused loss
-	// crossed a partition no scheme can.
+	// or hot-swap scheduled mid-flight (§7's damped regime), an excused
+	// loss crossed a partition no scheme can.
 	Violations uint64
 	Transient  uint64
 	Excused    uint64
@@ -400,49 +419,6 @@ func (c *soakCalendar) init() {
 func (c *soakCalendar) bump() { c.siftDown(0) }
 
 // ---------------------------------------------------------------------------
-// Churn log: applied control-plane instants for the transient referee
-// ---------------------------------------------------------------------------
-
-// churnLog records when control-plane actions (scenario events, FIB
-// hot-swaps) actually landed on the engine, plus the worst observed lag
-// between an action's scheduled and applied instants. The referee
-// widens its stability window backwards by that lag and checks applied
-// instants directly: a packet walks under engine state at most lag
-// behind the oracle's scheduled state, so a loss within the slack of a
-// transition is a §7 transient, never a false violation minted by
-// scheduling jitter.
-type churnLog struct {
-	mu    sync.Mutex
-	times []time.Duration // applied instants, ascending
-	lagNs atomic.Int64
-}
-
-func (c *churnLog) record(at time.Duration) {
-	c.mu.Lock()
-	c.times = append(c.times, at)
-	c.mu.Unlock()
-}
-
-func (c *churnLog) noteLag(lag time.Duration) {
-	for {
-		cur := c.lagNs.Load()
-		if int64(lag) <= cur || c.lagNs.CompareAndSwap(cur, int64(lag)) {
-			return
-		}
-	}
-}
-
-func (c *churnLog) lag() time.Duration { return time.Duration(c.lagNs.Load()) }
-
-// overlaps reports whether any applied instant falls in (from, to].
-func (c *churnLog) overlaps(from, to time.Duration) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	i := sort.Search(len(c.times), func(i int) bool { return c.times[i] > from })
-	return i < len(c.times) && c.times[i] <= to
-}
-
-// ---------------------------------------------------------------------------
 // RunSoak
 // ---------------------------------------------------------------------------
 
@@ -473,6 +449,9 @@ type soakDone struct {
 // per-epoch timeline's summed deltas are verified against the
 // aggregate snapshot before the result is returned.
 func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	g := tp.Graph
 	n := g.NumNodes()
@@ -552,11 +531,8 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	for i := range cal.flows {
 		f := &cal.flows[i]
 		f.src = int32(rng.Intn(n))
-		for {
+		for f.dst = f.src; f.dst == f.src; {
 			f.dst = int32(rng.Intn(n))
-			if f.dst != f.src {
-				break
-			}
 		}
 		f.rng = uint64(failure.DrawSeed(cfg.Seed, 2)) + uint64(i)*0x9E3779B97F4A7C15
 		f.on = true
@@ -573,13 +549,11 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	}
 	cal.init()
 
-	churn := &churnLog{}
 	p := &soakPump{
 		cfg:    cfg,
 		tr:     tr,
 		cal:    cal,
 		oracle: oracle,
-		churn:  churn,
 		rng:    rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 3))),
 		lag:    reg.Gauge(MetricSoakLagNs),
 		tracer: tracer,
@@ -604,10 +578,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 
 	// Batch pool: enough to keep every shard busy, and the done channel
 	// is sized to the pool so a worker's hand-off can never block.
-	pool := 4 * max(cfg.Shards, runtime.GOMAXPROCS(0))
-	if pool < 32 {
-		pool = 32
-	}
+	pool := max(32, 4*max(cfg.Shards, runtime.GOMAXPROCS(0)))
 	p.done = make(chan soakDone, pool)
 	p.byBatch = make(map[*dataplane.Batch]*soakBatch, pool)
 	for i := 0; i < pool; i++ {
@@ -638,33 +609,15 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	tl := telemetry.NewTimeline(reg)
 	start := time.Now()
 
-	ctl := &soakControl{
-		cfg: cfg, eng: eng, rec: rec, tl: tl, churn: churn,
-		events: events, start: start,
-		baseGenus: sys.Genus(),
-		rng:       rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 4))),
-		tracer:    tracer,
-		root:      runSpan.ID(),
-	}
-	ctlDone := make(chan struct{})
-	go func() {
-		defer close(ctlDone)
-		ctl.run()
-	}()
-
+	p.ctl = newSoakControl(cfg, eng, rec, tl, events, sys.Genus(), runSpan.ID())
 	p.run(start)
-	<-ctlDone
 	decisions := eng.Close()
 	elapsed := time.Since(start)
-	if ctl.err != nil {
-		return nil, ctl.err
+	if p.ctl.err != nil {
+		return nil, p.ctl.err
 	}
 
-	finishAt := cfg.Duration
-	if elapsed > finishAt {
-		finishAt = elapsed
-	}
-	epochs := tl.Finish(finishAt)
+	epochs := tl.Finish(max(cfg.Duration, elapsed))
 	agg := reg.Snapshot().Sub(base)
 	if err := checkTimelineExact(tl.Sum(), agg); err != nil {
 		return nil, fmt.Errorf("eval: soak %w", err)
@@ -690,10 +643,10 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		Excused:         agg.Counter(MetricSoakExcused),
 		Decisions:       decisions,
 		DecisionsPerSec: float64(decisions) / elapsed.Seconds(),
-		Swaps:           ctl.swaps,
-		StructuralSwaps: ctl.structural,
-		SkippedSwaps:    ctl.skipped,
-		ScenarioEvents:  ctl.eventsApplied,
+		Swaps:           p.ctl.swaps,
+		StructuralSwaps: p.ctl.structural,
+		SkippedSwaps:    p.ctl.skipped,
+		ScenarioEvents:  p.ctl.ei,
 		AllocBytes:      msEnd.TotalAlloc - msStart.TotalAlloc,
 		Mallocs:         msEnd.Mallocs - msStart.Mallocs,
 		NumGC:           msEnd.NumGC - msStart.NumGC,
@@ -727,8 +680,9 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 // The pump: single-threaded emit → classify → referee → resubmit loop
 // ---------------------------------------------------------------------------
 
-// soakPump owns all traffic-side state. Decided batches come back on
-// the done channel (from worker goroutines); everything else — packet
+// soakPump owns the traffic, the control plane and the referee.
+// Decided batches come back on the done channel (from worker
+// goroutines); everything else — control application, packet
 // classification, oracle queries, calendar pops, counter writes —
 // happens on the pump goroutine, so the referee needs no locks and the
 // oracle's lazily-filled reachability cache is safe. Workers never
@@ -739,7 +693,7 @@ type soakPump struct {
 	tr     *soakTraffic
 	cal    *soakCalendar
 	oracle *failure.Oracle
-	churn  *churnLog
+	ctl    *soakControl
 	eng    *dataplane.Engine
 	rng    *rand.Rand // shared size-distribution draws
 
@@ -774,7 +728,7 @@ func (p *soakPump) run(start time.Time) {
 	horizon := p.cfg.Duration
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	// The pump span covers the traffic/referee goroutine's lifetime; the
+	// The pump span covers the pump goroutine's lifetime; the
 	// drain span (opened when the horizon passes with packets still in
 	// flight) isolates the post-horizon resolution tail — the recovery
 	// latency the referee's verdicts depend on.
@@ -784,7 +738,9 @@ func (p *soakPump) run(start time.Time) {
 	defer drain.End()
 	for {
 		now := time.Since(start)
-		// Fill idle batches with due emissions and submit them.
+		// Land due control even when nothing is filled, then fill idle
+		// batches with due emissions and submit them.
+		p.ctl.applyDue(now)
 		for len(p.idle) > 0 && p.cal.len() > 0 && p.cal.peek() <= now && p.cal.peek() < horizon {
 			sb := p.idle[len(p.idle)-1]
 			p.idle = p.idle[:len(p.idle)-1]
@@ -809,25 +765,23 @@ func (p *soakPump) run(start time.Time) {
 			}
 		}
 
-		// Sleep until a decided batch comes back or the next emission is
-		// due (whichever is first).
-		wake := 5 * time.Millisecond
+		// Sleep until a decided batch comes back, the next control instant
+		// arrives or the next emission is due (whichever is first).
+		next := p.ctl.next()
 		if len(p.idle) > 0 && now < horizon && p.cal.len() > 0 {
-			if d := p.cal.peek() - now; d > 0 && d < wake {
-				wake = d
-			}
+			next = min(next, p.cal.peek())
+		}
+		wake := 5 * time.Millisecond
+		if d := next - now; d > 0 {
+			wake = min(wake, d)
 		}
 		timer.Reset(wake)
 		select {
 		case d := <-p.done:
 			p.process(d, time.Since(start), horizon)
-			for drained := false; !drained; {
-				select {
-				case d := <-p.done:
-					p.process(d, time.Since(start), horizon)
-				default:
-					drained = true
-				}
+			// The pump is the only receiver: a buffered batch is there to take.
+			for len(p.done) > 0 {
+				p.process(<-p.done, time.Since(start), horizon)
 			}
 			p.sampleBacklog()
 		case <-timer.C:
@@ -847,10 +801,11 @@ func (p *soakPump) sampleBacklog() {
 	p.backRevMax.SetMax(int64(mr))
 }
 
-// fill tops an idle batch up with due emissions.
+// fill lands the control due by now, then tops a batch up with due
+// emissions: no packet is submitted under control older than its birth.
 func (p *soakPump) fill(sb *soakBatch, now, horizon time.Duration) {
-	capN := cap(sb.b.Pkts)
-	for len(sb.b.Pkts) < capN && p.cal.len() > 0 {
+	p.ctl.applyDue(now)
+	for len(sb.b.Pkts) < cap(sb.b.Pkts) && p.cal.len() > 0 {
 		at := p.cal.peek()
 		if at > now || at >= horizon {
 			break
@@ -928,128 +883,135 @@ func (p *soakPump) process(d soakDone, now, horizon time.Duration) {
 	p.submit(sb)
 }
 
-// refereeDrop classifies one lost packet with Oracle.Classify, the
-// simulator's referee. The soak adds one rule of its own: a violation whose
-// flight window, widened backwards by the worst observed control-plane
-// lag, holds a transition — or holds an applied instant in the churn log
-// — is a §7 transient, never a false violation minted by scheduling
-// jitter.
+// refereeDrop counts one lost packet under its referee class.
 func (p *soakPump) refereeDrop(m *soakMeta, dst graph.NodeID, now time.Duration, drop telemetry.CounterHandle) {
 	p.resolved++
 	drop.Inc()
-	c := p.oracle.Classify(graph.NodeID(m.src), dst, m.emit, now)
-	if c == failure.LossViolation && (!p.oracle.StableThroughout(m.emit-p.churn.lag(), now) || p.churn.overlaps(m.emit, now)) {
+	p.loss[p.classify(graph.NodeID(m.src), dst, m.emit, now)].Inc()
+}
+
+// classify referees a packet from src to dst emitted at emit and lost at
+// now: Oracle.Classify, the simulator's referee, plus the soak's one
+// rule — a hot-swap scheduled in (emit, now] makes a violation a §7
+// transient, since a swap is no link event yet can cost a packet in
+// flight across it. No lag widens the window: fill lands all control
+// scheduled by a packet's emission before first submitting it.
+func (p *soakPump) classify(src, dst graph.NodeID, emit, now time.Duration) failure.Loss {
+	c := p.oracle.Classify(src, dst, emit, now)
+	if c == failure.LossViolation && p.ctl.swapIn(emit, now) {
 		c = failure.LossTransient
 	}
-	p.loss[c].Inc()
+	return c
 }
 
 // ---------------------------------------------------------------------------
-// The control goroutine: scenario replay + hot-swap schedule
+// The control plane: scenario replay + hot-swap schedule
 // ---------------------------------------------------------------------------
 
-// soakControl owns the control plane: it replays the scenario's link
-// events against the engine and lands a hot-swap every SwapEvery, each
-// rolling the shared Timeline at its scheduled instant. It is the only
-// goroutine touching the Timeline and the Recompiler.
+// soakControl is the control plane the pump applies: the scenario's
+// link events, and a hot-swap every `every` before the horizon, each
+// landed on the engine and rolled into the shared Timeline at its
+// scheduled instant. Only the pump goroutine touches it, the Timeline
+// and the Recompiler.
 type soakControl struct {
-	cfg       SoakConfig
 	eng       *dataplane.Engine
 	rec       *dataplane.Recompiler
 	tl        *telemetry.Timeline
-	churn     *churnLog
 	events    []failure.Event
-	start     time.Time
+	every     time.Duration // swap i is scheduled at (i+1)·every
+	horizon   time.Duration // no swap is scheduled at or after it
+	addAt     int           // the swap that adds a structural chord
+	removeAt  int           // the swap that removes it again
 	baseGenus int
 	rng       *rand.Rand
 	tracer    *telemetry.Tracer
 	root      telemetry.SpanID
 
-	swaps         int
-	structural    int
-	skipped       int
-	eventsApplied int
-	chord         graph.LinkID
-	added         bool
-	err           error
+	ei         int // scenario events applied so far
+	swapIdx    int // swaps attempted so far
+	swaps      int
+	structural int
+	skipped    int
+	chord      graph.LinkID
+	added      bool
+	err        error
 }
 
-func updown(down bool) string {
-	if down {
-		return "down"
+// newSoakControl schedules cfg's hot-swaps beside the scenario's events.
+// A chord is added a third of the way in and removed at two thirds,
+// bracketing a window in which the engine forwards on a larger dart
+// space than it was built with.
+func newSoakControl(cfg SoakConfig, eng *dataplane.Engine, rec *dataplane.Recompiler, tl *telemetry.Timeline,
+	events []failure.Event, baseGenus int, root telemetry.SpanID) *soakControl {
+	total := int(cfg.Duration / cfg.SwapEvery)
+	return &soakControl{
+		eng: eng, rec: rec, tl: tl, events: events,
+		every: cfg.SwapEvery, horizon: cfg.Duration,
+		addAt: total / 3, removeAt: max(2*total/3, total/3+1),
+		baseGenus: baseGenus, tracer: cfg.Tracer, root: root,
+		rng: rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 4))),
 	}
-	return "up"
 }
 
-func (c *soakControl) run() {
-	horizon := c.cfg.Duration
-	ei := 0
-	swapIdx := 0
-	nextSwap := c.cfg.SwapEvery
-	// Structural swaps: a chord is added a third of the way in and
-	// removed at two thirds, bracketing a window in which the engine
-	// forwards on a larger dart space than it was built with.
-	total := int(horizon / c.cfg.SwapEvery)
-	addAt := total / 3
-	removeAt := (2 * total) / 3
-	if removeAt <= addAt {
-		removeAt = addAt + 1
+// next returns the earliest control instant not yet applied;
+// failure.Forever when none is left or an error stopped the schedule.
+func (c *soakControl) next() time.Duration {
+	if c.err != nil {
+		return failure.Forever
 	}
-	for c.err == nil {
-		next := failure.Forever
-		if ei < len(c.events) {
-			next = c.events[ei].At
-		}
-		doSwap := false
-		if nextSwap < next {
-			next = nextSwap
-			doSwap = true
-		}
-		if next >= horizon {
-			return
-		}
-		if d := next - time.Since(c.start); d > 0 {
-			time.Sleep(d)
-		}
-		if doSwap {
-			c.swap(swapIdx, next, addAt, removeAt)
-			swapIdx++
-			nextSwap += c.cfg.SwapEvery
-			continue
-		}
-		// Apply every event scheduled at this instant under one epoch
-		// boundary — the same same-instant folding the oracle does, so
-		// timeline epoch i aligns with oracle epoch i.
-		first := true
-		for ei < len(c.events) && c.events[ei].At == next {
-			ev := c.events[ei]
-			label := fmt.Sprintf("link %d %s", ev.Link, updown(ev.Down))
-			if first {
-				c.tl.Roll(next, label)
-				first = false
-			} else {
-				c.tl.Annotate(label)
-			}
-			name := "soak.link.up"
-			if ev.Down {
-				name = "soak.link.down"
-			}
-			sp := c.tracer.Start(name, c.root)
-			sp.SetAttr(telemetry.AttrLink, int64(ev.Link))
-			c.eng.SetLink(ev.Link, ev.Down)
-			sp.End()
-			applied := time.Since(c.start)
-			c.churn.record(applied)
-			c.churn.noteLag(applied - next)
-			c.eventsApplied++
-			ei++
+	at := failure.Forever
+	if sw := time.Duration(c.swapIdx+1) * c.every; sw < c.horizon {
+		at = sw
+	}
+	if c.ei < len(c.events) {
+		at = min(at, c.events[c.ei].At)
+	}
+	return at
+}
+
+// swapIn reports whether a hot-swap is scheduled in (from, to].
+func (c *soakControl) swapIn(from, to time.Duration) bool {
+	at := (from/c.every + 1) * c.every
+	return at <= to && at < c.horizon
+}
+
+// applyDue lands every scenario event and hot-swap scheduled at or
+// before now, in schedule order; at one instant the events go before the
+// swap. The pump calls it before every fill, so the engine state a
+// packet meets changes after its emission only at instants its flight
+// window holds.
+func (c *soakControl) applyDue(now time.Duration) {
+	for at := c.next(); at <= now; at = c.next() {
+		if c.ei < len(c.events) && c.events[c.ei].At == at {
+			c.applyEvent()
+		} else {
+			c.swap(at)
 		}
 	}
 }
 
-// swap lands one hot-swap on the running engine: a weight tweak, or at
-// the scheduled indices a structural chord add / remove.
-func (c *soakControl) swap(idx int, at time.Duration, addAt, removeAt int) {
+// applyEvent lands the next link failure or repair on the engine.
+// Events at one instant fold into one Timeline epoch, as the oracle
+// folds them.
+func (c *soakControl) applyEvent() {
+	ev := c.events[c.ei]
+	c.ei++
+	dir := "up"
+	if ev.Down {
+		dir = "down"
+	}
+	c.tl.Roll(ev.At, fmt.Sprintf("link %d %s", ev.Link, dir))
+	sp := c.tracer.Start("soak.link."+dir, c.root)
+	sp.SetAttr(telemetry.AttrLink, int64(ev.Link))
+	c.eng.SetLink(ev.Link, ev.Down)
+	sp.End()
+}
+
+// swap lands the next hot-swap on the running engine: a weight tweak,
+// or at the scheduled indices a structural chord add / remove.
+func (c *soakControl) swap(at time.Duration) {
+	idx := c.swapIdx
+	c.swapIdx++
 	// The swap span brackets the whole attempt — recompile and engine
 	// ApplyDelta included. Those publish their own root span trees
 	// ("recompile.apply", "engine.swap"); the Chrome export shows them
@@ -1063,7 +1025,7 @@ func (c *soakControl) swap(idx int, at time.Duration, addAt, removeAt int) {
 		err   error
 	)
 	switch {
-	case idx == addAt && !c.added:
+	case idx == c.addAt && !c.added:
 		d, label = c.tryAddChord()
 		if d == nil && c.err != nil {
 			return
@@ -1074,7 +1036,7 @@ func (c *soakControl) swap(idx int, at time.Duration, addAt, removeAt int) {
 			c.skipped++
 			d, label, err = c.tweakWeight()
 		}
-	case idx == removeAt && c.added:
+	case idx == c.removeAt && c.added:
 		label = fmt.Sprintf("swap: remove chord link %d", c.chord)
 		d, err = c.rec.Apply(graph.RemoveLinkEdit(c.chord))
 		if err == nil {
@@ -1094,9 +1056,6 @@ func (c *soakControl) swap(idx int, at time.Duration, addAt, removeAt int) {
 		c.err = fmt.Errorf("eval: soak hot-swap refused: %w", aerr)
 		return
 	}
-	applied := time.Since(c.start)
-	c.churn.record(applied)
-	c.churn.noteLag(applied - at)
 	c.swaps++
 	if d.Structural {
 		c.structural++
@@ -1176,7 +1135,7 @@ func WriteSoakReport(w io.Writer, r *SoakResult) {
 	fmt.Fprintf(w, "# soak: %s (genus %d), %d flows ≈ %.0f pps offered, %v horizon (%v elapsed), scenario %s\n",
 		r.Topology, r.Genus, r.Flows, r.OfferedPPS, r.Horizon, r.Elapsed.Round(time.Millisecond), r.Scenario)
 	fmt.Fprintf(w, "# violation = lost while the pair stayed connected and nothing changed mid-flight;\n")
-	fmt.Fprintf(w, "# transient = a failure/repair/hot-swap landed mid-flight (§7); excused = the pair was partitioned\n\n")
+	fmt.Fprintf(w, "# transient = a failure, repair or hot-swap was scheduled mid-flight (§7); excused = the pair was partitioned\n\n")
 
 	fmt.Fprintf(w, "generated   %12d\n", r.Generated)
 	fmt.Fprintf(w, "delivered   %12d  (%.1f pkts/s sustained)\n", r.Delivered, r.DeliveredPerSec)

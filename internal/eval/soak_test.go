@@ -1,11 +1,14 @@
 package eval
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"recycle/internal/dataplane"
+	"recycle/internal/failure"
+	"recycle/internal/graph"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 )
@@ -168,6 +171,151 @@ func TestSoakBadConfig(t *testing.T) {
 	}
 	if _, err := RunSoak(tp, SoakConfig{Traffic: "carrier-pigeon", Duration: time.Second}); err == nil {
 		t.Fatal("unknown traffic spec accepted")
+	}
+	// Negative sizes and intervals once panicked (flows, batch), passed
+	// over zero packets (duration) or never ended (swap interval).
+	for _, tc := range []struct {
+		name string
+		cfg  SoakConfig
+		want string
+	}{
+		{"flows", SoakConfig{Flows: -5}, "Flows must be ≥ 0 (got -5)"},
+		{"batch", SoakConfig{BatchSize: -3}, "BatchSize must be ≥ 0 (got -3)"},
+		{"max hops", SoakConfig{MaxHops: -1}, "MaxHops must be ≥ 0 (got -1)"},
+		{"duration", SoakConfig{Duration: -time.Second}, "Duration must be ≥ 0 (got -1s)"},
+		{"swap interval", SoakConfig{SwapEvery: -time.Second}, "SwapEvery must be ≥ 0 (got -1s)"},
+	} {
+		if _, err := RunSoak(tp, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("negative %s: err %v; want %q", tc.name, err, tc.want)
+		}
+	}
+	// A horizon too short for the default swap interval once divided by
+	// a zero interval.
+	if _, err := RunSoak(tp, SoakConfig{Flows: 10, Duration: 5}); err != nil {
+		t.Fatalf("5ns soak: %v", err)
+	}
+}
+
+// noFailures draws the empty scenario.
+type noFailures struct{}
+
+func (noFailures) Name() string    { return "none" }
+func (noFailures) Validate() error { return nil }
+func (noFailures) Generate(*graph.Graph, time.Duration, int64) (*failure.Scenario, error) {
+	return &failure.Scenario{Name: "none"}, nil
+}
+
+// TestSoakQuietRunExcusesNothing: with no scenario event and no swap
+// scheduled, the referee has nothing to excuse a loss with — the run
+// must end with no transient, no excused and no violating loss at all.
+func TestSoakQuietRunExcusesNothing(t *testing.T) {
+	res, err := RunSoak(mustTopo(t, "grid:4x4"), SoakConfig{
+		Panel:     Panel{Process: noFailures{}},
+		Flows:     2_000,
+		Duration:  400 * time.Millisecond,
+		SwapEvery: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	soakIdentities(t, res)
+	if res.Swaps != 0 || res.ScenarioEvents != 0 {
+		t.Fatalf("%d swaps and %d link events applied; none was scheduled", res.Swaps, res.ScenarioEvents)
+	}
+	if res.Transient != 0 || res.Excused != 0 || res.Violations != 0 {
+		t.Fatalf("transient %d, excused %d, violations %d; want all 0", res.Transient, res.Excused, res.Violations)
+	}
+}
+
+// TestSoakRefereeAndSchedule pins the soak's referee and control
+// schedule on a hand-built scenario: node 0 of ring:8 loses one link at
+// 1 s and its other at 3 s (cut off until both repair at 4 s), and a
+// swap is scheduled every 5 s before a 20 s horizon.
+func TestSoakRefereeAndSchedule(t *testing.T) {
+	tp := mustTopo(t, "ring:8")
+	g := tp.Graph
+	nb := g.Neighbors(0)
+	la, lb := nb[0].Link, nb[1].Link
+	sc := &failure.Scenario{Name: "hand-built", Outages: []failure.Outage{
+		failure.LinkOutage(la, time.Second, 4*time.Second),
+		failure.LinkOutage(lb, 3*time.Second, 4*time.Second),
+	}}
+	oracle, err := failure.NewOracle(g, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ms = time.Millisecond
+	p := &soakPump{oracle: oracle, ctl: &soakControl{every: 5 * time.Second, horizon: 20 * time.Second}}
+	for _, tc := range []struct {
+		name      string
+		src, dst  graph.NodeID
+		emit, now time.Duration
+		want      failure.Loss
+	}{
+		{"nothing in the window", 2, 5, 100 * ms, 200 * ms, failure.LossViolation},
+		{"steady under a failure", 2, 5, 1100 * ms, 1200 * ms, failure.LossViolation},
+		{"event inside the window", 2, 5, 900 * ms, 1100 * ms, failure.LossTransient},
+		{"event exactly at emit", 2, 5, time.Second, 1200 * ms, failure.LossViolation},
+		{"swap inside the window", 2, 5, 4900 * ms, 5100 * ms, failure.LossTransient},
+		{"swap exactly at emit", 2, 5, 5 * time.Second, 5100 * ms, failure.LossViolation},
+		{"no swap at the horizon", 2, 5, 19900 * ms, 20100 * ms, failure.LossViolation},
+		{"partition", 0, 4, 3100 * ms, 3200 * ms, failure.LossExcused},
+	} {
+		if got := p.classify(tc.src, tc.dst, tc.emit, tc.now); got != tc.want {
+			t.Errorf("%s: %d→%d over (%v, %v] classified %d; want %d",
+				tc.name, tc.src, tc.dst, tc.emit, tc.now, got, tc.want)
+		}
+	}
+
+	// The schedule: an event and a swap at one instant land event first,
+	// and nothing lands before its instant.
+	st, err := buildStack(tp, dataplane.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.recompiler(nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := dataplane.NewEngine(st.fib, dataplane.EngineConfig{Shards: 1})
+	defer eng.Close()
+	events, err := sc.Events(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events = append([]failure.Event{{At: 500 * ms, Link: lb, Down: true}, {At: 500 * ms, Link: lb, Down: false}}, events...)
+	tl := telemetry.NewTimeline(telemetry.NewRegistry())
+	c := newSoakControl(SoakConfig{Duration: 2 * time.Second, SwapEvery: 500 * ms, Panel: Panel{Seed: 1}},
+		eng, rec, tl, events, st.sys.Genus(), 0)
+	c.applyDue(499 * ms)
+	if c.ei != 0 || c.swaps != 0 {
+		t.Fatalf("before 500ms: %d events and %d swaps applied; want none", c.ei, c.swaps)
+	}
+	if got := c.next(); got != 500*ms {
+		t.Fatalf("next control instant %v; want 500ms", got)
+	}
+	fib0 := eng.FIB()
+	c.applyDue(500 * ms)
+	if c.ei != 2 || c.swaps != 1 || eng.FIB() == fib0 {
+		t.Fatalf("at 500ms: %d events, %d swaps applied, FIB swapped %v; want 2, 1, true",
+			c.ei, c.swaps, eng.FIB() != fib0)
+	}
+	if got := c.next(); got != time.Second {
+		t.Fatalf("next control instant %v; want 1s", got)
+	}
+	c.applyDue(time.Second)
+	if !eng.Snapshot().Down(la) {
+		t.Fatalf("link %d not down on the engine after its 1s failure", la)
+	}
+	epochs := tl.Finish(2 * time.Second)
+	want := []string{"start", fmt.Sprintf("link %d down; link %d up; swap: ", lb, lb), fmt.Sprintf("link %d down; swap: ", la)}
+	if len(epochs) != len(want) {
+		t.Fatalf("%d epochs; want %d: %+v", len(epochs), len(want), epochs)
+	}
+	for i, e := range epochs {
+		if !strings.HasPrefix(e.Label, want[i]) {
+			t.Errorf("epoch %d label %q; want prefix %q", i, e.Label, want[i])
+		}
 	}
 }
 

@@ -64,6 +64,9 @@ func (t *TraceResult) Recycled() *telemetry.Flight {
 // scenario, and it verifies the timeline's summed deltas equal the
 // aggregate counters exactly before returning.
 func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	proc, err := cfg.process()
 	if err != nil {
