@@ -348,11 +348,10 @@ func cmdResilience(g *globals, args []string) error {
 // non-zero exit as well as a report line, so CI can gate on either.
 func cmdSoak(g *globals, args []string) error {
 	flows := g.fs.Int("flows", 0, "concurrent flow count (default 100000)")
-	duration := g.fs.Duration("duration", 0, "emission window (default 30s)")
-	swapEvery := g.fs.Duration("swap-every", 0, "hot-swap interval (default duration/12)")
+	duration := g.fs.Duration("duration", 0, "emission window in virtual time (default 30s)")
+	swapEvery := g.fs.Duration("swap-every", 0, "virtual hot-swap interval (default duration/12)")
 	trafficArg := g.fs.String("traffic", "", "traffic source spec for the flows (poisson:…, mmpp:…, replay:path, fixed:…)")
 	scenario := g.fs.String("scenario", "", "failure process spec (@path loads a scripted scenario file)")
-	shards := g.fs.Int("shards", 0, "engine shard count (0 = auto)")
 	batch := g.fs.Int("batch", 0, "packets per batch (0 = default)")
 	egressBw := g.fs.Float64("egress-bw", 0, "per-link egress bandwidth in bps (0 = default)")
 	if err := g.parse(args); err != nil {
@@ -360,7 +359,7 @@ func cmdSoak(g *globals, args []string) error {
 	}
 	cfg := eval.SoakConfig{
 		Panel: g.panel(), Flows: *flows, Duration: *duration, Traffic: *trafficArg,
-		SwapEvery: *swapEvery, Shards: *shards, BatchSize: *batch, BandwidthBps: *egressBw,
+		SwapEvery: *swapEvery, BatchSize: *batch, BandwidthBps: *egressBw,
 	}
 	cfg.Spec = *scenario
 	res, err := eval.RunSoakReport(g.out, cfg)

@@ -1,5 +1,5 @@
-// Soak runs the whole stack at once: thousands of concurrent Poisson
-// flows walked hop-by-hop through the live sharded engine and its
+// Soak runs the whole stack at once, on one virtual clock: thousands of
+// concurrent Poisson flows walked hop-by-hop through the engine and its
 // paced egress queues, while a continuous MTBF failure process flips
 // links under the traffic and control-plane hot-swaps — weight tweaks
 // plus a structural chord add/remove — land on the running engine.

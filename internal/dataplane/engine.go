@@ -71,14 +71,6 @@ type EngineConfig struct {
 	// The engine keeps no reference afterwards, so OnDone may recycle
 	// the batch.
 	OnDone func(*Batch)
-	// OnDoneState, when non-nil, is called instead of OnDone with the
-	// exact (FIB, LinkState) pair the batch was decided under. Callers
-	// that walk packets hop-by-hop across hot-swaps (the soak harness)
-	// need the deciding FIB: after a structural swap the engine's
-	// current FIB has a different dart space, and mapping egress darts
-	// through the wrong one is silently wrong. The arguments are the
-	// engine's immutable RCU snapshots — read-only, safe to retain.
-	OnDoneState func(*Batch, *FIB, *LinkState)
 	// Metrics, when non-nil, publishes the engine's decision telemetry
 	// into the registry: engine.decided / engine.batches, a per-event
 	// breakdown (engine.event.*), drop and wire counters, and an
@@ -479,10 +471,21 @@ func (e *Engine) Close() uint64 {
 	return e.Decided()
 }
 
+// Step decides b on the caller's goroutine under the current state —
+// decide → tally → transmit → OnDone, as a worker does — and returns the
+// FIB it was decided under: after a structural swap, egress darts mean
+// something only in that FIB's dart space. Step counts on shard 0's
+// unsynchronised tally, so a caller that steps must not also Submit.
+func (e *Engine) Step(b *Batch) *FIB {
+	st := e.cur.Load()
+	e.decideBatch(e.shards[0], b, st)
+	return st.fib
+}
+
 // decideBatch runs one batch through decide → tally → transmit → done.
-// It is the single decision path: workers and Close's leftover sweep
-// both come through here, so counters are flushed wherever a batch is
-// decided.
+// It is the single decision path: workers, Step and Close's leftover
+// sweep all come through here, so counters are flushed wherever a batch
+// is decided.
 func (e *Engine) decideBatch(sh *shard, b *Batch, st *engineState) {
 	m := sh.metrics
 	if m == nil {
@@ -504,9 +507,7 @@ func (e *Engine) decideBatch(sh *shard, b *Batch, st *engineState) {
 		e.cfg.Egress.Transmit(b, st.links)
 	}
 	sh.decided.Add(b.size())
-	if e.cfg.OnDoneState != nil {
-		e.cfg.OnDoneState(b, st.fib, st.links)
-	} else if e.cfg.OnDone != nil {
+	if e.cfg.OnDone != nil {
 		e.cfg.OnDone(b)
 	}
 }

@@ -101,6 +101,26 @@ func TestEngineMatchesDecide(t *testing.T) {
 	if checked != submitted {
 		t.Fatalf("OnDone delivered %d packets, submitted %d", checked, submitted)
 	}
+
+	// Step decides on the caller's goroutine through the same path: its
+	// decisions must be bit-identical to FIB.DecideBatch's.
+	stepper := dataplane.NewEngine(fib, dataplane.EngineConfig{Shards: 1})
+	stepper.SetLink(1, true)
+	stepper.SetLink(7, true)
+	ref := append([]dataplane.Packet(nil), pkts...)
+	fib.DecideBatch(ref, st)
+	b := &dataplane.Batch{Pkts: append([]dataplane.Packet(nil), pkts...)}
+	if got := stepper.Step(b); got != fib {
+		t.Fatal("Step reported a FIB other than the one it forwards on")
+	}
+	for i := range ref {
+		if b.Pkts[i] != ref[i] {
+			t.Fatalf("Step decided %+v; DecideBatch %+v", b.Pkts[i], ref[i])
+		}
+	}
+	if got := stepper.Close(); got != uint64(len(pkts)) {
+		t.Fatalf("Step counted %d decisions; want %d", got, len(pkts))
+	}
 }
 
 // indexOf locates a decided packet's original by its immutable key fields.

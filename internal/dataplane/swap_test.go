@@ -297,3 +297,44 @@ func TestStructuralSwapRebindsEgress(t *testing.T) {
 		t.Fatalf("stale-dart drop not counted: %d", got)
 	}
 }
+
+// TestStepAfterStructuralSwap: Step decides under the state current at
+// the call, so after a structural ApplyDelta it reports the new FIB, and
+// the TxQueue it transmits into has rebound to the new dart space.
+func TestStepAfterStructuralSwap(t *testing.T) {
+	rec, _ := swapFixture(t, "ring:8")
+	fib := rec.FIB()
+	reg := telemetry.NewRegistry()
+	tx := dataplane.NewTxQueue(fib, dataplane.TxConfig{BandwidthBps: 1e12, Metrics: reg})
+	eng := dataplane.NewEngine(fib, dataplane.EngineConfig{Shards: 1, Egress: tx})
+	defer eng.Close()
+	pkt := dataplane.Packet{Node: 0, Dst: 4, Ingress: rotation.NoDart}
+	b := &dataplane.Batch{Pkts: []dataplane.Packet{pkt}}
+	if got := eng.Step(b); got != fib {
+		t.Fatal("Step before the swap reported a FIB other than the built one")
+	}
+
+	d, err := rec.Apply(graph.AddLinkEdit(0, 4, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	b.Pkts[0] = pkt
+	if got := eng.Step(b); got != d.FIB {
+		t.Fatal("Step after the structural swap did not decide on the new FIB")
+	}
+	if got, want := tx.NumDarts(), 2*d.FIB.NumLinks(); got != want {
+		t.Fatalf("egress has %d darts after the swap; want %d", got, want)
+	}
+	// The chord is the 0→4 shortest path: the packet leaves on a dart
+	// only the new dart space holds, and the egress sends it.
+	chord := graph.LinkID(d.Graph.NumLinks() - 1)
+	if p := b.Pkts[0]; !p.OK || rotation.LinkOf(p.Egress) != chord || d.FIB.Head(p.Egress) != 4 {
+		t.Fatalf("0→4 decided %+v; want the chord, link %d", p, chord)
+	}
+	if got := reg.Snapshot().Counter(dataplane.MetricTxSent); got != 2 {
+		t.Fatalf("tx.sent = %d; want one per Step", got)
+	}
+}

@@ -64,9 +64,6 @@ func TestVerbReports(t *testing.T) {
 			[]string{"node Montreal\n", "link Montreal Toronto 1\n"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.name == "soak" && testing.Short() {
-				t.Skip("300 ms of wall clock")
-			}
 			var sb strings.Builder
 			if err := tc.run(&sb); err != nil {
 				t.Fatal(err)

@@ -1,7 +1,13 @@
 package eval
 
 import (
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -101,11 +107,91 @@ func TestRunSoakSmoke(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite testdata goldens from this run")
+
+// TestSoakReproducible: one seed gives one run. TestRunSoakSmoke's
+// config runs twice, and once more on one P; every account field and
+// every epoch's soak.* and tx.* counter deltas must agree, and the epoch
+// table must match testdata/soak_epochs_seed1.golden.
+func TestSoakReproducible(t *testing.T) {
+	run := func() *SoakResult {
+		t.Helper()
+		res, err := RunSoak(mustTopo(t, "grid:4x4"), SoakConfig{
+			Panel:     Panel{Spec: "mtbf:up=2s,down=100ms", Seed: 1},
+			Flows:     3_000,
+			Duration:  1200 * time.Millisecond,
+			SwapEvery: 100 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run()
+	table := soakEpochTable(first)
+	golden := filepath.Join("testdata", "soak_epochs_seed1.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, []byte(table), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if table != string(want) {
+		t.Errorf("seed-1 epoch table differs from %s:\n--- got\n%s--- want\n%s", golden, table, want)
+	}
+
+	again := run()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	onOneP := run()
+	for name, r := range map[string]*SoakResult{"second run": again, "GOMAXPROCS=1": onOneP} {
+		// Wall time, its rates and the allocator's figures are the only
+		// fields a clock or a runtime may move.
+		rv, fv := reflect.ValueOf(*r), reflect.ValueOf(*first)
+		for i := 0; i < rv.NumField(); i++ {
+			switch f := rv.Type().Field(i).Name; f {
+			case "Elapsed", "DecisionsPerSec", "DeliveredPerSec", "AllocBytes", "Mallocs", "NumGC", "Epochs", "Aggregate":
+			default:
+				if !reflect.DeepEqual(rv.Field(i).Interface(), fv.Field(i).Interface()) {
+					t.Errorf("%s: %s = %v; the first run had %v", name, f, rv.Field(i), fv.Field(i))
+				}
+			}
+		}
+		if got := soakEpochTable(r); got != table {
+			t.Errorf("%s: epoch table differs:\n--- got\n%s--- first run\n%s", name, got, table)
+		}
+	}
+}
+
+// soakEpochTable prints one line per epoch: index, bounds, label and
+// its non-zero soak.* and tx.* counter deltas, names sorted.
+func soakEpochTable(r *SoakResult) string {
+	var b strings.Builder
+	for _, e := range r.Epochs {
+		fmt.Fprintf(&b, "%d %v %v %q", e.Index, e.Start, e.End, e.Label)
+		var names []string
+		for name, v := range e.Delta.Counters {
+			if v != 0 && (strings.HasPrefix(name, "soak.") || strings.HasPrefix(name, "tx.")) {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, " %s=%d", name, e.Delta.Counters[name])
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // TestSoakAcceptance is the PR's headline gate: ≥100k concurrent flows
-// sustained ≥30s through the live engine while the MTBF scenario and
-// ≥10 hot-swaps (at least one structural) land on it — zero violations,
-// bounded drops, exact timeline. Short mode scales down but keeps every
-// structural element (scenario churn, structural swap, verdict).
+// sustained for 30s of virtual time through the engine while the MTBF
+// scenario and ≥10 hot-swaps (at least one structural) land on it —
+// zero violations, bounded drops, exact timeline. Short mode scales down
+// but keeps every structural element (scenario churn, structural swap,
+// verdict).
 func TestSoakAcceptance(t *testing.T) {
 	cfg := SoakConfig{Flows: 100_000, Duration: 30 * time.Second}
 	if testing.Short() {
@@ -345,11 +431,11 @@ func TestWriteSoakReport(t *testing.T) {
 	}
 }
 
-// BenchmarkSoak measures sustained whole-stack throughput (decisions
-// per second under churn and hot-swaps). It lives in internal/eval
-// deliberately: the CI bench gate pins the dataplane microbenchmarks by
-// name and does not sweep this package, so wall-clock-driven soak
-// numbers never destabilise the regression gate.
+// BenchmarkSoak measures whole-stack throughput: decisions per
+// CPU-second of a virtual-time soak under churn and hot-swaps. It lives
+// in internal/eval deliberately: the CI bench gate pins the dataplane
+// microbenchmarks by name and does not sweep this package, whose
+// multi-second whole-stack iterations it was never tuned for.
 func BenchmarkSoak(b *testing.B) {
 	tp, err := topo.ByName("grid:6x6")
 	if err != nil {

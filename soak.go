@@ -13,7 +13,7 @@ import (
 type SoakConfig = eval.SoakConfig
 
 // SoakResult is one soak run's full account: the refereed packet
-// totals, sustained rates, control-plane churn counts, egress and
+// totals, rates per CPU-second, control-plane churn counts, egress and
 // allocation telemetry, the per-epoch timeline (verified to sum to the
 // aggregate exactly) and the pass/fail verdict.
 type SoakResult = eval.SoakResult
@@ -21,12 +21,13 @@ type SoakResult = eval.SoakResult
 // DefaultSoakScenario is RunSoak's default background failure process.
 const DefaultSoakScenario = eval.DefaultSoakSpec
 
-// RunSoak runs the whole stack at once, for a sustained period, on one
-// named topology: hundreds of thousands of concurrent traffic flows
-// walked through a live sharded engine with paced egress queues, under
-// a continuous failure scenario and a stream of control-plane
-// hot-swaps (weight tweaks plus a structural chord add/remove), every
-// loss refereed by the connectivity oracle. The §5 guarantee holds
+// RunSoak runs the whole stack at once, for a sustained period of
+// virtual time, on one named topology: hundreds of thousands of
+// concurrent traffic flows walked hop by hop through the engine and its
+// paced egress queues, under a continuous failure scenario and a stream
+// of control-plane hot-swaps (weight tweaks plus a structural chord
+// add/remove), every loss refereed by the connectivity oracle. One
+// goroutine runs it on one clock, so one seed gives one run. The §5 guarantee holds
 // under soak exactly as it does per-draw: a passing run saw zero
 // violations — no packet lost while its pair stayed connected and
 // nothing changed mid-flight.
