@@ -350,7 +350,7 @@ func cmdSoak(g *globals, args []string) error {
 	flows := g.fs.Int("flows", 0, "concurrent flow count (default 100000)")
 	duration := g.fs.Duration("duration", 0, "emission window in virtual time (default 30s)")
 	swapEvery := g.fs.Duration("swap-every", 0, "virtual hot-swap interval (default duration/12)")
-	trafficArg := g.fs.String("traffic", "", "traffic source spec for the flows (poisson:…, mmpp:…, replay:path, fixed:…)")
+	trafficArg := g.fs.String("traffic", "", "per-flow traffic source spec: fixed:…, poisson:… or mmpp:… (default poisson:rate=2)")
 	scenario := g.fs.String("scenario", "", "failure process spec (@path loads a scripted scenario file)")
 	batch := g.fs.Int("batch", 0, "packets per batch (0 = default)")
 	egressBw := g.fs.Float64("egress-bw", 0, "per-link egress bandwidth in bps (0 = default)")

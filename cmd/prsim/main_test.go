@@ -107,6 +107,10 @@ func TestTimedVerbs(t *testing.T) {
 // one line on stderr and nothing on stdout.
 func TestExitStatus(t *testing.T) {
 	verbList := "ablation, certify, churn, compile, figures, losswindow, overheads, resilience, soak, tables, throughput, topo"
+	trace := filepath.Join(t.TempDir(), "trace.txt")
+	if err := os.WriteFile(trace, []byte("0.000 1000\n0.001 1000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -130,6 +134,7 @@ func TestExitStatus(t *testing.T) {
 		{"negative -batch", []string{"soak", "-batch", "-3"}, 1, "prsim: eval: soak BatchSize must be ≥ 0 (got -3)"},
 		{"negative -duration", []string{"soak", "-duration", "-1s"}, 1, "prsim: eval: soak Duration must be ≥ 0 (got -1s)"},
 		{"negative -swap-every", []string{"soak", "-swap-every", "-1s"}, 1, "prsim: eval: soak SwapEvery must be ≥ 0 (got -1s)"},
+		{"soak replay traffic", []string{"soak", "-traffic", "replay:" + trace}, 1, "prsim: eval: soak traffic must be fixed, poisson or mmpp (got replay)"},
 		{"negative -draws", []string{"resilience", "-draws", "-2"}, 1, "prsim: eval: resilience Draws must be ≥ 0 (got -2)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

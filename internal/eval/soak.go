@@ -19,7 +19,7 @@ import (
 
 // The soak harness is the full stack running *at once* for a sustained
 // period: hundreds of thousands of concurrent traffic flows walked
-// hop-by-hop through a live Engine with a TxQueue egress, while
+// hop-by-hop through a live Engine into a TxQueue egress, while
 // a continuous failure scenario plays out against the engine's link
 // state and a stream of Recompiler hot-swaps (weight tweaks and
 // structural chord add/remove) lands on the running engine — everything
@@ -29,17 +29,19 @@ import (
 // invariant TraceResilience pins).
 //
 // One goroutine, the pump, runs it all on one virtual clock: traffic,
-// control plane, decisions (Engine.Step) and referee. Each hop costs
-// soakHop of virtual time, and the TxQueue paces on the same clock, so
-// one seed gives one run. The pump lands every scenario event and
-// hot-swap due by now before each tick's fill, so all a packet meets
-// after its emission is scheduled inside its flight window (emit,
-// lost]. Oracle.Classify therefore referees every loss as it does the
-// simulator's: excused while the pair was partitioned, a §7
+// control plane, decisions (Engine.Step), transmit (TxQueue.Send) and
+// referee. Each hop costs soakHop of virtual time, and the TxQueue paces
+// on the same clock, so one seed gives one run. The pump lands every
+// scenario event and hot-swap due by now before each tick's fill, so all
+// a packet meets after its emission is scheduled inside its flight
+// window (emit, lost]. Oracle.Classify therefore referees every loss as
+// it does the simulator's: excused while the pair was partitioned, a §7
 // transient when a failure or repair is scheduled mid-flight, otherwise
 // a violation — the class the paper's guarantee (and the soak verdict)
 // demands stay at zero. The soak adds one rule: a hot-swap scheduled
-// mid-flight also makes the loss transient.
+// mid-flight also makes the loss transient. A packet its egress queue
+// refuses is congestion, not a §5 loss: it stops, is counted under
+// tx.drop.* alone, and only the drop-fraction bound judges it.
 
 // Soak metric names. The soak.* counters are written by the pump, so
 // the per-epoch timeline attributes every emission, delivery and
@@ -57,11 +59,9 @@ const (
 	MetricSoakFlows       = "soak.flows"
 	MetricSoakLagNs       = "soak.calendar_lag_ns"
 	MetricSoakHeapBytes   = "soak.heap_alloc_bytes"
-	MetricSoakTxBacklogNs = "soak.tx_backlog_ns"
 	// Per-dart-class backlog distributions, sampled by the pump every
 	// tick: forward darts (even IDs) and reverse darts (odd IDs) each
-	// get a histogram of instantaneous queueing delay plus a peak gauge —
-	// the queue-sizing telemetry the single MaxBacklog gauge hides.
+	// get a histogram of instantaneous queueing delay plus a peak gauge.
 	MetricSoakTxBacklogFwdNs    = "soak.tx_backlog.fwd_ns"
 	MetricSoakTxBacklogRevNs    = "soak.tx_backlog.rev_ns"
 	MetricSoakTxBacklogFwdMaxNs = "soak.tx_backlog.fwd_max_ns"
@@ -176,8 +176,10 @@ type SoakResult struct {
 	Horizon time.Duration
 	Elapsed time.Duration
 
-	// Generated..DropTTL account every emitted packet exactly:
-	// Generated == Delivered + DropNoRoute + DropTTL.
+	// Generated..DropTTL account every emitted packet exactly, with the
+	// egress drops of Aggregate: Generated == Delivered + DropNoRoute +
+	// DropTTL + dataplane.TxDropped(Aggregate). A packet its TxQueue
+	// refuses stops there and is counted only under tx.drop.*.
 	Generated   uint64
 	Delivered   uint64
 	DropNoRoute uint64
@@ -541,15 +543,14 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	cal.init()
 
 	p := &soakPump{
-		cfg:     cfg,
-		tr:      tr,
-		cal:     cal,
-		oracle:  oracle,
-		rng:     rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 3))),
-		lag:     reg.Gauge(MetricSoakLagNs),
-		tracer:  tracer,
-		root:    runSpan.ID(),
-		backlog: reg.Gauge(MetricSoakTxBacklogNs),
+		cfg:    cfg,
+		tr:     tr,
+		cal:    cal,
+		oracle: oracle,
+		rng:    rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 3))),
+		lag:    reg.Gauge(MetricSoakLagNs),
+		tracer: tracer,
+		root:   runSpan.ID(),
 	}
 	// The TxQueue paces on the pump's clock.
 	p.tx = dataplane.NewTxQueue(fib, dataplane.TxConfig{
@@ -573,10 +574,11 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	p.latency = reg.Histogram(MetricSoakLatencyNs, telemetry.ExponentialBuckets(1000, 4, 12)).Handle()
 
 	// The pump decides every batch itself with Step, so the engine's one
-	// worker never wakes.
+	// worker never wakes. It also transmits each decided packet itself
+	// (tick), so the engine has no Egress: a packet its queue refuses
+	// stops there.
 	eng := dataplane.NewEngine(fib, dataplane.EngineConfig{
 		Shards:  1,
-		Egress:  p.tx,
 		Metrics: reg,
 		Tracer:  tracer,
 	})
@@ -588,7 +590,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	tl := telemetry.NewTimeline(reg)
 	start := time.Now()
 
-	p.ctl = newSoakControl(cfg, eng, rec, tl, events, sys.Genus(), runSpan.ID())
+	p.ctl = newSoakControl(cfg, eng, p.tx, rec, tl, events, sys.Genus(), runSpan.ID())
 	end := p.run()
 	decisions := eng.Close()
 	elapsed := time.Since(start)
@@ -634,7 +636,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	}
 	res.DeliveredPerSec = float64(res.Delivered) / elapsed.Seconds()
 
-	if got := res.Delivered + res.DropNoRoute + res.DropTTL; got != res.Generated {
+	if got := res.Delivered + res.DropNoRoute + res.DropTTL + dataplane.TxDropped(agg); got != res.Generated {
 		return nil, fmt.Errorf("eval: soak accounting leak: %d delivered+dropped ≠ %d generated", got, res.Generated)
 	}
 	if got := res.Violations + res.Transient + res.Excused; got != res.DropNoRoute+res.DropTTL {
@@ -689,7 +691,6 @@ type soakPump struct {
 	backRev    *telemetry.Histogram
 	backFwdMax *telemetry.Gauge
 	backRevMax *telemetry.Gauge
-	backlog    *telemetry.Gauge
 
 	generated telemetry.CounterHandle
 	delivered telemetry.CounterHandle
@@ -741,7 +742,6 @@ func (p *soakPump) sampleBacklog() {
 	mf, mr := p.tx.SampleBacklog(p.backFwd, p.backRev)
 	p.backFwdMax.SetMax(int64(mf))
 	p.backRevMax.SetMax(int64(mr))
-	p.backlog.Set(int64(max(mf, mr)))
 }
 
 // fill adds every emission due by now and before the horizon to the
@@ -777,10 +777,12 @@ func (p *soakPump) fill(horizon time.Duration) {
 	}
 }
 
-// tick decides every packet in flight, BatchSize at a time, and
-// resolves each at once: a drop is refereed at now, a packet whose
-// egress reaches its destination is delivered one hop later, and every
-// other packet is at its next router one hop later.
+// tick decides every packet in flight, BatchSize at a time, hands each
+// decided packet to its egress queue and resolves it at once: a drop is
+// refereed at now, a packet the queue refuses stops (counted under
+// tx.drop.*, and nowhere else: congestion is no §5 loss class), a packet
+// whose egress reaches its destination is delivered one hop later, and
+// every other packet is at its next router one hop later.
 func (p *soakPump) tick() {
 	keep := 0
 	for off := 0; off < len(p.pkts); off += p.cfg.BatchSize {
@@ -788,11 +790,14 @@ func (p *soakPump) tick() {
 		p.batch.Pkts = p.pkts[off:end]
 		// Across a structural hot-swap the dart space changes, so egress
 		// darts are mapped through the FIB the batch was decided under.
-		fib := p.eng.Step(&p.batch)
+		fib, links := p.eng.Step(&p.batch), p.eng.Snapshot()
 		for i := off; i < end; i++ {
 			pk, m := &p.pkts[i], &p.meta[i]
 			if !pk.OK {
 				p.refereeDrop(m, pk.Dst, p.noRoute)
+				continue
+			}
+			if p.tx.Send(pk.Egress, int64(pk.Bits), links) != dataplane.TxSent {
 				continue
 			}
 			next := fib.Head(pk.Egress)
@@ -851,6 +856,7 @@ func (p *soakPump) classify(src, dst graph.NodeID, emit, now time.Duration) fail
 // and the Recompiler.
 type soakControl struct {
 	eng       *dataplane.Engine
+	tx        *dataplane.TxQueue
 	rec       *dataplane.Recompiler
 	tl        *telemetry.Timeline
 	events    []failure.Event
@@ -877,11 +883,11 @@ type soakControl struct {
 // A chord is added a third of the way in and removed at two thirds,
 // bracketing a window in which the engine forwards on a larger dart
 // space than it was built with.
-func newSoakControl(cfg SoakConfig, eng *dataplane.Engine, rec *dataplane.Recompiler, tl *telemetry.Timeline,
-	events []failure.Event, baseGenus int, root telemetry.SpanID) *soakControl {
+func newSoakControl(cfg SoakConfig, eng *dataplane.Engine, tx *dataplane.TxQueue, rec *dataplane.Recompiler,
+	tl *telemetry.Timeline, events []failure.Event, baseGenus int, root telemetry.SpanID) *soakControl {
 	total := int(cfg.Duration / cfg.SwapEvery)
 	return &soakControl{
-		eng: eng, rec: rec, tl: tl, events: events,
+		eng: eng, tx: tx, rec: rec, tl: tl, events: events,
 		every: cfg.SwapEvery, horizon: cfg.Duration,
 		addAt: total / 3, removeAt: max(2*total/3, total/3+1),
 		baseGenus: baseGenus, tracer: cfg.Tracer, root: root,
@@ -986,6 +992,11 @@ func (c *soakControl) swap(at time.Duration) {
 		return
 	}
 	c.tl.Roll(at, label)
+	if d.Structural {
+		// The egress queue is the pump's, not the engine's: carry its
+		// pacing clocks into the new dart space as SwapFIB would.
+		c.tx.RebindDarts(2*d.FIB.NumLinks(), d.LinkMap)
+	}
 	if aerr := c.eng.ApplyDelta(d); aerr != nil {
 		// The recompiler advanced but the engine refused: the two are
 		// now desynchronised, which no later swap can repair. Abort.
@@ -1098,7 +1109,7 @@ func WriteSoakReport(w io.Writer, r *SoakResult) {
 	if r.Aggregate != nil {
 		fmt.Fprintf(w, "gauges      calendar-lag %v, peak tx backlog %v, heap %d B, fib %d B\n",
 			time.Duration(r.Aggregate.Gauge(MetricSoakLagNs)),
-			time.Duration(r.Aggregate.Gauge(MetricSoakTxBacklogNs)),
+			time.Duration(max(r.Aggregate.Gauge(MetricSoakTxBacklogFwdMaxNs), r.Aggregate.Gauge(MetricSoakTxBacklogRevMaxNs))),
 			r.Aggregate.Gauge(MetricSoakHeapBytes),
 			r.Aggregate.Gauge(dataplane.MetricFIBMemBytes))
 		writeBacklogClass(w, r.Aggregate, "fwd darts", MetricSoakTxBacklogFwdNs, MetricSoakTxBacklogFwdMaxNs)

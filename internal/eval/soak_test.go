@@ -20,18 +20,20 @@ import (
 )
 
 // soakIdentities asserts the accounting every soak run must close:
-// each emitted packet is delivered or dropped, each drop is refereed
-// exactly once, and the per-epoch timeline sums to the aggregate
-// (RunSoak verifies the last internally; here we re-derive it from the
-// public result so the exported Epochs/Aggregate pair stands alone).
+// each emitted packet is delivered, dropped on its walk or refused by
+// its egress queue, each walk drop is refereed exactly once, and the
+// per-epoch timeline sums to the aggregate (RunSoak verifies the last
+// internally; here we re-derive it from the public result so the
+// exported Epochs/Aggregate pair stands alone).
 func soakIdentities(t *testing.T, r *SoakResult) {
 	t.Helper()
 	if r.Generated == 0 {
 		t.Fatal("soak emitted no traffic")
 	}
-	if got := r.Delivered + r.DropNoRoute + r.DropTTL; got != r.Generated {
-		t.Fatalf("accounting leak: delivered %d + no-route %d + ttl %d = %d; generated %d",
-			r.Delivered, r.DropNoRoute, r.DropTTL, got, r.Generated)
+	tx := dataplane.TxDropped(r.Aggregate)
+	if got := r.Delivered + r.DropNoRoute + r.DropTTL + tx; got != r.Generated {
+		t.Fatalf("accounting leak: delivered %d + no-route %d + ttl %d + tx %d = %d; generated %d",
+			r.Delivered, r.DropNoRoute, r.DropTTL, tx, got, r.Generated)
 	}
 	if got := r.Violations + r.Transient + r.Excused; got != r.DropNoRoute+r.DropTTL {
 		t.Fatalf("referee leak: classified %d; dropped %d", got, r.DropNoRoute+r.DropTTL)
@@ -104,6 +106,36 @@ func TestRunSoakSmoke(t *testing.T) {
 	}
 	if res.Aggregate.Counter(dataplane.MetricTxSent) == 0 {
 		t.Fatal("TxQueue egress saw no frames")
+	}
+}
+
+// TestSoakOverloadBalances: on links far slower than the offered load
+// the egress queues refuse packets. A refused packet stops where it was
+// refused and is counted once, under tx.drop.*: it is neither delivered
+// nor refereed, so generated = delivered + no-route + ttl + tx drops.
+func TestSoakOverloadBalances(t *testing.T) {
+	res, err := RunSoak(mustTopo(t, "grid:4x4"), SoakConfig{
+		Panel:        Panel{Spec: "mtbf:up=2s,down=100ms", Seed: 3},
+		Flows:        2_000,
+		Duration:     300 * time.Millisecond,
+		BandwidthBps: 1e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := dataplane.TxDropped(res.Aggregate)
+	if tx == 0 {
+		t.Fatal("a 1 Mb/s egress refused nothing; the run is not overloaded")
+	}
+	if got := res.Delivered + res.DropNoRoute + res.DropTTL + tx; got != res.Generated {
+		t.Fatalf("delivered %d + no-route %d + ttl %d + tx %d = %d; generated %d",
+			res.Delivered, res.DropNoRoute, res.DropTTL, tx, got, res.Generated)
+	}
+	t.Logf("generated %d = delivered %d + no-route %d + ttl %d + tx %d",
+		res.Generated, res.Delivered, res.DropNoRoute, res.DropTTL, tx)
+	soakIdentities(t, res)
+	if res.Pass {
+		t.Fatalf("verdict PASS with drop fraction %.4f over the %.4f bound", res.DropFrac(), 0.02)
 	}
 }
 
@@ -372,7 +404,7 @@ func TestSoakRefereeAndSchedule(t *testing.T) {
 	events = append([]failure.Event{{At: 500 * ms, Link: lb, Down: true}, {At: 500 * ms, Link: lb, Down: false}}, events...)
 	tl := telemetry.NewTimeline(telemetry.NewRegistry())
 	c := newSoakControl(SoakConfig{Duration: 2 * time.Second, SwapEvery: 500 * ms, Panel: Panel{Seed: 1}},
-		eng, rec, tl, events, st.sys.Genus(), 0)
+		eng, dataplane.NewTxQueue(st.fib, dataplane.TxConfig{}), rec, tl, events, st.sys.Genus(), 0)
 	c.applyDue(499 * ms)
 	if c.ei != 0 || c.swaps != 0 {
 		t.Fatalf("before 500ms: %d events and %d swaps applied; want none", c.ei, c.swaps)

@@ -6,6 +6,13 @@
 // forwarding schemes (PR, FCP, and a reconverging IGP), and is the engine
 // behind the §1 loss-window experiment: how many packets die during an
 // outage under each scheme.
+//
+// Each input enters one way. Network state is a failure.Scenario
+// (Simulator.ApplyScenario, which expands to the FailLinkAt/RepairLinkAt
+// primitives and installs the loss referee); traffic is Config.Flows; the
+// graph never changes during a run. Planned topology change under live
+// traffic is exercised on the engine instead (dataplane.Recompiler.Apply →
+// Engine.ApplyDelta, in the soak).
 package sim
 
 import (
@@ -19,13 +26,12 @@ import (
 type eventKind int
 
 const (
-	evArrive     eventKind = iota // packet arrives at a node
-	evGenerate                    // flow emits its next packet
-	evLinkDown                    // physical link failure
-	evLinkUp                      // physical link repair
-	evDetect                      // routers adjacent to a link learn its state
-	evConverge                    // reconvergence completes network-wide
-	evTopoUpdate                  // planned topology change takes effect
+	evArrive   eventKind = iota // packet arrives at a node
+	evGenerate                  // flow emits its next packet
+	evLinkDown                  // physical link failure
+	evLinkUp                    // physical link repair
+	evDetect                    // routers adjacent to a link learn its state
+	evConverge                  // reconvergence completes network-wide
 )
 
 // event is one scheduled occurrence. seq breaks time ties deterministically
@@ -42,8 +48,6 @@ type event struct {
 	link graph.LinkID // evLinkDown / evLinkUp / evDetect
 	down bool         // evDetect: new state
 	gen  uint64       // evDetect: link state generation; stale events no-op
-
-	edits []graph.Edit // evTopoUpdate: the maintenance edit set
 }
 
 type eventHeap []*event

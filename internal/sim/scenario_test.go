@@ -9,10 +9,10 @@ import (
 	"recycle/internal/graph"
 )
 
-// TestFailNodeAt: a node outage as a first-class timed event behaves like
-// graph.FailNode — every incident link fails at the instant, and flows
-// through the dead router reroute or die exactly as the §4 dead-router
-// model says.
+// TestFailNodeAt: a node outage scheduled through ApplyScenario behaves
+// like graph.FailNode — every incident link fails at the instant, and
+// flows through the dead router reroute or die exactly as the §4
+// dead-router model says.
 func TestFailNodeAt(t *testing.T) {
 	g := graph.Ring(6)
 	s, err := New(Config{
@@ -26,7 +26,12 @@ func TestFailNodeAt(t *testing.T) {
 	}
 	// Node 1 sits on the clockwise 0→3 shortest path; killing it forces
 	// packets the long way round. It never comes back.
-	s.FailNodeAt(1, 200*time.Millisecond)
+	sc := &failure.Scenario{Name: "node 1", Outages: []failure.Outage{
+		failure.NodeOutageAt(1, 200*time.Millisecond, failure.Forever),
+	}}
+	if err := s.ApplyScenario(sc); err != nil {
+		t.Fatal(err)
+	}
 	st := s.Run()
 	if st.Counter(MetricGenerated) == 0 || st.Counter(MetricDelivered) == 0 {
 		t.Fatalf("no traffic flowed: %+v", st)
@@ -41,7 +46,7 @@ func TestFailNodeAt(t *testing.T) {
 	want := graph.FailNode(g, 1)
 	for _, l := range want.Links() {
 		if !s.KnownFailures().Down(l) {
-			t.Fatalf("incident link %d not detected down after FailNodeAt", l)
+			t.Fatalf("incident link %d not detected down after the node outage", l)
 		}
 	}
 	if s.KnownFailures().Len() != want.Len() {
@@ -49,6 +54,7 @@ func TestFailNodeAt(t *testing.T) {
 	}
 }
 
+// TestRepairNodeAt: the node's return repairs every incident link.
 func TestRepairNodeAt(t *testing.T) {
 	g := graph.Ring(6)
 	s, err := New(Config{
@@ -60,14 +66,18 @@ func TestRepairNodeAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.FailNodeAt(1, 100*time.Millisecond)
-	s.RepairNodeAt(1, 300*time.Millisecond)
+	sc := &failure.Scenario{Name: "node 1", Outages: []failure.Outage{
+		failure.NodeOutageAt(1, 100*time.Millisecond, 300*time.Millisecond),
+	}}
+	if err := s.ApplyScenario(sc); err != nil {
+		t.Fatal(err)
+	}
 	st := s.Run()
 	if st.Counter(MetricGenerated) == 0 {
 		t.Fatal("no packets generated")
 	}
 	if s.KnownFailures().Len() != 0 {
-		t.Fatalf("links still marked down after RepairNodeAt: %v", s.KnownFailures())
+		t.Fatalf("links still marked down after the node's repair: %v", s.KnownFailures())
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"time"
 
 	"recycle/internal/core"
@@ -38,20 +37,11 @@ type Scheme interface {
 // failures, which flip bits in a dataplane.LinkState mirror of the
 // simulator's known-failure set; packets sent into a not-yet-detected
 // dead link are lost, so PR's loss window is exactly the detection delay.
-//
-// With a Recompiler attached the scheme also covers the maintenance
-// scenario class: a planned topology change (Simulator.UpdateTopologyAt)
-// is delta-recompiled and the scheme hops onto the patched FIB — the
-// simulator counterpart of Engine.ApplyDelta. Without one, the scheme
-// keeps its pre-maintenance FIB, modelling a router the control plane
-// has not updated yet (still loss-free for weight changes: stale
-// shortest paths remain live paths, just not optimal ones).
+// The FIB is static for the run: a failure changes only the link state,
+// never the tables (§4–§5). Planned change under live traffic is the
+// engine's (Recompiler.Apply → Engine.ApplyDelta), not the simulator's.
 type PRScheme struct {
 	FIB *dataplane.FIB
-	// Recompiler, when non-nil, reacts to planned topology updates with
-	// a delta recompile. It must have been built over the same network
-	// state FIB was compiled from.
-	Recompiler *dataplane.Recompiler
 
 	state *dataplane.LinkState
 }
@@ -79,39 +69,7 @@ func (p *PRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotati
 // TopologyChanged implements Scheme: mirror the detection into the
 // compiled link-state bitset.
 func (p *PRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
-	mirrorDetection(p.state, l, down)
-}
-
-// mirrorDetection records a local detection in a compiled scheme's link
-// state. A scheme the control plane has not updated keeps the link space of
-// its FIB, and a link added since lies outside it: a router that has not
-// been told of a link cannot detect its failure, so that detection is
-// ignored.
-func mirrorDetection(st *dataplane.LinkState, l graph.LinkID, down bool) {
-	if int(l) < st.NumLinks() {
-		st.Set(l, down)
-	}
-}
-
-// TopologyUpdated implements TopologyUpdater: delta-recompile the edit
-// set and swap onto the patched FIB. The link-state mirror is rebuilt in
-// the new link space from the simulator's known failures — the same
-// carry-over Engine.ApplyDelta performs. A recompile that fails leaves the
-// router where a missing recompiler does, on the stale FIB, and is counted.
-func (p *PRScheme) TopologyUpdated(s *Simulator, edits []graph.Edit) {
-	if p.Recompiler == nil {
-		return // un-updated router: keep forwarding on the stale FIB
-	}
-	d, err := p.Recompiler.Apply(edits...)
-	if err != nil {
-		s.met.faultCompile.Inc()
-		return
-	}
-	if d == nil {
-		return // the batch netted out to nothing; current FIB stands
-	}
-	p.FIB = d.FIB
-	p.state = dataplane.FromFailureSet(d.Graph.NumLinks(), s.KnownFailures())
+	p.state.Set(l, down)
 }
 
 // Converge implements Scheme.
@@ -221,16 +179,6 @@ func (r *ReconvScheme) TopologyChanged(s *Simulator, _ graph.LinkID, _ bool) {
 	s.ScheduleConvergeAt(s.Now() + window)
 }
 
-// TopologyUpdated implements TopologyUpdater: a planned change floods
-// like any LSA — the IGP converges onto the new metrics after the model
-// window (no detection delay: the operator announced it, nobody had to
-// notice a loss-of-light).
-func (r *ReconvScheme) TopologyUpdated(s *Simulator, _ []graph.Edit) {
-	r.g = s.Graph()
-	window := r.Model.Window(r.radius) - r.Model.Detection
-	s.ScheduleConvergeAt(s.Now() + window)
-}
-
 // Converge implements Scheme: install tables reflecting everything
 // currently known.
 func (r *ReconvScheme) Converge(s *Simulator) {
@@ -267,7 +215,7 @@ type LossWindowResult struct {
 // horizon; the first link of src's shortest path fails at failAt.
 func RunLossWindow(cfg Config, src, dst graph.NodeID, pps float64, failAt time.Duration) (LossWindowResult, error) {
 	interval := time.Duration(float64(time.Second) / pps)
-	return runLossWindowFlow(cfg, Flow{Src: src, Dst: dst, Interval: interval, Bits: 8192}, failAt)
+	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Interval: interval, Bits: 8192}, failAt)
 }
 
 // RunLossWindowTraffic is RunLossWindow with an arbitrary arrival process
@@ -276,53 +224,19 @@ func RunLossWindow(cfg Config, src, dst graph.NodeID, pps float64, failAt time.D
 // minted fresh for the run, so the same source gives every scheme under
 // comparison the identical offered load.
 func RunLossWindowTraffic(cfg Config, src, dst graph.NodeID, source traffic.Source, failAt time.Duration) (LossWindowResult, error) {
-	return runLossWindowFlow(cfg, Flow{Src: src, Dst: dst, Source: source}, failAt)
+	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Source: source}, failAt)
 }
 
-// runLossWindowFlow is the shared body: one flow, the first link of the
+// runOutageFlow is the shared body: one flow, the first link of the
 // source's shortest path failing at failAt.
-func runLossWindowFlow(cfg Config, flow Flow, failAt time.Duration) (LossWindowResult, error) {
-	return runOutageFlow(cfg, flow, failAt, 0)
-}
-
-// RunMaintenance runs the planned-decommission experiment: the first
-// link of src's shortest path is drained (its weight costed out to above
-// any alternative path) at drainAt, then taken down at failAt — the
-// operator playbook for maintenance. A scheme that reacts to the drain
-// (TopologyUpdater: delta-recompiled PR, a reconverging IGP) has moved
-// all traffic off the link before it dies and loses nothing; a scheme
-// that ignores planned updates eats the §1 detection loss window even
-// though the outage was announced.
-func RunMaintenance(cfg Config, src, dst graph.NodeID, pps float64, drainAt, failAt time.Duration) (LossWindowResult, error) {
-	if failAt < drainAt {
-		return LossWindowResult{}, fmt.Errorf("sim: maintenance fails at %v before the %v drain", failAt, drainAt)
-	}
-	interval := time.Duration(float64(time.Second) / pps)
-	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Interval: interval, Bits: 8192}, failAt, drainAt)
-}
-
-// runOutageFlow fails the first link of the flow's shortest path at
-// failAt, optionally draining it (weight cost-out via a topology update)
-// at drainAt first (0 = no drain).
-func runOutageFlow(cfg Config, flow Flow, failAt, drainAt time.Duration) (LossWindowResult, error) {
+func runOutageFlow(cfg Config, flow Flow, failAt time.Duration) (LossWindowResult, error) {
 	cfg.Flows = []Flow{flow}
 	s, err := New(cfg)
 	if err != nil {
 		return LossWindowResult{}, err
 	}
-	// Fail the first link on src's current shortest path.
 	tree := graph.ShortestPathTree(cfg.Graph, flow.Dst, nil)
-	target := tree.NextLink[flow.Src]
-	if drainAt > 0 {
-		heavy := 1.0
-		for _, l := range cfg.Graph.Links() {
-			heavy += l.Weight
-		}
-		if err := s.UpdateTopologyAt(drainAt, graph.SetWeight(target, heavy)); err != nil {
-			return LossWindowResult{}, err
-		}
-	}
-	s.FailLinkAt(target, failAt)
+	s.FailLinkAt(tree.NextLink[flow.Src], failAt)
 	st := s.Run()
 	trafficName := "fixed"
 	if flow.Source != nil {

@@ -82,7 +82,7 @@ type Config struct {
 	Graph *graph.Graph
 	// Scheme is the forwarding scheme under test.
 	Scheme Scheme
-	// Flows is the traffic matrix.
+	// Flows is the traffic: the only way packets enter a run.
 	Flows []Flow
 	// Horizon ends the run (events after it are discarded).
 	Horizon time.Duration
@@ -134,11 +134,6 @@ const (
 	MetricLatencyUs     = "sim.latency_us"
 	MetricRecycleHops   = "sim.recycle_hops"
 	MetricStretchPct    = "sim.stretch_pct"
-	// Internal faults survived by forwarding on the stale state: a planned
-	// topology update whose edits did not apply, a delta recompile that
-	// failed.
-	MetricFaultTopoUpdate = "sim.fault.topo_update"
-	MetricFaultRecompile  = "sim.fault.recompile"
 )
 
 // InstantDetection, as Config.DetectionDelay, makes link state changes
@@ -190,11 +185,11 @@ func MaxLatency(d *telemetry.Snapshot) time.Duration {
 	return time.Duration(d.Gauge(MetricLatencyMaxNs))
 }
 
-// Simulator executes one configuration. Create with New, inject failures
-// with FailLinkAt / RepairLinkAt, then Run.
+// Simulator executes one configuration. Create with New, schedule the
+// network's failure history with ApplyScenario (or the FailLinkAt /
+// RepairLinkAt primitives it expands to), then Run.
 type Simulator struct {
 	cfg   Config
-	g     *graph.Graph
 	queue eventHeap
 	seq   int64
 	now   time.Duration
@@ -208,9 +203,8 @@ type Simulator struct {
 
 	reg      *telemetry.Registry
 	met      *simMetrics
-	timeline *telemetry.Timeline // created at Run start, rolled on link events
-	hopDist  map[graph.NodeID][]int
-	hopGen   *graph.Graph // graph hopDist was computed over (topology updates invalidate)
+	timeline *telemetry.Timeline    // created at Run start, rolled on link events
+	hopDist  map[graph.NodeID][]int // failure-free hop distances, per source
 
 	nextPacketID int64
 }
@@ -223,7 +217,6 @@ type simMetrics struct {
 	dropBlackhole, dropNoRoute, dropTTL telemetry.CounterHandle
 	loss                                [3]telemetry.CounterHandle // by failure.Loss
 	latencyNs, hops                     telemetry.CounterHandle
-	faultUpdate, faultCompile           telemetry.CounterHandle
 	latencyMax                          *telemetry.Gauge
 	latencyUs, recycleHops, stretchPct  telemetry.HistogramHandle
 }
@@ -240,11 +233,9 @@ func newSimMetrics(r *telemetry.Registry) *simMetrics {
 			failure.LossTransient: r.Counter(MetricLossTransient).Handle(),
 			failure.LossExcused:   r.Counter(MetricLossExcused).Handle(),
 		},
-		latencyNs:    r.Counter(MetricLatencyNs).Handle(),
-		hops:         r.Counter(MetricHops).Handle(),
-		faultUpdate:  r.Counter(MetricFaultTopoUpdate).Handle(),
-		faultCompile: r.Counter(MetricFaultRecompile).Handle(),
-		latencyMax:   r.Gauge(MetricLatencyMaxNs),
+		latencyNs:  r.Counter(MetricLatencyNs).Handle(),
+		hops:       r.Counter(MetricHops).Handle(),
+		latencyMax: r.Gauge(MetricLatencyMaxNs),
 		// 10 µs .. ~2.6 s delivery latency.
 		latencyUs: r.Histogram(MetricLatencyUs, telemetry.ExponentialBuckets(10, 4, 9)).Handle(),
 		// 0, 1, 2, ... 15 hops off the shortest path (16+ overflows).
@@ -305,12 +296,12 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s := &Simulator{
 		cfg:       cfg,
-		g:         cfg.Graph,
 		physDown:  make([]bool, cfg.Graph.NumLinks()),
 		linkGen:   make([]uint64, cfg.Graph.NumLinks()),
 		knownDown: graph.NewFailureSet(),
 		linkFree:  make([]time.Duration, 2*cfg.Graph.NumLinks()),
 		streams:   make([]traffic.Stream, len(cfg.Flows)),
+		hopDist:   make(map[graph.NodeID][]int),
 		reg:       reg,
 		met:       newSimMetrics(reg),
 	}
@@ -366,7 +357,7 @@ func (s *Simulator) Now() time.Duration { return s.now }
 func (s *Simulator) KnownFailures() *graph.FailureSet { return s.knownDown }
 
 // Graph returns the topology.
-func (s *Simulator) Graph() *graph.Graph { return s.g }
+func (s *Simulator) Graph() *graph.Graph { return s.cfg.Graph }
 
 // FailLinkAt schedules a bidirectional link failure.
 func (s *Simulator) FailLinkAt(l graph.LinkID, at time.Duration) {
@@ -376,27 +367,6 @@ func (s *Simulator) FailLinkAt(l graph.LinkID, at time.Duration) {
 // RepairLinkAt schedules a link repair.
 func (s *Simulator) RepairLinkAt(l graph.LinkID, at time.Duration) {
 	s.schedule(&event{at: at, kind: evLinkUp, link: l})
-}
-
-// FailNodeAt schedules a whole-node outage: every link incident to n
-// fails at the same instant. This is the timed-event counterpart of
-// graph.FailNode — the paper's §4 model of a dead router (all its links
-// failing bidirectionally) as a first-class sim event.
-func (s *Simulator) FailNodeAt(n graph.NodeID, at time.Duration) {
-	for _, nb := range s.g.Neighbors(n) {
-		s.FailLinkAt(nb.Link, at)
-	}
-}
-
-// RepairNodeAt schedules the node's return: every incident link repairs
-// at the same instant. Pair with FailNodeAt; a link the node shares with
-// another scheduled outage repairs here regardless — prefer
-// ApplyScenario, which merges overlapping outages, when composing
-// multi-cause histories.
-func (s *Simulator) RepairNodeAt(n graph.NodeID, at time.Duration) {
-	for _, nb := range s.g.Neighbors(n) {
-		s.RepairLinkAt(nb.Link, at)
-	}
 }
 
 // ApplyScenario expands a failure scenario into its normalised fail/
@@ -409,11 +379,11 @@ func (s *Simulator) RepairNodeAt(n graph.NodeID, at time.Duration) {
 // mid-flight, §7's damped regime) or Stats.Excused (the pair was
 // partitioned at some instant — no scheme delivers across a partition).
 func (s *Simulator) ApplyScenario(sc *failure.Scenario) error {
-	events, err := sc.Events(s.g)
+	events, err := sc.Events(s.cfg.Graph)
 	if err != nil {
 		return err
 	}
-	oracle, err := failure.NewOracle(s.g, sc)
+	oracle, err := failure.NewOracle(s.cfg.Graph, sc)
 	if err != nil {
 		return err
 	}
@@ -461,77 +431,17 @@ func headerOf(pkt *Packet) core.Header {
 }
 
 // shortestHops returns the failure-free hop distance src→dst (−1 when
-// unreachable), BFS'd once per source and cached; a topology update
-// swapping the graph invalidates the cache.
+// unreachable), BFS'd once per source and cached for the run.
 func (s *Simulator) shortestHops(src, dst graph.NodeID) int {
-	if s.hopGen != s.g {
-		s.hopDist = make(map[graph.NodeID][]int)
-		s.hopGen = s.g
-	}
 	d, ok := s.hopDist[src]
 	if !ok {
-		d = graph.HopDistances(s.g, src, nil)
+		d = graph.HopDistances(s.cfg.Graph, src, nil)
 		s.hopDist[src] = d
 	}
 	if int(dst) < len(d) {
 		return d[dst]
 	}
 	return -1
-}
-
-// UpdateTopologyAt schedules a planned topology change — the maintenance
-// scenario class: link weights shift (drain or cost-out) or new links
-// come up mid-run. Schemes implementing TopologyUpdater (e.g. a compiled
-// PR scheme with a delta recompiler) react; everything else keeps
-// forwarding on its pre-maintenance tables, exactly like a router the
-// control plane has not reached yet.
-//
-// Removals are rejected: they renumber the live link space under
-// in-flight packets. Model a decommission as a weight cost-out (drain)
-// followed by FailLinkAt — which is how operators do it anyway.
-func (s *Simulator) UpdateTopologyAt(at time.Duration, edits ...graph.Edit) error {
-	if len(edits) == 0 {
-		return fmt.Errorf("sim: empty topology update")
-	}
-	for _, e := range edits {
-		if e.Kind == graph.EditRemoveLink {
-			return fmt.Errorf("sim: %v not schedulable mid-run; drain the link (SetWeight) and FailLinkAt instead", e)
-		}
-		if e.Kind != graph.EditWeight && e.Kind != graph.EditAddLink {
-			return fmt.Errorf("sim: unknown edit kind in %v", e)
-		}
-	}
-	s.schedule(&event{at: at, kind: evTopoUpdate, edits: edits})
-	return nil
-}
-
-// TopologyUpdater is implemented by schemes that react to planned
-// topology changes (UpdateTopologyAt). The simulator's graph has already
-// been swapped when the hook runs; edits describe the change.
-type TopologyUpdater interface {
-	TopologyUpdated(s *Simulator, edits []graph.Edit)
-}
-
-// applyTopoUpdate swaps the simulator onto the edited graph, growing the
-// per-link state for any added links, then notifies the scheme.
-func (s *Simulator) applyTopoUpdate(edits []graph.Edit) {
-	g2, _, err := graph.ApplyEdits(s.g, edits)
-	if err != nil {
-		// UpdateTopologyAt screened the edit kinds; what fails here is a
-		// malformed maintenance plan (bad link/node IDs). The network it
-		// meant to change is still there: count the fault, keep forwarding.
-		s.met.faultUpdate.Inc()
-		return
-	}
-	for grow := g2.NumLinks() - s.g.NumLinks(); grow > 0; grow-- {
-		s.physDown = append(s.physDown, false)
-		s.linkGen = append(s.linkGen, 0)
-		s.linkFree = append(s.linkFree, 0, 0)
-	}
-	s.g = g2
-	if tu, ok := s.cfg.Scheme.(TopologyUpdater); ok {
-		tu.TopologyUpdated(s, edits)
-	}
 }
 
 func (s *Simulator) schedule(e *event) {
@@ -604,8 +514,6 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 			s.cfg.Scheme.TopologyChanged(s, e.link, e.down)
 		case evConverge:
 			s.cfg.Scheme.Converge(s)
-		case evTopoUpdate:
-			s.applyTopoUpdate(e.edits)
 		}
 	}
 	end := s.now
@@ -694,9 +602,9 @@ func (s *Simulator) handleArrive(pkt *Packet, node graph.NodeID) {
 	}
 	done := start + txTime
 	s.linkFree[egress] = done
-	arrive := done + s.cfg.LinkDelay(s.g.Link(link))
+	arrive := done + s.cfg.LinkDelay(s.cfg.Graph.Link(link))
 	pkt.Hops++
 	pkt.Ingress = egress
-	next := s.g.Link(link).Other(node)
+	next := s.cfg.Graph.Link(link).Other(node)
 	s.schedule(&event{at: arrive, kind: evArrive, pkt: pkt, node: next})
 }

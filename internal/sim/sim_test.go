@@ -280,3 +280,41 @@ func TestStatsHelpers(t *testing.T) {
 		t.Fatalf("delta helpers wrong: %+v", st)
 	}
 }
+
+// TestAllPairsTrafficUnderFailure: an end-to-end multi-flow run over
+// Abilene with a failure mid-run — PR keeps aggregate delivery near 1.
+// Every ordered pair carries one flow; together they offer 2000 pps,
+// de-phased across one emission interval.
+func TestAllPairsTrafficUnderFailure(t *testing.T) {
+	g := topo.Abilene(topo.UnitWeights).Graph
+	n := g.NumNodes()
+	pairs := n * (n - 1)
+	interval := time.Duration(pairs) * time.Second / 2000
+	var flows []Flow
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			if src != dst {
+				start := interval * time.Duration(len(flows)) / time.Duration(pairs)
+				flows = append(flows, Flow{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Interval: interval, Start: start})
+			}
+		}
+	}
+	s, err := New(Config{
+		Graph:          g,
+		Scheme:         prScheme(t, g, core.Full),
+		Horizon:        time.Second,
+		DetectionDelay: 10 * time.Millisecond,
+		Flows:          flows,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.FailLinkAt(5, 300*time.Millisecond)
+	st := s.Run()
+	if st.Counter(MetricGenerated) < 1000 {
+		t.Fatalf("generated = %d; traffic too sparse", st.Counter(MetricGenerated))
+	}
+	if DeliveryRate(st) < 0.99 {
+		t.Fatalf("delivery rate = %v; PR should hold ≈1 under one failure", DeliveryRate(st))
+	}
+}

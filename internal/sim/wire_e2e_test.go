@@ -77,7 +77,7 @@ func (w *WirePRScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (ro
 // TopologyChanged implements Scheme: mirror the detection into the
 // compiled link-state bitset.
 func (w *WirePRScheme) TopologyChanged(_ *Simulator, l graph.LinkID, down bool) {
-	mirrorDetection(w.state, l, down)
+	w.state.Set(l, down)
 }
 
 // Converge implements Scheme.
