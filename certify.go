@@ -1,8 +1,6 @@
 package recycle
 
 import (
-	"io"
-
 	"recycle/internal/certify"
 	"recycle/internal/eval"
 	"recycle/internal/failure"
@@ -21,12 +19,6 @@ type CertifyConfig = eval.CertifyConfig
 // PinScenarios() exports the counterexamples as regression pins for
 // ResilienceConfig.Pins.
 type Certificate = certify.Certificate
-
-// CertifyViolation is one counterexample inside a certificate: the
-// minimal failure set, the (src, dst) pair it breaks, and the violating
-// walk confirmed by the same connectivity oracle that referees
-// simulated losses.
-type CertifyViolation = certify.Violation
 
 // ElementMode selects the universe a certification draws failures from.
 type ElementMode = failure.ElementMode
@@ -53,15 +45,4 @@ func RunCertify(topology string, cfg CertifyConfig) (*Certificate, error) {
 		return nil, err
 	}
 	return eval.RunCertify(tp, cfg)
-}
-
-// WriteCertify certifies cfg.Topologies (nil = the default
-// ring/grid/random panel) and renders each certificate in full,
-// returning them so a caller can feed PinScenarios into a resilience
-// sweep.
-func WriteCertify(w io.Writer, cfg CertifyConfig) ([]*Certificate, error) {
-	if cfg.Topologies == nil {
-		cfg.Topologies = []string{"ring:24", "grid:4x8", "rand:24@7"}
-	}
-	return eval.WriteCertifyReport(w, cfg)
 }

@@ -34,6 +34,7 @@ func TestGolden(t *testing.T) {
 		{"losswindow_mix_abilene", []string{"losswindow", "-mix", "-topo", "abilene"}},
 		{"ablation_geant", []string{"ablation", "-topo", "geant"}},
 		{"certify_ring8_k1", []string{"certify", "-topo", "ring:8", "-k", "1"}},
+		{"certify_ring8_baseline_k1", []string{"certify", "-baseline", "-topo", "ring:8", "-k", "1"}},
 		{"resilience_ring24_d3", []string{"resilience", "-topo", "ring:24", "-draws", "3", "-seed", "1"}},
 		{"tables_paper", []string{"tables"}},
 		{"tables_abilene_denver", []string{"tables", "-topo", "abilene", "-node", "Denver"}},
@@ -128,6 +129,7 @@ func TestExitStatus(t *testing.T) {
 		{"bad traffic spec", []string{"losswindow", "-traffic", "quake:mag=9"}, 1, "prsim: "},
 		{"zero edits", []string{"churn", "-edits", "0"}, 1, "prsim: churn needs -edits ≥ 1 (got 0)"},
 		{"pins without -topo", []string{"resilience", "-certify-pins", "2"}, 1, "prsim: certify pins need one explicit topology"},
+		{"trace with pins", []string{"resilience", "-trace", "-topo", "ring:24", "-certify-pins", "2"}, 1, "prsim: eval: resilience trace replays Monte-Carlo draws only; it takes no Pins or CertifyPins"},
 		{"bad -dd", []string{"tables", "-dd", "bogus"}, 1, `prsim: unknown -dd "bogus" (want hops or weight)`},
 		{"unknown -node", []string{"tables", "-node", "Nowhere"}, 1, `prsim: unknown -node "Nowhere" in paper`},
 		{"negative -flows", []string{"soak", "-flows", "-5"}, 1, "prsim: eval: soak Flows must be ≥ 0 (got -5)"},

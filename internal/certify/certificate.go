@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 
+	"recycle/internal/core"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
 	"recycle/internal/telemetry"
@@ -20,7 +21,7 @@ type Violation struct {
 	// Links is the concrete link expansion the walker consulted.
 	Links *graph.FailureSet
 	// Walk is the violating walk with its full transcript.
-	Walk Walk
+	Walk core.Result
 	// Refereed reports that the connectivity Oracle confirmed the pair
 	// connected under a static scenario of exactly these elements — the
 	// same referee that classifies simulated losses.
@@ -54,18 +55,21 @@ func (v Violation) SetString() string {
 // ready for telemetry.Flight.Explain — the audit narrative attached to
 // the certificate.
 func (v Violation) Flight() *telemetry.Flight {
-	rec := telemetry.NewRecorder(telemetry.RecorderConfig{
-		Capacity:    1,
-		SampleEvery: 1,
-		KeepAll:     true,
-		MaxHops:     len(v.Walk.Hops) + 1,
-	})
-	fl := rec.Begin(0, v.Src, v.Dst, 0)
-	for _, h := range v.Walk.Hops {
-		fl.Record(h)
+	fl := &telemetry.Flight{Src: v.Src, Dst: v.Dst, Verdict: verdict(v.Walk.Outcome)}
+	for _, s := range v.Walk.Steps {
+		fl.Hops = append(fl.Hops, telemetry.Hop{Node: s.Node, Ingress: s.Ingress, Egress: s.Egress, Event: s.Event, Header: s.Header})
 	}
-	rec.Finish(fl, v.Walk.Verdict, 0)
-	return rec.Flights()[0]
+	return fl
+}
+
+// verdict names a walk's outcome in the flight recorder's vocabulary:
+// delivered, looped, blackhole (a router refused the packet) or
+// no-route.
+func verdict(o core.Outcome) string {
+	if o == core.Isolated {
+		return "blackhole"
+	}
+	return o.String()
 }
 
 // Scenario wraps the violation as a static failure scenario — the form
@@ -151,7 +155,7 @@ func buildCertificate(g *graph.Graph, w Walker, sp *space, cfg Config, method st
 // a search bug surfaces as a smaller set rather than a false minimality
 // claim.
 func Minimise(g *graph.Graph, w Walker, sp *space, v Violation) (Violation, error) {
-	idx := append([]int(nil), v.indices...)
+	idx, walk := append([]int(nil), v.indices...), v.Walk
 	if len(idx) == 0 {
 		return Violation{}, fmt.Errorf("certify: minimise of empty set for %d>%d", v.Src, v.Dst)
 	}
@@ -162,19 +166,19 @@ func Minimise(g *graph.Graph, w Walker, sp *space, v Violation) (Violation, erro
 			cand = append(cand, idx[:i]...)
 			cand = append(cand, idx[i+1:]...)
 			fs := sp.fsOf(cand)
-			walk := w.Walk(v.Src, v.Dst, fs, false)
-			if walk.Delivered {
+			cw := w.Walk(v.Src, v.Dst, fs)
+			if cw.Delivered() {
 				continue
 			}
 			if !graph.ReachableUnder(g, v.Dst, fs)[v.Src] {
 				continue // excused, not a violation — keep the element
 			}
-			idx = cand
+			idx, walk = cand, cw
 			changed = true
 			break
 		}
 	}
-	return newViolation(sp, v.Src, v.Dst, idx, w), nil
+	return newViolation(sp, v.Src, v.Dst, idx, walk), nil
 }
 
 // referee confirms the violation through the connectivity Oracle — the
@@ -189,7 +193,7 @@ func referee(g *graph.Graph, v *Violation) error {
 	if !o.ConnectedAt(v.Src, v.Dst, 0) {
 		return fmt.Errorf("certify: %s: oracle rules the pair disconnected — excused, not a violation", v.Key())
 	}
-	if v.Walk.Delivered {
+	if v.Walk.Delivered() {
 		return fmt.Errorf("certify: %s: recorded walk delivered", v.Key())
 	}
 	v.Refereed = true
@@ -213,7 +217,7 @@ func (c *Certificate) Headline() string {
 	}
 	v := c.Counterexamples[0]
 	return fmt.Sprintf("certificate: COUNTEREXAMPLE k=%d — %s: %d minimal violating sets; smallest %s breaks pair %d→%d (%s while the pair stays connected; refereed)",
-		c.K, subject, len(c.Counterexamples), v.SetString(), v.Src, v.Dst, v.Walk.Verdict)
+		c.K, subject, len(c.Counterexamples), v.SetString(), v.Src, v.Dst, verdict(v.Walk.Outcome))
 }
 
 // Write renders the full certificate: the headline, the search
@@ -239,7 +243,7 @@ func (c *Certificate) Write(w io.Writer) error {
 			break
 		}
 		fmt.Fprintf(w, "  counterexample %d: %s pair %d→%d (%s, refereed=%v)\n",
-			i+1, v.SetString(), v.Src, v.Dst, v.Walk.Verdict, v.Refereed)
+			i+1, v.SetString(), v.Src, v.Dst, verdict(v.Walk.Outcome), v.Refereed)
 	}
 	fmt.Fprintln(w, "  violating walk of the smallest counterexample:")
 	for _, line := range strings.Split(c.Counterexamples[0].Flight().Explain(), "\n") {

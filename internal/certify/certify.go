@@ -32,6 +32,12 @@
 // re-refereed through the connectivity Oracle (the same code that judges
 // simulated losses) and carries the full violating walk as a
 // telemetry.Flight transcript.
+//
+// A Walker is a per-hop decision function with the failure set bound
+// in — the compiled FIB's Decide, or the stale-table lookup of the
+// reconvergence baseline — run on core.Walk, the one static walk loop.
+// A walk is a core.Result: its steps are the transcript, and the nodes
+// that decided are the footprint the searches prune and branch on.
 package certify
 
 import (
@@ -44,58 +50,27 @@ import (
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/route"
-	"recycle/internal/telemetry"
 )
-
-// Walk verdicts. Delivered matches the flight recorder's vocabulary;
-// looped and blackhole are the two ways a static walk dies.
-const (
-	VerdictDelivered = "delivered"
-	VerdictLooped    = "looped"
-	VerdictBlackhole = "blackhole"
-	VerdictNoRoute   = "no-route"
-)
-
-// Walk is one static walk outcome under a candidate failure set.
-type Walk struct {
-	// Delivered reports whether the packet reached its destination.
-	Delivered bool
-	// Verdict is the terminal fate (Verdict* constants).
-	Verdict string
-	// Decided lists the nodes that executed a forwarding decision, in
-	// order and with repeats — the walk's footprint. A forwarding decision
-	// consults only links incident to the deciding node, so the links
-	// incident to Decided are a sound superset of every link whose state
-	// the walk read: the branching set of the guided search.
-	Decided []graph.NodeID
-	// Hops is the per-decision transcript (only when requested).
-	Hops []telemetry.Hop
-}
 
 // Walker is a forwarding scheme under certification: a pure function
-// from (pair, static failure set) to a walk. Implementations are
-// stateless and safe for concurrent use — the searches walk from many
-// goroutines. transcript requests the full per-hop record (costlier;
-// sweeps pass false and re-walk the counterexamples they keep).
+// from (pair, static failure set) to a walk of core's static walk loop.
+// Implementations are stateless and safe for concurrent use — the
+// searches walk from many goroutines.
 type Walker interface {
 	Name() string
-	Walk(src, dst graph.NodeID, fs *graph.FailureSet, transcript bool) Walk
+	Walk(src, dst graph.NodeID, fs *graph.FailureSet) core.Result
 }
 
 // PRWalker walks packets through a compiled FIB — the same tables the
 // engine forwards with, so a certificate speaks for the dataplane, not
 // for a re-derivation of it. Decisions are bit-identical to
-// core.Protocol (the dataplane's differential sweeps prove it); loops
-// are detected by exact forwarding-state repetition, as in core.Walk.
+// core.Protocol (the dataplane's differential sweeps prove it).
 type PRWalker struct {
-	fib      *dataplane.FIB
-	maxSteps int
+	fib *dataplane.FIB
 }
 
 // NewPRWalker wraps a compiled FIB for certification walks.
-func NewPRWalker(fib *dataplane.FIB) *PRWalker {
-	return &PRWalker{fib: fib, maxSteps: 4*fib.NumNodes()*fib.NumLinks() + 16}
-}
+func NewPRWalker(fib *dataplane.FIB) *PRWalker { return &PRWalker{fib: fib} }
 
 // Name implements Walker.
 func (w *PRWalker) Name() string {
@@ -105,57 +80,13 @@ func (w *PRWalker) Name() string {
 	return "packet-recycling"
 }
 
-// prState is the complete forwarding state of a packet at a router —
-// repetition proves a loop (forwarding is deterministic in it).
-type prState struct {
-	node    graph.NodeID
-	ingress rotation.DartID
-	pr      bool
-	dd      float64
-}
-
 // Walk implements Walker.
-func (w *PRWalker) Walk(src, dst graph.NodeID, fs *graph.FailureSet, transcript bool) Walk {
-	var res Walk
-	if src == dst {
-		res.Delivered = true
-		res.Verdict = VerdictDelivered
-		return res
-	}
+func (w *PRWalker) Walk(src, dst graph.NodeID, fs *graph.FailureSet) core.Result {
 	st := dataplane.FromFailureSet(w.fib.NumLinks(), fs)
-	hdr := core.Header{}
-	node, ingress := src, rotation.NoDart
-	seen := make(map[prState]bool)
-	for steps := 0; steps <= w.maxSteps; steps++ {
-		if node == dst {
-			res.Delivered = true
-			res.Verdict = VerdictDelivered
-			if transcript {
-				res.Hops = append(res.Hops, telemetry.Hop{Node: node, Ingress: ingress, Egress: rotation.NoDart, Event: core.EventDeliver, Header: hdr})
-			}
-			return res
-		}
-		s := prState{node: node, ingress: ingress, pr: hdr.PR, dd: hdr.DD}
-		if seen[s] {
-			res.Verdict = VerdictLooped
-			return res
-		}
-		seen[s] = true
-		res.Decided = append(res.Decided, node)
-		d := w.fib.Decide(node, dst, ingress, hdr, st)
-		if !d.OK {
-			res.Verdict = VerdictBlackhole
-			return res
-		}
-		if transcript {
-			res.Hops = append(res.Hops, telemetry.Hop{Node: node, Ingress: ingress, Egress: d.Egress, Event: d.Event, Header: d.Header})
-		}
-		hdr = d.Header
-		node = w.fib.Head(d.Egress)
-		ingress = d.Egress
+	decide := func(node, dst graph.NodeID, ingress rotation.DartID, hdr core.Header) core.Decision {
+		return w.fib.Decide(node, dst, ingress, hdr, st)
 	}
-	res.Verdict = VerdictLooped // step-cap backstop, as in core.Walk
-	return res
+	return core.Walk(src, dst, w.fib.NumNodes(), w.fib.NumLinks(), decide, w.fib.Head)
 }
 
 // ReconvWalker is the reconvergence baseline *inside its detection
@@ -178,54 +109,22 @@ func NewReconvWalker(g *graph.Graph) *ReconvWalker {
 // Name implements Walker.
 func (w *ReconvWalker) Name() string { return "reconvergence" }
 
-// Walk implements Walker.
-func (w *ReconvWalker) Walk(src, dst graph.NodeID, fs *graph.FailureSet, transcript bool) Walk {
-	var res Walk
-	if src == dst {
-		res.Delivered = true
-		res.Verdict = VerdictDelivered
-		return res
+// Walk implements Walker. A stale table pointing into the failure drops
+// the packet at that router until reconvergence: the refused decision is
+// a detection with no egress — the drop itself.
+func (w *ReconvWalker) Walk(src, dst graph.NodeID, fs *graph.FailureSet) core.Result {
+	if !w.tbl.Reachable(src, dst) {
+		return core.Result{Outcome: core.NoRoute}
 	}
-	node := src
-	ingress := rotation.NoDart
-	for node != dst {
+	decide := func(node, dst graph.NodeID, _ rotation.DartID, _ core.Header) core.Decision {
 		l := w.tbl.NextLink(node, dst)
-		if l == graph.NoLink {
-			res.Verdict = VerdictNoRoute
-			return res
-		}
-		res.Decided = append(res.Decided, node)
 		if fs.Down(l) {
-			// The stale table points into the failure: the packet is
-			// dropped at this router until reconvergence. The transcript
-			// records the detection with no egress — the drop itself.
-			if transcript {
-				res.Hops = append(res.Hops, telemetry.Hop{Node: node, Ingress: ingress, Egress: rotation.NoDart, Event: core.EventDetect})
-			}
-			res.Verdict = VerdictBlackhole
-			return res
+			return core.Decision{Event: core.EventDetect}
 		}
-		eg := outgoingDart(w.g, node, l)
-		if transcript {
-			res.Hops = append(res.Hops, telemetry.Hop{Node: node, Ingress: ingress, Egress: eg, Event: core.EventRoute})
-		}
-		ingress = eg
-		node = w.tbl.NextNode(node, dst)
+		return core.Decision{Egress: rotation.OutgoingDart(w.g, node, l), Event: core.EventRoute, OK: true}
 	}
-	if transcript {
-		res.Hops = append(res.Hops, telemetry.Hop{Node: node, Ingress: ingress, Egress: rotation.NoDart, Event: core.EventDeliver})
-	}
-	res.Delivered = true
-	res.Verdict = VerdictDelivered
-	return res
-}
-
-// outgoingDart returns the dart of link l that leaves node n.
-func outgoingDart(g *graph.Graph, n graph.NodeID, l graph.LinkID) rotation.DartID {
-	if g.Link(l).A == n {
-		return rotation.DartID(2 * l)
-	}
-	return rotation.DartID(2*l + 1)
+	head := func(d rotation.DartID) graph.NodeID { return rotation.Head(w.g, d) }
+	return core.Walk(src, dst, w.g.NumNodes(), w.g.NumLinks(), decide, head)
 }
 
 // space binds a graph to an element universe: index translation and the
@@ -279,17 +178,22 @@ func (s *space) fsOf(idx []int) *graph.FailureSet {
 
 // consulted returns the sorted universe indices of every element whose
 // failure state the walk may have read: links incident to a deciding
-// node, plus (in node modes) the deciding nodes and their neighbours. A
-// forwarding decision only inspects links incident to its router, so
-// this is a sound superset — the completeness anchor of the guided DFS.
-func (s *space) consulted(decided []graph.NodeID) []int {
+// node (every step but a delivery), plus (in node modes) the deciding
+// nodes and their neighbours. A forwarding decision only inspects links
+// incident to its router, so this is a sound superset — the completeness
+// anchor of the guided DFS.
+func (s *space) consulted(walk core.Result) []int {
 	mark := make(map[int]bool)
 	add := func(i int) {
 		if i >= 0 {
 			mark[i] = true
 		}
 	}
-	for _, n := range decided {
+	for _, st := range walk.Steps {
+		if st.Event == core.EventDeliver {
+			continue
+		}
+		n := st.Node
 		for _, nb := range s.g.Neighbors(n) {
 			add(s.linkIdx[nb.Link])
 			add(s.nodeIdx[nb.Node])

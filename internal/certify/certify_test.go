@@ -10,6 +10,7 @@ import (
 	"recycle/internal/embedding"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
+	"recycle/internal/rotation"
 	"recycle/internal/route"
 	"recycle/internal/topo"
 )
@@ -57,49 +58,65 @@ func keysOf(cert *Certificate) map[string]bool {
 }
 
 func TestPRWalkerMatchesProtocolWalk(t *testing.T) {
-	// The certification walker must agree with the interpreted protocol
-	// on delivery for every pair under assorted failure sets — it walks
-	// the compiled FIB, which is differentially pinned to core elsewhere,
-	// so this is a wiring check of the walker loop itself.
+	// The certification walker runs core's walk loop on the compiled FIB,
+	// the protocol runs it on core's rule: for every pair under assorted
+	// failure sets they must agree on the outcome and on every step.
+	// Basic and an arbitrary (non-genus-0) rotation system make some walks
+	// loop, and the last set cuts node 0 off, so refused decisions are
+	// compared too.
 	tp := mustTopo(t, "rand:10@4")
 	g := tp.Graph
-	sys, err := (embedding.Auto{Seed: 1}).Embed(g)
+	planar, err := (embedding.Auto{Seed: 1}).Embed(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
-	if err != nil {
-		t.Fatal(err)
+	arbitrary := rotation.Random(g, 3)
+	if arbitrary.Genus() == 0 {
+		t.Fatal("rotation.Random(rand:10@4, 3) is planar; pick another seed")
 	}
-	fib, err := dataplane.Compile(p)
-	if err != nil {
-		t.Fatal(err)
+	isolate0 := graph.NewFailureSet()
+	for _, nb := range g.Neighbors(0) {
+		isolate0.Add(nb.Link)
 	}
-	w := NewPRWalker(fib)
 	sets := []*graph.FailureSet{
 		nil,
 		graph.NewFailureSet(0),
 		graph.NewFailureSet(1, 5),
 		graph.NewFailureSet(2, 3, 7),
+		graph.NewFailureSet(0, 4, 8, 12),
+		isolate0,
 	}
-	for _, fs := range sets {
-		for src := 0; src < g.NumNodes(); src++ {
-			for dst := 0; dst < g.NumNodes(); dst++ {
-				if src == dst {
-					continue
-				}
-				s, d := graph.NodeID(src), graph.NodeID(dst)
-				got := w.Walk(s, d, fs, true)
-				want := p.Walk(s, d, fs)
-				if got.Delivered != want.Delivered() {
-					t.Fatalf("walker disagrees with protocol: %d→%d under %v: walker=%v core=%v",
-						src, dst, fs, got.Verdict, want.Outcome)
-				}
-				if got.Delivered && len(got.Hops) != len(want.Steps) {
-					t.Fatalf("transcript length mismatch %d→%d: %d hops vs %d steps",
-						src, dst, len(got.Hops), len(want.Steps))
+	outcomes := make(map[core.Outcome]int)
+	for _, in := range []struct {
+		sys *rotation.System
+		v   core.Variant
+	}{{planar, core.Full}, {planar, core.Basic}, {arbitrary, core.Full}} {
+		p, err := core.New(g, in.sys, route.Build(g, route.HopCount), core.Config{Variant: in.v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fib, err := dataplane.Compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewPRWalker(fib)
+		for _, fs := range sets {
+			for src := 0; src < g.NumNodes(); src++ {
+				for dst := 0; dst < g.NumNodes(); dst++ {
+					s, d := graph.NodeID(src), graph.NodeID(dst)
+					got, want := w.Walk(s, d, fs), p.Walk(s, d, fs)
+					if got.Outcome != want.Outcome || !reflect.DeepEqual(got.Steps, want.Steps) {
+						t.Fatalf("%v genus %d, %d→%d under %v: walker %v %+v, protocol %v %+v",
+							in.v, in.sys.Genus(), src, dst, fs, got.Outcome, got.Steps, want.Outcome, want.Steps)
+					}
+					outcomes[got.Outcome]++
 				}
 			}
+		}
+	}
+	for _, o := range []core.Outcome{core.Delivered, core.Looped, core.Isolated} {
+		if outcomes[o] == 0 {
+			t.Errorf("no %v walk among the inputs: %v", o, outcomes)
 		}
 	}
 }
@@ -145,7 +162,7 @@ func TestExhaustiveReconvCounterexample(t *testing.T) {
 	if !v.Refereed {
 		t.Fatal("counterexample not refereed by the oracle")
 	}
-	if v.Walk.Delivered || len(v.Walk.Hops) == 0 {
+	if v.Walk.Delivered() || len(v.Walk.Steps) == 0 {
 		t.Fatalf("counterexample must carry an undelivered transcript, got %+v", v.Walk)
 	}
 	fl := v.Flight()
@@ -195,8 +212,8 @@ func TestCounterexampleMinimality(t *testing.T) {
 						sub[i] = v.Elements[j]
 					}
 					fs := failure.FailureSetOf(tp.Graph, sub)
-					walk := w.Walk(v.Src, v.Dst, fs, false)
-					if !walk.Delivered && graph.ReachableUnder(tp.Graph, v.Dst, fs)[v.Src] {
+					walk := w.Walk(v.Src, v.Dst, fs)
+					if !walk.Delivered() && graph.ReachableUnder(tp.Graph, v.Dst, fs)[v.Src] {
 						t.Errorf("%s/%s: %s is not minimal: proper subset %v also violates",
 							tc.topo, w.Name(), v.Key(), sub)
 						return false

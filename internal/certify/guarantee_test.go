@@ -102,7 +102,7 @@ func TestCertifyGuarantee(t *testing.T) {
 		if !v.Refereed {
 			t.Fatalf("%s: counterexample %s lacks the oracle referee", name, v.Key())
 		}
-		if v.Walk.Delivered || len(v.Walk.Hops) == 0 {
+		if v.Walk.Delivered() || len(v.Walk.Steps) == 0 {
 			t.Fatalf("%s: counterexample %s lacks its violating walk", name, v.Key())
 		}
 		if got := v.Flight().Explain(); !strings.Contains(got, "verdict: blackhole") {

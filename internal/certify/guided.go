@@ -78,9 +78,9 @@ func dfsPair(g *graph.Graph, w Walker, sp *space, cfg Config, src, dst graph.Nod
 			return
 		}
 		fs := sp.fsOf(idx)
-		walk := w.Walk(src, dst, fs, false)
+		walk := w.Walk(src, dst, fs)
 		st.Walks++
-		if !walk.Delivered {
+		if !walk.Delivered() {
 			if !graph.ReachableUnder(g, dst, fs)[src] {
 				// Excused — and every superset keeps the pair disconnected,
 				// so this branch is closed.
@@ -89,13 +89,13 @@ func dfsPair(g *graph.Graph, w Walker, sp *space, cfg Config, src, dst graph.Nod
 			}
 			st.ViolationsFound++
 			minimal.add(idx)
-			out = append(out, newViolation(sp, src, dst, idx, w))
+			out = append(out, newViolation(sp, src, dst, idx, walk))
 			return // supersets of a violating set are never minimal
 		}
 		if len(idx) >= cfg.K {
 			return
 		}
-		for _, e := range sp.consulted(walk.Decided) {
+		for _, e := range sp.consulted(walk) {
 			if contains(idx, e) {
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"recycle/internal/core"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
 	"recycle/internal/par"
@@ -251,10 +252,10 @@ func sweepDst(g *graph.Graph, w Walker, sp *space, cfg Config, dst graph.NodeID,
 	// under the set is the same walk.
 	baseConsulted := make(map[graph.NodeID][]int, len(sources))
 	for _, src := range sources {
-		base := w.Walk(src, dst, nil, false)
+		base := w.Walk(src, dst, nil)
 		st.Walks++
-		if base.Delivered {
-			baseConsulted[src] = sp.consulted(base.Decided)
+		if base.Delivered() {
+			baseConsulted[src] = sp.consulted(base)
 		}
 		// A scheme failing with zero failures is broken in a way this
 		// sweep does not certify; leave the pair out (nothing to attack).
@@ -291,9 +292,9 @@ func sweepDst(g *graph.Graph, w Walker, sp *space, cfg Config, dst graph.NodeID,
 				if fs == nil {
 					fs = sp.fsOf(idx)
 				}
-				walk := w.Walk(src, dst, fs, false)
+				walk := w.Walk(src, dst, fs)
 				st.Walks++
-				if walk.Delivered {
+				if walk.Delivered() {
 					continue
 				}
 				if reach == nil {
@@ -305,7 +306,7 @@ func sweepDst(g *graph.Graph, w Walker, sp *space, cfg Config, dst graph.NodeID,
 				}
 				st.ViolationsFound++
 				minimal[src].add(idx)
-				out = append(out, newViolation(sp, src, dst, idx, w))
+				out = append(out, newViolation(sp, src, dst, idx, walk))
 			}
 			for _, i := range idx {
 				inSet[i] = false
@@ -326,17 +327,13 @@ func touches(consulted []int, inSet []bool) bool {
 	return false
 }
 
-// newViolation re-walks the pair with a transcript and packages the
-// violation record.
-func newViolation(sp *space, src, dst graph.NodeID, idx []int, w Walker) Violation {
-	elems := sp.elemsOf(idx)
-	fs := sp.fsOf(idx)
-	walk := w.Walk(src, dst, fs, true)
+// newViolation packages the violating walk of the pair under idx.
+func newViolation(sp *space, src, dst graph.NodeID, idx []int, walk core.Result) Violation {
 	return Violation{
 		Src:      src,
 		Dst:      dst,
-		Elements: elems,
-		Links:    fs,
+		Elements: sp.elemsOf(idx),
+		Links:    sp.fsOf(idx),
 		Walk:     walk,
 		indices:  append([]int(nil), idx...),
 	}

@@ -65,9 +65,6 @@ type Protocol struct {
 	// unbounded hop/weight sum. Decisions are bit-identical to the raw
 	// protocol (see Quantiser); only the header contents differ.
 	quant *Quantiser
-	// maxSteps caps walk length as a backstop; exact state-repetition
-	// detection usually fires first.
-	maxSteps int
 }
 
 // Config adjusts protocol construction.
@@ -78,8 +75,6 @@ type Config struct {
 	// Quantiser) instead of raw ones, bounding Header.DD to the bit budget
 	// a wire codec can carry. Default off: Header.DD holds raw values.
 	Quantise bool
-	// MaxSteps overrides the walk safety cap (default 4·V·E + 16).
-	MaxSteps int
 }
 
 // New builds a Protocol. The rotation system and routing table must be
@@ -91,11 +86,7 @@ func New(g *graph.Graph, sys *rotation.System, tbl *route.Table, cfg Config) (*P
 	if tbl.Graph() != g {
 		return nil, fmt.Errorf("core: routing table built over a different graph")
 	}
-	max := cfg.MaxSteps
-	if max <= 0 {
-		max = 4*g.NumNodes()*g.NumLinks() + 16
-	}
-	p := &Protocol{g: g, sys: sys, tbl: tbl, vrnt: cfg.Variant, maxSteps: max}
+	p := &Protocol{g: g, sys: sys, tbl: tbl, vrnt: cfg.Variant}
 	if cfg.Quantise {
 		p.quant = BuildQuantiser(tbl)
 	}

@@ -5,63 +5,78 @@ import (
 	"recycle/internal/rotation"
 )
 
-// walkState is the complete forwarding state of a packet at a router.
-// Forwarding is a deterministic function of this state and the (static)
-// failure set, so an exact repetition proves a forwarding loop.
-type walkState struct {
-	node    graph.NodeID
-	ingress rotation.DartID
-	pr      bool
-	dd      float64
+// Decider is one router's forwarding decision with the failure state
+// already bound: the shape FIB.Decide and Protocol.Decide share, minus
+// their failure-state argument.
+type Decider func(node, dst graph.NodeID, ingress rotation.DartID, hdr Header) Decision
+
+// Walk is the static walk loop: it forwards one packet from src to dst
+// on decide, following each egress dart to the node head returns, until
+// the packet is delivered, a router refuses it (Isolated), or its
+// forwarding state repeats (Looped). Every decision is recorded as a
+// Step, a refused one as a terminal step with Egress = NoDart. The state
+// (node, ingress, header) is the complete input of a static decision, so
+// its first exact repetition proves a loop; a cap of 4·V·E+16 steps on a
+// network of nodes V and links E is the backstop. Walk leaves Cost and
+// Stretch zero.
+func Walk(src, dst graph.NodeID, nodes, links int, decide Decider, head func(rotation.DartID) graph.NodeID) Result {
+	node, ingress, hdr := src, rotation.NoDart, Header{}
+	var steps []Step
+	for limit := 4*nodes*links + 16; len(steps) <= limit; {
+		if node == dst {
+			steps = append(steps, Step{Node: node, Ingress: ingress, Egress: rotation.NoDart, Event: EventDeliver, Header: hdr})
+			return Result{Outcome: Delivered, Steps: steps}
+		}
+		if repeats(steps, node, ingress, hdr) {
+			return Result{Outcome: Looped, Steps: steps}
+		}
+		d := decide(node, dst, ingress, hdr)
+		if !d.OK {
+			steps = append(steps, Step{Node: node, Ingress: ingress, Egress: rotation.NoDart, Event: d.Event, Header: d.Header})
+			return Result{Outcome: Isolated, Steps: steps}
+		}
+		steps = append(steps, Step{Node: node, Ingress: ingress, Egress: d.Egress, Event: d.Event, Header: d.Header})
+		node, ingress, hdr = head(d.Egress), d.Egress, d.Header
+	}
+	return Result{Outcome: Looped, Steps: steps}
+}
+
+// repeats reports whether a recorded step was decided in the state
+// (node, ingress, hdr). Step i was decided at its Node and Ingress under
+// the header step i−1 left, the empty header at the origin.
+func repeats(steps []Step, node graph.NodeID, ingress rotation.DartID, hdr Header) bool {
+	prev := Header{}
+	for _, s := range steps {
+		if s.Ingress == ingress && s.Node == node && prev == hdr {
+			return true
+		}
+		prev = s.Header
+	}
+	return false
 }
 
 // Walk simulates one packet from src to dst under the given failure set and
-// returns the full transcript. Failures are bidirectional (§4). The walk is
-// purely combinatorial — no event timing — matching how the paper evaluates
-// path stretch; package sim layers queuing and timing on the same rules.
+// returns the full transcript with its cost and stretch. Failures are
+// bidirectional (§4). The walk is purely combinatorial — no event timing —
+// matching how the paper evaluates path stretch; package sim layers queuing
+// and timing on the same rules.
 func (p *Protocol) Walk(src, dst graph.NodeID, failures *graph.FailureSet) Result {
-	var res Result
-	if src == dst {
-		res.Outcome = Delivered
-		res.Steps = []Step{{Node: src, Ingress: rotation.NoDart, Egress: rotation.NoDart, Event: EventDeliver}}
-		return res
-	}
 	if !p.tbl.Reachable(src, dst) {
-		res.Outcome = NoRoute
-		return res
+		return Result{Outcome: NoRoute}
 	}
-
-	hdr := Header{}
-	node := src
-	ingress := rotation.NoDart
-	seen := make(map[walkState]bool)
-
-	for len(res.Steps) <= p.maxSteps {
-		if node == dst {
-			res.Steps = append(res.Steps, Step{Node: node, Ingress: ingress, Egress: rotation.NoDart, Event: EventDeliver, Header: hdr})
-			res.Outcome = Delivered
-			res.Stretch = res.Cost / p.tbl.PathCost(src, dst)
-			return res
-		}
-		state := walkState{node: node, ingress: ingress, pr: hdr.PR, dd: hdr.DD}
-		if seen[state] {
-			res.Outcome = Looped
-			return res
-		}
-		seen[state] = true
-
-		egress, event, newHdr, ok := p.decide(node, dst, ingress, hdr, failures)
-		if !ok {
-			res.Outcome = Isolated
-			return res
-		}
-		res.Steps = append(res.Steps, Step{Node: node, Ingress: ingress, Egress: egress, Event: event, Header: newHdr})
-		res.Cost += p.g.Weight(rotation.LinkOf(egress))
-		hdr = newHdr
-		node = p.headOf(egress)
-		ingress = egress
+	decide := func(node, dst graph.NodeID, ingress rotation.DartID, hdr Header) Decision {
+		return p.Decide(node, dst, ingress, hdr, failures)
 	}
-	res.Outcome = Looped // step cap backstop
+	head := func(d rotation.DartID) graph.NodeID { return rotation.Head(p.g, d) }
+	res := Walk(src, dst, p.g.NumNodes(), p.g.NumLinks(), decide, head)
+	for _, s := range res.Steps {
+		if s.Egress != rotation.NoDart {
+			res.Cost += p.g.Weight(rotation.LinkOf(s.Egress))
+		}
+	}
+	if res.Delivered() && src != dst {
+		res.Stretch = res.Cost / p.tbl.PathCost(src, dst)
+	}
 	return res
 }
 
@@ -170,12 +185,4 @@ func (p *Protocol) firstUpComplementary(failed rotation.DartID, failures *graph.
 		}
 	}
 	return rotation.NoDart, false
-}
-
-func (p *Protocol) headOf(d rotation.DartID) graph.NodeID {
-	l := p.g.Link(rotation.LinkOf(d))
-	if d%2 == 0 {
-		return l.B
-	}
-	return l.A
 }

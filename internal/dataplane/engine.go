@@ -58,9 +58,6 @@ func (b *Batch) size() uint64 { return uint64(len(b.Pkts) + len(b.Wire)) }
 type EngineConfig struct {
 	// Shards is the worker count (default: GOMAXPROCS, capped at 8).
 	Shards int
-	// RingDepth is the per-shard ring capacity in batches, rounded up to
-	// a power of two (default 256).
-	RingDepth int
 	// Egress, when non-nil, is the pipeline's transmit stage: every
 	// decided batch is handed to it (with the snapshot it was decided
 	// under) before OnDone. See TxQueue for the built-in per-dart
@@ -199,6 +196,9 @@ type shard struct {
 	_       [56]byte
 }
 
+// ringDepth is the per-shard ring capacity in batches, a power of two.
+const ringDepth = 256
+
 // ring is a bounded queue of batches: multi-producer (Submit serialises
 // with a short per-shard lock at batch granularity), single consumer (the
 // shard's worker pops lock-free).
@@ -250,18 +250,11 @@ func NewEngine(fib *FIB, cfg EngineConfig) *Engine {
 			cfg.Shards = 8
 		}
 	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = 256
-	}
-	depth := 1
-	for depth < cfg.RingDepth {
-		depth <<= 1
-	}
 	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards), stop: make(chan struct{})}
 	e.cur.Store(&engineState{fib: fib, links: NewLinkState(fib.NumLinks())})
 	for i := range e.shards {
 		e.shards[i] = &shard{
-			ring:   ring{buf: make([]*Batch, depth), mask: uint64(depth - 1)},
+			ring:   ring{buf: make([]*Batch, ringDepth), mask: ringDepth - 1},
 			notify: make(chan struct{}, 1),
 		}
 		if cfg.Metrics != nil {

@@ -24,8 +24,6 @@ type ResilienceConfig struct {
 	Draws int
 	// Horizon is the simulated run length per draw (default 4s).
 	Horizon time.Duration
-	// PPS is the per-flow probe rate (default 200 packets/second).
-	PPS float64
 	// Pins are certified counterexample scenarios (typically
 	// certify.Certificate.PinScenarios) replayed as extra draws after
 	// the Monte-Carlo ones — the regression seam between the adversarial
@@ -48,6 +46,10 @@ type ResilienceConfig struct {
 // exercised, not just the easy single-failure regime.
 const DefaultResilienceSpec = "mtbf:up=2s,down=300ms"
 
+// probePPS is the per-flow probe rate of a resilience draw, in packets
+// per second.
+const probePPS = 200
+
 func (c *ResilienceConfig) withDefaults() ResilienceConfig {
 	out := *c
 	out.Panel = out.Panel.withDefaults(DefaultResilienceSpec)
@@ -56,9 +58,6 @@ func (c *ResilienceConfig) withDefaults() ResilienceConfig {
 	}
 	if out.Horizon == 0 {
 		out.Horizon = 4 * time.Second
-	}
-	if out.PPS == 0 {
-		out.PPS = 200
 	}
 	return out
 }
@@ -94,9 +93,6 @@ type ResilienceRow struct {
 	// ViolationDraws counts draws with at least one violation.
 	ViolationDraws int
 }
-
-// DeliveredFrac is Delivered / Generated (1 when nothing was generated).
-func (r ResilienceRow) DeliveredFrac() float64 { return frac(r.Delivered, r.Generated) }
 
 // ViolationFrac is Violations / Generated.
 func (r ResilienceRow) ViolationFrac() float64 {
@@ -146,7 +142,7 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 	}
 	g, sys, fib := st.g, st.sys, st.fib
 	src, dst := diameterPair(g)
-	interval := time.Duration(float64(time.Second) / cfg.PPS)
+	interval := time.Second / probePPS
 	flows := []sim.Flow{
 		{Src: src, Dst: dst, Interval: interval, Bits: 8192},
 		{Src: dst, Dst: src, Interval: interval, Bits: 8192, Start: interval / 2},

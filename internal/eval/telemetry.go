@@ -62,10 +62,14 @@ func (t *TraceResult) Recycled() *telemetry.Flight {
 // explainability counterpart: instead of aggregate rows it produces
 // the per-packet cycle walks and the per-epoch loss timeline for one
 // scenario, and it verifies the timeline's summed deltas equal the
-// aggregate counters exactly before returning.
+// aggregate counters exactly before returning. It replays Monte-Carlo
+// draws only, so it refuses a config carrying Pins or CertifyPins.
 func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if len(cfg.Pins) > 0 || cfg.CertifyPins > 0 {
+		return nil, fmt.Errorf("eval: resilience trace replays Monte-Carlo draws only; it takes no Pins or CertifyPins")
 	}
 	cfg = cfg.withDefaults()
 	proc, err := cfg.process()
@@ -78,7 +82,7 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 	}
 	g, fib := st.g, st.fib
 	src, dst := diameterPair(g)
-	interval := time.Duration(float64(time.Second) / cfg.PPS)
+	interval := time.Second / probePPS
 	flows := []sim.Flow{
 		{Src: src, Dst: dst, Interval: interval, Bits: 8192},
 		{Src: dst, Dst: src, Interval: interval, Bits: 8192, Start: interval / 2},

@@ -182,8 +182,3 @@ func (o *Oracle) Classify(src, dst graph.NodeID, from, to time.Duration) Loss {
 // Epochs returns the number of distinct link-state periods the scenario
 // induces (≥ 1; epoch 0 is the pre-failure state).
 func (o *Oracle) Epochs() int { return len(o.starts) }
-
-// EpochStart returns the instant epoch i begins (epoch 0 starts at 0).
-// It is the key that aligns a telemetry.Timeline's epochs with the
-// oracle's: both fold same-instant events into one boundary.
-func (o *Oracle) EpochStart(i int) time.Duration { return o.starts[i] }

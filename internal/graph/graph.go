@@ -15,7 +15,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -322,9 +321,6 @@ func (g *Graph) Clone() *Graph {
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{nodes: %d, links: %d}", g.NumNodes(), g.NumLinks())
 }
-
-// ErrDisconnected is returned by algorithms that require a connected graph.
-var ErrDisconnected = errors.New("graph: graph is not connected")
 
 // Validate performs structural sanity checks: adjacency symmetry, link
 // endpoint validity, and ID density. It is used by tests and topology

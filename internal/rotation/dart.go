@@ -55,3 +55,21 @@ func ReverseID(d DartID) DartID { return d ^ 1 }
 
 // LinkOf returns the link a dart belongs to.
 func LinkOf(d DartID) graph.LinkID { return graph.LinkID(d / 2) }
+
+// OutgoingDart returns the dart of link l of g that leaves node n.
+func OutgoingDart(g *graph.Graph, n graph.NodeID, l graph.LinkID) DartID {
+	ab, ba := DartsOf(l)
+	if g.Link(l).A == n {
+		return ab
+	}
+	return ba
+}
+
+// Head returns the node dart d of g points at.
+func Head(g *graph.Graph, d DartID) graph.NodeID {
+	l := g.Link(LinkOf(d))
+	if d%2 == 0 {
+		return l.B
+	}
+	return l.A
+}

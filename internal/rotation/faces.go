@@ -106,9 +106,3 @@ func (s *System) Genus() int {
 	}
 	return (2 - chi) / 2
 }
-
-// EulerCharacteristic returns V − E + F. Exposed for tests and for the
-// embedding optimiser, which maximises F (equivalently χ) to minimise genus.
-func (s *System) EulerCharacteristic() int {
-	return s.g.NumNodes() - s.g.NumLinks() + s.CountFaces()
-}

@@ -61,7 +61,7 @@ func FromLinkOrders(g *graph.Graph, orders [][]graph.LinkID) (*System, error) {
 				return nil, fmt.Errorf("rotation: node %d order repeats or misses link %d", n, l)
 			}
 			incident[l]--
-			darts = append(darts, outgoingDart(g, node, l))
+			darts = append(darts, OutgoingDart(g, node, l))
 		}
 		s.order[n] = darts
 	}
@@ -78,15 +78,6 @@ func MustFromLinkOrders(g *graph.Graph, orders [][]graph.LinkID) *System {
 		panic(err)
 	}
 	return s
-}
-
-// outgoingDart returns the DartID of link l oriented away from node n.
-func outgoingDart(g *graph.Graph, n graph.NodeID, l graph.LinkID) DartID {
-	ab, ba := DartsOf(l)
-	if g.Link(l).A == n {
-		return ab
-	}
-	return ba
 }
 
 func (s *System) buildPermutations() {
@@ -169,16 +160,12 @@ func (s *System) NumDarts() int { return 2 * s.g.NumLinks() }
 
 // Dart materialises a DartID into its Dart value.
 func (s *System) Dart(id DartID) Dart {
-	l := s.g.Link(LinkOf(id))
-	if id%2 == 0 {
-		return Dart{Link: l.ID, Tail: l.A, Head: l.B}
-	}
-	return Dart{Link: l.ID, Tail: l.B, Head: l.A}
+	return Dart{Link: LinkOf(id), Tail: Head(s.g, ReverseID(id)), Head: Head(s.g, id)}
 }
 
 // OutgoingDart returns the dart of link l oriented away from n.
 func (s *System) OutgoingDart(n graph.NodeID, l graph.LinkID) DartID {
-	return outgoingDart(s.g, n, l)
+	return OutgoingDart(s.g, n, l)
 }
 
 // Rotation returns node n's outgoing darts in cyclic order. Callers must

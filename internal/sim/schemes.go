@@ -110,7 +110,7 @@ func (f *FCPScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (rotat
 			carried.Add(next) // learn and recompute
 			continue
 		}
-		return dartFrom(f.g, node, next), core.EventRoute, true
+		return rotation.OutgoingDart(f.g, node, next), core.EventRoute, true
 	}
 }
 
@@ -168,7 +168,7 @@ func (r *ReconvScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) (ro
 		// completes.
 		return rotation.NoDart, core.EventRoute, false
 	}
-	return dartFrom(r.g, node, next), core.EventRoute, true
+	return rotation.OutgoingDart(r.g, node, next), core.EventRoute, true
 }
 
 // TopologyChanged implements Scheme: detection starts the convergence
@@ -183,15 +183,6 @@ func (r *ReconvScheme) TopologyChanged(s *Simulator, _ graph.LinkID, _ bool) {
 // currently known.
 func (r *ReconvScheme) Converge(s *Simulator) {
 	r.recompute(s.KnownFailures())
-}
-
-// dartFrom returns link l oriented away from node n.
-func dartFrom(g *graph.Graph, n graph.NodeID, l graph.LinkID) rotation.DartID {
-	ab, ba := rotation.DartsOf(l)
-	if g.Link(l).A == n {
-		return ab
-	}
-	return ba
 }
 
 // ---------------------------------------------------------------------------

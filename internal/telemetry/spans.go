@@ -356,17 +356,3 @@ func (s *SpanSnapshot) ByName(name string) []SpanRecord {
 	}
 	return out
 }
-
-// Children returns the spans whose Parent is id, in Seq order.
-func (s *SpanSnapshot) Children(id SpanID) []SpanRecord {
-	if s == nil {
-		return nil
-	}
-	var out []SpanRecord
-	for _, r := range s.Spans {
-		if r.Parent == id && id != 0 {
-			out = append(out, r)
-		}
-	}
-	return out
-}

@@ -38,16 +38,10 @@ type Network struct {
 type Option func(*options)
 
 type options struct {
-	embedder Embedder
-	disc     Discriminator
-	variant  Variant
-	system   *RotationSystem
+	disc    Discriminator
+	variant Variant
+	system  *RotationSystem
 }
-
-// WithEmbedder selects the embedding algorithm (default AutoEmbedder,
-// which is exact for planar topologies). Ignored when the topology ships
-// its own embedding or WithEmbedding is used.
-func WithEmbedder(e Embedder) Option { return func(o *options) { o.embedder = e } }
 
 // WithEmbedding forces a specific rotation system (e.g. one loaded from a
 // file or the paper example's published embedding).
@@ -88,7 +82,7 @@ func LoadNetwork(r io.Reader, opts ...Option) (*Network, error) {
 }
 
 func buildNetwork(tp Topology, opts ...Option) (*Network, error) {
-	o := options{embedder: embedding.Auto{Seed: 1}, disc: HopCount, variant: Full}
+	o := options{disc: HopCount, variant: Full}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -108,7 +102,7 @@ func buildNetwork(tp Topology, opts ...Option) (*Network, error) {
 	}
 	if sys == nil {
 		var err error
-		sys, err = o.embedder.Embed(g)
+		sys, err = embedding.Auto{Seed: 1}.Embed(g)
 		if err != nil {
 			return nil, fmt.Errorf("recycle: embedding failed: %w", err)
 		}

@@ -87,19 +87,10 @@ type DartID = rotation.DartID
 // ingress dart).
 const NoDart = rotation.NoDart
 
-// Embedder computes rotation systems; see AutoEmbedder, PlanarEmbedder,
-// GreedyEmbedder.
+// Embedder computes rotation systems: a network without its own
+// embedding is embedded exactly when planar (genus 0), by greedy and
+// annealing heuristics otherwise.
 type Embedder = embedding.Embedder
-
-// AutoEmbedder embeds planar graphs exactly (genus 0) and falls back to
-// greedy+annealing heuristics for non-planar graphs.
-type AutoEmbedder = embedding.Auto
-
-// PlanarEmbedder embeds planar graphs on the sphere and fails otherwise.
-type PlanarEmbedder = embedding.Planar
-
-// GreedyEmbedder incrementally inserts links to maximise face count.
-type GreedyEmbedder = embedding.Greedy
 
 // Discriminator selects PR's distance-discriminator function.
 type Discriminator = route.Discriminator
@@ -281,12 +272,8 @@ func NewTxQueue(fib *FIB, cfg TxConfig) *TxQueue { return dataplane.NewTxQueue(f
 // TrafficSource is an immutable description of one flow's arrival
 // process; Stream() mints fresh deterministic iterators, so the same
 // source drives many runs identically. Implementations: FixedTraffic,
-// PoissonTraffic, MMPPTraffic, ReplayTraffic.
+// PoissonTraffic, ReplayTraffic, or any spec ParseTrafficSpec reads.
 type TrafficSource = traffic.Source
-
-// TrafficStream yields one flow's successive emissions (inter-arrival
-// gap + packet size in bits).
-type TrafficStream = traffic.Stream
 
 // SizeDist draws packet sizes, composable with Poisson/MMPP arrivals;
 // implementations: FixedSize, BoundedPareto.
@@ -299,15 +286,8 @@ type FixedTraffic = traffic.Fixed
 // PoissonTraffic emits packets with exponential inter-arrival times.
 type PoissonTraffic = traffic.Poisson
 
-// MMPPTraffic is a two-state on/off Markov-modulated Poisson process:
-// bursts and silences with exponential dwell times.
-type MMPPTraffic = traffic.MMPP
-
 // ReplayTraffic re-emits a recorded packet trace.
 type ReplayTraffic = traffic.Replay
-
-// TraceRecord is one packet of a ReplayTraffic trace.
-type TraceRecord = traffic.Record
 
 // FixedSize is the degenerate size distribution (every packet equal).
 type FixedSize = traffic.FixedSize

@@ -18,9 +18,6 @@ type SoakConfig = eval.SoakConfig
 // aggregate exactly) and the pass/fail verdict.
 type SoakResult = eval.SoakResult
 
-// DefaultSoakScenario is RunSoak's default background failure process.
-const DefaultSoakScenario = eval.DefaultSoakSpec
-
 // RunSoak runs the whole stack at once, for a sustained period of
 // virtual time, on one named topology: hundreds of thousands of
 // concurrent traffic flows walked hop by hop through the engine and its

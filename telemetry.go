@@ -2,7 +2,6 @@ package recycle
 
 import (
 	"io"
-	"net/http"
 
 	"recycle/internal/eval"
 	"recycle/internal/telemetry"
@@ -14,9 +13,6 @@ import (
 // collectors, read consistently via Snapshot(). Hand one to
 // EngineConfig.Metrics / TxConfig.Metrics to meter the dataplane.
 type MetricsRegistry = telemetry.Registry
-
-// NewMetricsRegistry returns an empty registry.
-func NewMetricsRegistry() *MetricsRegistry { return telemetry.NewRegistry() }
 
 // MetricsSnapshot is a point-in-time copy of every registered metric,
 // with Sub/Merge delta algebra for interval analysis.
@@ -30,7 +26,7 @@ type HistogramSnapshot = telemetry.HistogramSnapshot
 // arm it via sim.Config.Recorder.
 type FlightRecorder = telemetry.Recorder
 
-// FlightRecorderConfig parameterises NewFlightRecorder: ring capacity,
+// FlightRecorderConfig parameterises a FlightRecorder: ring capacity,
 // sampling rate, (src,dst) match filters, per-flight hop cap.
 type FlightRecorderConfig = telemetry.RecorderConfig
 
@@ -38,37 +34,10 @@ type FlightRecorderConfig = telemetry.RecorderConfig
 // egress dart and header state — with an Explain() narrative.
 type Flight = telemetry.Flight
 
-// FlightHop is one hop of a recorded Flight.
-type FlightHop = telemetry.Hop
-
-// NewFlightRecorder builds a flight recorder.
-func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
-	return telemetry.NewRecorder(cfg)
-}
-
-// MetricsTimeline folds a registry's counters into per-epoch deltas
-// keyed to link-state events; the simulator maintains one per run
-// (Simulator.Timeline).
-type MetricsTimeline = telemetry.Timeline
-
-// MetricsEpoch is one epoch of a MetricsTimeline: its interval, label
-// and delta snapshot.
+// MetricsEpoch is one epoch of a per-epoch counter fold keyed to
+// link-state events (TraceResult.Epochs): its interval, label and delta
+// snapshot.
 type MetricsEpoch = telemetry.Epoch
-
-// MetricsHandler returns an http.Handler serving registry snapshots
-// with content negotiation: Prometheus text format for ?format=prom
-// (or an Accept header naming text/plain), JSON otherwise.
-func MetricsHandler(r *MetricsRegistry) http.Handler { return telemetry.Handler(r) }
-
-// ServeMetrics serves registry snapshots on addr ("/" and "/metrics",
-// Prometheus text or JSON by negotiation) in a background goroutine,
-// with net/http/pprof mounted under /debug/pprof/. The listen is
-// synchronous: a bad or occupied address is an error here, not a
-// phantom endpoint. The returned server's Addr carries the bound
-// address (useful with ":0").
-func ServeMetrics(addr string, r *MetricsRegistry) (*http.Server, error) {
-	return telemetry.Serve(addr, r)
-}
 
 // Tracer produces causally-linked control-plane spans into a bounded
 // ring: compile phases, recompile stages, swap barrier/apply, soak and
@@ -77,9 +46,6 @@ func ServeMetrics(addr string, r *MetricsRegistry) (*http.Server, error) {
 // CertifyConfig.Tracer. A nil *Tracer is fully inert, so instrumented
 // code needs no enabled? branches.
 type Tracer = telemetry.Tracer
-
-// TracerSpan is one live span: a value — call End exactly once.
-type TracerSpan = telemetry.Span
 
 // SpanSnapshot is a point-in-time reading of a tracer's ended spans,
 // participating in the MetricsSnapshot Sub/Merge delta algebra.
