@@ -137,6 +137,8 @@ func TestExitStatus(t *testing.T) {
 		{"negative -duration", []string{"soak", "-duration", "-1s"}, 1, "prsim: eval: soak Duration must be ≥ 0 (got -1s)"},
 		{"negative -swap-every", []string{"soak", "-swap-every", "-1s"}, 1, "prsim: eval: soak SwapEvery must be ≥ 0 (got -1s)"},
 		{"soak replay traffic", []string{"soak", "-traffic", "replay:" + trace}, 1, "prsim: eval: soak traffic must be fixed, poisson or mmpp (got replay)"},
+		// A draw past time.Duration's range once wrapped to a negative gap.
+		{"soak tiny rate", []string{"soak", "-topo", "grid:3x3", "-flows", "10", "-duration", "1s", "-traffic", "poisson:rate=1e-12"}, 1, "prsim: traffic: poisson rate 1e-12 pps is too low"},
 		{"negative -draws", []string{"resilience", "-draws", "-2"}, 1, "prsim: eval: resilience Draws must be ≥ 0 (got -2)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

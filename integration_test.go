@@ -10,6 +10,7 @@ import (
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/sim"
+	"recycle/internal/traffic"
 )
 
 // TestWalkMatchesSimulator cross-validates the two execution engines: the
@@ -46,8 +47,8 @@ func TestWalkMatchesSimulator(t *testing.T) {
 					DetectionDelay: time.Microsecond,
 					Flows: []sim.Flow{{
 						Src: src, Dst: dst,
-						Interval: time.Hour, // exactly one packet
-						Start:    time.Second,
+						Start:  time.Second,
+						Source: traffic.Fixed{Interval: time.Hour}, // exactly one packet
 					}},
 				})
 				if err != nil {

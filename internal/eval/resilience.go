@@ -10,6 +10,7 @@ import (
 	"recycle/internal/failure"
 	"recycle/internal/sim"
 	"recycle/internal/topo"
+	"recycle/internal/traffic"
 )
 
 // ResilienceConfig parameterises a Monte-Carlo resilience sweep. The
@@ -144,8 +145,8 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 	src, dst := diameterPair(g)
 	interval := time.Second / probePPS
 	flows := []sim.Flow{
-		{Src: src, Dst: dst, Interval: interval, Bits: 8192},
-		{Src: dst, Dst: src, Interval: interval, Bits: 8192, Start: interval / 2},
+		{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
+		{Src: dst, Dst: src, Start: interval / 2, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
 	}
 	schemes := []func() sim.Scheme{
 		func() sim.Scheme { return &sim.PRScheme{FIB: fib} },

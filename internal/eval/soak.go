@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"time"
@@ -85,10 +84,9 @@ const DefaultSoakSpec = "mtbf:up=20s,down=200ms"
 type SoakConfig struct {
 	Panel
 	// Flows is the concurrent flow count (default 100_000). Each flow is
-	// a persistent (src,dst) pair emitting per the Traffic process; the
-	// per-flow state is ~48 bytes, so hundreds of thousands of flows fit
-	// easily where that many traffic.Stream iterators (≈5 kB of legacy
-	// rand state each) would not.
+	// a persistent (src,dst) pair emitting per the Traffic process, flow
+	// i drawing the source's flow i; its whole state is 40 bytes, so
+	// hundreds of thousands of flows fit in a few megabytes.
 	Flows int
 	// Duration is how long emissions run, in virtual time (default 30s).
 	// In-flight packets drain to a verdict after the horizon.
@@ -242,138 +240,13 @@ func (r *SoakResult) DropFrac() float64 {
 	return float64(r.DropNoRoute+r.DropTTL+txDropped) / float64(r.Generated)
 }
 
-// ---------------------------------------------------------------------------
-// Compact per-flow traffic state
-// ---------------------------------------------------------------------------
-
-type flowKind uint8
-
-const (
-	flowFixed flowKind = iota
-	flowPoisson
-	flowMMPP
-)
-
-// soakTraffic is a traffic.Source compiled into shared per-kind
-// parameters, so per-flow state shrinks to soakFlow.
-type soakTraffic struct {
-	kind     flowKind
-	interval time.Duration // fixed
-	rate     float64       // poisson
-	rateOn   float64       // mmpp
-	rateOff  float64
-	meanOn   float64 // mmpp dwell means, in seconds
-	meanOff  float64
-	sizes    traffic.SizeDist // nil for the fixed-size fast path
-	bits     int32
-	meanRate float64 // packets/sec per flow, for the offered-load report
-}
-
-func compileTraffic(src traffic.Source) (*soakTraffic, error) {
-	if err := src.Validate(); err != nil {
-		return nil, err
-	}
-	sizeOf := func(d traffic.SizeDist) (traffic.SizeDist, int32) {
-		switch s := d.(type) {
-		case nil:
-			return nil, traffic.DefaultBits
-		case traffic.FixedSize:
-			if s.Bits == 0 {
-				return nil, traffic.DefaultBits
-			}
-			return nil, int32(s.Bits)
-		default:
-			return d, 0
-		}
-	}
-	switch s := src.(type) {
-	case traffic.Fixed:
-		bits := int32(s.Bits)
-		if bits == 0 {
-			bits = traffic.DefaultBits
-		}
-		return &soakTraffic{kind: flowFixed, interval: s.Interval, bits: bits,
-			meanRate: float64(time.Second) / float64(s.Interval)}, nil
-	case traffic.Poisson:
-		sizes, bits := sizeOf(s.Sizes)
-		return &soakTraffic{kind: flowPoisson, rate: s.Rate, sizes: sizes, bits: bits,
-			meanRate: s.Rate}, nil
-	case traffic.MMPP:
-		sizes, bits := sizeOf(s.Sizes)
-		return &soakTraffic{kind: flowMMPP, rateOn: s.RateOn, rateOff: s.RateOff,
-			meanOn: s.MeanOn.Seconds(), meanOff: s.MeanOff.Seconds(),
-			sizes: sizes, bits: bits, meanRate: s.MeanRate()}, nil
-	}
-	return nil, fmt.Errorf("eval: soak traffic must be fixed, poisson or mmpp (got %s)", src.Name())
-}
-
-// soakFlow is one flow's complete emission state: ≈48 bytes, against
-// the ≈5 kB a traffic.Stream's legacy rand.Rand source would cost.
+// soakFlow is one flow's complete emission state: 40 bytes, so a
+// hundred thousand flows take 4 MB.
 type soakFlow struct {
-	next  time.Duration // next emission instant
-	dwell time.Duration // mmpp: time left in the current state
-	rng   uint64        // splitmix64 state
-	src   int32
-	dst   int32
-	on    bool // mmpp state
-}
-
-// sm64 is splitmix64: tiny, seedable, statistically solid — the same
-// sequencing finaliser failure.DrawSeed sub-seeds with.
-func sm64(s *uint64) uint64 {
-	*s += 0x9E3779B97F4A7C15
-	z := *s
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-// smUnit draws a uniform in (0, 1].
-func smUnit(s *uint64) float64 {
-	return (float64(sm64(s)>>11) + 1) / (1 << 53)
-}
-
-// expDur draws an exponential gap at the given rate (events/second).
-func expDur(s *uint64, rate float64) time.Duration {
-	return time.Duration(-math.Log(smUnit(s)) / rate * float64(time.Second))
-}
-
-// nextGap advances one flow to its next emission, mirroring the
-// corresponding traffic.Stream semantics (Poisson: exponential gaps;
-// MMPP: memoryless redraw across state switches, exactly the
-// mmppStream.Next algorithm).
-func (tr *soakTraffic) nextGap(f *soakFlow) time.Duration {
-	switch tr.kind {
-	case flowFixed:
-		return tr.interval
-	case flowPoisson:
-		return expDur(&f.rng, tr.rate)
-	default: // flowMMPP
-		var gap time.Duration
-		for {
-			r := tr.rateOn
-			if !f.on {
-				r = tr.rateOff
-			}
-			if r > 0 {
-				d := expDur(&f.rng, r)
-				if d < f.dwell {
-					f.dwell -= d
-					return gap + d
-				}
-			}
-			gap += f.dwell
-			f.on = !f.on
-			mean := tr.meanOn
-			if !f.on {
-				mean = tr.meanOff
-			}
-			f.dwell = time.Duration(-math.Log(smUnit(&f.rng)) * mean * float64(time.Second))
-		}
-	}
+	traffic.State
+	next time.Duration // next emission instant
+	src  int32
+	dst  int32
 }
 
 // ---------------------------------------------------------------------------
@@ -502,7 +375,10 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := compileTraffic(src)
+	if _, ok := src.(traffic.Replay); ok {
+		return nil, fmt.Errorf("eval: soak traffic must be fixed, poisson or mmpp (got %s)", src.Name())
+	}
+	tr, err := traffic.Compile(src)
 	if err != nil {
 		return nil, err
 	}
@@ -514,8 +390,9 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		s.SetGauge(MetricSoakHeapBytes, int64(ms.HeapAlloc))
 	}))
 
-	// Seed the flow population: random (src,dst) pairs, de-phased first
-	// emissions so the calendar doesn't open with a thundering herd.
+	// Seed the flow population: random (src,dst) pairs, flow i drawing
+	// the source's flow i, each fixed flow de-phased within its interval
+	// so the calendar doesn't open with a thundering herd.
 	rng := rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 1)))
 	cal := &soakCalendar{
 		flows: make([]soakFlow, cfg.Flows),
@@ -527,16 +404,10 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		for f.dst = f.src; f.dst == f.src; {
 			f.dst = int32(rng.Intn(n))
 		}
-		f.rng = uint64(failure.DrawSeed(cfg.Seed, 2)) + uint64(i)*0x9E3779B97F4A7C15
-		f.on = true
-		switch tr.kind {
-		case flowFixed:
-			f.next = time.Duration(sm64(&f.rng) % uint64(tr.interval))
-		case flowPoisson:
-			f.next = expDur(&f.rng, tr.rate)
-		default:
-			f.dwell = time.Duration(-math.Log(smUnit(&f.rng)) * tr.meanOn * float64(time.Second))
-			f.next = tr.nextGap(f)
+		f.State = tr.Flow(i)
+		f.next, _ = tr.Next(&f.State)
+		if fixed, ok := src.(traffic.Fixed); ok {
+			f.next = time.Duration(rng.Int63n(int64(fixed.Interval)))
 		}
 		cal.heap[i] = int32(i)
 	}
@@ -547,7 +418,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		tr:     tr,
 		cal:    cal,
 		oracle: oracle,
-		rng:    rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 3))),
 		lag:    reg.Gauge(MetricSoakLagNs),
 		tracer: tracer,
 		root:   runSpan.ID(),
@@ -612,7 +482,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		Scenario:        sc.Name,
 		Genus:           sys.Genus(),
 		Flows:           cfg.Flows,
-		OfferedPPS:      float64(cfg.Flows) * tr.meanRate,
+		OfferedPPS:      float64(cfg.Flows) * tr.MeanRate(),
 		Horizon:         cfg.Duration,
 		Elapsed:         elapsed,
 		Generated:       agg.Counter(MetricSoakGenerated),
@@ -668,12 +538,11 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 // cache is safe.
 type soakPump struct {
 	cfg    SoakConfig
-	tr     *soakTraffic
+	tr     *traffic.Process
 	cal    *soakCalendar
 	oracle *failure.Oracle
 	ctl    *soakControl
 	eng    *dataplane.Engine
-	rng    *rand.Rand // shared size-distribution draws
 
 	now   time.Duration // the virtual clock; the TxQueue paces on it
 	batch dataplane.Batch
@@ -760,18 +629,15 @@ func (p *soakPump) fill(horizon time.Duration) {
 			break
 		}
 		f := &p.cal.flows[p.cal.heap[0]]
-		bits := p.tr.bits
-		if p.tr.sizes != nil {
-			bits = int32(p.tr.sizes.SampleBits(p.rng))
-		}
 		p.pkts = append(p.pkts, dataplane.Packet{
 			Node:    graph.NodeID(f.src),
 			Dst:     graph.NodeID(f.dst),
 			Ingress: rotation.NoDart,
-			Bits:    bits,
+			Bits:    int32(p.tr.Bits(&f.State)),
 		})
 		p.meta = append(p.meta, soakMeta{emit: at, src: f.src})
-		f.next = at + p.tr.nextGap(f)
+		gap, _ := p.tr.Next(&f.State)
+		f.next = at + gap
 		p.cal.bump()
 		p.generated.Inc()
 	}

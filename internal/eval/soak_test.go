@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"recycle/internal/dataplane"
 	"recycle/internal/failure"
@@ -194,6 +195,42 @@ func TestSoakReproducible(t *testing.T) {
 		if got := soakEpochTable(r); got != table {
 			t.Errorf("%s: epoch table differs:\n--- got\n%s--- first run\n%s", name, got, table)
 		}
+	}
+}
+
+// TestSoakSpecSeed: flow k draws the traffic source's flow k, so a
+// spec's seed= moves the run and a spec without one runs on the soak's
+// seed — the contract ParseSpecSeeded states. The soak once seeded its
+// flows from its own seed alone and printed one report for all three.
+func TestSoakSpecSeed(t *testing.T) {
+	table := func(spec string) string {
+		t.Helper()
+		res, err := RunSoak(mustTopo(t, "grid:4x4"), SoakConfig{
+			Panel:     Panel{Spec: "mtbf:up=2s,down=100ms", Seed: 1},
+			Flows:     3_000,
+			Duration:  1200 * time.Millisecond,
+			SwapEvery: 100 * time.Millisecond,
+			Traffic:   spec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return soakEpochTable(res)
+	}
+	def, seed1, seed7, seed8 := table(""), table("poisson:rate=2,seed=1"), table("poisson:rate=2,seed=7"), table("poisson:rate=2,seed=8")
+	if seed1 != def {
+		t.Error("poisson:rate=2,seed=1 differs from the default traffic at -seed 1")
+	}
+	if seed7 == def || seed8 == def || seed7 == seed8 {
+		t.Error("a spec's seed= did not move the run")
+	}
+}
+
+// TestSoakFlowSize pins a flow's whole state at 40 bytes: a soak holds
+// one per flow, a hundred thousand by default.
+func TestSoakFlowSize(t *testing.T) {
+	if got := unsafe.Sizeof(soakFlow{}); got != 40 {
+		t.Errorf("soakFlow is %d bytes; want 40", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"recycle/internal/sim"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
+	"recycle/internal/traffic"
 )
 
 // WriteTimeline renders a per-epoch counter fold as a readable table:
@@ -84,8 +85,8 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 	src, dst := diameterPair(g)
 	interval := time.Second / probePPS
 	flows := []sim.Flow{
-		{Src: src, Dst: dst, Interval: interval, Bits: 8192},
-		{Src: dst, Dst: src, Interval: interval, Bits: 8192, Start: interval / 2},
+		{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
+		{Src: dst, Dst: src, Start: interval / 2, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
 	}
 
 	var out *TraceResult

@@ -52,8 +52,12 @@ func WriteThroughputReport(w io.Writer, cfg ThroughputConfig) error {
 		return err
 	}
 	var source traffic.Source
+	var sizes *traffic.Process
 	if cfg.Traffic != "" {
 		if source, err = traffic.ParseSpecSeeded(cfg.Traffic, cfg.Seed); err != nil {
+			return err
+		}
+		if sizes, err = traffic.Compile(source); err != nil {
 			return err
 		}
 	}
@@ -91,9 +95,9 @@ func WriteThroughputReport(w io.Writer, cfg ThroughputConfig) error {
 		// header the previous pass left behind. The same seed in both
 		// phases makes them replay the identical mix.
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		var sizes traffic.Stream
-		if source != nil {
-			sizes = source.Stream()
+		var flow traffic.State // packet sizes are one flow's successive draws
+		if sizes != nil {
+			flow = sizes.Flow(0)
 		}
 		// Wire frames mutate in place (marks, TTL, checksum); each batch
 		// keeps a pristine template per frame and restores the whole
@@ -138,8 +142,8 @@ func WriteThroughputReport(w io.Writer, cfg ThroughputConfig) error {
 					nb := g.Neighbors(node)[rng.Intn(g.Degree(node))]
 					var bits int32
 					if sizes != nil {
-						if _, sz, ok := sizes.Next(); ok {
-							bits = int32(sz)
+						if _, ok := sizes.Next(&flow); ok {
+							bits = int32(sizes.Bits(&flow))
 						}
 					}
 					b.Pkts[j] = dataplane.Packet{

@@ -13,7 +13,7 @@ import (
 )
 
 // DefaultTrafficMix is the traffic-source panel the loss-window report
-// runs when the caller names none: the legacy fixed-interval probe, a
+// runs when the caller names none: the paper's fixed-interval probe, a
 // Poisson process at the same mean rate, silent-burst MMPP at the same
 // mean rate, and heavy-tailed (bounded-Pareto) packet sizes on Poisson
 // arrivals.

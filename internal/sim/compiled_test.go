@@ -9,6 +9,7 @@ import (
 	"recycle/internal/rotation"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
+	"recycle/internal/traffic"
 )
 
 // protocolScheme forwards with core.Protocol itself: the reference the
@@ -46,7 +47,7 @@ func TestCompiledSchemeMatchesInterpreted(t *testing.T) {
 		s, err := New(Config{
 			Graph:          g,
 			Scheme:         scheme,
-			Flows:          []Flow{{Src: 0, Dst: 5, Interval: time.Millisecond}, {Src: 3, Dst: 9, Interval: time.Millisecond}},
+			Flows:          []Flow{{Src: 0, Dst: 5, Source: traffic.Fixed{Interval: time.Millisecond}}, {Src: 3, Dst: 9, Source: traffic.Fixed{Interval: time.Millisecond}}},
 			Horizon:        2 * time.Second,
 			DetectionDelay: 40 * time.Millisecond,
 		})

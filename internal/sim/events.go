@@ -44,7 +44,6 @@ type event struct {
 	pkt  *Packet      // evArrive
 	node graph.NodeID // evArrive
 	flow int          // evGenerate
-	bits int          // evGenerate: packet size for source-driven flows
 	link graph.LinkID // evLinkDown / evLinkUp / evDetect
 	down bool         // evDetect: new state
 	gen  uint64       // evDetect: link state generation; stale events no-op

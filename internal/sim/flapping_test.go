@@ -6,6 +6,7 @@ import (
 
 	"recycle/internal/core"
 	"recycle/internal/graph"
+	"recycle/internal/traffic"
 )
 
 // TestFlapDampingSuppressesBouncingLink: a link that flaps faster than the
@@ -19,7 +20,7 @@ func TestFlapDampingSuppressesBouncingLink(t *testing.T) {
 		Horizon:        time.Second,
 		DetectionDelay: 5 * time.Millisecond,
 		HoldDown:       200 * time.Millisecond,
-		Flows:          []Flow{{Src: 0, Dst: 1, Interval: 2 * time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 1, Source: traffic.Fixed{Interval: 2 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestNoHoldDownSuffersFromFlapping(t *testing.T) {
 		Scheme:         prScheme(t, g, core.Full),
 		Horizon:        time.Second,
 		DetectionDelay: 5 * time.Millisecond,
-		Flows:          []Flow{{Src: 0, Dst: 1, Interval: 2 * time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 1, Source: traffic.Fixed{Interval: 2 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,7 +80,7 @@ func TestHoldDownEventuallyRestoresLink(t *testing.T) {
 		Horizon:        2 * time.Second,
 		DetectionDelay: 5 * time.Millisecond,
 		HoldDown:       100 * time.Millisecond,
-		Flows:          []Flow{{Src: 0, Dst: 1, Interval: 5 * time.Millisecond, Start: time.Second}},
+		Flows:          []Flow{{Src: 0, Dst: 1, Start: time.Second, Source: traffic.Fixed{Interval: 5 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)

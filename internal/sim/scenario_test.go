@@ -7,6 +7,7 @@ import (
 	"recycle/internal/core"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
+	"recycle/internal/traffic"
 )
 
 // TestFailNodeAt: a node outage scheduled through ApplyScenario behaves
@@ -19,7 +20,7 @@ func TestFailNodeAt(t *testing.T) {
 		Graph:   g,
 		Scheme:  prScheme(t, g, core.Full),
 		Horizon: time.Second,
-		Flows:   []Flow{{Src: 0, Dst: 3, Interval: 5 * time.Millisecond}},
+		Flows:   []Flow{{Src: 0, Dst: 3, Source: traffic.Fixed{Interval: 5 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestRepairNodeAt(t *testing.T) {
 		Graph:   g,
 		Scheme:  prScheme(t, g, core.Full),
 		Horizon: time.Second,
-		Flows:   []Flow{{Src: 0, Dst: 3, Interval: 5 * time.Millisecond}},
+		Flows:   []Flow{{Src: 0, Dst: 3, Source: traffic.Fixed{Interval: 5 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestApplyScenarioSchedulesMergedEvents(t *testing.T) {
 		Scheme:         prScheme(t, g, core.Full),
 		Horizon:        time.Second,
 		DetectionDelay: InstantDetection,
-		Flows:          []Flow{{Src: 0, Dst: 3, Interval: 5 * time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 3, Source: traffic.Fixed{Interval: 5 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +155,7 @@ func TestLossClassification(t *testing.T) {
 		Scheme:         prScheme(t, g, core.Full),
 		Horizon:        time.Second,
 		DetectionDelay: InstantDetection,
-		Flows:          []Flow{{Src: 0, Dst: 2, Interval: 5 * time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 2, Source: traffic.Fixed{Interval: 5 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +188,7 @@ func TestTransientClassification(t *testing.T) {
 		Scheme:         prScheme(t, g, core.Full),
 		Horizon:        time.Second,
 		DetectionDelay: 50 * time.Millisecond,
-		Flows:          []Flow{{Src: 0, Dst: 3, Interval: time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 3, Source: traffic.Fixed{Interval: time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +227,7 @@ func TestInstantDetectionZeroLoss(t *testing.T) {
 		Scheme:         prScheme(t, g, core.Full),
 		Horizon:        time.Second,
 		DetectionDelay: InstantDetection,
-		Flows:          []Flow{{Src: 0, Dst: 3, Interval: time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 3, Source: traffic.Fixed{Interval: time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)

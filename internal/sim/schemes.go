@@ -206,13 +206,13 @@ type LossWindowResult struct {
 // horizon; the first link of src's shortest path fails at failAt.
 func RunLossWindow(cfg Config, src, dst graph.NodeID, pps float64, failAt time.Duration) (LossWindowResult, error) {
 	interval := time.Duration(float64(time.Second) / pps)
-	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Interval: interval, Bits: 8192}, failAt)
+	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}}, failAt)
 }
 
 // RunLossWindowTraffic is RunLossWindow with an arbitrary arrival process
 // driving the flow — the loss window under Poisson, MMPP-burst or replay
-// traffic instead of the fixed-interval probe. The source's stream is
-// minted fresh for the run, so the same source gives every scheme under
+// traffic instead of the fixed-interval probe. The source's flow starts
+// afresh every run, so the same source gives every scheme under
 // comparison the identical offered load.
 func RunLossWindowTraffic(cfg Config, src, dst graph.NodeID, source traffic.Source, failAt time.Duration) (LossWindowResult, error) {
 	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Source: source}, failAt)
@@ -229,13 +229,9 @@ func runOutageFlow(cfg Config, flow Flow, failAt time.Duration) (LossWindowResul
 	tree := graph.ShortestPathTree(cfg.Graph, flow.Dst, nil)
 	s.FailLinkAt(tree.NextLink[flow.Src], failAt)
 	st := s.Run()
-	trafficName := "fixed"
-	if flow.Source != nil {
-		trafficName = flow.Source.Name()
-	}
 	return LossWindowResult{
 		Scheme:    cfg.Scheme.Name(),
-		Traffic:   trafficName,
+		Traffic:   flow.Source.Name(),
 		Generated: int(st.Counter(MetricGenerated)),
 		Delivered: int(st.Counter(MetricDelivered)),
 		Blackhole: int(st.Counter(MetricDropBlackhole)),

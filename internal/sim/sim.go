@@ -54,25 +54,17 @@ const (
 	DropTTL DropReason = "ttl"
 )
 
-// Flow emits packets between two nodes. By default it is fixed-interval
-// (Interval/Bits: the stream of traffic.Fixed); setting Source drives the
-// flow with any traffic arrival process instead — Poisson, MMPP bursts,
-// bounded-Pareto sizes, trace replay (package traffic).
+// Flow emits packets between two nodes, driven by any traffic arrival
+// process — fixed interval, Poisson, MMPP bursts, bounded-Pareto sizes,
+// trace replay (package traffic).
 type Flow struct {
 	Src, Dst graph.NodeID
-	// Interval between packets when Source is nil.
-	Interval time.Duration
-	// Bits per packet when Source is nil (default 8192 = 1 kB, the
-	// paper's average size).
-	Bits int
-	// Start offsets the first packet (for a Source-driven flow, the
-	// process origin: the first packet lands at Start plus the source's
-	// first inter-arrival gap).
+	// Start is the process origin: the first packet lands at Start plus
+	// the source's first gap (zero for traffic.Fixed).
 	Start time.Duration
-	// Source optionally replaces the fixed-interval process. The
-	// simulator mints a fresh deterministic stream per run, so reusing a
-	// Config replays identical traffic. A nil Source is
-	// traffic.Fixed{Interval, Bits}.
+	// Source is the arrival process. Flow i of a Config is the source's
+	// flow i, started afresh every run, so reusing a Config replays
+	// identical traffic.
 	Source traffic.Source
 }
 
@@ -194,12 +186,13 @@ type Simulator struct {
 	seq   int64
 	now   time.Duration
 
-	physDown  []bool            // physical link state
-	linkGen   []uint64          // physical state generation, for flap damping
-	knownDown *graph.FailureSet // locally detected state, fed to schemes
-	linkFree  []time.Duration   // next instant each link's transmitter is idle (per direction)
-	streams   []traffic.Stream  // per-flow emission streams
-	oracle    *failure.Oracle   // loss referee installed by ApplyScenario (nil = don't classify)
+	physDown  []bool             // physical link state
+	linkGen   []uint64           // physical state generation, for flap damping
+	knownDown *graph.FailureSet  // locally detected state, fed to schemes
+	linkFree  []time.Duration    // next instant each link's transmitter is idle (per direction)
+	procs     []*traffic.Process // per-flow compiled traffic sources
+	states    []traffic.State    // per-flow traffic generator state
+	oracle    *failure.Oracle    // loss referee installed by ApplyScenario (nil = don't classify)
 
 	reg      *telemetry.Registry
 	met      *simMetrics
@@ -300,7 +293,8 @@ func New(cfg Config) (*Simulator, error) {
 		linkGen:   make([]uint64, cfg.Graph.NumLinks()),
 		knownDown: graph.NewFailureSet(),
 		linkFree:  make([]time.Duration, 2*cfg.Graph.NumLinks()),
-		streams:   make([]traffic.Stream, len(cfg.Flows)),
+		procs:     make([]*traffic.Process, len(cfg.Flows)),
+		states:    make([]traffic.State, len(cfg.Flows)),
 		hopDist:   make(map[graph.NodeID][]int),
 		reg:       reg,
 		met:       newSimMetrics(reg),
@@ -309,20 +303,25 @@ func New(cfg Config) (*Simulator, error) {
 		if err := validateFlow(cfg.Graph, i, f); err != nil {
 			return nil, err
 		}
-		src := f.Source
-		if src == nil {
-			src = traffic.Fixed{Interval: f.Interval, Bits: f.Bits}
+		proc, err := traffic.Compile(f.Source)
+		if err != nil {
+			return nil, fmt.Errorf("sim: flow %d: %w", i, err)
 		}
-		st := src.Stream()
-		s.streams[i] = st
-		if gap, bits, ok := st.Next(); ok {
-			s.schedule(&event{at: f.Start + gap, kind: evGenerate, flow: i, bits: bits})
-		}
+		s.procs[i], s.states[i] = proc, proc.Flow(i)
+		s.scheduleEmission(i, f.Start)
 	}
 	return s, nil
 }
 
-// validateFlow checks one flow's parameters, including its source's.
+// scheduleEmission schedules flow i's next packet, one gap after from.
+func (s *Simulator) scheduleEmission(i int, from time.Duration) {
+	if gap, ok := s.procs[i].Next(&s.states[i]); ok {
+		s.schedule(&event{at: from + gap, kind: evGenerate, flow: i})
+	}
+}
+
+// validateFlow checks one flow's endpoints, start and source; New
+// validates the source's parameters as it compiles it.
 func validateFlow(g *graph.Graph, i int, f Flow) error {
 	n := g.NumNodes()
 	if f.Src < 0 || int(f.Src) >= n {
@@ -334,17 +333,8 @@ func validateFlow(g *graph.Graph, i int, f Flow) error {
 	if f.Start < 0 {
 		return fmt.Errorf("sim: flow %d has negative start %v", i, f.Start)
 	}
-	if f.Source != nil {
-		if err := f.Source.Validate(); err != nil {
-			return fmt.Errorf("sim: flow %d: %w", i, err)
-		}
-		return nil
-	}
-	if f.Interval <= 0 {
-		return fmt.Errorf("sim: flow %d has non-positive interval", i)
-	}
-	if f.Bits < 0 {
-		return fmt.Errorf("sim: flow %d has negative bits %d", i, f.Bits)
+	if f.Source == nil {
+		return fmt.Errorf("sim: flow %d has no traffic source", i)
 	}
 	return nil
 }
@@ -470,7 +460,7 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 		s.now = e.at
 		switch e.kind {
 		case evGenerate:
-			s.handleGenerate(e.flow, e.bits)
+			s.handleGenerate(e.flow)
 		case evArrive:
 			s.handleArrive(e.pkt, e.node)
 		case evLinkDown:
@@ -529,13 +519,13 @@ func (s *Simulator) ScheduleConvergeAt(at time.Duration) {
 	s.schedule(&event{at: at, kind: evConverge})
 }
 
-func (s *Simulator) handleGenerate(flowIdx, bits int) {
+func (s *Simulator) handleGenerate(flowIdx int) {
 	f := s.cfg.Flows[flowIdx]
 	pkt := &Packet{
 		ID:      s.nextPacketID,
 		Src:     f.Src,
 		Dst:     f.Dst,
-		Bits:    bits,
+		Bits:    s.procs[flowIdx].Bits(&s.states[flowIdx]),
 		Created: s.now,
 		Ingress: rotation.NoDart,
 	}
@@ -545,9 +535,7 @@ func (s *Simulator) handleGenerate(flowIdx, bits int) {
 		pkt.flight = s.cfg.Recorder.Begin(pkt.ID, pkt.Src, pkt.Dst, s.now)
 	}
 	// Schedule the flow's next emission, then process this packet.
-	if gap, nbits, ok := s.streams[flowIdx].Next(); ok {
-		s.schedule(&event{at: s.now + gap, kind: evGenerate, flow: flowIdx, bits: nbits})
-	}
+	s.scheduleEmission(flowIdx, s.now)
 	s.handleArrive(pkt, f.Src)
 }
 

@@ -11,6 +11,7 @@ import (
 	"recycle/internal/route"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
+	"recycle/internal/traffic"
 )
 
 // prProtocol builds the v-variant protocol over g's automatic embedding
@@ -57,7 +58,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Graph: g, Scheme: prScheme(t, g, core.Full), Horizon: time.Second,
 		Flows: []Flow{{Src: 0, Dst: 1}}}); err == nil {
-		t.Fatal("zero-interval flow accepted")
+		t.Fatal("flow without a traffic source accepted")
 	}
 }
 
@@ -67,7 +68,7 @@ func TestFailureFreeDeliveryAndLatency(t *testing.T) {
 		Graph:   g,
 		Scheme:  prScheme(t, g, core.Full),
 		Horizon: time.Second,
-		Flows:   []Flow{{Src: 0, Dst: 2, Interval: 10 * time.Millisecond}},
+		Flows:   []Flow{{Src: 0, Dst: 2, Source: traffic.Fixed{Interval: 10 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,8 +97,8 @@ func TestDeterministicRuns(t *testing.T) {
 			Scheme:  prScheme(t, g, core.Full),
 			Horizon: 500 * time.Millisecond,
 			Flows: []Flow{
-				{Src: 0, Dst: 3, Interval: 3 * time.Millisecond},
-				{Src: 2, Dst: 5, Interval: 5 * time.Millisecond},
+				{Src: 0, Dst: 3, Source: traffic.Fixed{Interval: 3 * time.Millisecond}},
+				{Src: 2, Dst: 5, Source: traffic.Fixed{Interval: 5 * time.Millisecond}},
 			},
 		})
 		if err != nil {
@@ -195,7 +196,7 @@ func TestLinkRepair(t *testing.T) {
 		Scheme:         prScheme(t, g, core.Full),
 		Horizon:        time.Second,
 		DetectionDelay: 10 * time.Millisecond,
-		Flows:          []Flow{{Src: 0, Dst: 1, Interval: 5 * time.Millisecond}},
+		Flows:          []Flow{{Src: 0, Dst: 1, Source: traffic.Fixed{Interval: 5 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +222,7 @@ func TestSerialisationBackpressure(t *testing.T) {
 		Scheme:       prScheme(t, g, core.Full),
 		Horizon:      100 * time.Millisecond,
 		BandwidthBps: 1e6, // 1 Mb/s: 8192 bits ≈ 8.2 ms per packet
-		Flows:        []Flow{{Src: 0, Dst: 1, Interval: time.Millisecond}},
+		Flows:        []Flow{{Src: 0, Dst: 1, Source: traffic.Fixed{Interval: time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +255,7 @@ func TestTTLDropsOnLoop(t *testing.T) {
 		Scheme:         compiledScheme(t, p),
 		Horizon:        200 * time.Millisecond,
 		DetectionDelay: time.Millisecond,
-		Flows:          []Flow{{Src: g.NodeByName("A"), Dst: g.NodeByName("F"), Interval: 10 * time.Millisecond}},
+		Flows:          []Flow{{Src: g.NodeByName("A"), Dst: g.NodeByName("F"), Source: traffic.Fixed{Interval: 10 * time.Millisecond}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +296,7 @@ func TestAllPairsTrafficUnderFailure(t *testing.T) {
 		for dst := 0; dst < n; dst++ {
 			if src != dst {
 				start := interval * time.Duration(len(flows)) / time.Duration(pairs)
-				flows = append(flows, Flow{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Interval: interval, Start: start})
+				flows = append(flows, Flow{Src: graph.NodeID(src), Dst: graph.NodeID(dst), Start: start, Source: traffic.Fixed{Interval: interval}})
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"recycle/internal/core"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
-	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
 )
@@ -34,60 +33,6 @@ func (r *recordingScheme) Process(s *Simulator, node graph.NodeID, pkt *Packet) 
 		r.emissions = append(r.emissions, emission{id: pkt.ID, at: pkt.Created, bits: pkt.Bits})
 	}
 	return r.Scheme.Process(s, node, pkt)
-}
-
-// TestFixedSourceDifferential pins the refactor's contract: a flow driven
-// by traffic.Fixed reproduces the legacy fixed-interval Flow *exactly* —
-// same per-packet emission times, IDs and sizes, same aggregate stats —
-// on a run that includes a failure and recovery.
-func TestFixedSourceDifferential(t *testing.T) {
-	tp := topo.Abilene(topo.UnitWeights)
-	g := tp.Graph
-
-	run := func(source traffic.Source) (*telemetry.Snapshot, []emission) {
-		rec := &recordingScheme{Scheme: prScheme(t, g, core.Full)}
-		flows := []Flow{
-			{Src: 0, Dst: 5, Interval: 3 * time.Millisecond, Start: time.Millisecond, Source: source},
-			{Src: 2, Dst: 8, Interval: 7 * time.Millisecond, Bits: 4096, Source: source},
-		}
-		if source != nil {
-			// Mirror each legacy flow's parameters in its source.
-			flows[0].Source = traffic.Fixed{Interval: 3 * time.Millisecond}
-			flows[1].Source = traffic.Fixed{Interval: 7 * time.Millisecond, Bits: 4096}
-		}
-		s, err := New(Config{
-			Graph:          g,
-			Scheme:         rec,
-			Horizon:        400 * time.Millisecond,
-			DetectionDelay: 20 * time.Millisecond,
-			Flows:          flows,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.FailLinkAt(0, 100*time.Millisecond)
-		s.RepairLinkAt(0, 250*time.Millisecond)
-		return s.Run(), rec.emissions
-	}
-
-	legacyStats, legacyEmit := run(nil)
-	sourceStats, sourceEmit := run(traffic.Fixed{}) // sentinel; per-flow sources set inside
-
-	if len(legacyEmit) == 0 {
-		t.Fatal("legacy run emitted nothing")
-	}
-	if !reflect.DeepEqual(legacyEmit, sourceEmit) {
-		for i := range legacyEmit {
-			if i >= len(sourceEmit) || legacyEmit[i] != sourceEmit[i] {
-				t.Fatalf("emission %d differs: legacy %+v vs source %+v (of %d/%d)",
-					i, legacyEmit[i], sourceEmit[i], len(legacyEmit), len(sourceEmit))
-			}
-		}
-		t.Fatalf("emission counts differ: legacy %d vs source %d", len(legacyEmit), len(sourceEmit))
-	}
-	if !reflect.DeepEqual(legacyStats, sourceStats) {
-		t.Fatalf("stats differ:\nlegacy %+v\nsource %+v", legacyStats, sourceStats)
-	}
 }
 
 // TestPoissonSourceDrivesSimulator: Poisson traffic through the
@@ -162,25 +107,39 @@ func TestSourcesDriveCompiledEngine(t *testing.T) {
 }
 
 // TestReplaySourceEndsFlow: a finite trace emits exactly its records that
-// fall before the horizon, then the flow stops.
+// fall before the horizon, then the flow stops. A fixed flow beside it
+// emits its first packet at its Start offset and then every interval.
 func TestReplaySourceEndsFlow(t *testing.T) {
 	g := graph.Ring(4)
+	rec := &recordingScheme{Scheme: prScheme(t, g, core.Full)}
 	s, err := New(Config{
 		Graph:   g,
-		Scheme:  prScheme(t, g, core.Full),
+		Scheme:  rec,
 		Horizon: time.Second,
 		Flows: []Flow{{Src: 0, Dst: 2, Source: traffic.Replay{Records: []traffic.Record{
 			{At: 100 * time.Millisecond, Bits: 8000},
 			{At: 200 * time.Millisecond, Bits: 4000},
 			{At: 2 * time.Second, Bits: 8000}, // beyond horizon: never emitted
-		}}}},
+		}}}, {Src: 1, Dst: 3, Start: time.Millisecond,
+			Source: traffic.Fixed{Interval: 300 * time.Millisecond, Bits: 4096}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := s.Run()
-	if st.Counter(MetricGenerated) != 2 || st.Counter(MetricDelivered) != 2 {
-		t.Fatalf("generated/delivered = %d/%d; want 2/2", st.Counter(MetricGenerated), st.Counter(MetricDelivered))
+	if st.Counter(MetricGenerated) != 6 || st.Counter(MetricDelivered) != 6 {
+		t.Fatalf("generated/delivered = %d/%d; want 6/6", st.Counter(MetricGenerated), st.Counter(MetricDelivered))
+	}
+	want := []emission{
+		{0, time.Millisecond, 4096},
+		{1, 100 * time.Millisecond, 8000},
+		{2, 200 * time.Millisecond, 4000},
+		{3, 301 * time.Millisecond, 4096},
+		{4, 601 * time.Millisecond, 4096},
+		{5, 901 * time.Millisecond, 4096},
+	}
+	if !reflect.DeepEqual(rec.emissions, want) {
+		t.Fatalf("emissions = %+v; want %+v", rec.emissions, want)
 	}
 }
 
@@ -194,10 +153,10 @@ func TestFlowValidation(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"src out of range", Config{Flows: []Flow{{Src: 9, Dst: 1, Interval: time.Millisecond}}}, "source node 9 outside"},
-		{"dst out of range", Config{Flows: []Flow{{Src: 0, Dst: -2, Interval: time.Millisecond}}}, "destination node -2 outside"},
-		{"negative start", Config{Flows: []Flow{{Src: 0, Dst: 1, Interval: time.Millisecond, Start: -time.Second}}}, "negative start"},
-		{"negative bits", Config{Flows: []Flow{{Src: 0, Dst: 1, Interval: time.Millisecond, Bits: -8}}}, "negative bits"},
+		{"src out of range", Config{Flows: []Flow{{Src: 9, Dst: 1, Source: traffic.Fixed{Interval: time.Millisecond}}}}, "source node 9 outside"},
+		{"dst out of range", Config{Flows: []Flow{{Src: 0, Dst: -2, Source: traffic.Fixed{Interval: time.Millisecond}}}}, "destination node -2 outside"},
+		{"negative start", Config{Flows: []Flow{{Src: 0, Dst: 1, Start: -time.Second, Source: traffic.Fixed{Interval: time.Millisecond}}}}, "negative start"},
+		{"negative bits", Config{Flows: []Flow{{Src: 0, Dst: 1, Source: traffic.Fixed{Interval: time.Millisecond, Bits: -8}}}}, "negative bits"},
 		{"negative rate source", Config{Flows: []Flow{{Src: 0, Dst: 1, Source: traffic.Poisson{Rate: -10}}}}, "non-positive rate"},
 		{"zero burst source", Config{Flows: []Flow{{Src: 0, Dst: 1, Source: traffic.MMPP{RateOn: 10, MeanOff: time.Second}}}}, "burst length must be positive"},
 		{"negative bandwidth", Config{BandwidthBps: -1}, "negative bandwidth"},

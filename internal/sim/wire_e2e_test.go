@@ -21,6 +21,7 @@ import (
 	"recycle/internal/route"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
+	"recycle/internal/traffic"
 )
 
 // WirePRScheme forwards *real packet bytes* through the FIB's wire fast
@@ -178,7 +179,7 @@ func TestWireSchemeLargeDiameterZeroDrops(t *testing.T) {
 				s, err := New(Config{
 					Graph:          g,
 					Scheme:         scheme,
-					Flows:          []Flow{{Src: src, Dst: dst, Interval: time.Millisecond, Bits: 8192}},
+					Flows:          []Flow{{Src: src, Dst: dst, Source: traffic.Fixed{Interval: time.Millisecond, Bits: 8192}}},
 					Horizon:        2 * time.Second,
 					DetectionDelay: 50 * time.Millisecond,
 				})
@@ -239,7 +240,7 @@ func TestWireSchemeDSCPParity(t *testing.T) {
 		s, err := New(Config{
 			Graph:          g,
 			Scheme:         scheme,
-			Flows:          []Flow{{Src: src, Dst: dst, Interval: time.Millisecond, Bits: 8192}},
+			Flows:          []Flow{{Src: src, Dst: dst, Source: traffic.Fixed{Interval: time.Millisecond, Bits: 8192}}},
 			Horizon:        2 * time.Second,
 			DetectionDelay: 50 * time.Millisecond,
 		})

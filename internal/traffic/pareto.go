@@ -3,7 +3,6 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // BoundedPareto draws packet sizes from a bounded Pareto distribution —
@@ -38,31 +37,15 @@ func (b BoundedPareto) Validate() error {
 }
 
 // SampleBits implements SizeDist by inverse-CDF sampling:
-// x = L / (1 - U·(1-(L/H)^α))^(1/α).
-func (b BoundedPareto) SampleBits(rng *rand.Rand) int {
+// x = L / (1 - u·(1-(L/H)^α))^(1/α).
+func (b BoundedPareto) SampleBits(u float64) int {
 	l, h := float64(b.MinBits), float64(b.MaxBits)
 	if b.MinBits == b.MaxBits {
 		return b.MinBits
 	}
-	u := rng.Float64()
 	x := l / math.Pow(1-u*(1-math.Pow(l/h, b.Alpha)), 1/b.Alpha)
 	if x > h {
-		x = h // guard numeric drift at u→1
+		x = h // guard numeric drift at u = 1
 	}
 	return int(x)
-}
-
-// Mean returns the analytic mean of the distribution, for statistical
-// sanity tests and load planning.
-func (b BoundedPareto) Mean() float64 {
-	l, h := float64(b.MinBits), float64(b.MaxBits)
-	a := b.Alpha
-	if b.MinBits == b.MaxBits {
-		return l
-	}
-	if a == 1 {
-		return l * h / (h - l) * math.Log(h/l)
-	}
-	return math.Pow(l, a) / (1 - math.Pow(l/h, a)) * a / (a - 1) *
-		(1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -31,6 +32,9 @@ func (r Replay) Name() string { return "replay" }
 
 // Validate implements Source.
 func (r Replay) Validate() error {
+	if len(r.Records) > math.MaxInt32 {
+		return fmt.Errorf("traffic: replay trace has %d records, more than a flow can index", len(r.Records))
+	}
 	prev := time.Duration(0)
 	for i, rec := range r.Records {
 		if rec.At < prev {
@@ -45,25 +49,7 @@ func (r Replay) Validate() error {
 	return nil
 }
 
-// Stream implements Source.
-func (r Replay) Stream() Stream { return &replayStream{records: r.Records} }
-
-type replayStream struct {
-	records []Record
-	idx     int
-	prev    time.Duration
-}
-
-func (s *replayStream) Next() (time.Duration, int, bool) {
-	if s.idx >= len(s.records) {
-		return 0, 0, false
-	}
-	rec := s.records[s.idx]
-	s.idx++
-	gap := rec.At - s.prev
-	s.prev = rec.At
-	return gap, rec.Bits, true
-}
+func (r Replay) process() Process { return Process{kind: kindReplay, records: r.Records} }
 
 // ReadTrace parses a textual packet trace: one `<seconds> <bytes>` pair
 // per line (floating-point seconds from trace start, packet size in

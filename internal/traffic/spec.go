@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -54,7 +55,6 @@ func ParseSpecSeeded(spec string, defaultSeed int64) (Source, error) {
 
 // specOpts are the parsed key=value options of one spec.
 type specOpts struct {
-	kind     string
 	rate     float64
 	interval time.Duration
 	on, off  float64
@@ -79,7 +79,7 @@ var specKeys = map[string]map[string]bool{
 }
 
 func parseOpts(kind, rest string) (*specOpts, error) {
-	o := &specOpts{kind: kind, seed: 1, set: map[string]bool{}}
+	o := &specOpts{set: map[string]bool{}}
 	if rest == "" {
 		return o, nil
 	}
@@ -130,8 +130,6 @@ func parseOpts(kind, rest string) (*specOpts, error) {
 			o.pareto = p
 		case "seed":
 			o.seed, err = strconv.ParseInt(val, 10, 64)
-		default:
-			return nil, fmt.Errorf("traffic: %s spec: unknown option %q", kind, key)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("traffic: %s spec: bad %s %q: %w", kind, key, val, err)
@@ -163,6 +161,9 @@ func buildSource(kind string, o *specOpts) (Source, error) {
 		case o.has("rate"):
 			if o.rate <= 0 {
 				return nil, fmt.Errorf("traffic: fixed spec has non-positive rate %g pps", o.rate)
+			}
+			if float64(time.Second)/o.rate >= math.MaxInt64 {
+				return nil, fmt.Errorf("traffic: fixed spec rate %g pps is too low: its interval overflows time.Duration", o.rate)
 			}
 			iv = time.Duration(float64(time.Second) / o.rate)
 		case !o.has("interval"):

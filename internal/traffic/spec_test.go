@@ -46,6 +46,9 @@ func TestParseSpecErrors(t *testing.T) {
 		{"poisson:bits=100", "needs rate"},
 		{"poisson:rate=-5", "non-positive rate"},
 		{"poisson:rate=abc", "bad rate"},
+		{"poisson:rate=1e-300", "too low"},
+		{"fixed:rate=1e-12", "interval overflows time.Duration"},
+		{"mmpp:on=1e-12,dwell=10ms/10ms", "too low"},
 		{"mmpp:on=100", "needs on=<pps> and dwell"},
 		{"mmpp:on=100,dwell=10ms", "dwell wants <on>/<off>"},
 		{"mmpp:on=100,dwell=10ms/0s", "zero or negative off-state dwell"},

@@ -2,24 +2,45 @@ package traffic
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// drain pulls n emissions from a stream, returning gaps and sizes.
-func drain(t *testing.T, s Stream, n int) (gaps []time.Duration, bits []int) {
+// compile compiles src, failing the test on an error.
+func compile(t *testing.T, src Source) *Process {
 	t.Helper()
+	p, err := Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// drain pulls n emissions from flow 0 of src, returning gaps and sizes.
+func drain(t *testing.T, src Source, n int) (gaps []time.Duration, bits []int) {
+	t.Helper()
+	p := compile(t, src)
+	st := p.Flow(0)
 	for i := 0; i < n; i++ {
-		g, b, ok := s.Next()
+		g, ok := p.Next(&st)
 		if !ok {
-			t.Fatalf("stream ended after %d emissions; want %d", i, n)
+			t.Fatalf("flow ended after %d emissions; want %d", i, n)
 		}
 		gaps = append(gaps, g)
-		bits = append(bits, b)
+		bits = append(bits, p.Bits(&st))
 	}
 	return gaps, bits
+}
+
+// TestStateSize pins the per-flow state: a soak holds one per flow, and
+// its soakFlow (state, next instant, endpoints) is 40 bytes only while
+// the state stays within 24.
+func TestStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(State{}); got > 24 {
+		t.Errorf("State is %d bytes; want ≤ 24", got)
+	}
 }
 
 func TestFixedStream(t *testing.T) {
@@ -27,7 +48,7 @@ func TestFixedStream(t *testing.T) {
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	gaps, bits := drain(t, f.Stream(), 4)
+	gaps, bits := drain(t, f, 4)
 	// The first gap is zero (emit at flow start, the legacy behaviour),
 	// then the fixed interval forever.
 	want := []time.Duration{0, 5 * time.Millisecond, 5 * time.Millisecond, 5 * time.Millisecond}
@@ -40,7 +61,7 @@ func TestFixedStream(t *testing.T) {
 		}
 	}
 	// Zero bits defaults to DefaultBits.
-	_, bits = drain(t, Fixed{Interval: time.Millisecond}.Stream(), 1)
+	_, bits = drain(t, Fixed{Interval: time.Millisecond}, 1)
 	if bits[0] != DefaultBits {
 		t.Fatalf("default bits = %d; want %d", bits[0], DefaultBits)
 	}
@@ -62,6 +83,13 @@ func TestValidationErrors(t *testing.T) {
 		{MMPP{RateOn: 10, MeanOn: time.Second, MeanOff: -time.Second}, "negative off-state dwell"},
 		{Replay{Records: []Record{{At: time.Second, Bits: 100}, {At: 0, Bits: 100}}}, "time-sorted"},
 		{Replay{Records: []Record{{At: 0, Bits: 0}}}, "non-positive size"},
+		// A draw past MaxInt64 ns once wrapped to a negative gap.
+		{Poisson{Rate: 1e-12}, "poisson rate 1e-12 pps is too low"},
+		{Poisson{Rate: 1e-300}, "overflows time.Duration"},
+		{MMPP{RateOn: 1e-12, MeanOn: 10 * time.Millisecond, MeanOff: 10 * time.Millisecond}, "on-state rate 1e-12 pps is too low"},
+		{MMPP{RateOn: 10, RateOff: 1e-9, MeanOn: time.Second, MeanOff: time.Second}, "off-state rate 1e-09 pps is too low"},
+		{MMPP{RateOn: 10, MeanOn: math.MaxInt64 / 30, MeanOff: time.Second}, "on-state dwell"},
+		{MMPP{RateOn: 10, MeanOn: time.Second, MeanOff: math.MaxInt64 / 30}, "off-state dwell"},
 	}
 	for _, c := range cases {
 		err := c.src.Validate()
@@ -74,9 +102,9 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
-// TestStreamsAreDeterministic: two streams from the same source replay
-// identical sequences — the property that lets one Source drive many
-// scheme-comparison runs fairly.
+// TestStreamsAreDeterministic: two states of one flow of one source
+// replay identical sequences — the property that lets one Source drive
+// many scheme-comparison runs fairly.
 func TestStreamsAreDeterministic(t *testing.T) {
 	sources := []Source{
 		Poisson{Rate: 1000, Seed: 7},
@@ -84,13 +112,36 @@ func TestStreamsAreDeterministic(t *testing.T) {
 		MMPP{RateOn: 5000, MeanOn: 10 * time.Millisecond, MeanOff: 40 * time.Millisecond, Seed: 9},
 	}
 	for _, src := range sources {
-		a, b := src.Stream(), src.Stream()
+		p := compile(t, src)
+		a, b := p.Flow(3), p.Flow(3)
 		for i := 0; i < 500; i++ {
-			ga, ba, _ := a.Next()
-			gb, bb, _ := b.Next()
+			ga, _ := p.Next(&a)
+			gb, _ := p.Next(&b)
+			ba, bb := p.Bits(&a), p.Bits(&b)
 			if ga != gb || ba != bb {
 				t.Fatalf("%s: emission %d differs between streams: (%v,%d) vs (%v,%d)",
 					src.Name(), i, ga, ba, gb, bb)
+			}
+		}
+	}
+}
+
+// TestNeighbourFlowsShareNoDraw: flows k and k+1 of one source draw
+// unrelated sequences. Seeding flow k at seed + k·γ, with γ the
+// generator's own increment, made flow k+1's j-th draw flow k's
+// (j+1)-th: every flow a one-draw-shifted copy of its neighbour.
+func TestNeighbourFlowsShareNoDraw(t *testing.T) {
+	const draws, maxLag = 1000, 64
+	p := compile(t, Poisson{Rate: 1, Seed: 1})
+	for k := 0; k < 8; k++ {
+		a, b := p.Flow(k), p.Flow(k+1)
+		seen := map[uint64]int{}
+		for i := 0; i < draws; i++ {
+			seen[a.draw()] = i
+		}
+		for j := 0; j < draws; j++ {
+			if i, ok := seen[b.draw()]; ok && j-i <= maxLag && i-j <= maxLag {
+				t.Fatalf("flow %d's draw %d is flow %d's draw %d", k+1, j, k, i)
 			}
 		}
 	}
@@ -103,7 +154,7 @@ func TestStreamsAreDeterministic(t *testing.T) {
 func TestPoissonStatistics(t *testing.T) {
 	const rate = 2000.0
 	const n = 200_000
-	gaps, _ := drain(t, Poisson{Rate: rate, Seed: 42}.Stream(), n)
+	gaps, _ := drain(t, Poisson{Rate: rate, Seed: 42}, n)
 
 	var sum, sumSq float64
 	for _, g := range gaps {
@@ -146,14 +197,14 @@ func TestMMPPStatistics(t *testing.T) {
 	// cycles observed (~one per 100 ms), not the packet count, so the run
 	// must be long in cycles: 400k packets ≈ 200 s ≈ 2000 cycles.
 	const n = 400_000
-	gaps, _ := drain(t, src.Stream(), n)
+	gaps, _ := drain(t, src, n)
 
 	var total time.Duration
 	for _, g := range gaps {
 		total += g
 	}
 	rate := float64(n) / total.Seconds()
-	want := src.MeanRate() // 10000 * 20/(20+80) = 2000 pps
+	want := compile(t, src).MeanRate() // 10000 * 20/(20+80) = 2000 pps
 	if math.Abs(rate-want)/want > 0.05 {
 		t.Fatalf("empirical rate = %g pps; want ≈ %g (±5%%)", rate, want)
 	}
@@ -194,18 +245,19 @@ func TestBoundedParetoStatistics(t *testing.T) {
 	if err := dist.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(5))
+	p := compile(t, Poisson{Rate: 1, Sizes: dist, Seed: 5})
+	st := p.Flow(0)
 	const n = 500_000
 	var sum float64
 	for i := 0; i < n; i++ {
-		b := dist.SampleBits(rng)
+		b := p.Bits(&st)
 		if b < dist.MinBits || b > dist.MaxBits {
 			t.Fatalf("sample %d outside [%d, %d]", b, dist.MinBits, dist.MaxBits)
 		}
 		sum += float64(b)
 	}
 	mean := sum / n
-	want := dist.Mean()
+	want := paretoMean(dist)
 	if math.Abs(mean-want)/want > 0.05 {
 		t.Fatalf("empirical mean = %g bits; want ≈ %g (±5%%)", mean, want)
 	}
@@ -223,24 +275,25 @@ func TestReplayStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := r.Stream()
+	p := compile(t, r)
+	st := p.Flow(0)
 	wantGap := []time.Duration{0, 10 * time.Millisecond, 0, 25 * time.Millisecond}
 	wantBits := []int{8000, 4000, 4000, 12000}
 	for i := range wantGap {
-		g, b, ok := s.Next()
+		g, ok := p.Next(&st)
 		if !ok {
-			t.Fatalf("stream ended at %d", i)
+			t.Fatalf("flow ended at %d", i)
 		}
-		if g != wantGap[i] || b != wantBits[i] {
+		if b := p.Bits(&st); g != wantGap[i] || b != wantBits[i] {
 			t.Fatalf("emission %d = (%v, %d); want (%v, %d)", i, g, b, wantGap[i], wantBits[i])
 		}
 	}
-	if _, _, ok := s.Next(); ok {
-		t.Fatal("stream did not end after the trace ran out")
+	if _, ok := p.Next(&st); ok {
+		t.Fatal("flow did not end after the trace ran out")
 	}
 	// A second Next after exhaustion stays false.
-	if _, _, ok := s.Next(); ok {
-		t.Fatal("exhausted stream restarted")
+	if _, ok := p.Next(&st); ok {
+		t.Fatal("exhausted flow restarted")
 	}
 }
 
@@ -289,4 +342,18 @@ func dispersion(counts []int) float64 {
 	n := float64(len(counts))
 	mean := sum / n
 	return (sumSq/n - mean*mean) / mean
+}
+
+// paretoMean returns the analytic mean of a bounded Pareto distribution.
+func paretoMean(b BoundedPareto) float64 {
+	l, h := float64(b.MinBits), float64(b.MaxBits)
+	a := b.Alpha
+	if b.MinBits == b.MaxBits {
+		return l
+	}
+	if a == 1 {
+		return l * h / (h - l) * math.Log(h/l)
+	}
+	return math.Pow(l, a) / (1 - math.Pow(l/h, a)) * a / (a - 1) *
+		(1/math.Pow(l, a-1) - 1/math.Pow(h, a-1))
 }

@@ -28,8 +28,8 @@
 //   - internal/fcp        — Failure-Carrying Packets baseline
 //   - internal/reconv     — reconvergence baseline
 //   - internal/sim        — discrete-event simulator
-//   - internal/traffic    — pluggable arrival processes (Poisson, MMPP,
-//     bounded-Pareto sizes, trace replay)
+//   - internal/traffic    — the one arrival generator (fixed, Poisson,
+//     MMPP, bounded-Pareto sizes, trace replay)
 //   - internal/eval       — the paper's Figure 2 / §6 experiment harness
 //   - internal/header     — DSCP pool-2 wire encoding
 //   - internal/dataplane  — compiled FIB, wire fast path, sharded engine
@@ -270,17 +270,19 @@ const (
 func NewTxQueue(fib *FIB, cfg TxConfig) *TxQueue { return dataplane.NewTxQueue(fib, cfg) }
 
 // TrafficSource is an immutable description of one flow's arrival
-// process; Stream() mints fresh deterministic iterators, so the same
+// process. Every harness compiles it into the one traffic generator,
+// which seeds flow k from the source's Seed and k alone, so the same
 // source drives many runs identically. Implementations: FixedTraffic,
 // PoissonTraffic, ReplayTraffic, or any spec ParseTrafficSpec reads.
 type TrafficSource = traffic.Source
 
-// SizeDist draws packet sizes, composable with Poisson/MMPP arrivals;
-// implementations: FixedSize, BoundedPareto.
+// SizeDist maps a uniform draw from a flow's own generator to a packet
+// size, composable with Poisson/MMPP arrivals; implementations:
+// FixedSize, BoundedPareto.
 type SizeDist = traffic.SizeDist
 
-// FixedTraffic emits fixed-size packets at a fixed interval — the
-// legacy simulator flow, as a TrafficSource.
+// FixedTraffic emits fixed-size packets at a fixed interval, the first
+// at the flow's start.
 type FixedTraffic = traffic.Fixed
 
 // PoissonTraffic emits packets with exponential inter-arrival times.

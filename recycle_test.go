@@ -8,6 +8,7 @@ import (
 	"recycle/internal/dataplane"
 	"recycle/internal/rotation"
 	"recycle/internal/telemetry"
+	"recycle/internal/traffic"
 )
 
 func TestFromTopologyQuickstart(t *testing.T) {
@@ -444,8 +445,9 @@ func TestWireFacadeIPv6(t *testing.T) {
 	}
 }
 
-// TestTrafficFacade: the exported traffic types parse, validate and
-// stream deterministically through the facade alone.
+// TestTrafficFacade: the exported traffic types parse and validate
+// through the facade alone, and a parsed source replays one flow
+// deterministically through the generator every harness draws from.
 func TestTrafficFacade(t *testing.T) {
 	src, err := ParseTrafficSpec("mmpp:on=12150,off=0,dwell=20ms/80ms,seed=3")
 	if err != nil {
@@ -454,12 +456,16 @@ func TestTrafficFacade(t *testing.T) {
 	if src.Name() != "mmpp" {
 		t.Fatalf("source name = %q; want mmpp", src.Name())
 	}
-	a, b := src.Stream(), src.Stream()
+	gen, err := traffic.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := gen.Flow(0), gen.Flow(0)
 	for i := 0; i < 100; i++ {
-		ga, ba, _ := a.Next()
-		gb, bb, _ := b.Next()
-		if ga != gb || ba != bb {
-			t.Fatalf("emission %d differs between streams of one source", i)
+		ga, _ := gen.Next(&a)
+		gb, _ := gen.Next(&b)
+		if ga != gb || gen.Bits(&a) != gen.Bits(&b) {
+			t.Fatalf("emission %d differs between two states of one flow", i)
 		}
 	}
 	var pareto SizeDist = BoundedPareto{Alpha: 1.3, MinBits: 512, MaxBits: 96000}
