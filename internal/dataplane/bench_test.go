@@ -452,8 +452,8 @@ func BenchmarkForwardWireBatch(b *testing.B) {
 }
 
 // BenchmarkTxQueueSend measures the single-packet form of the egress
-// path, uninstrumented: one clock read and one paced, bounded transmit
-// per call. Must stay at 0 allocs/op.
+// path, uninstrumented: one lock, one clock read and one paced, bounded
+// transmit per call. Must stay at 0 allocs/op.
 func BenchmarkTxQueueSend(b *testing.B) {
 	fib, g, _ := benchFixture(b, "geant")
 	q := dataplane.NewTxQueue(fib, dataplane.TxConfig{BandwidthBps: 1e13})
@@ -471,9 +471,9 @@ func BenchmarkTxQueueSend(b *testing.B) {
 
 // BenchmarkTxQueueTransmit measures the egress path as every real caller
 // drives it: 256-packet batches on the wall clock with Metrics set, so
-// the clock read, the generation load and the counter and queue-wait
-// flushes are all in the figure, amortised over the batch. The per-op
-// time is per packet. Must stay at 0 allocs/op.
+// the lock, the clock read and the counter and queue-wait flushes are
+// all in the figure, amortised over the batch. The per-op time is per
+// packet. Must stay at 0 allocs/op.
 func BenchmarkTxQueueTransmit(b *testing.B) {
 	const batchSize = 256
 	fib, g, _ := benchFixture(b, "geant")

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"recycle/internal/graph"
@@ -83,14 +82,16 @@ type TxConfig struct {
 	// are sized from their IP total-length field instead.
 	DefaultBits int
 	// Now is the transmit clock, an offset from some fixed origin, read
-	// once per Transmit batch and once per Send. Defaults to wall time
-	// since NewTxQueue; tests inject a virtual clock for deterministic
-	// pacing.
+	// under the queue's lock once per batch (Transmit, SendBatch, Send)
+	// and again for a packet only a fresh reading may drop, so it must
+	// not call back into the TxQueue. Defaults to wall time since
+	// NewTxQueue; tests and the soak inject a virtual clock for
+	// deterministic pacing.
 	Now func() time.Duration
 	// Metrics, when non-nil, publishes transmit telemetry into the
 	// registry: the tx.* counters and a tx.queue_wait_ns histogram of the
 	// queueing delay each sent packet paid behind its link's serialiser,
-	// both flushed once per Transmit batch (once per Send).
+	// both flushed once per batch (Transmit, SendBatch, Send).
 	Metrics *telemetry.Registry
 }
 
@@ -119,15 +120,13 @@ func TxDropped(s *telemetry.Snapshot) uint64 {
 // that would wait longer than MaxBacklog is dropped and counted, never
 // silently discarded.
 //
-// The packet path takes no lock. free is one atomic word: a sender reads
-// it, computes start = max(now, free) and installs start+tx by
-// compare-and-swap, retrying if another shard got there first. Each
-// successful swap therefore claims an interval [start, start+tx) that
-// begins no earlier than the previous claim on that dart ended: claims
-// are disjoint and leave in the order their swaps landed — per-dart
-// FIFO, link-order delivery — while different darts never share a word.
-// The link-down test reads the immutable LinkState snapshot the batch
-// was decided under.
+// A batch is paced under one lock: Transmit and SendBatch take it once,
+// read the clock once, pace every packet with plain loads and stores
+// and flush their tally after unlocking; Send is the batch of one.
+// Batches from different shards therefore serialise, and the packets of
+// one dart leave in the order their batches took the lock — per-dart
+// FIFO, link-order delivery. The link-down test reads the immutable
+// LinkState snapshot the batch was decided under.
 //
 // free counts link bit-times, not nanoseconds, so serialising a packet
 // is free += bits, exactly: no link runs fast by a truncated fraction of
@@ -136,22 +135,16 @@ func TxDropped(s *telemetry.Snapshot) uint64 {
 // histogram) convert. An int64 of bit-times is 2.9 years of queue clock
 // at 100 Gb/s.
 //
-// Everything but pacing is per batch: Transmit loads the dart generation
-// and reads the clock once, tallies verdicts and queue waits on its
-// stack and flushes them once; Send is the one-packet batch. The packets
-// of a batch thus share one clock reading: one late in the batch may
-// start serialising up to the batch's own service time (a few µs)
-// early, and its wait is measured from that reading — a NIC doorbell's
-// granularity, three orders below MaxBacklog, and exact under an
-// injected clock. A queue-full verdict alone insists on a fresh reading,
-// so a batch preempted mid-way cannot drop on a stale one. Nothing on
-// the path allocates.
+// The packets of a batch share one clock reading: one late in the batch
+// may start serialising up to the batch's own service time early, and
+// its wait is measured from that reading — a NIC doorbell's granularity,
+// three orders below MaxBacklog, and exact under an injected clock. A
+// queue-full verdict alone insists on a fresh reading, which serves only
+// the packet that needed it. Nothing on the path allocates.
 //
-// The darts live behind an atomically swapped generation pointer so
-// RebindDarts (structural hot-swaps) can replace the dart space while
-// shards are mid-Transmit: a batch that loaded the old generation
-// finishes against it, counted like any other, and a dart outside the
-// current space is a counted TxDropStaleDart, never an index panic.
+// RebindDarts (structural hot-swaps) replaces the dart space under the
+// same lock; a dart outside the current space is a counted
+// TxDropStaleDart, never an index panic.
 type TxQueue struct {
 	nsPerBit    float64 // one bit-time: 1e9 / BandwidthBps
 	maxBacklog  int64   // bit-times
@@ -159,16 +152,8 @@ type TxQueue struct {
 	now         func() time.Duration
 	bank        *telemetry.CounterBank // nil when uninstrumented
 	wait        *telemetry.Histogram   // nil when uninstrumented
-	cur         atomic.Pointer[txGen]
-	rebindMu    sync.Mutex // serialises RebindDarts
-}
-
-// txGen is one generation of the dart space, alive between two
-// structural rebinds: per dart, the instant (in link bit-times) its
-// transmitter goes idle. Unpadded: shards spread over every dart, and a
-// cache line per dart measured no better for eight times the footprint.
-type txGen struct {
-	free []atomic.Int64
+	mu          sync.Mutex             // guards free
+	free        []int64                // per dart: when its transmitter goes idle, in bit-times
 }
 
 // txTally is one batch's transmit account, kept on the sender's stack
@@ -207,9 +192,9 @@ func NewTxQueueDarts(numDarts int, cfg TxConfig) *TxQueue {
 		nsPerBit:    1e9 / cfg.BandwidthBps,
 		defaultBits: int64(cfg.DefaultBits),
 		now:         cfg.Now,
+		free:        make([]int64, numDarts),
 	}
 	q.maxBacklog = q.toBits(cfg.MaxBacklog)
-	q.cur.Store(&txGen{free: make([]atomic.Int64, numDarts)})
 	if q.now == nil {
 		start := time.Now()
 		q.now = func() time.Duration { return time.Since(start) }
@@ -243,10 +228,48 @@ func (q *TxQueue) toDelay(bits int64) time.Duration {
 // locally or refused (OK false / a non-forward wire verdict) never reach
 // a transmitter and are not counted here.
 func (q *TxQueue) Transmit(b *Batch, st *LinkState) {
-	gen, now := q.cur.Load(), q.toBits(q.now())
 	var t txTally
-	for i := range b.Pkts {
-		p := &b.Pkts[i]
+	q.mu.Lock()
+	now := q.toBits(q.now())
+	q.pacePkts(now, b.Pkts, st, nil, &t)
+	for i := range b.Wire {
+		if p := &b.Wire[i]; p.Verdict == WireForward {
+			q.pace(now, p.Egress, wireFrameBits(p.Buf), st, &t)
+		}
+	}
+	q.mu.Unlock()
+	q.flush(&t)
+}
+
+// SendBatch is Transmit's packet half for callers that act on each
+// verdict (the soak): verdicts, nil or at least len(pkts) long, receives
+// packet i's verdict at index i for every packet the FIB accepted (OK);
+// the entries of refused packets are left alone.
+func (q *TxQueue) SendBatch(pkts []Packet, st *LinkState, verdicts []TxVerdict) {
+	var t txTally
+	q.mu.Lock()
+	q.pacePkts(q.toBits(q.now()), pkts, st, verdicts, &t)
+	q.mu.Unlock()
+	q.flush(&t)
+}
+
+// Send queues one packet of the given size onto dart d, returning the
+// transmit verdict: the batch of one, for callers that pace individual
+// packets (tests, calibrations).
+func (q *TxQueue) Send(d rotation.DartID, bits int64, st *LinkState) TxVerdict {
+	var t txTally
+	q.mu.Lock()
+	v := q.pace(q.toBits(q.now()), d, bits, st, &t)
+	q.mu.Unlock()
+	q.flush(&t)
+	return v
+}
+
+// pacePkts paces every accepted packet of pkts at clock reading now,
+// under q.mu, writing verdicts as SendBatch documents.
+func (q *TxQueue) pacePkts(now int64, pkts []Packet, st *LinkState, verdicts []TxVerdict, t *txTally) {
+	for i := range pkts {
+		p := &pkts[i]
 		if !p.OK {
 			continue
 		}
@@ -254,33 +277,18 @@ func (q *TxQueue) Transmit(b *Batch, st *LinkState) {
 		if bits == 0 {
 			bits = q.defaultBits
 		}
-		q.sendAt(gen, now, p.Egress, bits, st, &t)
-	}
-	for i := range b.Wire {
-		p := &b.Wire[i]
-		if p.Verdict != WireForward {
-			continue
+		v := q.pace(now, p.Egress, bits, st, t)
+		if verdicts != nil {
+			verdicts[i] = v
 		}
-		q.sendAt(gen, now, p.Egress, wireFrameBits(p.Buf), st, &t)
 	}
-	q.flush(&t)
 }
 
-// Send queues one packet of the given size onto dart d, returning the
-// transmit verdict: Transmit for a batch of one, exported for callers
-// that pace individual packets (the simulator bridge, tests).
-func (q *TxQueue) Send(d rotation.DartID, bits int64, st *LinkState) TxVerdict {
-	var t txTally
-	v := q.sendAt(q.cur.Load(), q.toBits(q.now()), d, bits, st, &t)
-	q.flush(&t)
-	return v
-}
-
-// sendAt is the send core shared by Transmit and Send: it paces one
-// packet of the given size onto dart d of generation gen at clock
-// reading now (bit-times) and tallies the outcome into t.
-func (q *TxQueue) sendAt(gen *txGen, now int64, d rotation.DartID, bits int64, st *LinkState, t *txTally) TxVerdict {
-	if d < 0 || int(d) >= len(gen.free) {
+// pace is the pacing rule every transmit path shares: under q.mu, it
+// paces one packet of the given size onto dart d at clock reading now
+// (bit-times) and tallies the outcome into t.
+func (q *TxQueue) pace(now int64, d rotation.DartID, bits int64, st *LinkState, t *txTally) TxVerdict {
+	if d < 0 || int(d) >= len(q.free) {
 		t.n[txDropStale]++
 		return TxDropStaleDart
 	}
@@ -288,30 +296,25 @@ func (q *TxQueue) sendAt(gen *txGen, now int64, d rotation.DartID, bits int64, s
 		t.n[txDropDown]++
 		return TxDropLinkDown
 	}
-	free := &gen.free[d]
-	for fresh := false; ; {
-		was := free.Load()
-		start := max(now, was)
-		if start-now > q.maxBacklog {
-			if !fresh {
-				// Only a fresh clock condemns a packet: a batch preempted
-				// mid-way holds a reading other shards have long paced past.
-				now, fresh = q.toBits(q.now()), true
-				continue
-			}
+	start := max(now, q.free[d])
+	if start-now > q.maxBacklog {
+		// Only a fresh clock condemns a packet: the batch's reading is
+		// as old as the batch, and the link has drained since.
+		now = q.toBits(q.now())
+		if start = max(now, q.free[d]); start-now > q.maxBacklog {
 			t.n[txDropFull]++
 			return TxDropQueueFull
 		}
-		if !free.CompareAndSwap(was, start+bits) {
-			continue // another shard claimed [was, …): queue behind it
-		}
-		t.n[txSent]++
-		t.n[txSentBits] += uint64(bits)
-		if q.wait != nil {
-			q.wait.Tally(&t.wait, int64(q.toDelay(start-now)))
-		}
-		return TxSent
 	}
+	q.free[d] = start + bits
+	t.n[txSent]++
+	t.n[txSentBits] += uint64(bits)
+	if q.wait != nil {
+		// Unconditional: toDelay(0) is exactly 0, and a branch on the
+		// wait mispredicts on every packet that finds its link busy.
+		q.wait.Tally(&t.wait, int64(q.toDelay(start-now)))
+	}
+	return TxSent
 }
 
 // flush publishes a batch's tally into the registry and zeroes it.
@@ -323,43 +326,46 @@ func (q *TxQueue) flush(t *txTally) {
 	q.wait.Flush(&t.wait)
 }
 
-// backlogAt is the queueing delay, in bit-times, a dart idle at free
-// imposes on a packet handed in at clock reading now.
-func backlogAt(free *atomic.Int64, now int64) int64 {
-	if b := free.Load() - now; b > 0 {
-		return b
-	}
-	return 0
+// backlog is the queueing delay, in bit-times, dart d imposes on a
+// packet handed in at clock reading now; q.mu must be held.
+func (q *TxQueue) backlog(d int, now int64) int64 {
+	return max(q.free[d]-now, 0)
 }
 
 // Backlog returns dart d's current queueing delay: how long a packet
 // handed in now would wait before its first bit serialises. A dart
 // outside the current dart space has no queue and reports zero.
 func (q *TxQueue) Backlog(d rotation.DartID) time.Duration {
-	gen := q.cur.Load()
-	if d < 0 || int(d) >= len(gen.free) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if d < 0 || int(d) >= len(q.free) {
 		return 0
 	}
-	return q.toDelay(backlogAt(&gen.free[d], q.toBits(q.now())))
+	return q.toDelay(q.backlog(int(d), q.toBits(q.now())))
 }
 
 // NumDarts returns the size of the current dart space.
-func (q *TxQueue) NumDarts() int { return len(q.cur.Load().free) }
+func (q *TxQueue) NumDarts() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.free)
+}
 
 // SampleBacklog observes every dart's instantaneous queueing delay into
 // a histogram per dart class — forward darts (even IDs, the link's
 // tail→head direction) and reverse darts (odd IDs) — and returns each
 // class's maximum this sample. Either histogram may be nil (that class
-// is then only maxed, not binned). One scan of atomic loads, meant to be
+// is then only maxed, not binned). One scan under the lock, meant to be
 // called at flush cadence, never per packet; the sampled distribution
 // is the queue-sizing telemetry a single peak gauge hides.
 func (q *TxQueue) SampleBacklog(fwd, rev *telemetry.Histogram) (maxFwd, maxRev time.Duration) {
-	gen := q.cur.Load()
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	now := q.toBits(q.now())
 	hist := [2]*telemetry.Histogram{fwd, rev}
 	var max [2]time.Duration
-	for i := range gen.free {
-		b := q.toDelay(backlogAt(&gen.free[i], now))
+	for i := range q.free {
+		b := q.toDelay(q.backlog(i, now))
 		if h := hist[i&1]; h != nil {
 			h.Observe(int64(b))
 		}
@@ -380,40 +386,29 @@ func (q *TxQueue) MaxBacklog() time.Duration {
 // structural hot-swap. linkMap maps old link IDs to new ones
 // (graph.NoLink for removed links; nil means identity), exactly the map
 // Engine.SwapFIB validates — surviving links carry their pacing clocks
-// (free instants) into the new generation, so an in-flight queue keeps
-// draining at the link rate instead of resetting to idle. A shard still
-// transmitting against the old generation finishes harmlessly: its
-// verdicts are counted at queue level like any other, and only the
-// pacing of the packets it sends after the carry stays behind.
+// (free instants) into the new space, so an in-flight queue keeps
+// draining at the link rate instead of resetting to idle. A batch
+// decided under the old FIB that transmits after the rebind is paced on
+// the new space; its darts past it are counted as stale.
 func (q *TxQueue) RebindDarts(numDarts int, linkMap []graph.LinkID) {
-	q.rebindMu.Lock()
-	defer q.rebindMu.Unlock()
-	old := q.cur.Load()
-	next := &txGen{free: make([]atomic.Int64, numDarts)}
+	next := make([]int64, numDarts)
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	carry := func(oldDart, newDart int) {
-		if oldDart >= len(old.free) || newDart >= numDarts {
-			return
+		if oldDart < len(q.free) && newDart < numDarts {
+			next[newDart] = q.free[oldDart]
 		}
-		next.free[newDart].Store(old.free[oldDart].Load())
 	}
 	if linkMap == nil {
-		n := len(old.free)
-		if numDarts < n {
-			n = numDarts
-		}
-		for d := 0; d < n; d++ {
-			carry(d, d)
-		}
-	} else {
-		for l, nl := range linkMap {
-			if nl == graph.NoLink {
-				continue
-			}
+		copy(next, q.free)
+	}
+	for l, nl := range linkMap {
+		if nl != graph.NoLink {
 			carry(2*l, 2*int(nl))
 			carry(2*l+1, 2*int(nl)+1)
 		}
 	}
-	q.cur.Store(next)
+	q.free = next
 }
 
 // wireFrameBits sizes a raw frame from its IP total-length field (IPv4

@@ -51,10 +51,11 @@ func TestWireFrameBitsClamped(t *testing.T) {
 
 // TestTransmitMatchesSend is the batched-vs-per-packet differential:
 // under a frozen clock, one mixed batch through Transmit must leave the
-// queue exactly where the same packets leave it through Send one by one
-// and through Transmit in one-packet batches — the tx.* counters, every
-// dart's backlog and the queue-wait histogram — and the two per-packet
-// arms must give the same verdict sequence, the expected one. The batch
+// queue exactly where the same packets leave it through Send one by one,
+// through Transmit in one-packet batches and through SendBatch (its wire
+// frames through Send) — the tx.* counters, every dart's backlog and the
+// queue-wait histogram — and the three arms that report verdicts must
+// give the same sequence, the expected one. The batch
 // mixes abstract and wire packets, refused entries, default and clamped
 // sizes, a down link, stale darts on both sides of the dart space and a
 // dart driven past MaxBacklog.
@@ -164,6 +165,29 @@ func TestTransmitMatchesSend(t *testing.T) {
 		one(&Batch{Wire: b.Wire[i : i+1]})
 	}
 
+	// SendBatch writes a verdict for every accepted packet and leaves the
+	// refused ones' entries alone.
+	batched, batchedReg := newQueue()
+	const unset = TxVerdict(255)
+	verdicts := make([]TxVerdict, len(b.Pkts))
+	for i := range verdicts {
+		verdicts[i] = unset
+	}
+	batched.SendBatch(b.Pkts, st, verdicts)
+	var batchSends []TxVerdict
+	for i, p := range b.Pkts {
+		if p.OK {
+			batchSends = append(batchSends, verdicts[i])
+		} else if verdicts[i] != unset {
+			t.Errorf("SendBatch wrote verdict %v for refused packet %d", verdicts[i], i)
+		}
+	}
+	for _, p := range b.Wire {
+		if p.Verdict == WireForward {
+			batchSends = append(batchSends, batched.Send(p.Egress, wireFrameBits(p.Buf), st))
+		}
+	}
+
 	if fmt.Sprint(sends) != fmt.Sprint(want) {
 		t.Errorf("Send verdicts\n  %v; want\n  %v", sends, want)
 	}
@@ -176,5 +200,11 @@ func TestTransmitMatchesSend(t *testing.T) {
 	}
 	if got := state(ones, onesReg); got != ref {
 		t.Errorf("one-packet batches through Transmit\n  %s; per packet through Send\n  %s", got, ref)
+	}
+	if fmt.Sprint(batchSends) != fmt.Sprint(want) {
+		t.Errorf("SendBatch verdicts\n  %v; want\n  %v", batchSends, want)
+	}
+	if got := state(batched, batchedReg); got != ref {
+		t.Errorf("SendBatch\n  %s; per packet through Send\n  %s", got, ref)
 	}
 }

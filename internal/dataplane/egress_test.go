@@ -101,6 +101,58 @@ func TestTxQueueBoundedDrop(t *testing.T) {
 	}
 }
 
+// TestTxQueueFreshClock: only a fresh clock condemns a packet. The
+// batch's reading t0 finds the dart past MaxBacklog; the fresh reading
+// t1 finds it drained, so the packet is sent with no wait, starting at
+// t1 — its backlog afterwards is exactly its own serialisation time, not
+// the old tail's plus its own — through Send and Transmit alike.
+func TestTxQueueFreshClock(t *testing.T) {
+	const t0, t1 = 0, 10 * time.Millisecond
+	arms := map[string]func(q *dataplane.TxQueue){
+		"Send": func(q *dataplane.TxQueue) { q.Send(0, 8192, nil) },
+		"Transmit": func(q *dataplane.TxQueue) {
+			q.Transmit(&dataplane.Batch{Pkts: []dataplane.Packet{{Egress: 0, OK: true, Bits: 8192}}}, nil)
+		},
+	}
+	for name, send := range arms {
+		var readings []time.Duration // the next readings; the last repeats
+		clock := func() time.Duration {
+			now := readings[0]
+			if len(readings) > 1 {
+				readings = readings[1:]
+			}
+			return now
+		}
+		reg := telemetry.NewRegistry()
+		q := dataplane.NewTxQueueDarts(2, dataplane.TxConfig{
+			BandwidthBps: 8_192_000, // 1 ms per 8192-bit packet
+			MaxBacklog:   3 * time.Millisecond,
+			Now:          clock,
+			Metrics:      reg,
+		})
+		readings = []time.Duration{t0}
+		for i := 0; i < 4; i++ { // 4 ms queued: the next would wait 4 ms
+			if v := q.Send(0, 8192, nil); v != dataplane.TxSent {
+				t.Fatalf("%s: filling packet %d: verdict %v; want sent", name, i, v)
+			}
+		}
+		waitsBefore := reg.Snapshot().Histograms[dataplane.MetricTxQueueWaitNs]
+		readings = []time.Duration{t0, t1}
+		send(q)
+		snap := reg.Snapshot()
+		if got := snap.Counter(dataplane.MetricTxSent); got != 5 || dataplane.TxDropped(snap) != 0 {
+			t.Fatalf("%s: %d sent, %d dropped; want 5 sent, none dropped", name, got, dataplane.TxDropped(snap))
+		}
+		waits := snap.Histograms[dataplane.MetricTxQueueWaitNs]
+		if waits.Count != waitsBefore.Count+1 || waits.Sum != waitsBefore.Sum {
+			t.Fatalf("%s: the packet waited %d ns; want 0", name, waits.Sum-waitsBefore.Sum)
+		}
+		if got := q.Backlog(0); got != time.Millisecond {
+			t.Fatalf("%s: backlog at t1 = %v; want exactly the packet's own 1ms", name, got)
+		}
+	}
+}
+
 // TestTxQueueLinkDownDrop: transmitting onto a down link is refused and
 // counted, and does not advance the dart's clock.
 func TestTxQueueLinkDownDrop(t *testing.T) {
@@ -127,8 +179,9 @@ func TestTxQueueLinkDownDrop(t *testing.T) {
 }
 
 // TestTxQueueZeroAllocs: the transmit hot path allocates nothing, batch
-// and single-packet forms alike, bare or metered — the per-batch tally
-// (counters and queue-wait buckets) lives on the sender's stack.
+// (Transmit, SendBatch) and single-packet forms alike, bare or metered —
+// the per-batch tally (counters and queue-wait buckets) lives on the
+// sender's stack.
 func TestTxQueueZeroAllocs(t *testing.T) {
 	fib, _, _ := engineFixture(t)
 	st := dataplane.NewLinkState(fib.NumLinks())
@@ -139,6 +192,7 @@ func TestTxQueueZeroAllocs(t *testing.T) {
 	for i := range b.Wire {
 		b.Wire[i] = dataplane.WirePacket{Egress: rotation.DartID(i), Verdict: dataplane.WireForward, Buf: make([]byte, 64)}
 	}
+	verdicts := make([]dataplane.TxVerdict, len(b.Pkts))
 	for name, reg := range map[string]*telemetry.Registry{"bare": nil, "metered": telemetry.NewRegistry()} {
 		q := dataplane.NewTxQueue(fib, dataplane.TxConfig{BandwidthBps: 1e12, Metrics: reg})
 		if n := testing.AllocsPerRun(100, func() { q.Transmit(b, st) }); n != 0 {
@@ -147,6 +201,9 @@ func TestTxQueueZeroAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { q.Send(0, 8192, st) }); n != 0 {
 			t.Fatalf("%s: Send allocates %v per op; want 0", name, n)
 		}
+		if n := testing.AllocsPerRun(100, func() { q.SendBatch(b.Pkts, st, verdicts) }); n != 0 {
+			t.Fatalf("%s: SendBatch allocates %v per op; want 0", name, n)
+		}
 	}
 }
 
@@ -154,8 +211,8 @@ func TestTxQueueZeroAllocs(t *testing.T) {
 // (the engine's shards) lose no packet to races — every send is
 // accounted, batch and single-packet forms alike — while RebindDarts
 // replaces the dart space under them over and over: counts are kept per
-// queue, not per generation, so a batch finishing against a replaced
-// generation still lands in the totals. Run with -race in CI.
+// queue, not per dart space, so every batch lands in the totals
+// whichever space it was paced on. Run with -race in CI.
 func TestTxQueueConcurrentCounts(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	q := dataplane.NewTxQueueDarts(8, dataplane.TxConfig{
@@ -219,12 +276,12 @@ func TestTxQueueConcurrentCounts(t *testing.T) {
 	}
 }
 
-// TestTxQueueLockFreeDart: the dart clock is one word advanced by
-// compare-and-swap, so G goroutines × N packets onto a single dart under
-// a frozen clock must leave exactly G·N serialisation times of backlog —
-// a lost update would leave less, a double claim more — with every
-// packet counted once.
-func TestTxQueueLockFreeDart(t *testing.T) {
+// TestTxQueueSharedDart: G goroutines × N packets onto a single dart
+// under a frozen clock, batches and single sends mixed, must leave
+// exactly G·N serialisation times of backlog — a lost update to the
+// dart's clock would leave less, a double claim more — with every packet
+// counted once.
+func TestTxQueueSharedDart(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	q := dataplane.NewTxQueueDarts(2, dataplane.TxConfig{
 		BandwidthBps: 8.192e9, // 8192-bit packets: 1 µs each
@@ -401,7 +458,7 @@ func TestTxCollectorsAccumulate(t *testing.T) {
 }
 
 // TestTxQueueRebindCarriesPacing: RebindDarts carries surviving links'
-// pacing clocks into the new generation (a busy queue keeps draining at
+// pacing clocks into the new dart space (a busy queue keeps draining at
 // the link rate, it does not reset to idle), drops removed links'
 // state, and keeps the counts made before the rebind.
 func TestTxQueueRebindCarriesPacing(t *testing.T) {

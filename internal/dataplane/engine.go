@@ -356,8 +356,8 @@ func (e *Engine) SwapFIB(f *FIB, linkMap []graph.LinkID) error {
 	if rb != nil {
 		// Rebind before publishing: every batch decided on the new FIB
 		// transmits into the new dart space. Batches still in flight on
-		// the old pair land in the retired generation (or count a stale-
-		// dart drop), never an index panic.
+		// the old pair are paced on whichever space the egress holds when
+		// they transmit (or count a stale-dart drop), never an index panic.
 		rb.RebindDarts(2*f.NumLinks(), linkMap)
 	}
 	links := NewLinkState(f.NumLinks())

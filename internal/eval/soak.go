@@ -28,9 +28,9 @@ import (
 // invariant TraceResilience pins).
 //
 // One goroutine, the pump, runs it all on one virtual clock: traffic,
-// control plane, decisions (Engine.Step), transmit (TxQueue.Send) and
-// referee. Each hop costs soakHop of virtual time, and the TxQueue paces
-// on the same clock, so one seed gives one run. The pump lands every
+// control plane, decisions (Engine.Step), transmit (TxQueue.SendBatch)
+// and referee. Each hop costs soakHop of virtual time, and the TxQueue
+// paces on the same clock, so one seed gives one run. The pump lands every
 // scenario event and hot-swap due by now before each tick's fill, so all
 // a packet meets after its emission is scheduled inside its flight
 // window (emit, lost]. Oracle.Classify therefore referees every loss as
@@ -427,6 +427,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		BandwidthBps: cfg.BandwidthBps, Metrics: reg,
 		Now: func() time.Duration { return p.now },
 	})
+	p.verdicts = make([]dataplane.TxVerdict, cfg.BatchSize)
 	p.backFwd = reg.Histogram(MetricSoakTxBacklogFwdNs, backlogBuckets())
 	p.backRev = reg.Histogram(MetricSoakTxBacklogRevNs, backlogBuckets())
 	p.backFwdMax = reg.Gauge(MetricSoakTxBacklogFwdMaxNs)
@@ -554,6 +555,8 @@ type soakPump struct {
 	tracer *telemetry.Tracer
 	root   telemetry.SpanID
 	tx     *dataplane.TxQueue
+	// verdicts holds the egress verdicts of the chunk being resolved.
+	verdicts []dataplane.TxVerdict
 	// Per-dart-class backlog sampling (forward/reverse darts), taken
 	// every tick.
 	backFwd    *telemetry.Histogram
@@ -644,11 +647,12 @@ func (p *soakPump) fill(horizon time.Duration) {
 }
 
 // tick decides every packet in flight, BatchSize at a time, hands each
-// decided packet to its egress queue and resolves it at once: a drop is
-// refereed at now, a packet the queue refuses stops (counted under
-// tx.drop.*, and nowhere else: congestion is no §5 loss class), a packet
-// whose egress reaches its destination is delivered one hop later, and
-// every other packet is at its next router one hop later.
+// decided chunk to its egress queues in one SendBatch and resolves the
+// chunk's packets at once: a drop is refereed at now, a packet the queue
+// refuses stops (counted under tx.drop.*, and nowhere else: congestion
+// is no §5 loss class), a packet whose egress reaches its destination is
+// delivered one hop later, and every other packet is at its next router
+// one hop later.
 func (p *soakPump) tick() {
 	keep := 0
 	for off := 0; off < len(p.pkts); off += p.cfg.BatchSize {
@@ -656,14 +660,15 @@ func (p *soakPump) tick() {
 		p.batch.Pkts = p.pkts[off:end]
 		// Across a structural hot-swap the dart space changes, so egress
 		// darts are mapped through the FIB the batch was decided under.
-		fib, links := p.eng.Step(&p.batch), p.eng.Snapshot()
+		fib := p.eng.Step(&p.batch)
+		p.tx.SendBatch(p.batch.Pkts, p.eng.Snapshot(), p.verdicts)
 		for i := off; i < end; i++ {
 			pk, m := &p.pkts[i], &p.meta[i]
 			if !pk.OK {
 				p.refereeDrop(m, pk.Dst, p.noRoute)
 				continue
 			}
-			if p.tx.Send(pk.Egress, int64(pk.Bits), links) != dataplane.TxSent {
+			if p.verdicts[i-off] != dataplane.TxSent {
 				continue
 			}
 			next := fib.Head(pk.Egress)

@@ -253,7 +253,7 @@ type TxQueue = dataplane.TxQueue
 // TxConfig parameterises NewTxQueue.
 type TxConfig = dataplane.TxConfig
 
-// TxVerdict classifies one transmit attempt; see TxQueue.Send.
+// TxVerdict classifies one transmit attempt; see TxQueue.Send and TxQueue.SendBatch.
 type TxVerdict = dataplane.TxVerdict
 
 // Transmit verdicts.
