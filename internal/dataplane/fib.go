@@ -519,17 +519,34 @@ const (
 // pipeline through the CPU; only failure-touching packets take the full
 // Decide path.
 //
-// There are two such loops. The one below branches on the PR bit, which is
-// the faster form while the predictor gets the branch right: always on an
-// all-up snapshot (nothing is re-cycling, so no packet is sampled), and on
-// a failed network few of whose packets re-cycle. When the snapshot has a
-// failed link AND at least a fifth of the batch's first prSample packets
-// carry the bit, the branch mispredicts often enough to cost more than the
-// second load, and decideBatchMasked selects the dart by mask instead.
-// Either loop is correct on any batch — both hand every miss to Decide —
-// so the choice moves speed only, never a decision.
+// An all-up snapshot (st.CountDown() == 0) takes the first loop: no link
+// test, which could only answer "up", so a fast case is the bare lookup —
+// failure-free traffic pays nothing for recovery, the paper's premise. On
+// a failed snapshot the next loop branches on the PR bit, the faster form
+// while few packets re-cycle. When at least a fifth of the batch's first
+// prSample packets carry the bit, the branch mispredicts often enough to
+// cost more than the second load, and decideBatchMasked selects the dart by
+// mask instead. Every loop hands every miss to Decide, so the choice moves
+// speed only, never a decision.
 func (f *FIB) DecideBatch(pkts []Packet, st *LinkState) {
-	if st.down != 0 && recycling(pkts) {
+	if st.down == 0 {
+		for i := range pkts {
+			p := &pkts[i]
+			if p.Hdr.PR {
+				if p.Ingress >= 0 && int(p.Ingress) < len(f.faceNext) {
+					p.Egress, p.Event, p.OK = rotation.DartID(f.faceNext[p.Ingress]), core.EventCycle, true
+					continue
+				}
+			} else if nd := f.ndAt(int(p.Node), int(p.Dst)); nd >= 0 {
+				p.Egress, p.Event, p.OK = rotation.DartID(nd), core.EventRoute, true
+				continue
+			}
+			d := f.Decide(p.Node, p.Dst, p.Ingress, p.Hdr, st)
+			p.Egress, p.Event, p.Hdr, p.OK = d.Egress, d.Event, d.Header, d.OK
+		}
+		return
+	}
+	if recycling(pkts) {
 		f.decideBatchMasked(pkts, st)
 		return
 	}
@@ -606,7 +623,8 @@ func (f *FIB) decideBatchMasked(pkts []Packet, st *LinkState) {
 // stack on every iteration because of the Decide call — and the routed
 // total falls out by subtraction, so the dominant path pays nothing.
 // The metered engine calls this; the unmetered engine keeps the bare
-// DecideBatch.
+// DecideBatch. Like DecideBatch, fastPass skips the link test on an all-up
+// snapshot, so metering does not cost that snapshot the saving.
 func (f *FIB) DecideBatchTally(pkts []Packet, st *LinkState, tally *[8]uint64) {
 	const chunk = 64
 	var miss [chunk]int32
@@ -641,6 +659,24 @@ func (f *FIB) DecideBatchTally(pkts []Packet, st *LinkState, tally *[8]uint64) {
 //
 //go:noinline
 func (f *FIB) fastPass(pkts []Packet, st *LinkState, miss *[64]int32) (nMiss int, nCycle uint64) {
+	if st.down == 0 {
+		for i := range pkts {
+			p := &pkts[i]
+			if p.Hdr.PR {
+				if p.Ingress >= 0 && int(p.Ingress) < len(f.faceNext) {
+					p.Egress, p.Event, p.OK = rotation.DartID(f.faceNext[p.Ingress]), core.EventCycle, true
+					nCycle++
+					continue
+				}
+			} else if nd := f.ndAt(int(p.Node), int(p.Dst)); nd >= 0 {
+				p.Egress, p.Event, p.OK = rotation.DartID(nd), core.EventRoute, true
+				continue
+			}
+			miss[nMiss] = int32(i)
+			nMiss++
+		}
+		return nMiss, nCycle
+	}
 	for i := range pkts {
 		p := &pkts[i]
 		if p.Hdr.PR {

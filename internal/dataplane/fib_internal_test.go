@@ -82,10 +82,12 @@ func TestLinkStateCountsDown(t *testing.T) {
 // TestDecideBatchMaskedEdges runs the inputs the masked loop could get
 // wrong where the branch loop cannot — it loads both darts of every packet
 // — through a batch forced onto it, then the batch lengths around the
-// sample through DecideBatch itself. Every packet must come out as Decide
-// decides it alone: a PR-set packet whose ingress names no dart is refused,
-// never a panic, as TestDecideRefusesMarkedPacketWithoutIngress demands of
-// the branch loop.
+// sample through DecideBatch itself. The all-up loops of both entry points
+// (no link test) get every case's packet too, and the sweep. Every packet
+// must come out as Decide decides it alone: a PR-set packet whose ingress
+// names no dart is refused, never a panic, as
+// TestDecideRefusesMarkedPacketWithoutIngress demands of the branch loop,
+// and the tally counts Decide's events.
 func TestDecideBatchMaskedEdges(t *testing.T) {
 	// A triangle and a square, apart: pairs across them are unreachable.
 	g := buildGraph(7, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 0}, [2]int{3, 4}, [2]int{4, 5}, [2]int{5, 6}, [2]int{6, 3})
@@ -140,6 +142,35 @@ func TestDecideBatchMaskedEdges(t *testing.T) {
 		in.Egress, in.Event, in.Hdr, in.OK = d.Egress, d.Event, d.Header, d.OK
 		return in
 	}
+	// entries runs a batch through both entry points; each must match
+	// Decide packet by packet, and DecideBatchTally's counts Decide's events.
+	entries := func(f *FIB, st *LinkState, batch []Packet, name string) {
+		t.Helper()
+		var want []Packet
+		var wantTally [8]uint64
+		for _, in := range batch {
+			d := decided(f, st, in)
+			want = append(want, d)
+			if d.OK {
+				wantTally[d.Event]++
+			} else {
+				wantTally[5]++
+			}
+		}
+		bare, tallied := slices.Clone(batch), slices.Clone(batch)
+		var tally [8]uint64
+		f.DecideBatch(bare, st)
+		f.DecideBatchTally(tallied, st, &tally)
+		for i := range want {
+			if bare[i] != want[i] || tallied[i] != want[i] {
+				t.Errorf("%s (shared=%v, %d down), packet %d of %d: DecideBatch %+v, DecideBatchTally %+v, Decide %+v",
+					name, f.SharedColumns(), st.CountDown(), i, len(batch), bare[i], tallied[i], want[i])
+			}
+		}
+		if tally != wantTally {
+			t.Errorf("%s (shared=%v, %d down), batch of %d: tally %v, Decide's events %v", name, f.SharedColumns(), st.CountDown(), len(batch), tally, wantTally)
+		}
+	}
 	for _, f := range []*FIB{dense, shared} {
 		for _, tc := range cases {
 			want := decided(f, tc.st, tc.pkt)
@@ -149,6 +180,7 @@ func TestDecideBatchMaskedEdges(t *testing.T) {
 			// Alone, and between packets that take the fast path.
 			filler := Packet{Node: 1, Dst: 2, Ingress: rotation.NoDart}
 			for _, batch := range [][]Packet{{tc.pkt}, {filler, tc.pkt, filler}} {
+				entries(f, allUp, batch, tc.name+", all up")
 				f.decideBatchMasked(batch, tc.st)
 				if got := batch[len(batch)/2]; got != want {
 					t.Errorf("%s (shared=%v, batch of %d): masked loop %+v, Decide %+v", tc.name, f.SharedColumns(), len(batch), got, want)
@@ -173,12 +205,8 @@ func TestDecideBatchMaskedEdges(t *testing.T) {
 						batch[i].Hdr = core.Header{}
 					}
 				}
-				got := append([]Packet(nil), batch...)
-				f.DecideBatch(got, oneDown)
-				for i := range batch {
-					if want := decided(f, oneDown, batch[i]); got[i] != want {
-						t.Errorf("%s batch of %d (shared=%v), packet %d: DecideBatch %+v, Decide %+v", layout, n, f.SharedColumns(), i, got[i], want)
-					}
+				for _, st := range []*LinkState{oneDown, allUp} {
+					entries(f, st, batch, layout)
 				}
 			}
 		}

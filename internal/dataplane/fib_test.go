@@ -80,12 +80,12 @@ func ddProbes(q *core.Quantiser, g *graph.Graph, dst graph.NodeID) []float64 {
 
 // checkBatches holds the batch entry points to Decide: probes, packed into
 // batches, must come out of DecideBatch and DecideBatchTally exactly as
-// Decide decides each packet alone. Three packings put both of
-// DecideBatch's loops under every probe: probe order (long PR-set runs:
-// the masked loop whenever a link is down), shuffled (the same share in no
-// order), and shuffled behind a head of PR-clear probes as long as the
-// sample DecideBatch takes (the branch loop, which so meets the re-cycling
-// packets and the failures too).
+// Decide decides each packet alone. On the empty failure set every batch
+// takes the all-up loop; otherwise three packings put both of the failed
+// network's loops under every probe: probe order (long PR-set runs: the
+// masked loop), shuffled (the same share in no order), and shuffled behind
+// a head of PR-clear probes as long as the sample DecideBatch takes (the
+// branch loop, which so meets the re-cycling packets and the failures too).
 func checkBatches(t *testing.T, fib *dataplane.FIB, st *dataplane.LinkState, probes []dataplane.Packet, seed int64) {
 	t.Helper()
 	var tally [telemetry.TallySize]uint64
