@@ -80,8 +80,8 @@ func main() {
 	run(&sim.FCPScheme{})
 	run(&sim.ReconvScheme{})
 
-	if sim.Dropped(pr) != 0 {
-		log.Fatalf("PR dropped %d packets; the zero-drop demonstration failed", sim.Dropped(pr))
+	if dropped := sim.TotalsOf(pr).Dropped(); dropped != 0 {
+		log.Fatalf("PR dropped %d packets; the zero-drop demonstration failed", dropped)
 	}
 	fmt.Println()
 	fmt.Println("PR re-cycles every packet around the known-failed link: zero drops,")

@@ -65,7 +65,7 @@ func TestWalkMatchesSimulator(t *testing.T) {
 						t.Fatalf("failures %v %d→%d: walk delivered but sim did not (%+v)",
 							fs, srcI, dstI, st.Counters)
 					}
-					if hops := int(st.Counter(sim.MetricHops)); hops != walk.Hops() {
+					if hops := int(sim.TotalsOf(st).Hops); hops != walk.Hops() {
 						t.Fatalf("failures %v %d→%d: sim hops %d != walk hops %d",
 							fs, srcI, dstI, hops, walk.Hops())
 					}

@@ -9,14 +9,14 @@ import (
 	"recycle/internal/dataplane"
 	"recycle/internal/failure"
 	"recycle/internal/sim"
+	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
 )
 
 // ResilienceConfig parameterises a Monte-Carlo resilience sweep. The
 // embedded Panel carries the topology panel, failure process, seed and
-// metrics registry shared with every other harness; Metrics is consumed
-// by TraceResilience only (RunResilience ignores it).
+// metrics registry shared with every other harness.
 type ResilienceConfig struct {
 	Panel
 	// Draws is the number of seeded scenario draws per topology (default
@@ -81,16 +81,9 @@ type ResilienceRow struct {
 	Genus  int
 	Scheme string
 	Draws  int
-	// Generated..Excused sum over all draws. Violations are losses while
-	// the src–dst pair stayed physically connected and the link state
-	// held still (they count against the scheme); transient losses had a
-	// failure or repair land mid-flight (§7's damped regime); excused
-	// losses crossed a partition no scheme can.
-	Generated  int
-	Delivered  int
-	Violations int
-	Transient  int
-	Excused    int
+	// Totals sum the packet account over all draws; only violations
+	// count against the scheme (see sim.Account for the loss classes).
+	sim.Totals
 	// ViolationDraws counts draws with at least one violation.
 	ViolationDraws int
 }
@@ -109,26 +102,24 @@ func (r ResilienceRow) ViolationFrac() float64 {
 // delivers everything deliverable scores 1 even on draws with
 // partitions.
 func (r ResilienceRow) Availability() float64 {
-	return frac(r.Delivered, r.Generated-r.Excused)
-}
-
-func frac(num, den int) float64 {
-	if den == 0 {
+	if r.Generated == r.Excused {
 		return 1
 	}
-	return float64(num) / float64(den)
+	return float64(r.Delivered) / float64(r.Generated-r.Excused)
 }
 
-// RunResilience sweeps Monte-Carlo failure scenarios over one topology:
-// cfg.Draws seeded draws of the failure process, each replayed against
-// PR on the compiled dataplane and against the reconvergence baseline
-// with the identical probe traffic (both directions of the topology's
-// hop-diameter pair). Detection is instantaneous (sim.InstantDetection),
-// isolating routing resilience from the loss-of-light latency that hits
-// every scheme identically; the reconvergence baseline still pays its
-// flooding+SPF+FIB-install window, which is where its violations come
-// from. Every loss is refereed by the scenario's connectivity oracle.
-func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, error) {
+// probeDraws is what RunResilience and TraceResilience share: the
+// compiled stack, the scenario draws — the Monte-Carlo ones followed by
+// the certified counterexample pins — and the probe traffic, both
+// directions of the topology's hop-diameter pair at probePPS.
+type probeDraws struct {
+	cfg   ResilienceConfig
+	st    *stack
+	draws []*failure.Scenario
+	flows []sim.Flow
+}
+
+func newProbeDraws(tp topo.Topology, cfg ResilienceConfig) (*probeDraws, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -141,60 +132,72 @@ func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, err
 	if err != nil {
 		return nil, err
 	}
-	g, sys, fib := st.g, st.sys, st.fib
-	src, dst := diameterPair(g)
-	interval := time.Second / probePPS
-	flows := []sim.Flow{
-		{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
-		{Src: dst, Dst: src, Start: interval / 2, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
-	}
-	schemes := []func() sim.Scheme{
-		func() sim.Scheme { return &sim.PRScheme{FIB: fib} },
-		func() sim.Scheme { return &sim.ReconvScheme{} },
-	}
-	rows := make([]ResilienceRow, len(schemes))
-	// The draw list is the Monte-Carlo draws followed by the certified
-	// counterexample pins: each pin replays as one extra draw against
-	// every scheme, refereed by its own oracle like any sampled scenario.
-	scenarios := make([]*failure.Scenario, 0, cfg.Draws+len(cfg.Pins))
-	for draw := 0; draw < cfg.Draws; draw++ {
-		sc, err := proc.Generate(g, cfg.Horizon, failure.DrawSeed(cfg.Seed, draw))
+	p := &probeDraws{cfg: cfg, st: st}
+	for i := 0; i < cfg.Draws; i++ {
+		sc, err := proc.Generate(st.g, cfg.Horizon, failure.DrawSeed(cfg.Seed, i))
 		if err != nil {
 			return nil, err
 		}
-		scenarios = append(scenarios, sc)
+		p.draws = append(p.draws, sc)
 	}
-	scenarios = append(scenarios, cfg.Pins...)
-	for draw, sc := range scenarios {
-		for i, mk := range schemes {
-			scheme := mk()
-			s, err := sim.New(sim.Config{
-				Graph:          g,
-				Scheme:         scheme,
-				Flows:          flows,
-				Horizon:        cfg.Horizon,
-				DetectionDelay: sim.InstantDetection,
-			})
+	p.draws = append(p.draws, cfg.Pins...)
+	src, dst := diameterPair(st.g)
+	interval := time.Second / probePPS
+	p.flows = []sim.Flow{
+		{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
+		{Src: dst, Dst: src, Start: interval / 2, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
+	}
+	return p, nil
+}
+
+// run replays sc against scheme with instant detection, metered into
+// the panel's registry and flight-recorded into rec when non-nil, and
+// returns the simulator and its run delta once its account balances.
+func (p *probeDraws) run(scheme sim.Scheme, sc *failure.Scenario, rec *telemetry.Recorder) (*sim.Simulator, *telemetry.Snapshot, error) {
+	s, err := sim.New(sim.Config{Graph: p.st.g, Scheme: scheme, Flows: p.flows, Horizon: p.cfg.Horizon,
+		DetectionDelay: sim.InstantDetection, Metrics: p.cfg.Metrics, Recorder: rec})
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := s.ApplyScenario(sc); err != nil {
+		return nil, nil, err
+	}
+	d := s.Run()
+	if err := s.Account().Check(sim.TotalsOf(d), 0); err != nil {
+		return nil, nil, fmt.Errorf("eval: %s under %s: %w", scheme.Name(), sc.Name, err)
+	}
+	return s, d, nil
+}
+
+// RunResilience sweeps Monte-Carlo failure scenarios over one topology:
+// cfg.Draws seeded draws of the failure process, each replayed against
+// PR on the compiled dataplane and against the reconvergence baseline
+// with the identical probe traffic (both directions of the topology's
+// hop-diameter pair). Detection is instantaneous (sim.InstantDetection),
+// isolating routing resilience from the loss-of-light latency that hits
+// every scheme identically; the reconvergence baseline still pays its
+// flooding+SPF+FIB-install window, which is where its violations come
+// from. Every loss is refereed by the scenario's connectivity oracle;
+// the certified counterexample pins replay as extra draws.
+func RunResilience(tp topo.Topology, cfg ResilienceConfig) ([]ResilienceRow, error) {
+	p, err := newProbeDraws(tp, cfg)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]ResilienceRow, 2)
+	sums := []*telemetry.Snapshot{telemetry.NewSnapshot(), telemetry.NewSnapshot()} // run deltas by scheme
+	for _, sc := range p.draws {
+		for i, scheme := range []sim.Scheme{&sim.PRScheme{FIB: p.st.fib}, &sim.ReconvScheme{}} {
+			_, d, err := p.run(scheme, sc, nil)
 			if err != nil {
 				return nil, err
 			}
-			if err := s.ApplyScenario(sc); err != nil {
-				return nil, err
-			}
-			st := s.Run()
+			sums[i].Merge(d)
 			row := &rows[i]
-			if draw == 0 {
-				row.Topology = tp.Name
-				row.Genus = sys.Genus()
-				row.Scheme = scheme.Name()
-			}
+			row.Topology, row.Genus, row.Scheme = tp.Name, p.st.sys.Genus(), scheme.Name()
 			row.Draws++
-			row.Generated += int(st.Counter(sim.MetricGenerated))
-			row.Delivered += int(st.Counter(sim.MetricDelivered))
-			row.Violations += int(st.Counter(sim.MetricLossViolation))
-			row.Transient += int(st.Counter(sim.MetricLossTransient))
-			row.Excused += int(st.Counter(sim.MetricLossExcused))
-			if st.Counter(sim.MetricLossViolation) > 0 {
+			row.Totals = sim.TotalsOf(sums[i])
+			if sim.TotalsOf(d).Violations > 0 {
 				row.ViolationDraws++
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"recycle/internal/failure"
+	"recycle/internal/sim"
+	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 )
 
@@ -100,6 +102,41 @@ func TestResilienceDeterministic(t *testing.T) {
 	}
 	if a[1] == c[1] {
 		t.Fatal("different master seeds replayed the identical reconvergence row")
+	}
+}
+
+// TestResilienceSharedRegistry: a sweep handed a registry (the
+// `prsim resilience -metrics` path) meters every run into it, and its
+// rows are the same per-run deltas a private sweep reports. The sweep
+// once ignored the registry and served an empty one.
+func TestResilienceSharedRegistry(t *testing.T) {
+	tp := mustTopo(t, "ring:16")
+	private, err := RunResilience(tp, ResilienceConfig{Panel: Panel{Seed: 3}, Draws: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	rows, err := RunResilience(tp, ResilienceConfig{Panel: Panel{Seed: 3, Metrics: reg}, Draws: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var generated, violations uint64
+	for i, r := range rows {
+		if r != private[i] {
+			t.Fatalf("row %d differs with a shared registry:\n%+v\n%+v", i, r, private[i])
+		}
+		generated += uint64(r.Generated)
+		violations += uint64(r.Violations)
+	}
+	if violations == 0 {
+		t.Fatal("no violation in the sweep; the registry check needs one")
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counter(sim.MetricGenerated); got != generated {
+		t.Errorf("registry %s = %d; the rows sum to %d", sim.MetricGenerated, got, generated)
+	}
+	if got := snap.Counter(sim.MetricLossViolation); got != violations {
+		t.Errorf("registry %s = %d; the rows sum to %d", sim.MetricLossViolation, got, violations)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"recycle/internal/failure"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
+	"recycle/internal/sim"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 	"recycle/internal/traffic"
@@ -33,31 +34,19 @@ import (
 // paces on the same clock, so one seed gives one run. The pump lands every
 // scenario event and hot-swap due by now before each tick's fill, so all
 // a packet meets after its emission is scheduled inside its flight
-// window (emit, lost]. Oracle.Classify therefore referees every loss as
-// it does the simulator's: excused while the pair was partitioned, a §7
-// transient when a failure or repair is scheduled mid-flight, otherwise
-// a violation — the class the paper's guarantee (and the soak verdict)
-// demands stay at zero. The soak adds one rule: a hot-swap scheduled
-// mid-flight also makes the loss transient. A packet its egress queue
-// refuses is congestion, not a §5 loss: it stops, is counted under
-// tx.drop.* alone, and only the drop-fraction bound judges it.
+// window (emit, lost], and the pump counts every packet into the
+// simulator's account (sim.Account): its oracle referees every loss as
+// it does the simulator's, with one rule added — a hot-swap scheduled
+// mid-flight makes a loss transient, as a failure or repair does. A
+// packet its egress queue refuses is congestion, not a §5 loss: it
+// stops, is counted under tx.drop.* alone, and only the drop-fraction
+// bound judges it.
 
-// Soak metric names. The soak.* counters are written by the pump, so
-// the per-epoch timeline attributes every emission, delivery and
-// refereed loss to the epoch it happened in.
+// The soak's own metric names, beside the packet account.
 const (
-	MetricSoakGenerated   = "soak.generated"
-	MetricSoakDelivered   = "soak.delivered"
-	MetricSoakDropNoRoute = "soak.drop.no-route"
-	MetricSoakDropTTL     = "soak.drop.ttl"
-	MetricSoakViolation   = "soak.loss.violation"
-	MetricSoakTransient   = "soak.loss.transient"
-	MetricSoakExcused     = "soak.loss.excused"
-	MetricSoakHops        = "soak.hops"
-	MetricSoakLatencyNs   = "soak.latency_ns"
-	MetricSoakFlows       = "soak.flows"
-	MetricSoakLagNs       = "soak.calendar_lag_ns"
-	MetricSoakHeapBytes   = "soak.heap_alloc_bytes"
+	MetricSoakFlows     = "soak.flows"
+	MetricSoakLagNs     = "soak.calendar_lag_ns"
+	MetricSoakHeapBytes = "soak.heap_alloc_bytes"
 	// Per-dart-class backlog distributions, sampled by the pump every
 	// tick: forward darts (even IDs) and reverse darts (odd IDs) each
 	// get a histogram of instantaneous queueing delay plus a peak gauge.
@@ -174,22 +163,11 @@ type SoakResult struct {
 	Horizon time.Duration
 	Elapsed time.Duration
 
-	// Generated..DropTTL account every emitted packet exactly, with the
-	// egress drops of Aggregate: Generated == Delivered + DropNoRoute +
-	// DropTTL + dataplane.TxDropped(Aggregate). A packet its TxQueue
-	// refuses stops there and is counted only under tx.drop.*.
-	Generated   uint64
-	Delivered   uint64
-	DropNoRoute uint64
-	DropTTL     uint64
-	// Violations/Transient/Excused referee the drops: a violation is a
-	// loss under steady connected state (the class the §5 guarantee
-	// forbids on genus-0 embeddings), a transient had a failure, repair
-	// or hot-swap scheduled mid-flight (§7's damped regime), an excused
-	// loss crossed a partition no scheme can.
-	Violations uint64
-	Transient  uint64
-	Excused    uint64
+	// Totals account every emitted packet with the egress drops of
+	// Aggregate: Generated == Delivered + Dropped() +
+	// dataplane.TxDropped(Aggregate). The engine sees every link event
+	// as it lands, so DropBlackhole stays 0.
+	sim.Totals
 
 	// Decisions is the engine's total (every hop of every walk);
 	// DecisionsPerSec and DeliveredPerSec are rates over Elapsed: per
@@ -237,7 +215,7 @@ func (r *SoakResult) DropFrac() float64 {
 	if r.Aggregate != nil {
 		txDropped = dataplane.TxDropped(r.Aggregate)
 	}
-	return float64(r.DropNoRoute+r.DropTTL+txDropped) / float64(r.Generated)
+	return float64(r.Dropped()+txDropped) / float64(r.Generated)
 }
 
 // soakFlow is one flow's complete emission state: 40 bytes, so a
@@ -417,7 +395,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		cfg:    cfg,
 		tr:     tr,
 		cal:    cal,
-		oracle: oracle,
 		lag:    reg.Gauge(MetricSoakLagNs),
 		tracer: tracer,
 		root:   runSpan.ID(),
@@ -432,17 +409,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	p.backRev = reg.Histogram(MetricSoakTxBacklogRevNs, backlogBuckets())
 	p.backFwdMax = reg.Gauge(MetricSoakTxBacklogFwdMaxNs)
 	p.backRevMax = reg.Gauge(MetricSoakTxBacklogRevMaxNs)
-	p.generated = reg.Counter(MetricSoakGenerated).Handle()
-	p.delivered = reg.Counter(MetricSoakDelivered).Handle()
-	p.noRoute = reg.Counter(MetricSoakDropNoRoute).Handle()
-	p.ttl = reg.Counter(MetricSoakDropTTL).Handle()
-	p.loss = [3]telemetry.CounterHandle{
-		failure.LossViolation: reg.Counter(MetricSoakViolation).Handle(),
-		failure.LossTransient: reg.Counter(MetricSoakTransient).Handle(),
-		failure.LossExcused:   reg.Counter(MetricSoakExcused).Handle(),
-	}
-	p.hops = reg.Histogram(MetricSoakHops, telemetry.ExponentialBuckets(1, 2, 10)).Handle()
-	p.latency = reg.Histogram(MetricSoakLatencyNs, telemetry.ExponentialBuckets(1000, 4, 12)).Handle()
 
 	// The pump decides every batch itself with Step, so the engine's one
 	// worker never wakes. It also transmits each decided packet itself
@@ -462,6 +428,9 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	start := time.Now()
 
 	p.ctl = newSoakControl(cfg, eng, p.tx, rec, tl, events, sys.Genus(), runSpan.ID())
+	// A hot-swap is no link event, yet it can cost a packet in flight
+	// across it; fill lands all control due by a packet's emission first.
+	p.acct = sim.NewAccount(reg, oracle, p.ctl.swapIn)
 	end := p.run()
 	decisions := eng.Close()
 	elapsed := time.Since(start)
@@ -478,6 +447,10 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	var msEnd runtime.MemStats
 	runtime.ReadMemStats(&msEnd)
 
+	tot := sim.TotalsOf(agg)
+	if err := p.acct.Check(tot, dataplane.TxDropped(agg)); err != nil {
+		return nil, fmt.Errorf("eval: soak %w", err)
+	}
 	res := &SoakResult{
 		Topology:        tp.Name,
 		Scenario:        sc.Name,
@@ -486,13 +459,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		OfferedPPS:      float64(cfg.Flows) * tr.MeanRate(),
 		Horizon:         cfg.Duration,
 		Elapsed:         elapsed,
-		Generated:       agg.Counter(MetricSoakGenerated),
-		Delivered:       agg.Counter(MetricSoakDelivered),
-		DropNoRoute:     agg.Counter(MetricSoakDropNoRoute),
-		DropTTL:         agg.Counter(MetricSoakDropTTL),
-		Violations:      agg.Counter(MetricSoakViolation),
-		Transient:       agg.Counter(MetricSoakTransient),
-		Excused:         agg.Counter(MetricSoakExcused),
+		Totals:          tot,
 		Decisions:       decisions,
 		DecisionsPerSec: float64(decisions) / elapsed.Seconds(),
 		Swaps:           p.ctl.swaps,
@@ -506,13 +473,6 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 		Aggregate:       agg,
 	}
 	res.DeliveredPerSec = float64(res.Delivered) / elapsed.Seconds()
-
-	if got := res.Delivered + res.DropNoRoute + res.DropTTL + dataplane.TxDropped(agg); got != res.Generated {
-		return nil, fmt.Errorf("eval: soak accounting leak: %d delivered+dropped ≠ %d generated", got, res.Generated)
-	}
-	if got := res.Violations + res.Transient + res.Excused; got != res.DropNoRoute+res.DropTTL {
-		return nil, fmt.Errorf("eval: soak referee leak: %d refereed ≠ %d dropped", got, res.DropNoRoute+res.DropTTL)
-	}
 
 	res.Pass = true
 	if res.Violations != 0 {
@@ -533,17 +493,17 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 // ---------------------------------------------------------------------------
 
 // soakPump owns the clock, the traffic, the control plane and the
-// referee. It is a discrete-event loop on the goroutine that called
-// RunSoak: it decides its packets inline with Engine.Step, so the
-// referee needs no locks and the oracle's lazily-filled reachability
-// cache is safe.
+// packet account. It is a discrete-event loop on the goroutine that
+// called RunSoak: it decides its packets inline with Engine.Step, so the
+// account's referee needs no locks and the oracle's lazily-filled
+// reachability cache is safe.
 type soakPump struct {
-	cfg    SoakConfig
-	tr     *traffic.Process
-	cal    *soakCalendar
-	oracle *failure.Oracle
-	ctl    *soakControl
-	eng    *dataplane.Engine
+	cfg  SoakConfig
+	tr   *traffic.Process
+	cal  *soakCalendar
+	ctl  *soakControl
+	eng  *dataplane.Engine
+	acct *sim.Account
 
 	now   time.Duration // the virtual clock; the TxQueue paces on it
 	batch dataplane.Batch
@@ -563,15 +523,7 @@ type soakPump struct {
 	backRev    *telemetry.Histogram
 	backFwdMax *telemetry.Gauge
 	backRevMax *telemetry.Gauge
-
-	generated telemetry.CounterHandle
-	delivered telemetry.CounterHandle
-	noRoute   telemetry.CounterHandle
-	ttl       telemetry.CounterHandle
-	loss      [3]telemetry.CounterHandle // by failure.Loss
-	hops      telemetry.HistogramHandle
-	latency   telemetry.HistogramHandle
-	lag       *telemetry.Gauge
+	lag        *telemetry.Gauge
 }
 
 // run ticks the clock until every emitted packet has a verdict and
@@ -642,7 +594,7 @@ func (p *soakPump) fill(horizon time.Duration) {
 		gap, _ := p.tr.Next(&f.State)
 		f.next = at + gap
 		p.cal.bump()
-		p.generated.Inc()
+		p.acct.Emit()
 	}
 }
 
@@ -665,7 +617,7 @@ func (p *soakPump) tick() {
 		for i := off; i < end; i++ {
 			pk, m := &p.pkts[i], &p.meta[i]
 			if !pk.OK {
-				p.refereeDrop(m, pk.Dst, p.noRoute)
+				p.acct.Drop(sim.DropNoRoute, graph.NodeID(m.src), pk.Dst, m.emit, p.now)
 				continue
 			}
 			if p.verdicts[i-off] != dataplane.TxSent {
@@ -674,13 +626,11 @@ func (p *soakPump) tick() {
 			next := fib.Head(pk.Egress)
 			m.hops++
 			if next == pk.Dst {
-				p.delivered.Inc()
-				p.hops.Observe(int64(m.hops))
-				p.latency.Observe(int64(p.now + soakHop - m.emit))
+				p.acct.Deliver(int(m.hops), p.now+soakHop-m.emit)
 				continue
 			}
 			if int(m.hops) >= p.cfg.MaxHops {
-				p.refereeDrop(m, pk.Dst, p.ttl)
+				p.acct.Drop(sim.DropTTL, graph.NodeID(m.src), pk.Dst, m.emit, p.now)
 				continue
 			}
 			// The arrival dart at the next node IS the egress dart (the
@@ -694,26 +644,6 @@ func (p *soakPump) tick() {
 		}
 	}
 	p.pkts, p.meta = p.pkts[:keep], p.meta[:keep]
-}
-
-// refereeDrop counts one packet lost at now under its referee class.
-func (p *soakPump) refereeDrop(m *soakMeta, dst graph.NodeID, drop telemetry.CounterHandle) {
-	drop.Inc()
-	p.loss[p.classify(graph.NodeID(m.src), dst, m.emit, p.now)].Inc()
-}
-
-// classify referees a packet from src to dst emitted at emit and lost at
-// now: Oracle.Classify, the simulator's referee, plus the soak's one
-// rule — a hot-swap scheduled in (emit, now] makes a violation a §7
-// transient, since a swap is no link event yet can cost a packet in
-// flight across it. No lag widens the window: fill lands all control
-// scheduled by a packet's emission before first submitting it.
-func (p *soakPump) classify(src, dst graph.NodeID, emit, now time.Duration) failure.Loss {
-	c := p.oracle.Classify(src, dst, emit, now)
-	if c == failure.LossViolation && p.ctl.swapIn(emit, now) {
-		c = failure.LossTransient
-	}
-	return c
 }
 
 // ---------------------------------------------------------------------------
@@ -994,13 +924,10 @@ func WriteSoakReport(w io.Writer, r *SoakResult) {
 	fmt.Fprintf(w, "\n%-5s %-12s %-12s %-40s %9s %9s %8s %6s %5s %6s %7s\n",
 		"ep", "start", "end", "label", "generated", "delivered", "no-route", "ttl", "viol", "trans", "excused")
 	for _, e := range r.Epochs {
-		d := e.Delta
+		t := sim.TotalsOf(e.Delta)
 		fmt.Fprintf(w, "%-5d %-12v %-12v %-40s %9d %9d %8d %6d %5d %6d %7d\n",
-			e.Index, e.Start, e.End, e.Label,
-			d.Counter(MetricSoakGenerated), d.Counter(MetricSoakDelivered),
-			d.Counter(MetricSoakDropNoRoute), d.Counter(MetricSoakDropTTL),
-			d.Counter(MetricSoakViolation), d.Counter(MetricSoakTransient),
-			d.Counter(MetricSoakExcused))
+			e.Index, e.Start, e.End, e.Label, t.Generated, t.Delivered,
+			t.DropNoRoute, t.DropTTL, t.Violations, t.Transient, t.Excused)
 	}
 
 	verdict := "PASS"

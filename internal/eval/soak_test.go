@@ -16,6 +16,7 @@ import (
 	"recycle/internal/dataplane"
 	"recycle/internal/failure"
 	"recycle/internal/graph"
+	"recycle/internal/sim"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
 )
@@ -53,11 +54,11 @@ func soakIdentities(t *testing.T, r *SoakResult) {
 	if err := checkTimelineExact(sum, r.Aggregate); err != nil {
 		t.Fatalf("epoch sums drifted from aggregate: %v", err)
 	}
-	if agg := r.Aggregate.Counter(MetricSoakGenerated); agg != r.Generated {
-		t.Fatalf("aggregate counter %s = %d; result says %d", MetricSoakGenerated, agg, r.Generated)
+	if agg := r.Aggregate.Counter(sim.MetricGenerated); agg != r.Generated {
+		t.Fatalf("aggregate counter %s = %d; result says %d", sim.MetricGenerated, agg, r.Generated)
 	}
-	if agg := r.Aggregate.Counter(MetricSoakViolation); agg != r.Violations {
-		t.Fatalf("aggregate counter %s = %d; result says %d", MetricSoakViolation, agg, r.Violations)
+	if agg := r.Aggregate.Counter(sim.MetricLossViolation); agg != r.Violations {
+		t.Fatalf("aggregate counter %s = %d; result says %d", sim.MetricLossViolation, agg, r.Violations)
 	}
 	if mem := r.Aggregate.Gauge(dataplane.MetricFIBMemBytes); mem <= 0 {
 		t.Fatalf("%s gauge = %d; the engine publishes resident FIB bytes at start and every swap",
@@ -144,7 +145,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata goldens from thi
 
 // TestSoakReproducible: one seed gives one run. TestRunSoakSmoke's
 // config runs twice, and once more on one P; every account field and
-// every epoch's soak.* and tx.* counter deltas must agree, and the epoch
+// every epoch's sim.* and tx.* counter deltas must agree, and the epoch
 // table must match testdata/soak_epochs_seed1.golden.
 func TestSoakReproducible(t *testing.T) {
 	run := func() *SoakResult {
@@ -235,14 +236,14 @@ func TestSoakFlowSize(t *testing.T) {
 }
 
 // soakEpochTable prints one line per epoch: index, bounds, label and
-// its non-zero soak.* and tx.* counter deltas, names sorted.
+// its non-zero sim.* and tx.* counter deltas, names sorted.
 func soakEpochTable(r *SoakResult) string {
 	var b strings.Builder
 	for _, e := range r.Epochs {
 		fmt.Fprintf(&b, "%d %v %v %q", e.Index, e.Start, e.End, e.Label)
 		var names []string
 		for name, v := range e.Delta.Counters {
-			if v != 0 && (strings.HasPrefix(name, "soak.") || strings.HasPrefix(name, "tx.")) {
+			if v != 0 && (strings.HasPrefix(name, "sim.") || strings.HasPrefix(name, "tx.")) {
 				names = append(names, name)
 			}
 		}
@@ -304,7 +305,7 @@ func TestSoakAcceptance(t *testing.T) {
 // base snapshot, so pre-existing counts stay out of the result.
 func TestSoakSharedRegistry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter(MetricSoakGenerated).Add(1_000_000) // pre-existing noise
+	reg.Counter(sim.MetricGenerated).Add(1_000_000) // pre-existing noise
 	res, err := RunSoak(mustTopo(t, "ring:12"), SoakConfig{
 		Panel:    Panel{Metrics: reg},
 		Flows:    500,
@@ -400,7 +401,16 @@ func TestSoakRefereeAndSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	const ms = time.Millisecond
-	p := &soakPump{oracle: oracle, ctl: &soakControl{every: 5 * time.Second, horizon: 20 * time.Second}}
+	// The pump's account: the oracle, with the swap schedule as its
+	// excuse rule. A drop's class is the loss counter it moved.
+	reg := telemetry.NewRegistry()
+	acct := sim.NewAccount(reg, oracle, (&soakControl{every: 5 * time.Second, horizon: 20 * time.Second}).swapIn)
+	classify := func(src, dst graph.NodeID, emit, now time.Duration) failure.Loss {
+		base := reg.Snapshot()
+		acct.Drop(sim.DropTTL, src, dst, emit, now)
+		d := sim.TotalsOf(reg.Snapshot().Sub(base))
+		return [...]failure.Loss{failure.LossViolation, failure.LossTransient, failure.LossExcused}[d.Transient+2*d.Excused]
+	}
 	for _, tc := range []struct {
 		name      string
 		src, dst  graph.NodeID
@@ -416,7 +426,7 @@ func TestSoakRefereeAndSchedule(t *testing.T) {
 		{"no swap at the horizon", 2, 5, 19900 * ms, 20100 * ms, failure.LossViolation},
 		{"partition", 0, 4, 3100 * ms, 3200 * ms, failure.LossExcused},
 	} {
-		if got := p.classify(tc.src, tc.dst, tc.emit, tc.now); got != tc.want {
+		if got := classify(tc.src, tc.dst, tc.emit, tc.now); got != tc.want {
 			t.Errorf("%s: %d→%d over (%v, %v] classified %d; want %d",
 				tc.name, tc.src, tc.dst, tc.emit, tc.now, got, tc.want)
 		}

@@ -3,14 +3,10 @@ package eval
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"recycle/internal/dataplane"
-	"recycle/internal/failure"
 	"recycle/internal/sim"
 	"recycle/internal/telemetry"
 	"recycle/internal/topo"
-	"recycle/internal/traffic"
 )
 
 // WriteTimeline renders a per-epoch counter fold as a readable table:
@@ -20,12 +16,10 @@ func WriteTimeline(w io.Writer, epochs []telemetry.Epoch) {
 	fmt.Fprintf(w, "%-4s %-10s %-10s %-32s %9s %9s %9s %8s %6s %6s\n",
 		"ep", "start", "end", "label", "generated", "delivered", "blackhole", "no-route", "ttl", "viol")
 	for _, e := range epochs {
-		d := e.Delta
+		t := sim.TotalsOf(e.Delta)
 		fmt.Fprintf(w, "%-4d %-10v %-10v %-32s %9d %9d %9d %8d %6d %6d\n",
-			e.Index, e.Start, e.End, e.Label,
-			d.Counter(sim.MetricGenerated), d.Counter(sim.MetricDelivered),
-			d.Counter(sim.MetricDropBlackhole), d.Counter(sim.MetricDropNoRoute),
-			d.Counter(sim.MetricDropTTL), d.Counter(sim.MetricLossViolation))
+			e.Index, e.Start, e.End, e.Label, t.Generated, t.Delivered,
+			t.DropBlackhole, t.DropNoRoute, t.DropTTL, t.Violations)
 	}
 }
 
@@ -66,60 +60,21 @@ func (t *TraceResult) Recycled() *telemetry.Flight {
 // aggregate counters exactly before returning. It replays Monte-Carlo
 // draws only, so it refuses a config carrying Pins or CertifyPins.
 func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	if len(cfg.Pins) > 0 || cfg.CertifyPins > 0 {
 		return nil, fmt.Errorf("eval: resilience trace replays Monte-Carlo draws only; it takes no Pins or CertifyPins")
 	}
-	cfg = cfg.withDefaults()
-	proc, err := cfg.process()
+	p, err := newProbeDraws(tp, cfg)
 	if err != nil {
 		return nil, err
 	}
-	st, err := buildStack(tp, dataplane.CompileOptions{})
-	if err != nil {
-		return nil, err
-	}
-	g, fib := st.g, st.fib
-	src, dst := diameterPair(g)
-	interval := time.Second / probePPS
-	flows := []sim.Flow{
-		{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
-		{Src: dst, Dst: src, Start: interval / 2, Source: traffic.Fixed{Interval: interval, Bits: 8192}},
-	}
-
 	var out *TraceResult
-	for draw := 0; draw < cfg.Draws; draw++ {
-		sc, err := proc.Generate(g, cfg.Horizon, failure.DrawSeed(cfg.Seed, draw))
-		if err != nil {
-			return nil, err
-		}
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
+	for draw, sc := range p.draws {
 		rec := telemetry.NewRecorder(telemetry.RecorderConfig{SampleEvery: 1, Capacity: 256})
-		base := reg.Snapshot()
-		scheme := &sim.PRScheme{FIB: fib}
-		s, err := sim.New(sim.Config{
-			Graph:          g,
-			Scheme:         scheme,
-			Flows:          flows,
-			Horizon:        cfg.Horizon,
-			DetectionDelay: sim.InstantDetection,
-			Metrics:        reg,
-			Recorder:       rec,
-		})
+		scheme := &sim.PRScheme{FIB: p.st.fib}
+		s, agg, err := p.run(scheme, sc, rec)
 		if err != nil {
 			return nil, err
 		}
-		if err := s.ApplyScenario(sc); err != nil {
-			return nil, err
-		}
-		s.Run()
-		agg := reg.Snapshot().Sub(base)
-		epochs := s.Timeline().Epochs()
 		if err := checkTimelineExact(s.Timeline().Sum(), agg); err != nil {
 			return nil, fmt.Errorf("eval: draw %d: %w", draw, err)
 		}
@@ -128,7 +83,7 @@ func TraceResilience(tp topo.Topology, cfg ResilienceConfig) (*TraceResult, erro
 			Scenario:  sc.Name,
 			Draw:      draw,
 			Flights:   rec.Flights(),
-			Epochs:    epochs,
+			Epochs:    s.Timeline().Epochs(),
 			Aggregate: agg,
 		}
 		if out.Recycled() != nil {
@@ -156,9 +111,9 @@ func WriteTraceReport(w io.Writer, cfg ResilienceConfig) error {
 	}
 	fmt.Fprintf(w, "# flight-recorded resilience trace: %s, scheme %s, scenario %s (draw %d)\n",
 		tp.Name, res.Scheme, res.Scenario, res.Draw)
+	t := sim.TotalsOf(res.Aggregate)
 	fmt.Fprintf(w, "flights kept %d | generated %d delivered %d violations %d\n\n",
-		len(res.Flights), res.Aggregate.Counter(sim.MetricGenerated),
-		res.Aggregate.Counter(sim.MetricDelivered), res.Aggregate.Counter(sim.MetricLossViolation))
+		len(res.Flights), t.Generated, t.Delivered, t.Violations)
 	if f := res.Recycled(); f != nil {
 		fmt.Fprintln(w, "## recycled packet (cycle walk)")
 		fmt.Fprint(w, f.Explain())

@@ -125,7 +125,7 @@ func WriteTrafficLossReport(w io.Writer, cfg TrafficLossConfig) error {
 				rate = float64(r.Delivered) / float64(r.Generated)
 			}
 			fmt.Fprintf(w, "%-22s %-30s %-10d %-10d %-10d %-8d %-5d %-9.4f\n",
-				r.Traffic, r.Scheme, r.Generated, r.Delivered, r.Blackhole, r.NoRoute, r.TTL, rate)
+				r.Traffic, r.Scheme, r.Generated, r.Delivered, r.DropBlackhole, r.DropNoRoute, r.DropTTL, rate)
 		}
 	}
 	return nil

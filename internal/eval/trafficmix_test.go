@@ -41,7 +41,7 @@ func TestRunTrafficLoss(t *testing.T) {
 		if pr.Generated == 0 {
 			t.Fatalf("%s: nothing generated", pr.Traffic)
 		}
-		if pr.NoRoute != 0 || pr.TTL != 0 {
+		if pr.DropNoRoute != 0 || pr.DropTTL != 0 {
 			t.Fatalf("%s: PR dropped outside the detection window: %+v", pr.Traffic, pr)
 		}
 		prLost := pr.Generated - pr.Delivered

@@ -64,12 +64,8 @@ func TestCompiledSchemeMatchesInterpreted(t *testing.T) {
 
 	a := run(interpreted)
 	b := run(compiled)
-	for _, name := range []string{MetricGenerated, MetricDelivered, MetricLatencyNs,
-		MetricHops, MetricDropBlackhole, MetricDropNoRoute, MetricDropTTL} {
-		if a.Counter(name) != b.Counter(name) {
-			t.Fatalf("compiled scheme diverged on %s: interpreted %d, compiled %d",
-				name, a.Counter(name), b.Counter(name))
-		}
+	if ta, tb := TotalsOf(a), TotalsOf(b); ta != tb {
+		t.Fatalf("compiled scheme diverged: interpreted %+v, compiled %+v", ta, tb)
 	}
 	if MaxLatency(a) != MaxLatency(b) {
 		t.Fatalf("compiled scheme diverged on max latency: %v vs %v", MaxLatency(a), MaxLatency(b))

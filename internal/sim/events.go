@@ -9,10 +9,10 @@
 //
 // Each input enters one way. Network state is a failure.Scenario
 // (Simulator.ApplyScenario, which expands to the FailLinkAt/RepairLinkAt
-// primitives and installs the loss referee); traffic is Config.Flows; the
-// graph never changes during a run. Planned topology change under live
-// traffic is exercised on the engine instead (dataplane.Recompiler.Apply →
-// Engine.ApplyDelta, in the soak).
+// primitives and installs the packet account's referee); traffic is
+// Config.Flows; the graph never changes during a run. Planned topology
+// change under live traffic is exercised on the engine instead
+// (dataplane.Recompiler.Apply → Engine.ApplyDelta, in the soak).
 package sim
 
 import (

@@ -93,8 +93,8 @@ func TestHoldDownEventuallyRestoresLink(t *testing.T) {
 	if DeliveryRate(st) != 1 {
 		t.Fatalf("delivery rate = %v; want 1", DeliveryRate(st))
 	}
-	if st.Counter(MetricHops) != st.Counter(MetricDelivered) {
+	if tot := TotalsOf(st); tot.Hops != tot.Delivered {
 		t.Fatalf("hops = %d for %d packets; want direct single-hop paths after recovery",
-			st.Counter(MetricHops), st.Counter(MetricDelivered))
+			tot.Hops, tot.Delivered)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"recycle/internal/core"
@@ -191,13 +192,9 @@ func (r *ReconvScheme) Converge(s *Simulator) {
 
 // LossWindowResult compares schemes on one outage scenario.
 type LossWindowResult struct {
-	Scheme    string
-	Traffic   string
-	Generated int
-	Delivered int
-	Blackhole int
-	NoRoute   int
-	TTL       int
+	Scheme  string
+	Traffic string
+	Totals
 }
 
 // RunLossWindow runs the §1 motivation experiment: a single flow crossing
@@ -206,7 +203,7 @@ type LossWindowResult struct {
 // horizon; the first link of src's shortest path fails at failAt.
 func RunLossWindow(cfg Config, src, dst graph.NodeID, pps float64, failAt time.Duration) (LossWindowResult, error) {
 	interval := time.Duration(float64(time.Second) / pps)
-	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Source: traffic.Fixed{Interval: interval, Bits: 8192}}, failAt)
+	return RunLossWindowTraffic(cfg, src, dst, traffic.Fixed{Interval: interval, Bits: 8192}, failAt)
 }
 
 // RunLossWindowTraffic is RunLossWindow with an arbitrary arrival process
@@ -215,27 +212,15 @@ func RunLossWindow(cfg Config, src, dst graph.NodeID, pps float64, failAt time.D
 // afresh every run, so the same source gives every scheme under
 // comparison the identical offered load.
 func RunLossWindowTraffic(cfg Config, src, dst graph.NodeID, source traffic.Source, failAt time.Duration) (LossWindowResult, error) {
-	return runOutageFlow(cfg, Flow{Src: src, Dst: dst, Source: source}, failAt)
-}
-
-// runOutageFlow is the shared body: one flow, the first link of the
-// source's shortest path failing at failAt.
-func runOutageFlow(cfg Config, flow Flow, failAt time.Duration) (LossWindowResult, error) {
-	cfg.Flows = []Flow{flow}
+	cfg.Flows = []Flow{{Src: src, Dst: dst, Source: source}}
 	s, err := New(cfg)
 	if err != nil {
 		return LossWindowResult{}, err
 	}
-	tree := graph.ShortestPathTree(cfg.Graph, flow.Dst, nil)
-	s.FailLinkAt(tree.NextLink[flow.Src], failAt)
-	st := s.Run()
-	return LossWindowResult{
-		Scheme:    cfg.Scheme.Name(),
-		Traffic:   flow.Source.Name(),
-		Generated: int(st.Counter(MetricGenerated)),
-		Delivered: int(st.Counter(MetricDelivered)),
-		Blackhole: int(st.Counter(MetricDropBlackhole)),
-		NoRoute:   int(st.Counter(MetricDropNoRoute)),
-		TTL:       int(st.Counter(MetricDropTTL)),
-	}, nil
+	s.FailLinkAt(graph.ShortestPathTree(cfg.Graph, dst, nil).NextLink[src], failAt)
+	t := TotalsOf(s.Run())
+	if err := s.acct.Check(t, 0); err != nil {
+		return LossWindowResult{}, fmt.Errorf("sim: %s: %w", cfg.Scheme.Name(), err)
+	}
+	return LossWindowResult{Scheme: cfg.Scheme.Name(), Traffic: source.Name(), Totals: t}, nil
 }

@@ -39,21 +39,6 @@ type Packet struct {
 	flight *telemetry.Flight
 }
 
-// DropReason classifies packet losses.
-type DropReason string
-
-// Drop reasons — each is metered under its sim.drop.* counter and
-// stamped as the flight transcript's terminal verdict.
-const (
-	// DropBlackhole: sent onto a physically dead link before local
-	// detection fired — the loss window every FRR scheme races against.
-	DropBlackhole DropReason = "blackhole"
-	// DropNoRoute: the scheme had no usable egress.
-	DropNoRoute DropReason = "no-route"
-	// DropTTL: hop budget exhausted (forwarding loop under failures).
-	DropTTL DropReason = "ttl"
-)
-
 // Flow emits packets between two nodes, driven by any traffic arrival
 // process — fixed interval, Poisson, MMPP bursts, bounded-Pareto sizes,
 // trace replay (package traffic).
@@ -97,11 +82,9 @@ type Config struct {
 	// TTL is the hop budget per packet (default 4×nodes).
 	TTL int
 	// Metrics, when non-nil, is the registry the run meters into —
-	// share one registry with an Engine, TxQueue or Recompiler for a
-	// single coherent snapshot across the whole pipeline. When nil the
-	// simulator meters into a private registry; either way Run returns
-	// the run's counter delta, and Simulator.Metrics / Simulator.Timeline
-	// expose the registry and the per-epoch fold.
+	// share one with an Engine, a TxQueue or a whole sweep for a single
+	// coherent snapshot; nil meters into a private one. Either way Run
+	// returns the run's delta and Simulator.Timeline its per-epoch fold.
 	Metrics *telemetry.Registry
 	// Recorder, when non-nil, arms the per-packet flight recorder:
 	// sampled or matched packets record their full cycle walk (darts
@@ -109,23 +92,12 @@ type Config struct {
 	Recorder *telemetry.Recorder
 }
 
-// Simulator metric names. Counters fold per epoch in the Timeline;
-// sim.latency_max_ns is a high-watermark gauge.
+// The simulator's own metric names, beside its packet account (see
+// Account): sim.latency_max_ns is a high-watermark gauge.
 const (
-	MetricGenerated     = "sim.generated"
-	MetricDelivered     = "sim.delivered"
-	MetricDropBlackhole = "sim.drop.blackhole"
-	MetricDropNoRoute   = "sim.drop.no-route"
-	MetricDropTTL       = "sim.drop.ttl"
-	MetricLossViolation = "sim.loss.violation"
-	MetricLossTransient = "sim.loss.transient"
-	MetricLossExcused   = "sim.loss.excused"
-	MetricLatencyNs     = "sim.latency_ns"
-	MetricLatencyMaxNs  = "sim.latency_max_ns"
-	MetricHops          = "sim.hops"
-	MetricLatencyUs     = "sim.latency_us"
-	MetricRecycleHops   = "sim.recycle_hops"
-	MetricStretchPct    = "sim.stretch_pct"
+	MetricLatencyMaxNs = "sim.latency_max_ns"
+	MetricRecycleHops  = "sim.recycle_hops"
+	MetricStretchPct   = "sim.stretch_pct"
 )
 
 // InstantDetection, as Config.DetectionDelay, makes link state changes
@@ -137,38 +109,24 @@ const (
 // after routers see a failure, does the scheme still deliver?
 const InstantDetection = time.Duration(-1)
 
-// Run-delta accessors. A run's outcome IS its telemetry counter delta
-// (the sim.* names, see Run); these helpers read the derived quantities
-// callers ask for most. The three loss classes partition the drops when
-// a scenario oracle is installed (ApplyScenario): a *violation*
-// (MetricLossViolation) lost a packet while its pair was physically
-// connected and the link state held still — the regime of the paper's
-// §1 guarantee; a *transient* (MetricLossTransient) had a failure or
-// repair land mid-flight, §7's damped regime; an *excused* loss
-// (MetricLossExcused) crossed a partition no scheme can.
-
-// Dropped sums the three sim.drop.* counters of a run delta.
-func Dropped(d *telemetry.Snapshot) uint64 {
-	return d.Counter(MetricDropBlackhole) + d.Counter(MetricDropNoRoute) + d.Counter(MetricDropTTL)
-}
-
-// DeliveryRate is delivered / generated (1 when nothing was generated).
+// DeliveryRate is a run delta's delivered / generated (1 when nothing
+// was generated).
 func DeliveryRate(d *telemetry.Snapshot) float64 {
-	g := d.Counter(MetricGenerated)
-	if g == 0 {
+	t := TotalsOf(d)
+	if t.Generated == 0 {
 		return 1
 	}
-	return float64(d.Counter(MetricDelivered)) / float64(g)
+	return float64(t.Delivered) / float64(t.Generated)
 }
 
 // MeanLatency is the average delivery latency of a run delta (0 when
-// none delivered).
+// none delivered): the sim.latency_ns histogram's sum over its count.
 func MeanLatency(d *telemetry.Snapshot) time.Duration {
-	n := d.Counter(MetricDelivered)
-	if n == 0 {
+	t := TotalsOf(d)
+	if t.Delivered == 0 {
 		return 0
 	}
-	return time.Duration(d.Counter(MetricLatencyNs) / n)
+	return time.Duration(t.LatencyNs / t.Delivered)
 }
 
 // MaxLatency is the run's latency high watermark (the
@@ -192,50 +150,16 @@ type Simulator struct {
 	linkFree  []time.Duration    // next instant each link's transmitter is idle (per direction)
 	procs     []*traffic.Process // per-flow compiled traffic sources
 	states    []traffic.State    // per-flow traffic generator state
-	oracle    *failure.Oracle    // loss referee installed by ApplyScenario (nil = don't classify)
 
-	reg      *telemetry.Registry
-	met      *simMetrics
-	timeline *telemetry.Timeline    // created at Run start, rolled on link events
-	hopDist  map[graph.NodeID][]int // failure-free hop distances, per source
+	reg         *telemetry.Registry
+	acct        *Account // the packet account; its oracle is installed by ApplyScenario
+	latencyMax  *telemetry.Gauge
+	recycleHops telemetry.HistogramHandle
+	stretchPct  telemetry.HistogramHandle
+	timeline    *telemetry.Timeline    // created at Run start, rolled on link events
+	hopDist     map[graph.NodeID][]int // failure-free hop distances, per source
 
 	nextPacketID int64
-}
-
-// simMetrics is the referee's resolved instrument set: handles and
-// histograms looked up once in New, so the event loop never touches
-// the registry's lock.
-type simMetrics struct {
-	generated, delivered                telemetry.CounterHandle
-	dropBlackhole, dropNoRoute, dropTTL telemetry.CounterHandle
-	loss                                [3]telemetry.CounterHandle // by failure.Loss
-	latencyNs, hops                     telemetry.CounterHandle
-	latencyMax                          *telemetry.Gauge
-	latencyUs, recycleHops, stretchPct  telemetry.HistogramHandle
-}
-
-func newSimMetrics(r *telemetry.Registry) *simMetrics {
-	return &simMetrics{
-		generated:     r.Counter(MetricGenerated).Handle(),
-		delivered:     r.Counter(MetricDelivered).Handle(),
-		dropBlackhole: r.Counter(MetricDropBlackhole).Handle(),
-		dropNoRoute:   r.Counter(MetricDropNoRoute).Handle(),
-		dropTTL:       r.Counter(MetricDropTTL).Handle(),
-		loss: [3]telemetry.CounterHandle{
-			failure.LossViolation: r.Counter(MetricLossViolation).Handle(),
-			failure.LossTransient: r.Counter(MetricLossTransient).Handle(),
-			failure.LossExcused:   r.Counter(MetricLossExcused).Handle(),
-		},
-		latencyNs:  r.Counter(MetricLatencyNs).Handle(),
-		hops:       r.Counter(MetricHops).Handle(),
-		latencyMax: r.Gauge(MetricLatencyMaxNs),
-		// 10 µs .. ~2.6 s delivery latency.
-		latencyUs: r.Histogram(MetricLatencyUs, telemetry.ExponentialBuckets(10, 4, 9)).Handle(),
-		// 0, 1, 2, ... 15 hops off the shortest path (16+ overflows).
-		recycleHops: r.Histogram(MetricRecycleHops, telemetry.LinearBuckets(0, 1, 16)).Handle(),
-		// Path stretch 100% (no stretch) .. 400%+, 25-point steps.
-		stretchPct: r.Histogram(MetricStretchPct, telemetry.LinearBuckets(100, 25, 13)).Handle(),
-	}
 }
 
 // New validates the configuration and prepares a simulator. Every flow
@@ -288,16 +212,21 @@ func New(cfg Config) (*Simulator, error) {
 		reg = telemetry.NewRegistry()
 	}
 	s := &Simulator{
-		cfg:       cfg,
-		physDown:  make([]bool, cfg.Graph.NumLinks()),
-		linkGen:   make([]uint64, cfg.Graph.NumLinks()),
-		knownDown: graph.NewFailureSet(),
-		linkFree:  make([]time.Duration, 2*cfg.Graph.NumLinks()),
-		procs:     make([]*traffic.Process, len(cfg.Flows)),
-		states:    make([]traffic.State, len(cfg.Flows)),
-		hopDist:   make(map[graph.NodeID][]int),
-		reg:       reg,
-		met:       newSimMetrics(reg),
+		cfg:        cfg,
+		physDown:   make([]bool, cfg.Graph.NumLinks()),
+		linkGen:    make([]uint64, cfg.Graph.NumLinks()),
+		knownDown:  graph.NewFailureSet(),
+		linkFree:   make([]time.Duration, 2*cfg.Graph.NumLinks()),
+		procs:      make([]*traffic.Process, len(cfg.Flows)),
+		states:     make([]traffic.State, len(cfg.Flows)),
+		hopDist:    make(map[graph.NodeID][]int),
+		reg:        reg,
+		acct:       NewAccount(reg, nil, nil),
+		latencyMax: reg.Gauge(MetricLatencyMaxNs),
+		// 0, 1, 2, ... 15 hops off the shortest path (16+ overflows).
+		recycleHops: reg.Histogram(MetricRecycleHops, telemetry.LinearBuckets(0, 1, 16)).Handle(),
+		// Path stretch 100% (no stretch) .. 400%+, 25-point steps.
+		stretchPct: reg.Histogram(MetricStretchPct, telemetry.LinearBuckets(100, 25, 13)).Handle(),
 	}
 	for i, f := range cfg.Flows {
 		if err := validateFlow(cfg.Graph, i, f); err != nil {
@@ -362,12 +291,9 @@ func (s *Simulator) RepairLinkAt(l graph.LinkID, at time.Duration) {
 // ApplyScenario expands a failure scenario into its normalised fail/
 // repair event sequence (overlapping outages of one link merged, node
 // outages expanded to incident links — see failure.Scenario.Events) and
-// schedules it, then installs the scenario's connectivity oracle: every
-// subsequent packet loss is refereed into Stats.Violations (pair
-// connected, state stable over the packet's lifetime — counts against
-// the scheme), Stats.Transient (pair connected but the state changed
-// mid-flight, §7's damped regime) or Stats.Excused (the pair was
-// partitioned at some instant — no scheme delivers across a partition).
+// schedules it, then installs the scenario's connectivity oracle as the
+// account's referee: every subsequent packet loss is a violation, a
+// transient or excused (see Account).
 func (s *Simulator) ApplyScenario(sc *failure.Scenario) error {
 	events, err := sc.Events(s.cfg.Graph)
 	if err != nil {
@@ -384,33 +310,30 @@ func (s *Simulator) ApplyScenario(sc *failure.Scenario) error {
 			s.RepairLinkAt(e.Link, e.At)
 		}
 	}
-	s.oracle = oracle
+	s.acct.oracle = oracle
 	return nil
 }
 
 // Oracle returns the connectivity oracle installed by ApplyScenario
 // (nil before it).
-func (s *Simulator) Oracle() *failure.Oracle { return s.oracle }
+func (s *Simulator) Oracle() *failure.Oracle { return s.acct.oracle }
 
-// Metrics returns the registry the run meters into — Config.Metrics
-// when one was supplied, the simulator's private registry otherwise.
-func (s *Simulator) Metrics() *telemetry.Registry { return s.reg }
+// Account returns the run's packet account, to Check a run delta
+// against.
+func (s *Simulator) Account() *Account { return s.acct }
 
 // Timeline returns the per-epoch fold of the run's counters: one epoch
 // per link-state transition instant, aligned with the oracle's epoch
 // numbering (same-instant events share a boundary). Nil before Run.
 func (s *Simulator) Timeline() *telemetry.Timeline { return s.timeline }
 
-// drop retires a lost packet: count the reason, referee it against the
-// scenario oracle when one is installed, close its flight transcript.
-func (s *Simulator) drop(pkt *Packet, reason DropReason, c telemetry.CounterHandle) {
-	c.Inc()
-	s.met.recycleHops.Observe(int64(pkt.prHops))
-	if s.oracle != nil {
-		s.met.loss[s.oracle.Classify(pkt.Src, pkt.Dst, pkt.Created, s.now)].Inc()
-	}
+// drop retires a lost packet: count and referee it, close its flight
+// transcript.
+func (s *Simulator) drop(pkt *Packet, reason DropReason) {
+	s.acct.Drop(reason, pkt.Src, pkt.Dst, pkt.Created, s.now)
+	s.recycleHops.Observe(int64(pkt.prHops))
 	if pkt.flight != nil {
-		s.cfg.Recorder.Finish(pkt.flight, string(reason), s.now)
+		s.cfg.Recorder.Finish(pkt.flight, reason.String(), s.now)
 	}
 }
 
@@ -450,7 +373,7 @@ func (s *Simulator) schedule(e *event) {
 // telemetry counter delta — what *this* run accumulated under the
 // sim.* names, scoped by a base snapshot so a shared registry
 // (Config.Metrics reused across runs, or fed by an engine) never
-// double-counts. See Metrics / Timeline for the live surface.
+// double-counts. See Timeline for the per-epoch fold.
 func (s *Simulator) Run() *telemetry.Snapshot {
 	base := s.reg.Snapshot()
 	s.timeline = telemetry.NewTimeline(s.reg)
@@ -530,7 +453,7 @@ func (s *Simulator) handleGenerate(flowIdx int) {
 		Ingress: rotation.NoDart,
 	}
 	s.nextPacketID++
-	s.met.generated.Inc()
+	s.acct.Emit()
 	if s.cfg.Recorder != nil {
 		pkt.flight = s.cfg.Recorder.Begin(pkt.ID, pkt.Src, pkt.Dst, s.now)
 	}
@@ -542,14 +465,11 @@ func (s *Simulator) handleGenerate(flowIdx int) {
 func (s *Simulator) handleArrive(pkt *Packet, node graph.NodeID) {
 	if node == pkt.Dst {
 		lat := s.now - pkt.Created
-		s.met.delivered.Inc()
-		s.met.latencyNs.Add(uint64(lat))
-		s.met.hops.Add(uint64(pkt.Hops))
-		s.met.latencyMax.SetMax(int64(lat))
-		s.met.latencyUs.Observe(int64(lat / time.Microsecond))
-		s.met.recycleHops.Observe(int64(pkt.prHops))
+		s.acct.Deliver(pkt.Hops, lat)
+		s.latencyMax.SetMax(int64(lat))
+		s.recycleHops.Observe(int64(pkt.prHops))
 		if base := s.shortestHops(pkt.Src, pkt.Dst); base > 0 {
-			s.met.stretchPct.Observe(int64(100 * pkt.Hops / base))
+			s.stretchPct.Observe(int64(100 * pkt.Hops / base))
 		}
 		if pkt.flight != nil {
 			pkt.flight.Record(telemetry.Hop{At: s.now, Node: node, Ingress: pkt.Ingress,
@@ -559,12 +479,12 @@ func (s *Simulator) handleArrive(pkt *Packet, node graph.NodeID) {
 		return
 	}
 	if pkt.Hops >= s.cfg.TTL {
-		s.drop(pkt, DropTTL, s.met.dropTTL)
+		s.drop(pkt, DropTTL)
 		return
 	}
 	egress, ev, ok := s.cfg.Scheme.Process(s, node, pkt)
 	if !ok {
-		s.drop(pkt, DropNoRoute, s.met.dropNoRoute)
+		s.drop(pkt, DropNoRoute)
 		return
 	}
 	switch ev {
@@ -579,7 +499,7 @@ func (s *Simulator) handleArrive(pkt *Packet, node graph.NodeID) {
 	if s.physDown[link] {
 		// The scheme chose a dead link (failure not yet locally
 		// detected): the packet is lost in the outage.
-		s.drop(pkt, DropBlackhole, s.met.dropBlackhole)
+		s.drop(pkt, DropBlackhole)
 		return
 	}
 	// FIFO serialisation per link direction, then propagation.

@@ -84,8 +84,8 @@ func TestFailureFreeDeliveryAndLatency(t *testing.T) {
 	if MeanLatency(st) < 20*time.Microsecond {
 		t.Fatalf("mean latency = %v; want ≥ 20 µs", MeanLatency(st))
 	}
-	if st.Counter(MetricHops) != 2*st.Counter(MetricDelivered) {
-		t.Fatalf("hops = %d; want 2 per packet", st.Counter(MetricHops))
+	if tot := TotalsOf(st); tot.Hops != 2*tot.Delivered {
+		t.Fatalf("hops = %d; want 2 per packet", tot.Hops)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestDeterministicRuns(t *testing.T) {
 		return s.Run()
 	}
 	a, b := run(), run()
-	if a.Counter(MetricGenerated) != b.Counter(MetricGenerated) || a.Counter(MetricDelivered) != b.Counter(MetricDelivered) || a.Counter(MetricLatencyNs) != b.Counter(MetricLatencyNs) {
+	if ta, tb := TotalsOf(a), TotalsOf(b); ta.Generated != tb.Generated || ta.Delivered != tb.Delivered || ta.LatencyNs != tb.LatencyNs {
 		t.Fatalf("runs differ: %+v vs %+v", a, b)
 	}
 }
@@ -128,13 +128,13 @@ func TestPRLossWindowIsDetectionOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1000 pps × 50 ms ≈ 50 packets blackholed (±few for boundary/in-flight).
-	if res.Blackhole < 40 || res.Blackhole > 60 {
-		t.Fatalf("blackholed = %d; want ≈50 (detection window only)", res.Blackhole)
+	if res.DropBlackhole < 40 || res.DropBlackhole > 60 {
+		t.Fatalf("blackholed = %d; want ≈50 (detection window only)", res.DropBlackhole)
 	}
-	if res.NoRoute != 0 || res.TTL != 0 {
+	if res.DropNoRoute != 0 || res.DropTTL != 0 {
 		t.Fatalf("PR dropped outside the detection window: %+v", res)
 	}
-	if res.Delivered+res.Blackhole < res.Generated-2 {
+	if res.Delivered+res.DropBlackhole < res.Generated-2 {
 		t.Fatalf("unaccounted packets: %+v", res)
 	}
 }
@@ -179,11 +179,11 @@ func TestFCPSchemeRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NoRoute != 0 || res.TTL != 0 {
+	if res.DropNoRoute != 0 || res.DropTTL != 0 {
 		t.Fatalf("FCP dropped outside detection: %+v", res)
 	}
-	if res.Blackhole > 60 {
-		t.Fatalf("FCP blackholed %d; want ≈50", res.Blackhole)
+	if res.DropBlackhole > 60 {
+		t.Fatalf("FCP blackholed %d; want ≈50", res.DropBlackhole)
 	}
 }
 
@@ -270,14 +270,14 @@ func TestTTLDropsOnLoop(t *testing.T) {
 
 func TestStatsHelpers(t *testing.T) {
 	st := &telemetry.Snapshot{Counters: map[string]uint64{}}
-	if DeliveryRate(st) != 1 || MeanLatency(st) != 0 || Dropped(st) != 0 {
+	if DeliveryRate(st) != 1 || MeanLatency(st) != 0 || TotalsOf(st).Dropped() != 0 {
 		t.Fatal("zero-value delta helpers wrong")
 	}
 	st.SetCounter(MetricGenerated, 4)
 	st.SetCounter(MetricDelivered, 2)
 	st.SetCounter(MetricDropTTL, 2)
-	st.SetCounter(MetricLatencyNs, uint64(10*time.Millisecond))
-	if DeliveryRate(st) != 0.5 || Dropped(st) != 2 || MeanLatency(st) != 5*time.Millisecond {
+	st.Histograms = map[string]telemetry.HistogramSnapshot{MetricLatencyNs: {Count: 2, Sum: uint64(10 * time.Millisecond)}}
+	if DeliveryRate(st) != 0.5 || TotalsOf(st).Dropped() != 2 || MeanLatency(st) != 5*time.Millisecond {
 		t.Fatalf("delta helpers wrong: %+v", st)
 	}
 }

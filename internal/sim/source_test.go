@@ -96,10 +96,10 @@ func TestSourcesDriveCompiledEngine(t *testing.T) {
 			if res.Generated == 0 {
 				t.Fatalf("%s/%s generated nothing", src.Name(), res.Scheme)
 			}
-			if res.NoRoute != 0 || res.TTL != 0 {
+			if res.DropNoRoute != 0 || res.DropTTL != 0 {
 				t.Fatalf("%s/%s dropped outside the detection window: %+v", src.Name(), res.Scheme, res)
 			}
-			if res.Delivered+res.Blackhole != res.Generated {
+			if res.Delivered+res.DropBlackhole != res.Generated {
 				t.Fatalf("%s/%s unaccounted packets: %+v", src.Name(), res.Scheme, res)
 			}
 		}

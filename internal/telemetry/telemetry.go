@@ -7,7 +7,8 @@
 // failure-scenario events.
 //
 // The engine workers, the egress transmit queues, the delta recompiler
-// and the simulator's loss referee all record into the same Registry, so
+// and the packet account (sim.Account, which counts and referees every
+// simulator and soak packet) all record into the same Registry, so
 // one Snapshot is the coherent state of the whole pipeline — the single
 // metrics surface; per-subsystem stats structs that once each told a
 // disconnected part of the story have been retired in its favour.
