@@ -357,20 +357,28 @@ func (q *TxQueue) NumDarts() int {
 // class's maximum this sample. Either histogram may be nil (that class
 // is then only maxed, not binned). One scan under the lock, meant to be
 // called at flush cadence, never per packet; the sampled distribution
-// is the queue-sizing telemetry a single peak gauge hides.
+// is the queue-sizing telemetry a single peak gauge hides. Each class is
+// tallied on the stack and flushed once per call, so a histogram must
+// have at most telemetry.HistogramTallySize-1 bounds.
 func (q *TxQueue) SampleBacklog(fwd, rev *telemetry.Histogram) (maxFwd, maxRev time.Duration) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	now := q.toBits(q.now())
 	hist := [2]*telemetry.Histogram{fwd, rev}
+	var tally [2]telemetry.HistogramTally
 	var max [2]time.Duration
 	for i := range q.free {
 		b := q.toDelay(q.backlog(i, now))
 		if h := hist[i&1]; h != nil {
-			h.Observe(int64(b))
+			h.Tally(&tally[i&1], int64(b))
 		}
 		if b > max[i&1] {
 			max[i&1] = b
+		}
+	}
+	for c, h := range hist {
+		if h != nil {
+			h.Flush(&tally[c])
 		}
 	}
 	return max[0], max[1]

@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -357,6 +358,49 @@ func TestTxQueueSubNanosecondPacing(t *testing.T) {
 	}
 	if got, want := q.Backlog(1), 400*time.Microsecond; !within(got, want) {
 		t.Fatalf("10⁶ minimum frames at 400 Gb/s: backlog %v; want %v ± 0.1%%", got, want)
+	}
+}
+
+// TestSampleBacklogMatchesObserve: SampleBacklog tallies each dart class
+// on the stack and flushes once per call; under a frozen clock the
+// histograms it leaves equal the ones Observe(Backlog(d)) leaves for
+// every dart of the class, overflow bucket and idle darts included, and
+// its per-class peaks are the largest of those backlogs.
+func TestSampleBacklogMatchesObserve(t *testing.T) {
+	clk := &virtualClock{}
+	q := dataplane.NewTxQueueDarts(64, dataplane.TxConfig{
+		BandwidthBps: 8_192_000, // 8192 bits a millisecond
+		MaxBacklog:   time.Hour,
+		Now:          clk.Now,
+	})
+	bounds := telemetry.ExponentialBuckets(1000, 4, 10) // the soak's backlog layout
+	got, want := telemetry.NewRegistry(), telemetry.NewRegistry()
+	gotFwd, gotRev := got.Histogram("fwd", bounds), got.Histogram("rev", bounds)
+	wantFwd, wantRev := want.Histogram("fwd", bounds), want.Histogram("rev", bounds)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 3; round++ {
+		for d := 0; d < 64; d++ {
+			if rng.Intn(4) != 0 { // a quarter of the darts stay idle
+				q.Send(rotation.DartID(d), rng.Int63n(8192*400), nil) // up to 400 ms, past the last bound
+			}
+		}
+		var peak [2]time.Duration
+		for d := 0; d < 64; d++ {
+			b := q.Backlog(rotation.DartID(d))
+			[2]*telemetry.Histogram{wantFwd, wantRev}[d&1].Observe(int64(b))
+			peak[d&1] = max(peak[d&1], b)
+		}
+		maxFwd, maxRev := q.SampleBacklog(gotFwd, gotRev)
+		if maxFwd != peak[0] || maxRev != peak[1] {
+			t.Fatalf("round %d: peaks %v/%v; want %v/%v", round, maxFwd, maxRev, peak[0], peak[1])
+		}
+		if g, w := got.Snapshot().Histograms, want.Snapshot().Histograms; !reflect.DeepEqual(g, w) {
+			t.Fatalf("round %d: sampled histograms %+v; want %+v", round, g, w)
+		}
+		clk.Advance(50 * time.Millisecond)
+	}
+	if h := got.Snapshot().Histograms["fwd"]; h.Counts[len(bounds)] == 0 || h.Counts[0] == 0 {
+		t.Fatalf("fwd counts %v: want idle darts in the first bucket and some past the last bound", h.Counts)
 	}
 }
 

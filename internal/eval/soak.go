@@ -31,10 +31,13 @@ import (
 // One goroutine, the pump, runs it all on one virtual clock: traffic,
 // control plane, decisions (Engine.Step), transmit (TxQueue.SendBatch)
 // and referee. Each hop costs soakHop of virtual time, and the TxQueue
-// paces on the same clock, so one seed gives one run. The pump lands every
+// paces on the same clock, so one seed gives one run. Emissions wait on
+// a sim.Calendar of flow indices, the simulator's own event calendar,
+// keyed by each flow's next instant. The pump lands every
 // scenario event and hot-swap due by now before each tick's fill, so all
 // a packet meets after its emission is scheduled inside its flight
-// window (emit, lost], and the pump counts every packet into the
+// window (emit, lost], and the control still due before the horizon
+// when the last packet drains lands then. The pump counts every packet into the
 // simulator's account (sim.Account): its oracle referees every loss as
 // it does the simulator's, with one rule added — a hot-swap scheduled
 // mid-flight makes a loss transient, as a failure or repair does. A
@@ -74,8 +77,9 @@ type SoakConfig struct {
 	Panel
 	// Flows is the concurrent flow count (default 100_000). Each flow is
 	// a persistent (src,dst) pair emitting per the Traffic process, flow
-	// i drawing the source's flow i; its whole state is 40 bytes, so
-	// hundreds of thousands of flows fit in a few megabytes.
+	// i drawing the source's flow i; its whole state is 56 bytes,
+	// calendar entry included, so hundreds of thousands of flows fit in
+	// a few megabytes.
 	Flows int
 	// Duration is how long emissions run, in virtual time (default 30s).
 	// In-flight packets drain to a verdict after the horizon.
@@ -218,60 +222,14 @@ func (r *SoakResult) DropFrac() float64 {
 	return float64(r.Dropped()+txDropped) / float64(r.Generated)
 }
 
-// soakFlow is one flow's complete emission state: 40 bytes, so a
-// hundred thousand flows take 4 MB.
+// soakFlow is one flow's emission state: 32 bytes, plus a 24-byte entry
+// on the pump's calendar keyed by its next emission instant, so a
+// hundred thousand flows take 5.6 MB.
 type soakFlow struct {
 	traffic.State
-	next time.Duration // next emission instant
-	src  int32
-	dst  int32
+	src int32
+	dst int32
 }
-
-// ---------------------------------------------------------------------------
-// Emission calendar: a binary min-heap of flow indices keyed by next
-// ---------------------------------------------------------------------------
-
-type soakCalendar struct {
-	flows []soakFlow
-	heap  []int32
-}
-
-func (c *soakCalendar) len() int { return len(c.heap) }
-
-func (c *soakCalendar) less(i, j int) bool {
-	return c.flows[c.heap[i]].next < c.flows[c.heap[j]].next
-}
-
-// peek returns the earliest next-emission instant.
-func (c *soakCalendar) peek() time.Duration { return c.flows[c.heap[0]].next }
-
-func (c *soakCalendar) siftDown(i int) {
-	n := len(c.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && c.less(l, m) {
-			m = l
-		}
-		if r < n && c.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		c.heap[i], c.heap[m] = c.heap[m], c.heap[i]
-		i = m
-	}
-}
-
-func (c *soakCalendar) init() {
-	for i := len(c.heap)/2 - 1; i >= 0; i-- {
-		c.siftDown(i)
-	}
-}
-
-// bump re-sinks the root after its flow's next instant advanced.
-func (c *soakCalendar) bump() { c.siftDown(0) }
 
 // ---------------------------------------------------------------------------
 // RunSoak
@@ -372,32 +330,26 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	// the source's flow i, each fixed flow de-phased within its interval
 	// so the calendar doesn't open with a thundering herd.
 	rng := rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 1)))
-	cal := &soakCalendar{
-		flows: make([]soakFlow, cfg.Flows),
-		heap:  make([]int32, cfg.Flows),
+	p := &soakPump{
+		cfg:    cfg,
+		tr:     tr,
+		flows:  make([]soakFlow, cfg.Flows),
+		lag:    reg.Gauge(MetricSoakLagNs),
+		tracer: tracer,
+		root:   runSpan.ID(),
 	}
-	for i := range cal.flows {
-		f := &cal.flows[i]
+	for i := range p.flows {
+		f := &p.flows[i]
 		f.src = int32(rng.Intn(n))
 		for f.dst = f.src; f.dst == f.src; {
 			f.dst = int32(rng.Intn(n))
 		}
 		f.State = tr.Flow(i)
-		f.next, _ = tr.Next(&f.State)
+		next, _ := tr.Next(&f.State)
 		if fixed, ok := src.(traffic.Fixed); ok {
-			f.next = time.Duration(rng.Int63n(int64(fixed.Interval)))
+			next = time.Duration(rng.Int63n(int64(fixed.Interval)))
 		}
-		cal.heap[i] = int32(i)
-	}
-	cal.init()
-
-	p := &soakPump{
-		cfg:    cfg,
-		tr:     tr,
-		cal:    cal,
-		lag:    reg.Gauge(MetricSoakLagNs),
-		tracer: tracer,
-		root:   runSpan.ID(),
+		p.cal.Push(next, int32(i))
 	}
 	// The TxQueue paces on the pump's clock.
 	p.tx = dataplane.NewTxQueue(fib, dataplane.TxConfig{
@@ -498,9 +450,11 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 // account's referee needs no locks and the oracle's lazily-filled
 // reachability cache is safe.
 type soakPump struct {
-	cfg  SoakConfig
-	tr   *traffic.Process
-	cal  *soakCalendar
+	cfg   SoakConfig
+	tr    *traffic.Process
+	flows []soakFlow
+	// cal holds each flow's index at its next emission instant.
+	cal  sim.Calendar[int32]
 	ctl  *soakControl
 	eng  *dataplane.Engine
 	acct *sim.Account
@@ -543,10 +497,14 @@ func (p *soakPump) run() time.Duration {
 	defer drain.End()
 	for {
 		if len(p.pkts) == 0 {
-			if p.cal.len() == 0 || p.cal.peek() >= horizon {
-				return p.now // drained: every emitted packet has a verdict
+			if p.cal.Len() == 0 || p.cal.Peek().At >= horizon {
+				// Drained: every emitted packet has a verdict. The control
+				// scheduled before the horizon still lands, as it would
+				// under traffic.
+				p.ctl.applyDue(horizon - 1)
+				return p.now
 			}
-			p.now = max(p.now, p.cal.peek())
+			p.now = max(p.now, p.cal.Peek().At)
 		}
 		if p.now >= horizon && drain.ID() == 0 {
 			drain = p.tracer.Start("soak.drain", pumpSpan.ID())
@@ -573,17 +531,18 @@ func (p *soakPump) sampleBacklog() {
 // packet is decided under control older than its birth.
 func (p *soakPump) fill(horizon time.Duration) {
 	// Calendar lag: how far the tick trails the emissions it picks up.
-	if p.now < horizon && p.cal.len() > 0 {
-		if lag := p.now - p.cal.peek(); lag > 0 {
+	if p.now < horizon && p.cal.Len() > 0 {
+		if lag := p.now - p.cal.Peek().At; lag > 0 {
 			p.lag.SetMax(int64(lag))
 		}
 	}
-	for p.cal.len() > 0 {
-		at := p.cal.peek()
+	for p.cal.Len() > 0 {
+		top := p.cal.Peek()
+		at := top.At
 		if at > p.now || at >= horizon {
 			break
 		}
-		f := &p.cal.flows[p.cal.heap[0]]
+		f := &p.flows[top.Value]
 		p.pkts = append(p.pkts, dataplane.Packet{
 			Node:    graph.NodeID(f.src),
 			Dst:     graph.NodeID(f.dst),
@@ -592,8 +551,7 @@ func (p *soakPump) fill(horizon time.Duration) {
 		})
 		p.meta = append(p.meta, soakMeta{emit: at, src: f.src})
 		gap, _ := p.tr.Next(&f.State)
-		f.next = at + gap
-		p.cal.bump()
+		p.cal.Reschedule(at + gap)
 		p.acct.Emit()
 	}
 }

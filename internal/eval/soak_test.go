@@ -227,11 +227,69 @@ func TestSoakSpecSeed(t *testing.T) {
 	}
 }
 
-// TestSoakFlowSize pins a flow's whole state at 40 bytes: a soak holds
-// one per flow, a hundred thousand by default.
+// TestSoakFlowSize pins a flow's whole footprint at 56 bytes: its
+// 32-byte soakFlow plus its 24-byte entry on the pump's calendar. A soak
+// holds one of each per flow, a hundred thousand by default.
 func TestSoakFlowSize(t *testing.T) {
-	if got := unsafe.Sizeof(soakFlow{}); got != 40 {
-		t.Errorf("soakFlow is %d bytes; want 40", got)
+	flow, entry := unsafe.Sizeof(soakFlow{}), unsafe.Sizeof(sim.Entry[int32]{})
+	if flow+entry != 56 {
+		t.Errorf("a flow takes %d bytes (soakFlow %d + calendar entry %d); want 56", flow+entry, flow, entry)
+	}
+}
+
+// TestSoakLandsControlAfterDrain: the control plane runs to the horizon
+// whether or not traffic does. Two flows fall silent long before a flap
+// burst late in the run, so the pump drains with link events and swaps
+// still scheduled; every one of them lands, and each link event opens
+// its own epoch. The pump once returned at the drain and landed none of
+// them.
+func TestSoakLandsControlAfterDrain(t *testing.T) {
+	tp := mustTopo(t, "ring:8")
+	cfg := SoakConfig{
+		Panel:     Panel{Spec: "flap:link=3,at=700ms,flaps=4,period=50ms", Seed: 1},
+		Flows:     2,
+		Duration:  time.Second,
+		SwapEvery: 100 * time.Millisecond,
+		Traffic:   "poisson:rate=2",
+	}
+	res, err := RunSoak(tp, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := failure.ParseScenario(cfg.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := proc.Generate(tp.Graph, cfg.Duration, failure.DrawSeed(cfg.Seed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := sc.Events(tp.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 8 {
+		t.Fatalf("the flap burst has %d events; want 8", len(events))
+	}
+	if res.ScenarioEvents != len(events) {
+		t.Errorf("%d scenario events landed; want all %d", res.ScenarioEvents, len(events))
+	}
+	if got := res.Swaps + res.SkippedSwaps; got != 9 {
+		t.Errorf("%d swaps attempted; want 9, one every 100ms before the 1s horizon", got)
+	}
+	starts := map[time.Duration]string{}
+	for _, e := range res.Epochs {
+		starts[e.Start] = e.Label
+	}
+	for _, ev := range events {
+		dir := "up"
+		if ev.Down {
+			dir = "down"
+		}
+		want := fmt.Sprintf("link %d %s", ev.Link, dir)
+		if label, ok := starts[ev.At]; !ok || !strings.HasPrefix(label, want) {
+			t.Errorf("no epoch opens at %v with %q (epoch there: %q)", ev.At, want, label)
+		}
 	}
 }
 

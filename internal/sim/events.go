@@ -13,17 +13,16 @@
 // Config.Flows; the graph never changes during a run. Planned topology
 // change under live traffic is exercised on the engine instead
 // (dataplane.Recompiler.Apply → Engine.ApplyDelta, in the soak).
+//
+// Every timed event waits on one Calendar: a value-typed min-heap that
+// orders by instant, then by schedule order, so one seed replays one
+// run. The soak's pump schedules its flows' emissions on the same type.
 package sim
 
-import (
-	"container/heap"
-	"time"
-
-	"recycle/internal/graph"
-)
+import "recycle/internal/graph"
 
 // eventKind discriminates queue entries.
-type eventKind int
+type eventKind uint8
 
 const (
 	evArrive   eventKind = iota // packet arrives at a node
@@ -34,39 +33,14 @@ const (
 	evConverge                  // reconvergence completes network-wide
 )
 
-// event is one scheduled occurrence. seq breaks time ties deterministically
-// in schedule order.
+// event is one scheduled occurrence, queued by value on the simulator's
+// Calendar, which orders it by instant and then by schedule order.
 type event struct {
-	at   time.Duration
-	seq  int64
-	kind eventKind
-
 	pkt  *Packet      // evArrive
-	node graph.NodeID // evArrive
-	flow int          // evGenerate
-	link graph.LinkID // evLinkDown / evLinkUp / evDetect
-	down bool         // evDetect: new state
 	gen  uint64       // evDetect: link state generation; stale events no-op
+	flow int          // evGenerate
+	node graph.NodeID // evArrive
+	link graph.LinkID // evLinkDown / evLinkUp / evDetect
+	kind eventKind
+	down bool // evDetect: new state
 }
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-var _ heap.Interface = (*eventHeap)(nil)

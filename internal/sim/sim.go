@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -140,8 +139,7 @@ func MaxLatency(d *telemetry.Snapshot) time.Duration {
 // RepairLinkAt primitives it expands to), then Run.
 type Simulator struct {
 	cfg   Config
-	queue eventHeap
-	seq   int64
+	queue Calendar[event]
 	now   time.Duration
 
 	physDown  []bool             // physical link state
@@ -245,7 +243,7 @@ func New(cfg Config) (*Simulator, error) {
 // scheduleEmission schedules flow i's next packet, one gap after from.
 func (s *Simulator) scheduleEmission(i int, from time.Duration) {
 	if gap, ok := s.procs[i].Next(&s.states[i]); ok {
-		s.schedule(&event{at: from + gap, kind: evGenerate, flow: i})
+		s.schedule(from+gap, event{kind: evGenerate, flow: i})
 	}
 }
 
@@ -280,12 +278,12 @@ func (s *Simulator) Graph() *graph.Graph { return s.cfg.Graph }
 
 // FailLinkAt schedules a bidirectional link failure.
 func (s *Simulator) FailLinkAt(l graph.LinkID, at time.Duration) {
-	s.schedule(&event{at: at, kind: evLinkDown, link: l})
+	s.schedule(at, event{kind: evLinkDown, link: l})
 }
 
 // RepairLinkAt schedules a link repair.
 func (s *Simulator) RepairLinkAt(l graph.LinkID, at time.Duration) {
-	s.schedule(&event{at: at, kind: evLinkUp, link: l})
+	s.schedule(at, event{kind: evLinkUp, link: l})
 }
 
 // ApplyScenario expands a failure scenario into its normalised fail/
@@ -357,16 +355,14 @@ func (s *Simulator) shortestHops(src, dst graph.NodeID) int {
 	return -1
 }
 
-func (s *Simulator) schedule(e *event) {
+func (s *Simulator) schedule(at time.Duration, e event) {
 	// The horizon caps packet generation only; deliveries, detections and
 	// convergences in flight at the horizon still drain, so every
 	// generated packet gets a definite fate.
-	if e.kind == evGenerate && e.at > s.cfg.Horizon {
+	if e.kind == evGenerate && at > s.cfg.Horizon {
 		return
 	}
-	e.seq = s.seq
-	s.seq++
-	heap.Push(&s.queue, e)
+	s.queue.Push(at, e)
 }
 
 // Run drains the event queue up to the horizon and returns the run's
@@ -379,8 +375,9 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 	s.timeline = telemetry.NewTimeline(s.reg)
 	s.cfg.Scheme.Init(s)
 	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(*event)
-		s.now = e.at
+		top := s.queue.Pop()
+		s.now = top.At
+		e := &top.Value
 		switch e.kind {
 		case evGenerate:
 			s.handleGenerate(e.flow)
@@ -389,7 +386,7 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 		case evLinkDown:
 			// A physical transition opens the next oracle epoch; fold the
 			// counters accumulated so far into the closing one.
-			s.timeline.Roll(e.at, fmt.Sprintf("link %d down", e.link))
+			s.timeline.Roll(s.now, fmt.Sprintf("link %d down", e.link))
 			s.physDown[e.link] = true
 			s.linkGen[e.link]++
 			if s.cfg.DetectionDelay == 0 {
@@ -400,10 +397,10 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 				s.cfg.Scheme.TopologyChanged(s, e.link, true)
 				break
 			}
-			s.schedule(&event{at: s.now + s.cfg.DetectionDelay, kind: evDetect,
+			s.schedule(s.now+s.cfg.DetectionDelay, event{kind: evDetect,
 				link: e.link, down: true, gen: s.linkGen[e.link]})
 		case evLinkUp:
-			s.timeline.Roll(e.at, fmt.Sprintf("link %d up", e.link))
+			s.timeline.Roll(s.now, fmt.Sprintf("link %d up", e.link))
 			s.physDown[e.link] = false
 			s.linkGen[e.link]++
 			if s.cfg.DetectionDelay == 0 && s.cfg.HoldDown == 0 {
@@ -413,7 +410,7 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 			}
 			// §7 flap damping: recoveries additionally wait out the
 			// hold-down before routers act on them.
-			s.schedule(&event{at: s.now + s.cfg.DetectionDelay + s.cfg.HoldDown, kind: evDetect,
+			s.schedule(s.now+s.cfg.DetectionDelay+s.cfg.HoldDown, event{kind: evDetect,
 				link: e.link, down: false, gen: s.linkGen[e.link]})
 		case evDetect:
 			if e.gen != s.linkGen[e.link] {
@@ -439,7 +436,7 @@ func (s *Simulator) Run() *telemetry.Snapshot {
 
 // ScheduleConvergeAt lets schemes request a convergence-complete callback.
 func (s *Simulator) ScheduleConvergeAt(at time.Duration) {
-	s.schedule(&event{at: at, kind: evConverge})
+	s.schedule(at, event{kind: evConverge})
 }
 
 func (s *Simulator) handleGenerate(flowIdx int) {
@@ -514,5 +511,5 @@ func (s *Simulator) handleArrive(pkt *Packet, node graph.NodeID) {
 	pkt.Hops++
 	pkt.Ingress = egress
 	next := s.cfg.Graph.Link(link).Other(node)
-	s.schedule(&event{at: arrive, kind: evArrive, pkt: pkt, node: next})
+	s.schedule(arrive, event{kind: evArrive, pkt: pkt, node: next})
 }
