@@ -29,7 +29,7 @@ func main() {
 	// Fail the first link on the path 0 → 12 (the antipode) and forward
 	// real IPv6 bytes hop by hop through the wire fast path.
 	src, dst := recycle.NodeID(0), recycle.NodeID(12)
-	st := recycle.LinkStateFrom(net.Graph().NumLinks(), recycle.NewFailureSet(0))
+	st := recycle.LinkStateFrom(fib, recycle.NewFailureSet(0))
 	h := recycle.IPv6{HopLimit: 64, NextHeader: 17,
 		Src: recycle.NodeAddr6(src), Dst: recycle.NodeAddr6(dst)}
 	buf, err := h.Marshal()

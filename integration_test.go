@@ -183,7 +183,7 @@ func TestTranscriptCarriesWireRank(t *testing.T) {
 			}
 			g := n.Graph()
 			fs := graph.NewFailureSet(0)
-			st := recycle.LinkStateFrom(g.NumLinks(), fs)
+			st := recycle.LinkStateFrom(fib, fs)
 			stamps := 0
 			for src := 0; src < g.NumNodes(); src++ {
 				dst := recycle.NodeID((src + 7) % g.NumNodes())

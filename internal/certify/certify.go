@@ -82,7 +82,7 @@ func (w *PRWalker) Name() string {
 
 // Walk implements Walker.
 func (w *PRWalker) Walk(src, dst graph.NodeID, fs *graph.FailureSet) core.Result {
-	st := dataplane.FromFailureSet(w.fib.NumLinks(), fs)
+	st := w.fib.LinkState(fs)
 	decide := func(node, dst graph.NodeID, ingress rotation.DartID, hdr core.Header) core.Decision {
 		return w.fib.Decide(node, dst, ingress, hdr, st)
 	}

@@ -144,7 +144,7 @@ func TestHopCountRanksAreTreeHops(t *testing.T) {
 	// Raise the 0-1 ring link: toward some destinations the hop counts
 	// move, toward the path's they cannot. Re-rank exactly the trees whose
 	// Hops plane the repair replaced; the rest share theirs.
-	g2, _, err := graph.ApplyEdit(g, graph.SetWeight(0, 10))
+	g2, err := graph.ApplyEdit(g, graph.SetWeight(0, 10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,8 @@ type Decision struct {
 // Decide performs a single forwarding decision at node for a packet bound
 // to dst that arrived on ingress (rotation.NoDart at the origin) carrying
 // hdr. It consults only links incident to node in the failure set — i.e.
-// locally detectable failures — making it suitable for event-driven
+// locally detectable failures — and takes a link the graph has removed
+// for one that failed for good, making it suitable for event-driven
 // simulation where knowledge is local (package sim) as well as for Walk.
 func (p *Protocol) Decide(node, dst graph.NodeID, ingress rotation.DartID, hdr Header, failures *graph.FailureSet) Decision {
 	eg, ev, h, ok := p.decide(node, dst, ingress, hdr, failures)
@@ -118,7 +119,7 @@ func (p *Protocol) decide(node, dst graph.NodeID, ingress rotation.DartID, hdr H
 			return rotation.NoDart, 0, hdr, false
 		}
 		spDart := p.sys.OutgoingDart(node, spLink)
-		if !failures.Down(spLink) {
+		if !p.down(spLink, failures) {
 			return spDart, EventRoute, hdr, true
 		}
 		// Failure detected on the shortest-path egress (§4.2/§4.3): set the
@@ -137,7 +138,7 @@ func (p *Protocol) decide(node, dst graph.NodeID, ingress rotation.DartID, hdr H
 	// PR bit set: cycle following. The egress is the cycle-following table
 	// entry for our ingress interface, φ(ingress).
 	eg := p.sys.FaceNext(ingress)
-	if !failures.Down(rotation.LinkOf(eg)) {
+	if !p.down(rotation.LinkOf(eg), failures) {
 		return eg, EventCycle, hdr, true
 	}
 	// Failure encountered while cycle following: termination test.
@@ -163,6 +164,12 @@ func (p *Protocol) decide(node, dst graph.NodeID, ingress rotation.DartID, hdr H
 	return rotation.NoDart, 0, hdr, false
 }
 
+// down reports whether link l is unusable: failed, or removed from the
+// graph — a failure that never heals, whose darts stay in the rotation.
+func (p *Protocol) down(l graph.LinkID, failures *graph.FailureSet) bool {
+	return failures.Down(l) || p.g.Removed(l)
+}
+
 // dd returns the discriminator the protocol stamps and compares: the raw
 // route.Table value, or its order-preserving rank under Config.Quantise.
 // Rank comparison is exactly equivalent to raw comparison (see Quantiser),
@@ -180,7 +187,7 @@ func (p *Protocol) dd(node, dst graph.NodeID) float64 {
 // false when the rotation wraps around with every incident link failed.
 func (p *Protocol) firstUpComplementary(failed rotation.DartID, failures *graph.FailureSet) (rotation.DartID, bool) {
 	for cand := p.sys.Complementary(failed); cand != failed; cand = p.sys.Complementary(cand) {
-		if !failures.Down(rotation.LinkOf(cand)) {
+		if !p.down(rotation.LinkOf(cand), failures) {
 			return cand, true
 		}
 	}

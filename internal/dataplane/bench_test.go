@@ -655,8 +655,8 @@ func BenchmarkRecompileDeltaDrain(b *testing.B) {
 // BenchmarkRecompileStructural measures one structural delta — a
 // non-bridge link decommissioned, then commissioned again, one Apply per
 // iteration — through the same incremental repairer and column patch as a
-// weight edit. After the warm-up round the link sits at the highest ID, so
-// every round removes and re-adds the same link over the same rotation
+// weight edit. The re-addition revives the removed link's ID, so every
+// round removes and re-adds the same link over the same rotation
 // orders. rand:512's link 200 lies on 507 of the 512 trees with 18 nodes
 // behind it on average, the typical case (link 7 has 190). Gated in
 // absolute ns/op and allocs/op by the CI bench job.
@@ -673,13 +673,11 @@ func BenchmarkRecompileStructural(b *testing.B) {
 					b.Fatalf("link %d of %s is a bridge", link.ID, c.spec)
 				}
 			}
-			last := graph.LinkID(g.NumLinks() - 1)
-			round := [2]graph.Edit{graph.RemoveLinkEdit(last), graph.AddLinkEdit(link.A, link.B, link.Weight)}
-			if _, err := rec.Apply(graph.RemoveLinkEdit(link.ID)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rec.Apply(round[1]); err != nil {
-				b.Fatal(err)
+			round := [2]graph.Edit{graph.RemoveLinkEdit(link.ID), graph.AddLinkEdit(link.A, link.B, link.Weight)}
+			for _, e := range round {
+				if _, err := rec.Apply(e); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -701,7 +699,7 @@ func BenchmarkRecompileFull(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g2, _, err := graph.ApplyEdit(g, graph.SetWeight(7, weights[i%2]))
+		g2, err := graph.ApplyEdit(g, graph.SetWeight(7, weights[i%2]))
 		if err != nil {
 			b.Fatal(err)
 		}

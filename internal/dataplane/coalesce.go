@@ -2,150 +2,46 @@ package dataplane
 
 import "recycle/internal/graph"
 
-// coalesceEdits reduces an edit batch over g to its net effect: weight
-// edits are last-write-wins per link (and dropped entirely when the
-// final weight equals the current one), a link added and later removed
-// in the same batch cancels to nothing, and a removed original link
-// swallows every weight edit it received first.
+// coalesceEdits nets a batch of weight edits over g: the last write to a
+// link wins, and a write that leaves its weight as g has it drops out.
+// The recompiled state is a canonical function of the final graph and
+// rotation orders alone — trees are canonical Dijkstra, ranks and FIB
+// columns are derived from them — and weight edits on different links
+// commute, so the net batch recompiles bit-identically to the replay;
+// intermediate weights can flip tie-breaks only during the batch, never
+// in its result.
 //
-// Soundness: the recompiled state is a canonical function of the final
-// (graph, rotation orders, discriminator) alone — trees are canonical
-// Dijkstra, ranks and FIB columns are derived from them — so any edit
-// sequence reaching the same final graph with the same final link
-// numbering and orders recompiles bit-identically; intermediate states
-// can flip tie-breaks only *during* the batch, never in its result.
-// graph.ApplyEdit's removal renumbering is an order-preserving
-// compaction and its adds append, so the net sequence emitted here —
-// weights on current IDs, then removals in increasing (adjusted) ID
-// order, then surviving adds in batch order — reproduces the replay's
-// final numbering exactly. The one case where numbering equivalence is
-// not self-evident is a surviving add parallel to a surviving link
-// between the same endpoints (FindLink tie-breaks by smallest ID);
-// coalesceEdits refuses those conservatively.
-//
-// It returns ok=false — caller replays the original batch — when the
-// batch is too small to shrink, nets to no reduction, hits a validation
-// error (replay surfaces the identical error), or trips the parallel-
-// link guard. ok=true with an empty net means the batch cancels out
-// entirely: the caller's state is already the final state.
+// It returns ok=false — the caller replays the original batch — when the
+// batch is too small to shrink, nets to no reduction, holds a structural
+// edit (a link added and removed again leaves a tombstone behind, which
+// only the replay lays down) or an edit that does not validate (replay
+// surfaces the identical error). ok=true with an empty net means the
+// batch cancels out entirely: the caller's state is already the final
+// state.
 func coalesceEdits(g *graph.Graph, edits []graph.Edit) (net []graph.Edit, ok bool) {
 	if len(edits) < 2 {
 		return nil, false
 	}
-	type addRec struct {
-		a, b graph.NodeID
-		w    float64
-		dead bool
-	}
-	type linkOrigin struct {
-		orig graph.LinkID // original link ID, or NoLink for batch adds
-		add  int          // index into adds, or -1 for originals
-	}
-	nOrig := g.NumLinks()
-	origin := make([]linkOrigin, nOrig)
-	for i := range origin {
-		origin[i] = linkOrigin{orig: graph.LinkID(i), add: -1}
-	}
-	removed := make([]bool, nOrig)
-	weight := make([]float64, nOrig)
-	weightSet := make([]bool, nOrig)
-	var adds []addRec
-
-	// Simulate the chain to track, per current link ID, where the link
-	// came from; the graph replay also validates every edit.
-	cur := g
+	at := make(map[graph.LinkID]int, len(edits)) // a link's slot in net
 	for _, e := range edits {
-		next, m, err := graph.ApplyEdit(cur, e)
-		if err != nil {
+		if e.Kind != graph.EditWeight || e.Validate(g) != nil {
 			return nil, false
 		}
-		switch e.Kind {
-		case graph.EditWeight:
-			o := origin[e.Link]
-			if o.add >= 0 {
-				adds[o.add].w = e.Weight
-			} else {
-				weight[o.orig] = e.Weight
-				weightSet[o.orig] = true
-			}
-		case graph.EditAddLink:
-			adds = append(adds, addRec{a: e.A, b: e.B, w: e.Weight})
-			origin = append(origin, linkOrigin{orig: graph.NoLink, add: len(adds) - 1})
-		case graph.EditRemoveLink:
-			o := origin[e.Link]
-			if o.add >= 0 {
-				adds[o.add].dead = true
-			} else {
-				removed[o.orig] = true
-			}
-			// Removal compacts IDs preserving order, so filtering origin
-			// by survival reproduces the new numbering.
-			kept := origin[:0]
-			for i, rec := range origin {
-				if m[i] != graph.NoLink {
-					kept = append(kept, rec)
-				}
-			}
-			origin = kept
-		}
-		cur = next
-	}
-
-	// Parallel-link guard: a surviving add whose endpoints still carry
-	// another surviving link (original or added) would rely on relative-
-	// ID reasoning across parallel links; replay instead.
-	type pair struct{ a, b graph.NodeID }
-	norm := func(a, b graph.NodeID) pair {
-		if a > b {
-			a, b = b, a
-		}
-		return pair{a, b}
-	}
-	surviving := make(map[pair]bool, nOrig)
-	for l := 0; l < nOrig; l++ {
-		if !removed[l] {
-			lk := g.Link(graph.LinkID(l))
-			surviving[norm(lk.A, lk.B)] = true
-		}
-	}
-	for _, a := range adds {
-		if a.dead {
+		if i, seen := at[e.Link]; seen {
+			net[i].Weight = e.Weight
 			continue
 		}
-		p := norm(a.a, a.b)
-		if surviving[p] {
-			return nil, false
-		}
-		surviving[p] = true
+		at[e.Link] = len(net)
+		net = append(net, e)
 	}
-
-	for l := 0; l < nOrig; l++ {
-		if removed[l] || !weightSet[l] {
-			continue
-		}
-		if weight[l] != g.Weight(graph.LinkID(l)) {
-			net = append(net, graph.SetWeight(graph.LinkID(l), weight[l]))
+	kept := net[:0]
+	for _, e := range net {
+		if e.Weight != g.Weight(e.Link) {
+			kept = append(kept, e)
 		}
 	}
-	shift := graph.LinkID(0)
-	for l := 0; l < nOrig; l++ {
-		if !removed[l] {
-			continue
-		}
-		// Each earlier emitted removal compacted the IDs above it down by
-		// one; all targets are originals (adds come after), so the
-		// adjustment is a running shift.
-		net = append(net, graph.RemoveLinkEdit(graph.LinkID(l)-shift))
-		shift++
-	}
-	for _, a := range adds {
-		if a.dead {
-			continue
-		}
-		net = append(net, graph.AddLinkEdit(a.a, a.b, a.w))
-	}
-	if len(net) >= len(edits) {
+	if len(kept) == len(edits) {
 		return nil, false
 	}
-	return net, true
+	return kept, true
 }

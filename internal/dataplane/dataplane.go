@@ -46,16 +46,26 @@
 // snapshots are cheap to copy-on-write.
 package dataplane
 
-import "recycle/internal/graph"
+import (
+	"slices"
+
+	"recycle/internal/graph"
+)
 
 // LinkState is a bitset of failed links, the dataplane's compiled form of
 // graph.FailureSet: Down is one shift-and-mask, and the whole state is
 // small enough to copy-on-write for RCU snapshots. The zero value is not
-// usable; create with NewLinkState or FromFailureSet.
+// usable. A FIB decides right only under the state its LinkState builds,
+// which holds the graph's removed links down; NewLinkState and
+// FromFailureSet build one that knows of no removed link, for a graph
+// that has none.
 type LinkState struct {
 	bits     []uint64
 	numLinks int
 	down     int // failed links: the popcount of bits, kept by Set
+	// removed are the links removed from the graph (FIB.LinkState): down
+	// whatever Set is told. This state is the one place that rule lives.
+	removed []graph.LinkID
 }
 
 // NewLinkState returns an all-up state for a graph with numLinks links.
@@ -80,8 +90,12 @@ func (s *LinkState) Down(l graph.LinkID) bool {
 	return s.bits[i>>6]&(1<<(i&63)) != 0
 }
 
-// Set marks link l down or up; only a flip moves the failed-link count.
+// Set marks link l down or up; only a flip moves the failed-link count. A
+// removed link stays down.
 func (s *LinkState) Set(l graph.LinkID, down bool) {
+	if !down && s.isRemoved(l) {
+		return
+	}
 	w, bit := &s.bits[uint(l)>>6], uint64(1)<<(uint(l)&63)
 	if (*w&bit != 0) == down {
 		return
@@ -94,6 +108,9 @@ func (s *LinkState) Set(l graph.LinkID, down bool) {
 	}
 }
 
+// isRemoved reports whether l is a link the graph removed.
+func (s *LinkState) isRemoved(l graph.LinkID) bool { return slices.Contains(s.removed, l) }
+
 // NumLinks returns the link-space size the state was built for.
 func (s *LinkState) NumLinks() int { return s.numLinks }
 
@@ -102,7 +119,7 @@ func (s *LinkState) CountDown() int { return s.down }
 
 // Clone returns an independent copy, the unit of RCU copy-on-write.
 func (s *LinkState) Clone() *LinkState {
-	c := &LinkState{bits: make([]uint64, len(s.bits)), numLinks: s.numLinks, down: s.down}
+	c := &LinkState{bits: make([]uint64, len(s.bits)), numLinks: s.numLinks, down: s.down, removed: s.removed}
 	copy(c.bits, s.bits)
 	return c
 }

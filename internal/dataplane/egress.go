@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/telemetry"
 )
@@ -22,15 +21,14 @@ type Egress interface {
 }
 
 // DartRebinder is implemented by Egress stages whose per-dart state
-// must follow structural hot-swaps. Engine.SwapFIB calls RebindDarts —
-// under its swap lock, before the new (FIB, LinkState) pair publishes —
-// with the new dart-space size and the old→new link map
-// (graph.NoLink marks removed links; nil means the IDs are unchanged).
-// Implementations must tolerate concurrent Transmit/Send calls against
-// the old dart space. An Egress that does not implement this interface
-// makes structural swaps an error, as before.
+// must follow a hot-swap that appends links. Engine.SwapFIB calls
+// RebindDarts — under its swap lock, before the new (FIB, LinkState)
+// pair publishes — with the grown dart-space size. Dart IDs never move,
+// so every existing dart keeps its state. Implementations must tolerate
+// concurrent Transmit/Send calls. An Egress that does not implement this
+// interface makes a swap that appends links an error.
 type DartRebinder interface {
-	RebindDarts(numDarts int, linkMap []graph.LinkID)
+	RebindDarts(numDarts int)
 }
 
 // TxVerdict classifies the outcome of one transmit attempt.
@@ -44,12 +42,9 @@ const (
 	TxDropQueueFull
 	// TxDropLinkDown: the egress link is marked down in the snapshot the
 	// batch was decided under (a failure detected between decision and
-	// transmit, or a caller replaying stale decisions).
+	// transmit, or a caller replaying stale decisions), or the dart is
+	// outside the queue's dart space: no link is behind it.
 	TxDropLinkDown
-	// TxDropStaleDart: the dart ID does not exist in the queue's current
-	// dart space — a decision made under a FIB whose link set a
-	// structural hot-swap has since replaced. Counted, never a panic.
-	TxDropStaleDart
 )
 
 // String names the verdict.
@@ -61,8 +56,6 @@ func (v TxVerdict) String() string {
 		return "drop-queue-full"
 	case TxDropLinkDown:
 		return "drop-link-down"
-	case TxDropStaleDart:
-		return "drop-stale-dart"
 	}
 	return fmt.Sprintf("TxVerdict(%d)", uint8(v))
 }
@@ -101,15 +94,14 @@ const (
 	MetricTxSentBits      = "tx.sent_bits"
 	MetricTxDropQueueFull = "tx.drop.queue-full"
 	MetricTxDropLinkDown  = "tx.drop.link-down"
-	MetricTxDropStaleDart = "tx.drop.stale-dart"
 	MetricTxQueueWaitNs   = "tx.queue_wait_ns"
 )
 
-// TxDropped sums the three tx.drop.* counters of a registry snapshot —
+// TxDropped sums the two tx.drop.* counters of a registry snapshot —
 // the egress account lives under the tx.* names (TxConfig.Metrics),
 // coherent with the engine and simulator counters.
 func TxDropped(s *telemetry.Snapshot) uint64 {
-	return s.Counter(MetricTxDropQueueFull) + s.Counter(MetricTxDropLinkDown) + s.Counter(MetricTxDropStaleDart)
+	return s.Counter(MetricTxDropQueueFull) + s.Counter(MetricTxDropLinkDown)
 }
 
 // TxQueue is the engine's built-in Egress: one bounded, link-rate-paced
@@ -142,9 +134,9 @@ func TxDropped(s *telemetry.Snapshot) uint64 {
 // queue-full verdict alone insists on a fresh reading, which serves only
 // the packet that needed it. Nothing on the path allocates.
 //
-// RebindDarts (structural hot-swaps) replaces the dart space under the
-// same lock; a dart outside the current space is a counted
-// TxDropStaleDart, never an index panic.
+// RebindDarts (hot-swaps that append links) grows the dart space under
+// the same lock; a dart outside it is a counted TxDropLinkDown, never an
+// index panic.
 type TxQueue struct {
 	nsPerBit    float64 // one bit-time: 1e9 / BandwidthBps
 	maxBacklog  int64   // bit-times
@@ -169,7 +161,6 @@ const (
 	txSentBits
 	txDropFull
 	txDropDown
-	txDropStale
 )
 
 // NewTxQueue builds transmit queues for a FIB's 2×NumLinks darts.
@@ -207,7 +198,7 @@ func NewTxQueueDarts(numDarts int, cfg TxConfig) *TxQueue {
 		// TxQueues sharing a registry (an engine rebuild, a soak restart)
 		// sum into the same tx.* totals.
 		q.bank = telemetry.NewCounterBank(cfg.Metrics,
-			MetricTxSent, MetricTxSentBits, MetricTxDropQueueFull, MetricTxDropLinkDown, MetricTxDropStaleDart)
+			MetricTxSent, MetricTxSentBits, MetricTxDropQueueFull, MetricTxDropLinkDown)
 	}
 	return q
 }
@@ -288,11 +279,7 @@ func (q *TxQueue) pacePkts(now int64, pkts []Packet, st *LinkState, verdicts []T
 // paces one packet of the given size onto dart d at clock reading now
 // (bit-times) and tallies the outcome into t.
 func (q *TxQueue) pace(now int64, d rotation.DartID, bits int64, st *LinkState, t *txTally) TxVerdict {
-	if d < 0 || int(d) >= len(q.free) {
-		t.n[txDropStale]++
-		return TxDropStaleDart
-	}
-	if st != nil && st.Down(rotation.LinkOf(d)) {
+	if d < 0 || int(d) >= len(q.free) || st != nil && st.Down(rotation.LinkOf(d)) {
 		t.n[txDropDown]++
 		return TxDropLinkDown
 	}
@@ -390,33 +377,17 @@ func (q *TxQueue) MaxBacklog() time.Duration {
 	return max(q.SampleBacklog(nil, nil))
 }
 
-// RebindDarts implements DartRebinder: it replaces the dart space for a
-// structural hot-swap. linkMap maps old link IDs to new ones
-// (graph.NoLink for removed links; nil means identity), exactly the map
-// Engine.SwapFIB validates — surviving links carry their pacing clocks
-// (free instants) into the new space, so an in-flight queue keeps
-// draining at the link rate instead of resetting to idle. A batch
-// decided under the old FIB that transmits after the rebind is paced on
-// the new space; its darts past it are counted as stale.
-func (q *TxQueue) RebindDarts(numDarts int, linkMap []graph.LinkID) {
-	next := make([]int64, numDarts)
+// RebindDarts implements DartRebinder: it grows the dart space to
+// numDarts for a hot-swap onto a FIB with appended links. Dart IDs never
+// move, so every dart keeps its pacing clock (its free instant) and an
+// in-flight queue keeps draining at the link rate; a smaller numDarts
+// changes nothing.
+func (q *TxQueue) RebindDarts(numDarts int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	carry := func(oldDart, newDart int) {
-		if oldDart < len(q.free) && newDart < numDarts {
-			next[newDart] = q.free[oldDart]
-		}
+	if grow := numDarts - len(q.free); grow > 0 {
+		q.free = append(q.free, make([]int64, grow)...)
 	}
-	if linkMap == nil {
-		copy(next, q.free)
-	}
-	for l, nl := range linkMap {
-		if nl != graph.NoLink {
-			carry(2*l, 2*int(nl))
-			carry(2*l+1, 2*int(nl)+1)
-		}
-	}
-	q.free = next
 }
 
 // wireFrameBits sizes a raw frame from its IP total-length field (IPv4

@@ -57,8 +57,8 @@ func TestWireFrameBitsClamped(t *testing.T) {
 // queue-wait histogram — and the three arms that report verdicts must
 // give the same sequence, the expected one. The batch
 // mixes abstract and wire packets, refused entries, default and clamped
-// sizes, a down link, stale darts on both sides of the dart space and a
-// dart driven past MaxBacklog.
+// sizes, a down link, darts on both sides of the dart space and a dart
+// driven past MaxBacklog.
 func TestTransmitMatchesSend(t *testing.T) {
 	const numDarts = 8
 	v4 := func(claim, n int) []byte {
@@ -74,7 +74,7 @@ func TestTransmitMatchesSend(t *testing.T) {
 			{Egress: 0, OK: true},               // default size, queues behind it
 			{Egress: 5, OK: false},              // refused by the FIB: not transmitted
 			{Egress: 2, OK: true, Bits: 100},    // link 1 is down
-			{Egress: numDarts, OK: true},        // past the dart space
+			{Egress: numDarts, OK: true},        // past the dart space: no link
 			{Egress: rotation.NoDart, OK: true}, // before it
 			{Egress: 0, OK: true, Bits: 8192},   // waits 1.5 ms
 			{Egress: 0, OK: true, Bits: 8192},   // waits 2.5 ms
@@ -92,7 +92,7 @@ func TestTransmitMatchesSend(t *testing.T) {
 		},
 	}
 	want := []TxVerdict{
-		TxSent, TxSent, TxDropLinkDown, TxDropStaleDart, TxDropStaleDart, TxSent, TxSent, TxDropQueueFull, TxSent,
+		TxSent, TxSent, TxDropLinkDown, TxDropLinkDown, TxDropLinkDown, TxSent, TxSent, TxDropQueueFull, TxSent,
 		TxSent, TxSent, TxDropLinkDown, TxDropQueueFull, TxSent,
 	}
 
@@ -106,7 +106,7 @@ func TestTransmitMatchesSend(t *testing.T) {
 			Metrics:      reg,
 		}), reg
 	}
-	counters := []string{MetricTxSent, MetricTxSentBits, MetricTxDropQueueFull, MetricTxDropLinkDown, MetricTxDropStaleDart}
+	counters := []string{MetricTxSent, MetricTxSentBits, MetricTxDropQueueFull, MetricTxDropLinkDown}
 	state := func(q *TxQueue, reg *telemetry.Registry) string {
 		snap := reg.Snapshot()
 		out := ""
@@ -146,7 +146,7 @@ func TestTransmitMatchesSend(t *testing.T) {
 	var transmits []TxVerdict
 	verdictOf := map[string]TxVerdict{
 		MetricTxSent: TxSent, MetricTxDropQueueFull: TxDropQueueFull,
-		MetricTxDropLinkDown: TxDropLinkDown, MetricTxDropStaleDart: TxDropStaleDart,
+		MetricTxDropLinkDown: TxDropLinkDown,
 	}
 	one := func(ob *Batch) {
 		before := onesReg.Snapshot()

@@ -211,7 +211,7 @@ func TestTxQueueZeroAllocs(t *testing.T) {
 // TestTxQueueConcurrentCounts: concurrent senders from many goroutines
 // (the engine's shards) lose no packet to races — every send is
 // accounted, batch and single-packet forms alike — while RebindDarts
-// replaces the dart space under them over and over: counts are kept per
+// grows the dart space under them over and over: counts are kept per
 // queue, not per dart space, so every batch lands in the totals
 // whichever space it was paced on. Run with -race in CI.
 func TestTxQueueConcurrentCounts(t *testing.T) {
@@ -254,7 +254,7 @@ func TestTxQueueConcurrentCounts(t *testing.T) {
 				rebinds <- n
 				return
 			default:
-				q.RebindDarts(8, nil)
+				q.RebindDarts(8 + n%64)
 				n++
 			}
 		}
@@ -501,10 +501,11 @@ func TestTxCollectorsAccumulate(t *testing.T) {
 	}
 }
 
-// TestTxQueueRebindCarriesPacing: RebindDarts carries surviving links'
-// pacing clocks into the new dart space (a busy queue keeps draining at
-// the link rate, it does not reset to idle), drops removed links'
-// state, and keeps the counts made before the rebind.
+// TestTxQueueRebindCarriesPacing: RebindDarts grows the dart space and
+// every dart keeps its pacing clock (a busy queue keeps draining at the
+// link rate, it does not reset to idle), the new darts start idle, a
+// smaller size changes nothing, and the counts made before the rebind
+// stay.
 func TestTxQueueRebindCarriesPacing(t *testing.T) {
 	now := func() time.Duration { return 0 }
 	reg := telemetry.NewRegistry()
@@ -521,16 +522,19 @@ func TestTxQueueRebindCarriesPacing(t *testing.T) {
 		t.Fatalf("pre-rebind backlog %v; want 2s", b)
 	}
 
-	// Rebind: link 0 → link 1, link 1 removed; dart space grows to 6.
-	q.RebindDarts(6, []graph.LinkID{1, graph.NoLink})
+	// Rebind: a link is appended, the dart space grows to 6.
+	q.RebindDarts(6)
 	if q.NumDarts() != 6 {
 		t.Fatalf("NumDarts = %d; want 6", q.NumDarts())
 	}
-	if b := q.Backlog(2); b != 2*time.Second {
-		t.Fatalf("carried backlog on remapped dart %v; want 2s", b)
+	if b := q.Backlog(0); b != 2*time.Second {
+		t.Fatalf("carried backlog on dart 0 %v; want 2s", b)
 	}
-	if b := q.Backlog(0); b != 0 {
-		t.Fatalf("new link 0 inherits stale backlog %v", b)
+	if b := q.Backlog(4); b != 0 {
+		t.Fatalf("new dart 4 starts with backlog %v", b)
+	}
+	if q.RebindDarts(2); q.NumDarts() != 6 {
+		t.Fatalf("a smaller rebind shrank the dart space to %d", q.NumDarts())
 	}
 	if got := reg.Snapshot().Counter(dataplane.MetricTxSent); got != 2 {
 		t.Fatalf("sends made before the rebind lost: %d", got)

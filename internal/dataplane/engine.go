@@ -153,7 +153,9 @@ func newShardMetrics(r *telemetry.Registry) *shardMetrics {
 // Forwarding state — the FIB plus the interface-state bitset — lives in
 // one atomically swapped immutable pair (RCU style): SetLink copies the
 // bitset, flips one bit and republishes; SwapFIB/ApplyDelta publish a
-// recompiled FIB with the detected failures carried over. Workers load
+// recompiled FIB with the detected failures carried over. A link the FIB
+// lists as removed is down in every bitset the engine publishes: the
+// failure that never heals, which PR already survives. Workers load
 // the pair once per batch, so they never take a lock, never see a torn
 // state, and never mix a FIB with a bitset sized for a different link
 // space. A batch in flight across a swap finishes under the pair it
@@ -241,8 +243,9 @@ func (r *ring) pop() *Batch {
 	return b
 }
 
-// NewEngine starts the workers and returns a running engine with all
-// links up. Callers must Close it to stop the workers.
+// NewEngine starts the workers and returns a running engine with every
+// link up but the FIB's removed ones. Callers must Close it to stop the
+// workers.
 func NewEngine(fib *FIB, cfg EngineConfig) *Engine {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
@@ -251,7 +254,7 @@ func NewEngine(fib *FIB, cfg EngineConfig) *Engine {
 		}
 	}
 	e := &Engine{cfg: cfg, shards: make([]*shard, cfg.Shards), stop: make(chan struct{})}
-	e.cur.Store(&engineState{fib: fib, links: NewLinkState(fib.NumLinks())})
+	e.cur.Store(&engineState{fib: fib, links: fib.LinkState(nil)})
 	for i := range e.shards {
 		e.shards[i] = &shard{
 			ring:   ring{buf: make([]*Batch, ringDepth), mask: ringDepth - 1},
@@ -292,8 +295,9 @@ func (e *Engine) Snapshot() *LinkState { return e.cur.Load().links }
 func (e *Engine) FIB() *FIB { return e.cur.Load().fib }
 
 // SetLink publishes a local failure detection (or repair): copy-on-write
-// the current snapshot and swap it in. Concurrent writers serialise on a
-// mutex; readers are never blocked.
+// the current snapshot and swap it in. A repair of a link the FIB lists
+// as removed leaves it down. Concurrent writers serialise on a mutex;
+// readers are never blocked.
 func (e *Engine) SetLink(l graph.LinkID, down bool) {
 	e.mu.Lock()
 	cur := e.cur.Load()
@@ -305,22 +309,20 @@ func (e *Engine) SetLink(l graph.LinkID, down bool) {
 
 // SwapFIB hot-swaps the engine onto a recompiled FIB without dropping a
 // packet: workers pick the new state up at their next batch, batches
-// already in flight finish consistently under the old pair. linkMap
-// carries the currently detected failures into the new FIB's link space
-// (old link ID → new, graph.NoLink for removed links); nil means the
-// link space is unchanged. When SwapFIB returns, every batch not yet
-// being decided — including everything submitted afterwards — is decided
-// on the new FIB: that is the swap barrier the churn tests pin.
+// already in flight finish consistently under the old pair. Link IDs
+// never move, so f's link space is the current one, grown by any
+// appended links: a detected failure keeps its bit, a link f removes is
+// down for good, and one it revives comes back up. When SwapFIB returns,
+// every batch not yet being decided — including everything submitted
+// afterwards — is decided on the new FIB: that is the swap barrier the
+// churn tests pin.
 //
-// A configured Egress is keyed by the old FIB's dart space. An Egress
-// implementing DartRebinder (TxQueue does) is rebound to the new dart
-// space before the new state publishes — pacing clocks of surviving
-// links carry over, and batches in flight against the old pair drain
-// into the retired dart space. A structural swap (non-nil linkMap, or a
-// changed link count) is refused only when the attached Egress cannot
-// rebind; rebuild the engine for structural maintenance in that
-// configuration.
-func (e *Engine) SwapFIB(f *FIB, linkMap []graph.LinkID) error {
+// A configured Egress is keyed by dart. When f appends links, an Egress
+// implementing DartRebinder (TxQueue does) grows to the new dart space
+// before the new state publishes, and every dart keeps its pacing clock;
+// the swap is refused when the attached Egress cannot grow. A FIB with
+// fewer links than the current one is no edit of it and is refused.
+func (e *Engine) SwapFIB(f *FIB) error {
 	if f == nil {
 		return fmt.Errorf("dataplane: nil FIB")
 	}
@@ -334,43 +336,29 @@ func (e *Engine) SwapFIB(f *FIB, linkMap []graph.LinkID) error {
 	}
 	defer e.mu.Unlock()
 	cur := e.cur.Load()
-	if linkMap == nil && f.NumLinks() != cur.fib.NumLinks() {
-		return fmt.Errorf("dataplane: link space changed (%d → %d links) but no link map",
+	if f.NumLinks() < cur.fib.NumLinks() {
+		return fmt.Errorf("dataplane: link space shrank (%d → %d links); link IDs never move, so this FIB is no edit of the running one",
 			cur.fib.NumLinks(), f.NumLinks())
 	}
-	if linkMap != nil && len(linkMap) != cur.fib.NumLinks() {
-		return fmt.Errorf("dataplane: link map covers %d links; FIB has %d", len(linkMap), cur.fib.NumLinks())
-	}
 	var rb DartRebinder
-	if e.cfg.Egress != nil && (linkMap != nil || f.NumLinks() != cur.fib.NumLinks()) {
-		// A non-nil map means the link set changed even if the count did
-		// not (add+remove in one delta): the per-dart egress queues'
-		// backlog and pacing clocks would throttle the wrong links
-		// unless the egress can rebind its dart space.
+	if e.cfg.Egress != nil && f.NumLinks() > cur.fib.NumLinks() {
 		var ok bool
 		if rb, ok = e.cfg.Egress.(DartRebinder); !ok {
-			return fmt.Errorf("dataplane: egress %T is keyed by dart and cannot rebind; rebuild the engine for structural edits", e.cfg.Egress)
+			return fmt.Errorf("dataplane: egress %T is keyed by dart and cannot grow; rebuild the engine to add links", e.cfg.Egress)
 		}
 	}
 	apply, applyT0 := e.cfg.Tracer.Start("engine.swap.apply", root.ID()), time.Now()
 	if rb != nil {
-		// Rebind before publishing: every batch decided on the new FIB
-		// transmits into the new dart space. Batches still in flight on
-		// the old pair are paced on whichever space the egress holds when
-		// they transmit (or count a stale-dart drop), never an index panic.
-		rb.RebindDarts(2*f.NumLinks(), linkMap)
+		// Grow before publishing: every batch decided on the new FIB
+		// transmits into a dart space that holds its darts.
+		rb.RebindDarts(2 * f.NumLinks())
 	}
-	links := NewLinkState(f.NumLinks())
+	// Carry the detected failures over; a link the old FIB removed and f
+	// revives comes back up.
+	links := f.LinkState(nil)
 	for l := 0; l < cur.fib.NumLinks(); l++ {
-		if !cur.links.Down(graph.LinkID(l)) {
-			continue
-		}
-		nl := graph.LinkID(l)
-		if linkMap != nil {
-			nl = linkMap[l]
-		}
-		if nl != graph.NoLink {
-			links.Set(nl, true)
+		if cur.links.Down(graph.LinkID(l)) && !cur.links.isRemoved(graph.LinkID(l)) {
+			links.Set(graph.LinkID(l), true)
 		}
 	}
 	e.cur.Store(&engineState{fib: f, links: links})
@@ -389,11 +377,7 @@ func (e *Engine) ApplyDelta(d *Delta) error {
 	if d == nil {
 		return fmt.Errorf("dataplane: nil delta")
 	}
-	var m []graph.LinkID
-	if d.Structural {
-		m = d.LinkMap
-	}
-	return e.SwapFIB(d.FIB, m)
+	return e.SwapFIB(d.FIB)
 }
 
 // Submit hands a batch to a shard (round-robin, falling over to the next

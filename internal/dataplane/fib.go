@@ -104,6 +104,10 @@ type FIB struct {
 	sigma []int32
 	// head[d] is the node dart d points at.
 	head []int32
+	// removed lists, in ID order, the links the graph removed
+	// (graph.Graph.Removed): their darts stay in the tables above, and
+	// the state LinkState builds holds them down for good.
+	removed []graph.LinkID
 }
 
 // ColumnMode selects the FIB's column representation.
@@ -202,6 +206,7 @@ func CompileWithOptions(p *core.Protocol, quant *core.Quantiser, opts CompileOpt
 		ddBits:   quant.Bits(),
 		sigma:    make([]int32, 2*m),
 		head:     make([]int32, 2*m),
+		removed:  g.RemovedLinks(),
 	}
 	f.faceGuard, f.faceNext = newFaceTable(m)
 	if !header.FitsFlowLabel(f.ddBits) {
@@ -318,18 +323,19 @@ func newFaceTable(m int) (guarded, faceNext []int32) {
 // recompiler to patch, copying only the planes that can change. The
 // next-hop table is always deep-copied; the rank plane is shared when
 // shareDD is set (no destination re-ranked, so it is bit-identical by
-// construction); the dart tables are freshly allocated when structural is
-// set — any edit that touched the link set invalidates the dart space,
-// even when the count happens to match — and shared otherwise. The
-// original stays immutable, which is what lets an Engine keep forwarding
-// on it while the copy is being patched.
-func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
+// construction); the dart tables are shared unless the link count grew —
+// link IDs never move, so only an appended link changes the rotation
+// system — and freshly allocated otherwise. The original stays
+// immutable, which is what lets an Engine keep forwarding on it while
+// the copy is being patched.
+func (f *FIB) cloneFor(numLinks int, shareDD bool) *FIB {
 	c := &FIB{
 		variant:  f.variant,
 		numNodes: f.numNodes,
 		numLinks: numLinks,
 		ddBits:   f.ddBits,
 		codec:    f.codec,
+		removed:  f.removed,
 	}
 	if f.pages != nil {
 		// Shared columns: copy only the page pointer tables; the patch
@@ -344,7 +350,7 @@ func (f *FIB) cloneFor(numLinks int, structural, shareDD bool) *FIB {
 			c.ddQ = append([]uint32(nil), f.ddQ...)
 		}
 	}
-	if !structural && numLinks == f.numLinks {
+	if numLinks == f.numLinks {
 		c.faceGuard, c.faceNext, c.sigma, c.head = f.faceGuard, f.faceNext, f.sigma, f.head
 	} else {
 		c.faceGuard, c.faceNext = newFaceTable(numLinks)
@@ -386,8 +392,22 @@ func (f *FIB) Variant() core.Variant { return f.variant }
 // NumNodes returns the node count the FIB was compiled for.
 func (f *FIB) NumNodes() int { return f.numNodes }
 
-// NumLinks returns the link count the FIB was compiled for.
+// NumLinks returns the link count the FIB was compiled for, removed links
+// included.
 func (f *FIB) NumLinks() int { return f.numLinks }
+
+// LinkState compiles a failure set (nil allowed) into a state for f's
+// link space with f's removed links down for good: their darts keep their
+// places in the cycle tables, so a decision is only right under a state
+// that holds them down, and Set never brings them up.
+func (f *FIB) LinkState(fs *graph.FailureSet) *LinkState {
+	st := FromFailureSet(f.numLinks, fs)
+	for _, l := range f.removed {
+		st.Set(l, true)
+	}
+	st.removed = f.removed
+	return st
+}
 
 // Head returns the node dart d points at.
 func (f *FIB) Head(d rotation.DartID) graph.NodeID { return graph.NodeID(f.head[d]) }

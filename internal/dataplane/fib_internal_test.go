@@ -48,7 +48,8 @@ func TestLinkStateCountsDown(t *testing.T) {
 	}
 
 	// The engine's snapshots: SetLink clones, a weight swap carries the
-	// bits verbatim, a structural swap rebuilds them through the link map.
+	// bits verbatim, a structural swap grows them and holds the removed
+	// link down.
 	g := graph.Ring(8)
 	p, err := core.New(g, rotation.AdjacencyOrder(g), route.Build(g, route.HopCount), core.Config{Variant: core.Full})
 	if err != nil {
@@ -65,7 +66,7 @@ func TestLinkStateCountsDown(t *testing.T) {
 	}
 	eng.SetLink(7, false)
 	eng.SetLink(6, false)
-	for _, edits := range [][]graph.Edit{{graph.SetWeight(1, 4)}, {graph.AddLinkEdit(0, 4, 2), graph.RemoveLinkEdit(3)}} {
+	for i, edits := range [][]graph.Edit{{graph.SetWeight(1, 4)}, {graph.AddLinkEdit(0, 4, 2), graph.RemoveLinkEdit(3)}} {
 		d, err := rec.Apply(edits...)
 		if err != nil {
 			t.Fatal(err)
@@ -73,8 +74,8 @@ func TestLinkStateCountsDown(t *testing.T) {
 		if err := eng.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		if st := eng.Snapshot(); st.down != 2 || popcount(st) != 2 {
-			t.Fatalf("after %v: down = %d, popcount = %d; want 2", edits, st.down, popcount(st))
+		if st, want := eng.Snapshot(), 2+i; st.down != want || popcount(st) != want {
+			t.Fatalf("after %v: down = %d, popcount = %d; want %d", edits, st.down, popcount(st), want)
 		}
 	}
 }

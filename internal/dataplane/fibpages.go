@@ -246,7 +246,7 @@ func (p *fibPages) adoptRanks(dst, numNodes int, ddq []uint16) {
 // and swap time, not per packet.
 func (f *FIB) MemBytes() int64 {
 	const sliceHeader = 24
-	total := int64(len(f.faceGuard)+len(f.sigma)+len(f.head)) * 4 // faceGuard: the guard entry counts
+	total := int64(len(f.faceGuard)+len(f.sigma)+len(f.head)+len(f.removed)) * 4 // faceGuard: the guard entry counts
 	if f.pages == nil {
 		return total + int64(len(f.nextDart))*4 + int64(len(f.ddQ))*4
 	}

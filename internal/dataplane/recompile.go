@@ -22,11 +22,13 @@ import (
 // +Inf, an addition one dropped from +Inf; only a tree whose set of
 // reachable nodes changes is rebuilt), only the quantiser columns whose
 // discriminators moved are re-ranked, and only the FIB entries whose next
-// hop moved are rewritten, after a removal has renumbered the rest. The
-// result is bit-identical to a from-scratch CompileWith over the same
-// graph, rotation system and routing tables (proven by the differential
-// harness in recompile_test.go), at a fraction of the latency — the
-// control plane can push updates without stalling.
+// hop moved are rewritten. No link ID ever moves: a removed link stays in
+// the graph and the rotation system as a tombstone, down for good
+// (graph.Graph.Removed), so only an appended link touches the dart
+// tables. The result is bit-identical to a from-scratch CompileWith over
+// the same graph, rotation system and routing tables (proven by the
+// differential harness in recompile_test.go), at a fraction of the
+// latency — the control plane can push updates without stalling.
 //
 // A Recompiler is a single-writer control-plane object: Apply is not
 // safe for concurrent use, but every artefact it produces (Delta's
@@ -73,7 +75,7 @@ type recompileCounters struct {
 	// joining two components). Every other tree is repaired.
 	dirtyDests, fullDests int64
 	// coalescedEdits counts edits batch coalescing eliminated before
-	// replay (net weight last-write-wins, add+remove cancellation).
+	// replay (weight last-write-wins, writes of the current weight).
 	coalescedEdits int64
 }
 
@@ -107,15 +109,12 @@ type Delta struct {
 	// Config.Quantise over Quantiser whatever the source protocol was —
 	// bit-identical decisions to FIB, for simulators and walks.
 	Protocol *core.Protocol
-	// LinkMap maps the pre-edit link IDs into the edited graph's
-	// (graph.NoLink for removed links). Engine.ApplyDelta uses it to
-	// carry detected failures across the swap.
-	LinkMap []graph.LinkID
 	// Dirty lists the destinations some edit of the set changed the tree
-	// of (a distance, a parent or a hop count; a tree a removal only
-	// renumbered is not dirty).
+	// of (a distance, a parent or a hop count).
 	Dirty []graph.NodeID
-	// Structural reports whether the link set (and dart space) changed.
+	// Structural reports whether the live link set changed: a link was
+	// removed, revived or appended. Only an appended one grows the dart
+	// space.
 	Structural bool
 }
 
@@ -213,20 +212,19 @@ func (r *Recompiler) Register(reg *telemetry.Registry) {
 }
 
 // Apply recompiles the network state through an edit set. Edits apply in
-// order, each seeing the effect of the ones before it (link references
-// follow graph.ApplyEdits semantics). On success the recompiler advances
-// to the new state, so successive Applies chain; on error it is
+// order, each seeing the effect of the ones before it (graph.ApplyEdit
+// semantics: link IDs never move, so a link added and removed again in
+// one set stays behind as a tombstone). On success the recompiler
+// advances to the new state, so successive Applies chain; on error it is
 // unchanged.
 //
-// An empty edit set — or a batch whose net effect is nothing, like an
-// add immediately removed — is a no-op: Apply returns a nil Delta and
-// nil error without cloning anything, and the recompiler state is
+// An empty edit set — or a batch whose net effect is nothing, like a
+// weight set and then set back — is a no-op: Apply returns a nil Delta
+// and nil error without cloning anything, and the recompiler state is
 // unchanged. Callers must treat a nil Delta as "nothing to swap".
 //
-// Batches of two or more edits are first coalesced to their net effect
-// (weight last-write-wins, add+remove cancellation) when the reduction
-// is provably replay-equivalent — see coalesceEdits; otherwise the
-// batch replays edit by edit. Per-destination work (tree repair, column
+// A batch of weight edits is first netted to the last write per link
+// (see coalesceEdits). Per-destination work (tree repair, column
 // patching) fans out across workers either way.
 func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	if len(edits) == 0 {
@@ -256,26 +254,12 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	for d := 0; d < n; d++ {
 		trees[d] = r.tbl.Tree(graph.NodeID(d))
 	}
-	// Rotation orders are only materialised when a structural edit
-	// actually changes the link set; weight-only applies rebind the
-	// existing system for free. Weight edits never touch the orders, so
-	// initialising them lazily at the first structural edit is exact.
+	// Rotation orders are only materialised when a link is appended: a
+	// removal or a revival keeps every dart where it was, so those and
+	// weight edits rebind the existing system for free.
 	var orders [][]graph.LinkID
-	ensureOrders := func() {
-		if orders != nil {
-			return
-		}
-		orders = make([][]graph.LinkID, n)
-		for v := 0; v < n; v++ {
-			orders[v] = r.sys.LinkOrder(graph.NodeID(v))
-		}
-	}
-	composed := make([]graph.LinkID, curG.NumLinks())
-	for i := range composed {
-		composed[i] = graph.LinkID(i)
-	}
 	dirty := make([]bool, n)
-	structural, renumbered := false, false
+	structural := false
 	// Per-destination work inside each edit writes only that
 	// destination's slots (trees[d], dirty[d]) and each repair result is
 	// canonical in (graph, tree, edit), so the loop fans out over a static
@@ -288,7 +272,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	rebuilt := make([]int64, workers) // per worker: trees whose reachable set changed
 
 	for _, e := range edits {
-		nextG, m, err := graph.ApplyEdit(curG, e)
+		nextG, err := graph.ApplyEdit(curG, e)
 		if err != nil {
 			return nil, err
 		}
@@ -296,22 +280,25 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 		// removal raises the link to +Inf, an addition drops it from +Inf.
 		editSpan := r.tracer.Start("recompile.repair", root.ID())
 		obs := r.tracer.RangeObserver("recompile.repair.worker", editSpan.ID())
-		var was graph.Link // the target of a weight edit or removal, as it was
-		if e.Kind != graph.EditAddLink {
-			was = curG.Link(e.Link)
+		l := e.Link
+		if e.Kind == graph.EditAddLink {
+			l = curG.AddTarget(e.A, e.B)
 		}
-		added := graph.LinkID(nextG.NumLinks() - 1)
+		var oldW float64
+		if e.Kind == graph.EditWeight {
+			oldW = curG.Weight(l)
+		}
 		par.ForObserved(n, workers, obs, func(w, lo, hi int) {
 			rep := &reps[w]
 			for d := lo; d < hi; d++ {
 				var changed, full bool
 				switch e.Kind {
 				case graph.EditWeight:
-					trees[d], changed = rep.WeightChange(nextG, trees[d], e.Link, was.Weight)
+					trees[d], changed = rep.WeightChange(nextG, trees[d], l, oldW)
 				case graph.EditAddLink:
-					trees[d], changed, full = rep.LinkAdded(nextG, trees[d], added)
+					trees[d], changed, full = rep.LinkAdded(nextG, trees[d], l)
 				case graph.EditRemoveLink:
-					trees[d], changed, full = rep.LinkRemoved(nextG, trees[d], was.A, was.B, e.Link, m)
+					trees[d], changed, full = rep.LinkRemoved(nextG, trees[d], l)
 				}
 				if changed {
 					dirty[d] = true
@@ -321,30 +308,17 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 				}
 			}
 		})
-		switch e.Kind {
-		case graph.EditAddLink:
-			structural = true
-			ensureOrders()
-			orders[e.A] = append(orders[e.A], added)
-			orders[e.B] = append(orders[e.B], added)
-		case graph.EditRemoveLink:
-			structural, renumbered = true, true
-			ensureOrders()
-			for v := 0; v < n; v++ {
-				kept := orders[v][:0]
-				for _, l := range orders[v] {
-					if nl := m[l]; nl != graph.NoLink {
-						kept = append(kept, nl)
-					}
+		if e.Kind == graph.EditAddLink && int(l) == curG.NumLinks() {
+			if orders == nil {
+				orders = make([][]graph.LinkID, n)
+				for v := 0; v < n; v++ {
+					orders[v] = r.sys.LinkOrder(graph.NodeID(v))
 				}
-				orders[v] = kept
 			}
+			orders[e.A] = append(orders[e.A], l)
+			orders[e.B] = append(orders[e.B], l)
 		}
-		for i, old := range composed {
-			if old != graph.NoLink {
-				composed[i] = m[old]
-			}
-		}
+		structural = structural || e.Structural()
 		curG = nextG
 		editSpan.End()
 	}
@@ -352,7 +326,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	rebuildSpan := r.tracer.Start("recompile.rebuild", root.ID())
 	var sys *rotation.System
 	var err error
-	if structural {
+	if orders != nil {
 		sys, err = rotation.FromLinkOrders(curG, orders)
 	} else {
 		sys, err = r.sys.Rebind(curG)
@@ -390,16 +364,12 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 
 	patchSpan := r.tracer.Start("recompile.patch", root.ID())
 	patchSpan.SetAttr(telemetry.AttrCount, int64(len(dirtyList)))
-	fib := r.fib.cloneFor(curG.NumLinks(), structural, len(rerank) == 0)
-	if structural {
+	fib := r.fib.cloneFor(curG.NumLinks(), len(rerank) == 0)
+	if orders != nil {
 		fib.fillDarts(sys)
 	}
-	// A removal renumbered the darts: every column moves into the new
-	// numbering, and old next hops compare through the composed map.
-	var linkMap []graph.LinkID
-	if renumbered {
-		linkMap = composed
-		fib.remapDarts(linkMap)
+	if structural {
+		fib.removed = curG.RemovedLinks()
 	}
 	fib.ddBits = quant.Bits()
 	fib.codec = CodecFor(fib.ddBits)
@@ -408,7 +378,7 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 	par.ForObserved(len(dirtyList), workers, r.tracer.RangeObserver("recompile.patch.worker", patchSpan.ID()), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst := dirtyList[i]
-			fib.patchNextDarts(dst, r.tbl.Tree(dst), trees[dst], sys, linkMap)
+			fib.patchNextDarts(dst, r.tbl.Tree(dst), trees[dst], sys)
 			// An unchanged discriminator column's ranks are bit-identical
 			// already.
 			if reranked[dst] {
@@ -438,7 +408,6 @@ func (r *Recompiler) Apply(edits ...graph.Edit) (*Delta, error) {
 		Quantiser:  quant,
 		FIB:        fib,
 		Protocol:   p,
-		LinkMap:    composed,
 		Dirty:      dirtyList,
 		Structural: structural,
 	}, nil
@@ -474,13 +443,11 @@ func (r *Recompiler) ddColumnChanged(old, nt *graph.SPTree) bool {
 }
 
 // patchNextDarts rewrites only the nextDart entries a repaired tree
-// actually moved. old is the pre-edit tree; when a removal renumbered the
-// links, linkMap takes its link IDs into nt's and the column has already
-// been through remapDarts, otherwise linkMap is nil. In shared-column mode
-// this is the copy-on-write seam: only the pages containing moved entries
-// get private copies; every other page of the column stays shared with the
+// actually moved; old is the pre-edit tree. In shared-column mode this is
+// the copy-on-write seam: only the pages containing moved entries get
+// private copies; every other page of the column stays shared with the
 // pre-edit FIB.
-func (f *FIB) patchNextDarts(dst graph.NodeID, old, nt *graph.SPTree, sys *rotation.System, linkMap []graph.LinkID) {
+func (f *FIB) patchNextDarts(dst graph.NodeID, old, nt *graph.SPTree, sys *rotation.System) {
 	if graph.SharedNextLink(old, nt) {
 		return
 	}
@@ -492,9 +459,6 @@ func (f *FIB) patchNextDarts(dst graph.NodeID, old, nt *graph.SPTree, sys *rotat
 	}
 	for node := 0; node < n; node++ {
 		was := old.NextLink[node]
-		if linkMap != nil && was != graph.NoLink {
-			was = linkMap[was]
-		}
 		link := nt.NextLink[node]
 		if was == link {
 			continue
@@ -534,64 +498,4 @@ func (f *FIB) fillDDColumn(dst graph.NodeID, quant *core.Quantiser) {
 	for node := 0; node < n; node++ {
 		f.ddQ[node*n+int(dst)] = quant.Rank(graph.NodeID(node), dst)
 	}
-}
-
-// remapDarts rewrites every nextDart entry through a link-ID mapping after
-// a removal renumbered the dart space; an entry over a removed link
-// becomes -1 until patchNextDarts gives its (dirty) column the new next
-// hop. In shared-column mode each distinct page is remapped once and the
-// result re-shared across every slot that pointed at it, so the
-// renumbered FIB keeps the original's dedup factor; pages the map leaves
-// untouched keep aliasing the pre-edit FIB's pages.
-func (f *FIB) remapDarts(linkMap []graph.LinkID) {
-	if pg := f.pages; pg != nil {
-		seen := make(map[*int32][]int32)
-		for slot, old := range pg.nd {
-			if len(old) == 0 {
-				continue
-			}
-			np, ok := seen[&old[0]]
-			if !ok {
-				np = remapDartPage(old, linkMap)
-				seen[&old[0]] = np
-			}
-			pg.nd[slot] = np
-		}
-		return
-	}
-	for idx, d := range f.nextDart {
-		if d < 0 {
-			continue
-		}
-		if nl := linkMap[d>>1]; nl == graph.NoLink {
-			f.nextDart[idx] = -1
-		} else {
-			f.nextDart[idx] = int32(nl)<<1 | d&1
-		}
-	}
-}
-
-// remapDartPage maps one next-dart page through a link renumbering,
-// returning the original page untouched (preserving sharing with the
-// pre-edit FIB) when no entry changes.
-func remapDartPage(page []int32, linkMap []graph.LinkID) []int32 {
-	np := page
-	copied := false
-	for i, d := range page {
-		if d < 0 {
-			continue
-		}
-		v := int32(-1)
-		if nl := linkMap[d>>1]; nl != graph.NoLink {
-			v = int32(nl)<<1 | d&1
-		}
-		if v != d {
-			if !copied {
-				np = append([]int32(nil), page...)
-				copied = true
-			}
-			np[i] = v
-		}
-	}
-	return np
 }

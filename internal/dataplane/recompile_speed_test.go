@@ -76,7 +76,7 @@ func deltaSpeedup(t *testing.T, spec string) (speedup float64, full, delta time.
 		sys := rec.System()
 		start := time.Now()
 		for i := 0; i < edits; i++ {
-			g2, _, err := graph.ApplyEdit(g, graph.SetWeight(link, weights[i%2]))
+			g2, err := graph.ApplyEdit(g, graph.SetWeight(link, weights[i%2]))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,9 +16,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"recycle/internal/core"
+	"recycle/internal/embedding"
 	"recycle/internal/graph"
 	"recycle/internal/rotation"
 	"recycle/internal/route"
@@ -33,6 +35,9 @@ func fibsEqual(t *testing.T, ctx string, got, want *FIB) {
 	t.Helper()
 	if got.numNodes != want.numNodes || got.numLinks != want.numLinks {
 		t.Fatalf("%s: size %d/%d ≠ %d/%d", ctx, got.numNodes, got.numLinks, want.numNodes, want.numLinks)
+	}
+	if !slices.Equal(got.removed, want.removed) {
+		t.Fatalf("%s: removed links %v ≠ %v", ctx, got.removed, want.removed)
 	}
 	if got.variant != want.variant || got.ddBits != want.ddBits || got.codec != want.codec {
 		t.Fatalf("%s: meta (%v,%d,%v) ≠ (%v,%d,%v)", ctx,
@@ -60,20 +65,27 @@ func fibsEqual(t *testing.T, ctx string, got, want *FIB) {
 
 // randomEdit draws a random valid edit for g, preferring weight changes
 // but exercising additions and removals too: every kind goes through the
-// same repairer. Additions land parallel to an existing link one time in
-// four and carry an integral weight half the time, so new links tie with
-// the paths they shortcut. Removals only target non-bridge links so the
-// §4.3 walk checks keep a connected graph to recycle on;
-// TestStructuralReachabilityEdits covers the edits that change
-// reachability.
+// same repairer. Every edit targets a live link. Additions land parallel
+// to an existing link one time in four and carry an integral weight half
+// the time, so new links tie with the paths they shortcut. Removals only
+// target non-bridge links so the §4.3 walk checks keep a connected graph
+// to recycle on; TestStructuralReachabilityEdits covers the edits that
+// change reachability.
 func randomEdit(g *graph.Graph, rng *rand.Rand) (graph.Edit, bool) {
+	live := func() graph.LinkID {
+		for {
+			if l := graph.LinkID(rng.Intn(g.NumLinks())); !g.Removed(l) {
+				return l
+			}
+		}
+	}
 	switch rng.Intn(5) {
 	case 0: // add
 		for try := 0; try < 10; try++ {
 			a := graph.NodeID(rng.Intn(g.NumNodes()))
 			b := graph.NodeID(rng.Intn(g.NumNodes()))
 			if rng.Intn(4) == 0 {
-				l := g.Link(graph.LinkID(rng.Intn(g.NumLinks())))
+				l := g.Link(live())
 				a, b = l.A, l.B
 			} else if a == b || g.HasLink(a, b) {
 				continue
@@ -86,7 +98,7 @@ func randomEdit(g *graph.Graph, rng *rand.Rand) (graph.Edit, bool) {
 		}
 		return graph.Edit{}, false
 	case 1: // remove a non-bridge link, keeping some headroom
-		if g.NumLinks() <= g.NumNodes() {
+		if g.NumLinks()-len(g.RemovedLinks()) <= g.NumNodes() {
 			return graph.Edit{}, false
 		}
 		bridges := map[graph.LinkID]bool{}
@@ -94,14 +106,13 @@ func randomEdit(g *graph.Graph, rng *rand.Rand) (graph.Edit, bool) {
 			bridges[b] = true
 		}
 		for try := 0; try < 10; try++ {
-			l := graph.LinkID(rng.Intn(g.NumLinks()))
-			if !bridges[l] {
+			if l := live(); !bridges[l] {
 				return graph.RemoveLinkEdit(l), true
 			}
 		}
 		return graph.Edit{}, false
 	default: // weight change; integral weights provoke equal-cost ties
-		l := graph.LinkID(rng.Intn(g.NumLinks()))
+		l := live()
 		var w float64
 		if rng.Intn(2) == 0 {
 			w = float64(1 + rng.Intn(5))
@@ -200,7 +211,7 @@ func TestRecompilerDifferential(t *testing.T) {
 				edits = append(edits, e)
 				// Later edits in the batch reference the intermediate
 				// graph; materialise it so randomEdit sees valid IDs.
-				next, _, err := graph.ApplyEdit(cur, e)
+				next, err := graph.ApplyEdit(cur, e)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
@@ -214,12 +225,15 @@ func TestRecompilerDifferential(t *testing.T) {
 				t.Fatalf("seed %d step %d edits %v: %v", seed, step, edits, err)
 			}
 			if d == nil {
-				// The batch coalesced to a net no-op (e.g. a link added
-				// and removed again). Verify the claim: replaying the
-				// batch must land exactly back on the current graph.
-				after, _, aerr := graph.ApplyEdits(rec.Graph(), edits)
-				if aerr != nil {
-					t.Fatalf("%s: no-op delta but replay errors: %v", testCtx(seed, step, edits), aerr)
+				// The batch coalesced to a net no-op (e.g. a weight set
+				// back). Verify the claim: replaying the batch must land
+				// exactly back on the current graph.
+				after := rec.Graph()
+				for _, e := range edits {
+					var aerr error
+					if after, aerr = graph.ApplyEdit(after, e); aerr != nil {
+						t.Fatalf("%s: no-op delta but replay errors: %v", testCtx(seed, step, edits), aerr)
+					}
 				}
 				if after.NumLinks() != rec.Graph().NumLinks() {
 					t.Fatalf("%s: no-op delta but link count changed", testCtx(seed, step, edits))
@@ -291,6 +305,125 @@ func assertStrictDecrease(t *testing.T, ctx string, d *Delta, rng *rand.Rand) {
 	}
 }
 
+// TestTombstoneDeliversAsSplice: on genus-0 graphs a removed link kept as
+// a tombstone — its darts in the rotation system, its link down for good —
+// delivers exactly the (src, dst) pairs a scratch compile of the spliced
+// graph delivers (the link taken out of the graph and of every rotation,
+// the IDs above it renumbered), under the removal plus up to two further
+// failures, and no walk crosses the tombstone. The hop totals may differ:
+// a recycling packet that meets the tombstone may resume where the
+// spliced face keeps it cycling.
+func TestTombstoneDeliversAsSplice(t *testing.T) {
+	const graphs = 40
+	walk := func(fib *FIB, st *LinkState, src, dst graph.NodeID) core.Result {
+		decide := func(node, dst graph.NodeID, ingress rotation.DartID, hdr core.Header) core.Decision {
+			return fib.Decide(node, dst, ingress, hdr, st)
+		}
+		return core.Walk(src, dst, fib.NumNodes(), fib.NumLinks(), decide, fib.Head)
+	}
+	walks, delivered, hopsTomb, hopsSplice := 0, 0, 0, 0
+	for seed := int64(1); seed <= graphs; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := graph.RandomPlanarLike(10+int(seed%23), seed)
+		n, m := g.NumNodes(), g.NumLinks()
+		sys, err := (embedding.Planar{}).Embed(g)
+		if err != nil || sys.Genus() != 0 {
+			t.Fatalf("seed %d: planar embedding %v, %v", seed, sys, err)
+		}
+		p, err := core.New(g, sys, route.Build(g, route.HopCount), core.Config{Variant: core.Full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := NewRecompiler(p, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bridge := map[graph.LinkID]bool{}
+		for _, b := range graph.Bridges(g) {
+			bridge[b] = true
+		}
+		gone := graph.LinkID(rng.Intn(m))
+		for bridge[gone] {
+			gone = graph.LinkID(rng.Intn(m))
+		}
+		d, err := rec.Apply(graph.RemoveLinkEdit(gone))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		id := func(l graph.LinkID) graph.LinkID { // l's ID in the spliced graph
+			if l > gone {
+				return l - 1
+			}
+			return l
+		}
+		sg := graph.New(n, m-1)
+		for v := 0; v < n; v++ {
+			sg.AddNode(g.Name(graph.NodeID(v)))
+		}
+		for _, l := range g.Links() {
+			if l.ID != gone {
+				sg.MustAddLink(l.A, l.B, l.Weight)
+			}
+		}
+		sg.Freeze()
+		orders := make([][]graph.LinkID, n)
+		for v := range orders {
+			for _, l := range sys.LinkOrder(graph.NodeID(v)) {
+				if l != gone {
+					orders[v] = append(orders[v], id(l))
+				}
+			}
+		}
+		ssys, err := rotation.FromLinkOrders(sg, orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp, err := core.New(sg, ssys, route.Build(sg, route.HopCount), core.Config{Variant: core.Full})
+		if err != nil {
+			t.Fatal(err)
+		}
+		spliced, err := CompileWith(sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		st, sst := d.FIB.LinkState(nil), NewLinkState(m-1)
+		for k := rng.Intn(3); k > 0; k-- {
+			if l := graph.LinkID(rng.Intn(m)); l != gone {
+				st.Set(l, true)
+				sst.Set(id(l), true)
+			}
+		}
+		for src := 0; src < n; src++ {
+			for dst := 0; dst < n; dst++ {
+				if src == dst {
+					continue
+				}
+				rt := walk(d.FIB, st, graph.NodeID(src), graph.NodeID(dst))
+				rs := walk(spliced, sst, graph.NodeID(src), graph.NodeID(dst))
+				for _, step := range rt.Steps {
+					if step.Egress != rotation.NoDart && rotation.LinkOf(step.Egress) == gone {
+						t.Fatalf("seed %d: %d→%d left node %d over the removed link %d", seed, src, dst, step.Node, gone)
+					}
+				}
+				if rt.Delivered() != rs.Delivered() {
+					t.Fatalf("seed %d, link %d removed, %d links down: %d→%d %v as a tombstone, %v spliced",
+						seed, gone, st.CountDown(), src, dst, rt.Outcome, rs.Outcome)
+				}
+				walks++
+				if rt.Delivered() {
+					delivered++
+					hopsTomb += rt.Hops()
+					hopsSplice += rs.Hops()
+				}
+			}
+		}
+	}
+	t.Logf("%d walks, %d delivered both ways; hops %d as a tombstone, %d spliced (%+.2f %%)",
+		walks, delivered, hopsTomb, hopsSplice, 100*float64(hopsTomb-hopsSplice)/float64(hopsSplice))
+}
+
 // buildGraph is a frozen graph of n nodes and the given unit-weight links.
 func buildGraph(n int, links ...[2]int) *graph.Graph {
 	g := graph.New(n, len(links))
@@ -320,16 +453,16 @@ func TestStructuralReachabilityEdits(t *testing.T) {
 	cases := []struct {
 		name  string
 		g     *graph.Graph
-		edits []graph.Edit // applied one Apply each, in the IDs of the graph before it
+		edits []graph.Edit // applied one Apply each; a re-addition revives its tombstone's ID
 	}{
 		{"barbell bridge out and back", barbell, []graph.Edit{
-			graph.RemoveLinkEdit(4), graph.AddLinkEdit(3, 4, 1), graph.RemoveLinkEdit(8), graph.AddLinkEdit(4, 3, 2.5)}},
+			graph.RemoveLinkEdit(4), graph.AddLinkEdit(3, 4, 1), graph.RemoveLinkEdit(4), graph.AddLinkEdit(4, 3, 2.5)}},
 		{"barbell ring link out and back", barbell, []graph.Edit{
-			graph.RemoveLinkEdit(1), graph.AddLinkEdit(1, 2, 1), graph.RemoveLinkEdit(6)}},
+			graph.RemoveLinkEdit(1), graph.AddLinkEdit(1, 2, 1), graph.RemoveLinkEdit(7)}},
 		{"path inner link out and back", path, []graph.Edit{
 			graph.RemoveLinkEdit(2), graph.AddLinkEdit(2, 3, 1), graph.RemoveLinkEdit(0), graph.AddLinkEdit(5, 0, 3)}},
 		{"islands joined, twice, and parted", islands, []graph.Edit{
-			graph.AddLinkEdit(2, 3, 1), graph.AddLinkEdit(0, 5, 2), graph.RemoveLinkEdit(7), graph.RemoveLinkEdit(7)}},
+			graph.AddLinkEdit(2, 3, 1), graph.AddLinkEdit(0, 5, 2), graph.RemoveLinkEdit(7), graph.RemoveLinkEdit(8)}},
 		{"tying shortcut and parallel twins", barbell, []graph.Edit{
 			graph.AddLinkEdit(0, 2, 2), graph.AddLinkEdit(4, 6, 2), graph.AddLinkEdit(3, 4, 1), graph.AddLinkEdit(1, 0, 0.5),
 			graph.RemoveLinkEdit(4), graph.RemoveLinkEdit(0)}},
@@ -393,9 +526,9 @@ func TestStructuralReachabilityEdits(t *testing.T) {
 }
 
 // TestGuardEntrySurvivesDeltas: the dart table the wire path indexes keeps
-// its guard entry through every kind of delta — shared with the old FIB on
-// a weight edit, freshly allocated at the new size on a structural one —
-// so a PR-set frame with no ingress is still refused on the patched FIB.
+// its guard entry through every kind of delta — shared with the old FIB
+// unless a link is appended, freshly allocated at the new size then — so
+// a PR-set frame with no ingress is still refused on the patched FIB.
 func TestGuardEntrySurvivesDeltas(t *testing.T) {
 	g := graph.New(4, 5)
 	for i := 0; i < 4; i++ {

@@ -126,10 +126,11 @@ func TestApplyEmptyNoOp(t *testing.T) {
 	}
 }
 
-// TestCoalescePinned pins the coalescer's behaviour case by case:
-// add+remove cancellation, weight last-write-wins, a weight edit that
-// reverts to the current value, a tie-break-flipping intermediate state,
-// and the remove+re-add shape that must fall back to replay.
+// TestCoalescePinned pins the coalescer's behaviour case by case: weight
+// last-write-wins, a weight edit that reverts to the current value, a
+// tie-break-flipping intermediate state, and the batches with a
+// structural edit, which replay edit by edit: an addition removed again
+// leaves a tombstone, a removal re-added revives its ID.
 func TestCoalescePinned(t *testing.T) {
 	build := func(t *testing.T, disc route.Discriminator) *Recompiler {
 		g := graph.RandomTwoConnected(8, 13, 11)
@@ -151,23 +152,40 @@ func TestCoalescePinned(t *testing.T) {
 		panic("complete graph")
 	}
 
-	t.Run("add-remove-cancels", func(t *testing.T) {
-		rec := build(t, route.HopCount)
+	t.Run("add-remove-leaves-tombstone", func(t *testing.T) {
+		rec, recB := build(t, route.HopCount), build(t, route.HopCount)
 		g0 := rec.Graph()
 		a, b := findAddable(g0)
-		added := graph.LinkID(g0.NumLinks()) // adds append at the end
-		d, err := rec.Apply(graph.AddLinkEdit(a, b, 2), graph.RemoveLinkEdit(added))
+		added := g0.AddTarget(a, b)
+		edits := []graph.Edit{graph.AddLinkEdit(a, b, 2), graph.RemoveLinkEdit(added)}
+		d, err := rec.Apply(edits...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d != nil {
-			t.Fatal("cancelling batch returned a delta")
+		if d == nil || !d.Structural || d.Graph.NumLinks() != g0.NumLinks()+1 || !d.Graph.Removed(added) {
+			t.Fatalf("add+remove left %v; want link %d appended and removed", d, added)
 		}
-		if rec.Graph() != g0 {
-			t.Fatal("cancelling batch mutated the graph")
+		if got := rec.stats.coalescedEdits; got != 0 {
+			t.Fatalf("CoalescedEdits = %d, want 0 (replayed)", got)
 		}
-		if got := rec.stats.coalescedEdits; got != 2 {
-			t.Fatalf("CoalescedEdits = %d, want 2", got)
+		for _, e := range edits {
+			if _, err := recB.Apply(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fibsEqual(t, "add+remove vs one Apply each", d.FIB, recB.FIB())
+		want, _ := fullRecompile(t, d, route.HopCount, core.Full)
+		fibsEqual(t, "add+remove vs scratch", d.FIB, want)
+
+		// A weight edit on the tombstone is accepted and moves no tree;
+		// removing it again is an error.
+		d, err = rec.Apply(graph.SetWeight(added, 9))
+		if err != nil || d == nil || len(d.Dirty) != 0 || d.Structural {
+			t.Fatalf("weight edit on a tombstone: %v, dirty %v", err, d)
+		}
+		fibsEqual(t, "tombstone weight vs before", d.FIB, recB.FIB())
+		if _, err := rec.Apply(graph.RemoveLinkEdit(added)); err == nil {
+			t.Fatal("removing a tombstone accepted")
 		}
 	})
 
@@ -254,8 +272,8 @@ func TestCoalescePinned(t *testing.T) {
 	t.Run("remove-readd-replays", func(t *testing.T) {
 		rec := build(t, route.HopCount)
 		g0 := rec.Graph()
-		// Remove a non-bridge link and re-add its endpoints: net size
-		// equals batch size, so the coalescer declines and Apply replays.
+		// Remove a non-bridge link and re-add its endpoints: a structural
+		// batch, so Apply replays, and the re-addition revives the ID.
 		var l graph.LinkID = graph.NoLink
 		bridges := map[graph.LinkID]bool{}
 		for _, b := range graph.Bridges(g0) {
@@ -275,6 +293,9 @@ func TestCoalescePinned(t *testing.T) {
 		if d == nil {
 			t.Fatal("remove+re-add is not a no-op (the weight changed)")
 		}
+		if d.Graph.NumLinks() != g0.NumLinks() || d.Graph.Removed(l) || d.Graph.Weight(l) != 5 {
+			t.Fatalf("re-add did not revive link %d: %v", l, d.Graph.Link(l))
+		}
 		if got := rec.stats.coalescedEdits; got != 0 {
 			t.Fatalf("CoalescedEdits = %d, want 0 (replayed)", got)
 		}
@@ -282,32 +303,33 @@ func TestCoalescePinned(t *testing.T) {
 		fibsEqual(t, "remove+re-add", d.FIB, want)
 	})
 
-	t.Run("mixed-batch-nets-to-one", func(t *testing.T) {
+	t.Run("mixed-batch-replays", func(t *testing.T) {
 		recA, recB := build(t, route.WeightSum), build(t, route.WeightSum)
 		g0 := recA.Graph()
 		a, b := findAddable(g0)
 		l := graph.LinkID(1)
-		added := graph.LinkID(g0.NumLinks())
-		d, err := recA.Apply(
+		edits := []graph.Edit{
 			graph.SetWeight(l, 7),
 			graph.AddLinkEdit(a, b, 2),
 			graph.SetWeight(l, 3),
-			graph.RemoveLinkEdit(added),
-		)
+			graph.RemoveLinkEdit(g0.AddTarget(a, b)),
+		}
+		d, err := recA.Apply(edits...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d == nil {
-			t.Fatal("net weight change coalesced to nothing")
+			t.Fatal("mixed batch coalesced to nothing")
 		}
-		if got := recA.stats.coalescedEdits; got != 3 {
-			t.Fatalf("CoalescedEdits = %d, want 3", got)
+		if got := recA.stats.coalescedEdits; got != 0 {
+			t.Fatalf("CoalescedEdits = %d, want 0 (replayed)", got)
 		}
-		dB, err := recB.Apply(graph.SetWeight(l, 3))
-		if err != nil {
-			t.Fatal(err)
+		for _, e := range edits {
+			if _, err := recB.Apply(e); err != nil {
+				t.Fatal(err)
+			}
 		}
-		fibsEqual(t, "mixed batch", d.FIB, dB.FIB)
+		fibsEqual(t, "mixed batch", d.FIB, recB.FIB())
 	})
 }
 
@@ -351,7 +373,7 @@ func TestCoalescedDifferential(t *testing.T) {
 				a := graph.NodeID(rng.Intn(cur.NumNodes()))
 				b := graph.NodeID(rng.Intn(cur.NumNodes()))
 				if a != b && !cur.HasLink(a, b) {
-					added := graph.LinkID(cur.NumLinks())
+					added := cur.AddTarget(a, b)
 					edits = append(edits, graph.AddLinkEdit(a, b, 1+9*rng.Float64()))
 					if rng.Intn(2) == 0 {
 						edits = append(edits, graph.RemoveLinkEdit(added))
@@ -458,7 +480,7 @@ func TestSharedColumnsChainedDifferential(t *testing.T) {
 				break
 			}
 			edits = append(edits, e)
-			next, _, err := graph.ApplyEdit(cur, e)
+			next, err := graph.ApplyEdit(cur, e)
 			if err != nil {
 				t.Fatal(err)
 			}

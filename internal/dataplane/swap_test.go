@@ -127,7 +127,7 @@ func TestEngineHotSwap(t *testing.T) {
 }
 
 // TestEngineSwapCarriesLinkState checks detected failures survive a swap,
-// including across a structural renumbering.
+// including a structural one, which adds the removed link's bit for good.
 func TestEngineSwapCarriesLinkState(t *testing.T) {
 	rec, g := swapFixture(t, "ring:8")
 	eng := dataplane.NewEngine(rec.FIB(), dataplane.EngineConfig{Shards: 1})
@@ -147,8 +147,8 @@ func TestEngineSwapCarriesLinkState(t *testing.T) {
 		t.Fatal("weight swap lost link state")
 	}
 
-	// Structural swap: remove link 3 (non-bridge on a ring? removing any
-	// ring link keeps it connected); IDs above shift down.
+	// Structural swap: a chord is appended and link 3 removed (any ring
+	// link can go with the chord in place); no ID moves.
 	d, err = rec.Apply(graph.AddLinkEdit(0, 4, 2), graph.RemoveLinkEdit(3))
 	if err != nil {
 		t.Fatal(err)
@@ -157,50 +157,43 @@ func TestEngineSwapCarriesLinkState(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Snapshot()
-	if st.NumLinks() != g.NumLinks() { // -1 removed, +1 added
-		t.Fatalf("swapped state sized %d; want %d", st.NumLinks(), g.NumLinks())
+	if st.NumLinks() != g.NumLinks()+1 { // +1 appended; the removed one stays
+		t.Fatalf("swapped state sized %d; want %d", st.NumLinks(), g.NumLinks()+1)
 	}
-	if !st.Down(d.LinkMap[5]) || !st.Down(d.LinkMap[2]) {
-		t.Fatal("structural swap lost remapped link state")
+	if !st.Down(5) || !st.Down(2) || !st.Down(3) {
+		t.Fatal("structural swap lost link state or left the removed link up")
 	}
-	if st.CountDown() != 2 {
+	if st.CountDown() != 3 {
 		t.Fatalf("structural swap invented failures: %d down", st.CountDown())
 	}
 }
 
-// rigidEgress is an Egress without RebindDarts: structural swaps must
-// still be refused for it.
+// rigidEgress is an Egress without RebindDarts: swaps that append links
+// must still be refused for it.
 type rigidEgress struct{}
 
 func (rigidEgress) Transmit(*dataplane.Batch, *dataplane.LinkState) {}
 
 // TestEngineSwapRefusals covers the guarded error paths. A TxQueue
-// egress rebinds across structural swaps (TestStructuralSwapRebindsEgress),
-// so the egress refusal now applies only to egresses that cannot.
+// egress grows across swaps that append links
+// (TestStructuralSwapRebindsEgress), so the egress refusal applies only
+// to egresses that cannot; a removal moves no dart and needs none.
 func TestEngineSwapRefusals(t *testing.T) {
 	rec, _ := swapFixture(t, "ring:8")
 	fib := rec.FIB()
 	eng := dataplane.NewEngine(fib, dataplane.EngineConfig{Shards: 1, Egress: rigidEgress{}})
 	defer eng.Close()
 
-	if err := eng.SwapFIB(nil, nil); err == nil {
+	if err := eng.SwapFIB(nil); err == nil {
 		t.Fatal("nil FIB accepted")
 	}
 	d, err := rec.Apply(graph.RemoveLinkEdit(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.ApplyDelta(d); err == nil {
-		t.Fatal("structural swap accepted with a non-rebindable egress attached")
+	if err := eng.ApplyDelta(d); err != nil {
+		t.Fatalf("removal refused with a rigid egress attached: %v", err)
 	}
-	if err := eng.SwapFIB(d.FIB, nil); err == nil {
-		t.Fatal("shrunk link space accepted without a map")
-	}
-	if err := eng.SwapFIB(d.FIB, make([]graph.LinkID, 3)); err == nil {
-		t.Fatal("short link map accepted")
-	}
-	// A same-count structural delta (add + remove) renumbers darts too:
-	// the egress queues' per-dart state would throttle the wrong links.
 	d2, err := rec.Apply(graph.AddLinkEdit(0, 3, 2), graph.RemoveLinkEdit(1))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +202,74 @@ func TestEngineSwapRefusals(t *testing.T) {
 		t.Fatal("add+remove delta not flagged structural")
 	}
 	if err := eng.ApplyDelta(d2); err == nil {
-		t.Fatal("same-count structural swap accepted with a non-rebindable egress attached")
+		t.Fatal("appended link accepted with a non-growable egress attached")
+	}
+	small, _ := swapFixture(t, "ring:6")
+	if err := eng.SwapFIB(small.FIB()); err == nil {
+		t.Fatal("shrunk link space accepted")
+	}
+}
+
+// TestRemovalKeepsLinkIdentity: a removal moves no other link. On ring:8
+// link 5 (5–6) fails, a 0–4 chord turns up, link 0 is decommissioned and
+// link 5 heals: the repair lands on link 5 and the only link left down is
+// the removed one. A packet the old FIB sent into cycle following, over a
+// dart above the removed ID, carries on over the same link after the
+// swap: the dart still ends where it did and the next hop is the one the
+// old FIB would have taken.
+func TestRemovalKeepsLinkIdentity(t *testing.T) {
+	rec, _ := swapFixture(t, "ring:8")
+	eng := dataplane.NewEngine(rec.FIB(), dataplane.EngineConfig{Shards: 1})
+	defer eng.Close()
+	eng.SetLink(5, true)
+	d, err := rec.Apply(graph.AddLinkEdit(0, 4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+
+	// 5→6 meets the failed link 5 and recycles towards node 4.
+	old, oldSt := eng.FIB(), eng.Snapshot()
+	b := &dataplane.Batch{Pkts: []dataplane.Packet{{Node: 5, Dst: 6, Ingress: rotation.NoDart}}}
+	eng.Step(b)
+	sent := b.Pkts[0]
+	if !sent.OK || !sent.Hdr.PR || rotation.LinkOf(sent.Egress) == 0 {
+		t.Fatalf("5→6 decided %+v; want a recycled packet on a link above 0", sent)
+	}
+	at := old.Head(sent.Egress)
+	want := old.Decide(at, 6, sent.Egress, sent.Hdr, oldSt)
+
+	d, err = rec.Apply(graph.RemoveLinkEdit(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	if h := eng.FIB().Head(sent.Egress); h != at {
+		t.Fatalf("dart %d in flight now ends at node %d; it ended at %d", sent.Egress, h, at)
+	}
+	b.Pkts[0] = dataplane.Packet{Node: at, Dst: 6, Ingress: sent.Egress, Hdr: sent.Hdr}
+	eng.Step(b)
+	if got := b.Pkts[0]; !got.OK || got.Egress != want.Egress || got.Hdr != want.Header {
+		t.Fatalf("after the swap the packet at %d took dart %d (%+v); the old FIB took %d", at, got.Egress, got, want.Egress)
+	}
+
+	eng.SetLink(5, false)
+	st := eng.Snapshot()
+	if st.CountDown() != 1 || !st.Down(0) {
+		down := []graph.LinkID{}
+		for l := graph.LinkID(0); int(l) < st.NumLinks(); l++ {
+			if st.Down(l) {
+				down = append(down, l)
+			}
+		}
+		t.Fatalf("after link 5 healed, links %v are down; want only the removed link 0", down)
+	}
+	if eng.SetLink(0, false); !eng.Snapshot().Down(0) {
+		t.Fatal("a repair brought the removed link 0 back up")
 	}
 }
 
@@ -289,12 +349,13 @@ func TestStructuralSwapRebindsEgress(t *testing.T) {
 		t.Fatalf("tx.sent = %d after the structural swap; want %d", after, before+2+perSubmit)
 	}
 
-	// A dart beyond every generation is a counted drop, never a panic.
-	if v := tx.Send(rotation.DartID(10_000), 8192, nil); v != dataplane.TxDropStaleDart {
-		t.Fatalf("out-of-range dart: %v; want drop-stale-dart", v)
+	// A dart beyond the dart space has no link behind it: a counted
+	// link-down drop, never a panic.
+	if v := tx.Send(rotation.DartID(10_000), 8192, nil); v != dataplane.TxDropLinkDown {
+		t.Fatalf("out-of-range dart: %v; want drop-link-down", v)
 	}
-	if got := reg.Snapshot().Counter(dataplane.MetricTxDropStaleDart); got != 1 {
-		t.Fatalf("stale-dart drop not counted: %d", got)
+	if got := reg.Snapshot().Counter(dataplane.MetricTxDropLinkDown); got != 1 {
+		t.Fatalf("out-of-range drop not counted: %d", got)
 	}
 }
 

@@ -106,7 +106,7 @@ func MeasureChurn(tp topo.Topology, cfg ChurnConfig) (Churn, error) {
 		// rotation system (same link orders), every routing tree, the
 		// whole quantiser and the whole FIB.
 		start = time.Now()
-		fullG, _, err := graph.ApplyEdit(prev, e)
+		fullG, err := graph.ApplyEdit(prev, e)
 		if err != nil {
 			return 0, 0, nil, err
 		}

@@ -379,7 +379,7 @@ func RunSoak(tp topo.Topology, cfg SoakConfig) (*SoakResult, error) {
 	tl := telemetry.NewTimeline(reg)
 	start := time.Now()
 
-	p.ctl = newSoakControl(cfg, eng, p.tx, rec, tl, events, sys.Genus(), runSpan.ID())
+	p.ctl = newSoakControl(cfg, eng, p.tx, rec, tl, events, runSpan.ID())
 	// A hot-swap is no link event, yet it can cost a packet in flight
 	// across it; fill lands all control due by a packet's emission first.
 	p.acct = sim.NewAccount(reg, oracle, p.ctl.swapIn)
@@ -614,19 +614,18 @@ func (p *soakPump) tick() {
 // scheduled instant. Only the pump goroutine touches it, the Timeline
 // and the Recompiler.
 type soakControl struct {
-	eng       *dataplane.Engine
-	tx        *dataplane.TxQueue
-	rec       *dataplane.Recompiler
-	tl        *telemetry.Timeline
-	events    []failure.Event
-	every     time.Duration // swap i is scheduled at (i+1)·every
-	horizon   time.Duration // no swap is scheduled at or after it
-	addAt     int           // the swap that adds a structural chord
-	removeAt  int           // the swap that removes it again
-	baseGenus int
-	rng       *rand.Rand
-	tracer    *telemetry.Tracer
-	root      telemetry.SpanID
+	eng      *dataplane.Engine
+	tx       *dataplane.TxQueue
+	rec      *dataplane.Recompiler
+	tl       *telemetry.Timeline
+	events   []failure.Event
+	every    time.Duration // swap i is scheduled at (i+1)·every
+	horizon  time.Duration // no swap is scheduled at or after it
+	addAt    int           // the swap that adds a structural chord
+	removeAt int           // the swap that removes it again
+	rng      *rand.Rand
+	tracer   *telemetry.Tracer
+	root     telemetry.SpanID
 
 	ei         int // scenario events applied so far
 	swapIdx    int // swaps attempted so far
@@ -640,16 +639,16 @@ type soakControl struct {
 
 // newSoakControl schedules cfg's hot-swaps beside the scenario's events.
 // A chord is added a third of the way in and removed at two thirds,
-// bracketing a window in which the engine forwards on a larger dart
-// space than it was built with.
+// after which it stays a tombstone: the engine forwards on a larger dart
+// space than it was built with, the chord's link down for good.
 func newSoakControl(cfg SoakConfig, eng *dataplane.Engine, tx *dataplane.TxQueue, rec *dataplane.Recompiler,
-	tl *telemetry.Timeline, events []failure.Event, baseGenus int, root telemetry.SpanID) *soakControl {
+	tl *telemetry.Timeline, events []failure.Event, root telemetry.SpanID) *soakControl {
 	total := int(cfg.Duration / cfg.SwapEvery)
 	return &soakControl{
 		eng: eng, tx: tx, rec: rec, tl: tl, events: events,
 		every: cfg.SwapEvery, horizon: cfg.Duration,
 		addAt: total / 3, removeAt: max(2*total/3, total/3+1),
-		baseGenus: baseGenus, tracer: cfg.Tracer, root: root,
+		tracer: cfg.Tracer, root: root,
 		rng: rand.New(rand.NewSource(failure.DrawSeed(cfg.Seed, 4))),
 	}
 }
@@ -751,11 +750,9 @@ func (c *soakControl) swap(at time.Duration) {
 		return
 	}
 	c.tl.Roll(at, label)
-	if d.Structural {
-		// The egress queue is the pump's, not the engine's: carry its
-		// pacing clocks into the new dart space as SwapFIB would.
-		c.tx.RebindDarts(2*d.FIB.NumLinks(), d.LinkMap)
-	}
+	// The egress queue is the pump's, not the engine's: grow it to an
+	// appended link's darts as SwapFIB would.
+	c.tx.RebindDarts(2 * d.FIB.NumLinks())
 	if aerr := c.eng.ApplyDelta(d); aerr != nil {
 		// The recompiler advanced but the engine refused: the two are
 		// now desynchronised, which no later swap can repair. Abort.
@@ -769,32 +766,41 @@ func (c *soakControl) swap(at time.Duration) {
 }
 
 // tryAddChord hunts for a chord whose appended rotation placement keeps
-// the surface genus — §5's guarantee is conditioned on the embedding,
-// so a genus-raising chord is reverted (the trial edit is undone) and
-// another candidate tried.
+// the surface genus — §5's guarantee is conditioned on the embedding. An
+// appended link sits last in both endpoints' rotations, so it keeps the
+// genus exactly when the corners it lands in, one after each endpoint's
+// last dart, lie on one face, which it splits; otherwise it joins two
+// faces and raises the genus. Such candidates are skipped before any
+// edit: a removed link stays behind as a tombstone, so no trial chord
+// could be taken back. The genus is still checked after the edit, and a
+// raise aborts the soak rather than run §5 on an embedding it does not
+// cover.
 func (c *soakControl) tryAddChord() (*dataplane.Delta, string) {
+	sys := c.rec.System()
+	faces, genus := sys.Faces(), sys.Genus()
+	// corner is the dart whose face an appended link enters at v.
+	corner := func(v graph.NodeID) rotation.DartID {
+		r := sys.Rotation(v)
+		return rotation.ReverseID(r[len(r)-1])
+	}
 	n := c.rec.Graph().NumNodes()
 	for try := 0; try < 16; try++ {
 		g := c.rec.Graph()
 		a := graph.NodeID(c.rng.Intn(n))
 		b := graph.NodeID(c.rng.Intn(n))
-		if a == b || g.HasLink(a, b) {
+		if a == b || g.HasLink(a, b) || g.Degree(a) == 0 || g.Degree(b) == 0 || !faces.SameFace(corner(a), corner(b)) {
 			continue
 		}
+		chord := g.AddTarget(a, b)
 		d, err := c.rec.Apply(graph.AddLinkEdit(a, b, 1))
 		if err != nil {
 			continue // the recompiler is unchanged on error
 		}
-		if d.System.Genus() > c.baseGenus {
-			chord := graph.LinkID(d.Graph.NumLinks() - 1)
-			if _, rerr := c.rec.Apply(graph.RemoveLinkEdit(chord)); rerr != nil {
-				c.err = fmt.Errorf("eval: soak could not revert trial chord: %w", rerr)
-				return nil, ""
-			}
-			continue
+		if ng := d.System.Genus(); ng > genus {
+			c.err = fmt.Errorf("eval: soak chord %d–%d raised the genus %d → %d", a, b, genus, ng)
+			return nil, ""
 		}
-		c.chord = graph.LinkID(d.Graph.NumLinks() - 1)
-		c.added = true
+		c.chord, c.added = chord, true
 		return d, fmt.Sprintf("swap: add chord %d–%d (link %d)", a, b, c.chord)
 	}
 	return nil, ""
@@ -854,10 +860,9 @@ func WriteSoakReport(w io.Writer, r *SoakResult) {
 	fmt.Fprintf(w, "swaps       %12d  (%d structural, %d skipped)\n", r.Swaps, r.StructuralSwaps, r.SkippedSwaps)
 	fmt.Fprintf(w, "link events %12d\n", r.ScenarioEvents)
 	if a := r.Aggregate; a != nil {
-		fmt.Fprintf(w, "tx          %12d sent, %d dropped (%d queue-full, %d link-down, %d stale-dart)\n",
+		fmt.Fprintf(w, "tx          %12d sent, %d dropped (%d queue-full, %d link-down)\n",
 			a.Counter(dataplane.MetricTxSent), dataplane.TxDropped(a),
-			a.Counter(dataplane.MetricTxDropQueueFull), a.Counter(dataplane.MetricTxDropLinkDown),
-			a.Counter(dataplane.MetricTxDropStaleDart))
+			a.Counter(dataplane.MetricTxDropQueueFull), a.Counter(dataplane.MetricTxDropLinkDown))
 	}
 	perDecision := 0.0
 	if r.Decisions > 0 {

@@ -509,7 +509,7 @@ func TestSoakRefereeAndSchedule(t *testing.T) {
 	events = append([]failure.Event{{At: 500 * ms, Link: lb, Down: true}, {At: 500 * ms, Link: lb, Down: false}}, events...)
 	tl := telemetry.NewTimeline(telemetry.NewRegistry())
 	c := newSoakControl(SoakConfig{Duration: 2 * time.Second, SwapEvery: 500 * ms, Panel: Panel{Seed: 1}},
-		eng, dataplane.NewTxQueue(st.fib, dataplane.TxConfig{}), rec, tl, events, st.sys.Genus(), 0)
+		eng, dataplane.NewTxQueue(st.fib, dataplane.TxConfig{}), rec, tl, events, 0)
 	c.applyDue(499 * ms)
 	if c.ei != 0 || c.swaps != 0 {
 		t.Fatalf("before 500ms: %d events and %d swaps applied; want none", c.ei, c.swaps)

@@ -8,7 +8,8 @@ package graph
 //
 // The implementation is the classic Tarjan low-link DFS, iterative to stay
 // safe on deep topologies, and multigraph-aware: parallel links between the
-// same pair are never bridges.
+// same pair are never bridges. Like every traversal here it reads the
+// adjacency, so a removed link (Graph.Removed) is never one either.
 func Bridges(g *Graph) []LinkID {
 	n := g.NumNodes()
 	disc := make([]int, n) // discovery time, 0 = unvisited

@@ -8,11 +8,12 @@ type EditKind int
 const (
 	// EditWeight changes the weight of an existing link.
 	EditWeight EditKind = iota
-	// EditAddLink adds a new link between two existing nodes.
+	// EditAddLink adds a link between two existing nodes: it revives a
+	// removed link joining them, else appends a new ID.
 	EditAddLink
-	// EditRemoveLink removes an existing link. Link IDs above the removed
-	// one shift down by one (IDs stay dense); ApplyEdits returns the
-	// mapping.
+	// EditRemoveLink removes a live link. The link keeps its ID as a
+	// tombstone (Graph.Removed): no other ID moves, and a failure that
+	// never heals is what the rest of the system sees.
 	EditRemoveLink
 )
 
@@ -30,9 +31,8 @@ func (k EditKind) String() string {
 }
 
 // Edit is one planned topology change — the unit of maintenance the
-// incremental recompiler consumes. Link references are in the ID space of
-// the graph the edit set is applied to; edits within one ApplyEdits batch
-// all reference that original space.
+// incremental recompiler consumes. Link IDs never move, so a reference
+// means the same link before and after any edit.
 type Edit struct {
 	Kind EditKind
 	// Link is the target of EditWeight / EditRemoveLink.
@@ -71,8 +71,9 @@ func (e Edit) String() string {
 // the dart space and the embedding), as opposed to only link weights.
 func (e Edit) Structural() bool { return e.Kind != EditWeight }
 
-// validate checks one edit against the graph it will be applied to.
-func (e Edit) validate(g *Graph) error {
+// Validate checks one edit against the graph it will be applied to: the
+// error ApplyEdit would return, without the edit.
+func (e Edit) Validate(g *Graph) error {
 	switch e.Kind {
 	case EditWeight, EditRemoveLink:
 		if e.Link < 0 || int(e.Link) >= g.NumLinks() {
@@ -80,6 +81,9 @@ func (e Edit) validate(g *Graph) error {
 		}
 		if e.Kind == EditWeight && e.Weight <= 0 {
 			return fmt.Errorf("graph: edit %v has non-positive weight", e)
+		}
+		if e.Kind == EditRemoveLink && g.Removed(e.Link) {
+			return fmt.Errorf("graph: edit %v targets a link already removed", e)
 		}
 	case EditAddLink:
 		if !g.validNode(e.A) || !g.validNode(e.B) {
@@ -98,23 +102,21 @@ func (e Edit) validate(g *Graph) error {
 }
 
 // ApplyEdit applies a single edit to a frozen graph and returns the edited
-// frozen clone plus the link-ID mapping from g's space to the new graph's
-// (NoLink for a removed link). Weight changes and additions keep every
-// existing ID; a removal shifts the IDs above it down by one.
-func ApplyEdit(g *Graph, e Edit) (*Graph, []LinkID, error) {
-	if err := e.validate(g); err != nil {
-		return nil, nil, err
+// frozen clone. No link ID moves: a removal leaves its link in the link
+// table as a tombstone, out of the adjacency; an addition between the
+// endpoints of a tombstone revives the lowest such ID, with its endpoints'
+// order and the new weight; any other addition appends ID NumLinks().
+// A weight edit on a tombstone only records the weight.
+func ApplyEdit(g *Graph, e Edit) (*Graph, error) {
+	if err := e.Validate(g); err != nil {
+		return nil, err
 	}
-	linkMap := make([]LinkID, g.NumLinks())
-	for i := range linkMap {
-		linkMap[i] = LinkID(i)
-	}
+	links := append([]Link(nil), g.links...)
 	if e.Kind == EditWeight && g.Frozen() {
 		// Weight-only fast path: adjacency, names and the through-arc
 		// table are weight-free, so the edited graph shares them and
 		// clones just the link table and the arcs that carry the weight
 		// inline — the delta recompiler applies thousands of these.
-		links := append([]Link(nil), g.links...)
 		links[e.Link].Weight = e.Weight
 		arcs := append([]arc(nil), g.arcs...)
 		for _, u := range [2]NodeID{links[e.Link].A, links[e.Link].B} {
@@ -124,54 +126,39 @@ func ApplyEdit(g *Graph, e Edit) (*Graph, []LinkID, error) {
 				}
 			}
 		}
-		return &Graph{names: g.names, links: links, adj: g.adj, frozen: true,
-			arcStart: g.arcStart, arcs: arcs, thru: g.thru}, linkMap, nil
+		return &Graph{names: g.names, links: links, removed: g.removed, adj: g.adj, frozen: true,
+			arcStart: g.arcStart, arcs: arcs, thru: g.thru}, nil
 	}
-	out := New(g.NumNodes(), g.NumLinks()+1)
-	for n := 0; n < g.NumNodes(); n++ {
-		out.AddNode(g.Name(NodeID(n)))
-	}
-	for _, l := range g.Links() {
-		if e.Kind == EditRemoveLink && l.ID == e.Link {
-			linkMap[l.ID] = NoLink
-			continue
+	removed := append([]bool(nil), g.removed...)
+	switch e.Kind {
+	case EditWeight:
+		links[e.Link].Weight = e.Weight
+	case EditRemoveLink:
+		if removed == nil {
+			removed = make([]bool, len(links))
 		}
-		w := l.Weight
-		if e.Kind == EditWeight && l.ID == e.Link {
-			w = e.Weight
+		removed[e.Link] = true
+	case EditAddLink:
+		l := g.AddTarget(e.A, e.B)
+		if int(l) < len(links) {
+			links[l].Weight = e.Weight
+			removed[l] = false
+			break
 		}
-		linkMap[l.ID] = out.MustAddLink(l.A, l.B, w)
-	}
-	if e.Kind == EditAddLink {
-		if _, err := out.AddLink(e.A, e.B, e.Weight); err != nil {
-			return nil, nil, err
+		if err := CheckSize(0, len(links)+1); err != nil {
+			return nil, err
+		}
+		links = append(links, Link{ID: l, A: e.A, B: e.B, Weight: e.Weight})
+		if removed != nil {
+			removed = append(removed, false)
 		}
 	}
-	return out.Freeze(), linkMap, nil
-}
-
-// ApplyEdits applies a sequence of edits (each referencing the ID space of
-// the graph before it, i.e. edits see the effect of earlier edits in the
-// batch) and returns the final graph plus the composed link-ID mapping
-// from g's original space (NoLink for links removed anywhere in the
-// batch).
-func ApplyEdits(g *Graph, edits []Edit) (*Graph, []LinkID, error) {
-	cur := g
-	composed := make([]LinkID, g.NumLinks())
-	for i := range composed {
-		composed[i] = LinkID(i)
-	}
-	for _, e := range edits {
-		next, m, err := ApplyEdit(cur, e)
-		if err != nil {
-			return nil, nil, err
+	out := &Graph{names: g.names, links: links, removed: removed, adj: make([][]Neighbor, len(g.names))}
+	for _, l := range links {
+		if !out.Removed(l.ID) {
+			out.adj[l.A] = append(out.adj[l.A], Neighbor{Node: l.B, Link: l.ID})
+			out.adj[l.B] = append(out.adj[l.B], Neighbor{Node: l.A, Link: l.ID})
 		}
-		for i, old := range composed {
-			if old != NoLink {
-				composed[i] = m[old]
-			}
-		}
-		cur = next
 	}
-	return cur, composed, nil
+	return out.Freeze(), nil
 }

@@ -9,74 +9,89 @@ import (
 
 func TestApplyEditWeight(t *testing.T) {
 	g := Ring(5)
-	g2, m, err := ApplyEdit(g, SetWeight(2, 3.5))
+	g2, err := ApplyEdit(g, SetWeight(2, 3.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumLinks() != 5 || g2.Weight(2) != 3.5 || g2.Weight(1) != 1 {
 		t.Fatalf("weight edit wrong: %v", g2.Links())
 	}
-	for i, id := range m {
-		if id != LinkID(i) {
-			t.Fatalf("weight edit must keep IDs, got map %v", m)
-		}
-	}
 	if g.Weight(2) != 1 {
 		t.Fatal("original graph mutated")
 	}
 }
 
+// TestApplyEditAddRemove pins stable link IDs: an addition appends, a
+// removal leaves a tombstone out of the adjacency and moves no other ID,
+// and an addition across a tombstone's endpoints revives it in place.
 func TestApplyEditAddRemove(t *testing.T) {
 	g := Ring(5)
-	g2, m, err := ApplyEdit(g, AddLinkEdit(0, 2, 2.5))
+	g2, err := ApplyEdit(g, AddLinkEdit(0, 2, 2.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g2.NumLinks() != 6 || g2.FindLink(0, 2) != 5 || g2.Weight(5) != 2.5 {
 		t.Fatalf("add edit wrong: %v", g2.Links())
 	}
-	if m[4] != 4 {
-		t.Fatalf("add edit must keep IDs, got %v", m)
-	}
-	g3, m3, err := ApplyEdit(g2, RemoveLinkEdit(1))
+	g3, err := ApplyEdit(g2, RemoveLinkEdit(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g3.NumLinks() != 5 || g3.HasLink(1, 2) {
-		t.Fatalf("remove edit wrong: %v", g3.Links())
+	if g3.NumLinks() != 6 || g3.HasLink(1, 2) || !g3.Removed(1) || g3.Removed(2) || g3.Degree(1) != 1 {
+		t.Fatalf("remove edit wrong: %v, removed %v", g3.Links(), g3.RemovedLinks())
 	}
-	if m3[0] != 0 || m3[1] != NoLink || m3[2] != 1 || m3[5] != 4 {
-		t.Fatalf("remove mapping wrong: %v", m3)
+	for l := 0; l < g2.NumLinks(); l++ {
+		if g3.Link(LinkID(l)) != g2.Link(LinkID(l)) {
+			t.Fatalf("link %d moved: %v → %v", l, g2.Link(LinkID(l)), g3.Link(LinkID(l)))
+		}
 	}
 	if err := g3.Validate(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestApplyEditsComposedMapping(t *testing.T) {
-	g := Ring(6)
-	g2, m, err := ApplyEdits(g, []Edit{
-		RemoveLinkEdit(2),    // ids 3.. shift down
-		SetWeight(2, 9),      // old link 3
-		AddLinkEdit(0, 3, 4), // new id 5
-		RemoveLinkEdit(0),    // old link 0; ids shift again
-	})
+	if _, err := ApplyEdit(g3, RemoveLinkEdit(1)); err == nil {
+		t.Fatal("removing a tombstone accepted")
+	}
+	if g3.AddTarget(2, 1) != 1 || g3.AddTarget(0, 3) != 6 {
+		t.Fatalf("add targets %d, %d; want the tombstone 1 and a new 6", g3.AddTarget(2, 1), g3.AddTarget(0, 3))
+	}
+	g4, err := ApplyEdit(g3, AddLinkEdit(2, 1, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumLinks() != 5 {
-		t.Fatalf("want 5 links, got %d", g2.NumLinks())
+	if g4.NumLinks() != 6 || g4.Removed(1) || g4.FindLink(1, 2) != 1 || g4.Link(1) != (Link{ID: 1, A: 1, B: 2, Weight: 4}) {
+		t.Fatalf("revival wrong: %v, removed %v", g4.Links(), g4.RemovedLinks())
 	}
-	if m[0] != NoLink || m[2] != NoLink {
-		t.Fatalf("removed links must map to NoLink: %v", m)
+	if err := g4.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	// Old link 3 (nodes 3-4) survived both removals and carries weight 9.
-	l := m[3]
-	if l == NoLink || g2.Weight(l) != 9 {
-		t.Fatalf("old link 3 mapping wrong: %v (links %v)", m, g2.Links())
+}
+
+// TestApplyEditSequenceKeepsIDs replays a sequence with two removals: every
+// edit names its link by the one ID it has throughout.
+func TestApplyEditSequenceKeepsIDs(t *testing.T) {
+	g := Ring(6)
+	for _, e := range []Edit{
+		RemoveLinkEdit(2),
+		SetWeight(3, 9),
+		AddLinkEdit(0, 3, 4), // new id 6
+		RemoveLinkEdit(0),
+	} {
+		var err error
+		if g, err = ApplyEdit(g, e); err != nil {
+			t.Fatalf("%v: %v", e, err)
+		}
 	}
-	if g2.FindLink(0, 3) == NoLink {
+	if g.NumLinks() != 7 || !g.Removed(0) || !g.Removed(2) || len(g.RemovedLinks()) != 2 {
+		t.Fatalf("want 7 links, 0 and 2 removed: %v, removed %v", g.Links(), g.RemovedLinks())
+	}
+	if l := g.Link(3); l.A != 3 || l.B != 4 || l.Weight != 9 {
+		t.Fatalf("link 3 is %v; want 3–4 at weight 9", l)
+	}
+	if g.FindLink(0, 3) != 6 {
 		t.Fatal("added link missing")
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -93,7 +108,7 @@ func TestApplyEditValidation(t *testing.T) {
 		{Kind: EditKind(42)},
 	}
 	for _, e := range bad {
-		if _, _, err := ApplyEdit(g, e); err == nil {
+		if _, err := ApplyEdit(g, e); err == nil {
 			t.Fatalf("edit %v: want error", e)
 		}
 	}
@@ -174,7 +189,7 @@ func TestSPTRepairDifferential(t *testing.T) {
 			if w <= 0 {
 				w = 1
 			}
-			g2, _, err := ApplyEdit(g, SetWeight(l, w))
+			g2, err := ApplyEdit(g, SetWeight(l, w))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,32 +211,4 @@ func TestSPTRepairDifferential(t *testing.T) {
 		t.Fatalf("%d defensive fallbacks — incremental invariants violated", fullFallback)
 	}
 	t.Logf("repairs=%d unchanged=%d touched=%d", repaired, unchanged, touched)
-}
-
-// TestRemapTreeLinks checks the removal remap shares untouched arrays and
-// rewrites only link IDs.
-func TestRemapTreeLinks(t *testing.T) {
-	g := Ring(6)
-	tr := ShortestPathTree(g, 0, nil)
-	m := make([]LinkID, g.NumLinks())
-	for i := range m {
-		m[i] = LinkID(i)
-	}
-	m[3] = NoLink
-	for i := 4; i < len(m); i++ {
-		m[i] = LinkID(i - 1)
-	}
-	rt := RemapTreeLinks(tr, m)
-	for v := range tr.NextLink {
-		want := tr.NextLink[v]
-		if want != NoLink {
-			want = m[want]
-		}
-		if rt.NextLink[v] != want {
-			t.Fatalf("node %d: remap %d want %d", v, rt.NextLink[v], want)
-		}
-	}
-	if &rt.Dist[0] != &tr.Dist[0] {
-		t.Fatal("Dist must be shared")
-	}
 }

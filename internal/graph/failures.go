@@ -96,7 +96,7 @@ func FailNode(g *Graph, n NodeID) *FailureSet {
 	return f
 }
 
-// Surviving returns a copy of g with all failed links removed. Node IDs and
+// Surviving returns a copy of g with all failed and removed links left out. Node IDs and
 // names are preserved; link IDs are reassigned, so the result is only
 // suitable for path computations (the reconvergence baseline), not for
 // cross-referencing LinkIDs with the original graph.
@@ -106,7 +106,7 @@ func Surviving(g *Graph, failures *FailureSet) *Graph {
 		s.AddNode(g.Name(NodeID(n)))
 	}
 	for _, l := range g.Links() {
-		if !failures.Down(l.ID) {
+		if !failures.Down(l.ID) && !g.Removed(l.ID) {
 			s.MustAddLink(l.A, l.B, l.Weight)
 		}
 	}

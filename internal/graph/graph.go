@@ -4,9 +4,10 @@
 //
 // Nodes are dense integer indices [0, NumNodes). Every undirected link is
 // identified by a LinkID (its insertion index) and induces two directed
-// "darts" (see package rotation). Graphs are immutable once Freeze is called,
-// which lets downstream packages (routing tables, embeddings, simulators)
-// share them safely across goroutines.
+// "darts" (see package rotation). An ID never moves: a link that an edit
+// removes stays in the link table as a tombstone (see Removed). Graphs are
+// immutable once Freeze is called, which lets downstream packages (routing
+// tables, embeddings, simulators) share them safely across goroutines.
 //
 // Identifiers are 32 bits wide — every table and packet downstream stores
 // them, and half the width is half the cache — so a graph holds at most
@@ -80,10 +81,14 @@ type Neighbor struct {
 // ready for use; add nodes and links, then call Freeze before handing it to
 // consumers that require immutability.
 type Graph struct {
-	names  []string
-	links  []Link
-	adj    [][]Neighbor
-	frozen bool
+	names []string
+	links []Link
+	// removed[l] marks link l a tombstone: EditRemoveLink took it out of
+	// the adjacency but kept its ID, endpoints and weight. Nil while no
+	// link was ever removed.
+	removed []bool
+	adj     [][]Neighbor
+	frozen  bool
 	// Flat (CSR) copy of the frozen adjacency for the shortest-path inner
 	// loops: node u's arcs are arcs[arcStart[u]:arcStart[u+1]], in adj[u]'s
 	// order, and thru is their through-arc table (see flat). Built by
@@ -114,7 +119,10 @@ func (g *Graph) flat() (start []int32, arcs []arc, thru []int32) {
 	if g.frozen {
 		return g.arcStart, g.arcs, g.thru
 	}
-	n, m := len(g.adj), 2*len(g.links)
+	n, m := len(g.adj), 0
+	for _, nbrs := range g.adj {
+		m += len(nbrs)
+	}
 	buf := make([]int32, n+1+m)
 	start, thru = buf[:1:n+1], buf[n+1:]
 	arcs = make([]arc, 0, m)
@@ -181,6 +189,9 @@ func (g *Graph) AddLink(a, b NodeID, weight float64) (LinkID, error) {
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, A: a, B: b, Weight: weight})
+	if g.removed != nil {
+		g.removed = append(g.removed, false)
+	}
 	g.adj[a] = append(g.adj[a], Neighbor{Node: b, Link: id})
 	g.adj[b] = append(g.adj[b], Neighbor{Node: a, Link: id})
 	return id, nil
@@ -231,8 +242,37 @@ func (g *Graph) validNode(n NodeID) bool { return n >= 0 && int(n) < len(g.names
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.names) }
 
-// NumLinks returns the undirected link count.
+// NumLinks returns the undirected link count, removed links included:
+// every LinkID lies in [0, NumLinks).
 func (g *Graph) NumLinks() int { return len(g.links) }
+
+// Removed reports whether link id was removed by an edit: a tombstone that
+// keeps its ID, endpoints, weight and place in a rotation system, but lies
+// in no adjacency list, so no path, tree or connectivity test sees it.
+func (g *Graph) Removed(id LinkID) bool { return g.removed != nil && g.removed[id] }
+
+// RemovedLinks lists the removed links in ID order (nil when there are none).
+func (g *Graph) RemovedLinks() []LinkID {
+	var out []LinkID
+	for l, r := range g.removed {
+		if r {
+			out = append(out, LinkID(l))
+		}
+	}
+	return out
+}
+
+// AddTarget returns the ID an a–b addition takes (see ApplyEdit): the
+// lowest-ID removed link joining a and b, revived in place, or NumLinks(),
+// appended.
+func (g *Graph) AddTarget(a, b NodeID) LinkID {
+	for l, r := range g.removed {
+		if k := g.links[l]; r && (k.A == a && k.B == b || k.A == b && k.B == a) {
+			return LinkID(l)
+		}
+	}
+	return LinkID(len(g.links))
+}
 
 // Name returns the node's human-readable name.
 func (g *Graph) Name(n NodeID) string { return g.names[n] }
@@ -257,7 +297,7 @@ func (g *Graph) Links() []Link { return g.links }
 // Freeze the list is sorted by (neighbor, link).
 func (g *Graph) Neighbors(n NodeID) []Neighbor { return g.adj[n] }
 
-// Degree returns the number of links incident to n.
+// Degree returns the number of live links incident to n.
 func (g *Graph) Degree(n NodeID) int { return len(g.adj[n]) }
 
 // FindLink returns the lowest-ID link joining a and b, or NoLink.
@@ -310,6 +350,7 @@ func (g *Graph) Clone() *Graph {
 	c := New(g.NumNodes(), g.NumLinks())
 	c.names = append(c.names, g.names...)
 	c.links = append(c.links, g.links...)
+	c.removed = append([]bool(nil), g.removed...)
 	c.adj = make([][]Neighbor, len(g.adj))
 	for i, nbrs := range g.adj {
 		c.adj[i] = append([]Neighbor(nil), nbrs...)
@@ -323,7 +364,7 @@ func (g *Graph) String() string {
 }
 
 // Validate performs structural sanity checks: adjacency symmetry, link
-// endpoint validity, and ID density. It is used by tests and topology
+// endpoint validity, ID density, and removed links out of the adjacency. It is used by tests and topology
 // loaders; a healthy Graph built through AddNode/AddLink always passes.
 func (g *Graph) Validate() error {
 	for i, l := range g.links {
@@ -351,8 +392,12 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, l := range g.links {
-		if seen[[2]int{int(l.A), int(l.ID)}] != 1 || seen[[2]int{int(l.B), int(l.ID)}] != 1 {
-			return fmt.Errorf("graph: link %d not represented exactly once per endpoint", l.ID)
+		want := 1
+		if g.Removed(l.ID) {
+			want = 0
+		}
+		if seen[[2]int{int(l.A), int(l.ID)}] != want || seen[[2]int{int(l.B), int(l.ID)}] != want {
+			return fmt.Errorf("graph: link %d not represented %d times per endpoint", l.ID, want)
 		}
 	}
 	return nil

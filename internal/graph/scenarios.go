@@ -5,8 +5,9 @@ import (
 	"math/rand"
 )
 
-// SingleFailureScenarios returns one failure set per link whose removal keeps
-// the graph connected. On a 2-edge-connected topology that is every link;
+// SingleFailureScenarios returns one failure set per live link whose
+// failure keeps the graph connected. On a 2-edge-connected topology that
+// is every live link;
 // bridges are skipped because no reroute scheme can recover from them (the
 // paper conditions all guarantees on the network remaining connected).
 func SingleFailureScenarios(g *Graph) []*FailureSet {
@@ -16,7 +17,7 @@ func SingleFailureScenarios(g *Graph) []*FailureSet {
 		bridge[b] = true
 	}
 	for _, l := range g.Links() {
-		if bridge[l.ID] {
+		if bridge[l.ID] || g.Removed(l.ID) {
 			continue
 		}
 		out = append(out, NewFailureSet(l.ID))

@@ -344,7 +344,7 @@ func AllPairs(g *Graph, failures *FailureSet) [][]float64 {
 		}
 	}
 	for _, l := range g.Links() {
-		if failures.Down(l.ID) {
+		if failures.Down(l.ID) || g.Removed(l.ID) {
 			continue
 		}
 		if l.Weight < d[l.A][l.B] {

@@ -129,7 +129,7 @@ func canonicalCases(t *testing.T) []canonicalCase {
 		edited := g
 		for k := 0; k < 4; k++ {
 			var err error
-			edited, _, err = ApplyEdit(edited, SetWeight(LinkID(rng.Intn(g.NumLinks())), float64(1+rng.Intn(3))))
+			edited, err = ApplyEdit(edited, SetWeight(LinkID(rng.Intn(g.NumLinks())), float64(1+rng.Intn(3))))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,7 +334,7 @@ func TestRepairerSharesBuilderScratch(t *testing.T) {
 		g := randomEditableGraph(8+int(seed), 14+2*int(seed), seed)
 		for step := 0; step < 6; step++ {
 			l := LinkID(rng.Intn(g.NumLinks()))
-			g2, _, err := ApplyEdit(g, SetWeight(l, float64(1+rng.Intn(6))))
+			g2, err := ApplyEdit(g, SetWeight(l, float64(1+rng.Intn(6))))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -377,7 +377,7 @@ func TestRepairerStructuralChains(t *testing.T) {
 			rep.children(g, trees[d]) // as an earlier weight edit would have left it
 		}
 		apply := func(e Edit) {
-			g2, m, err := ApplyEdit(g, e)
+			g2, err := ApplyEdit(g, e)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -386,10 +386,9 @@ func TestRepairerStructuralChains(t *testing.T) {
 				ctx := fmt.Sprintf("%s: %v dst %d", c.name, e, d)
 				var rebuilt bool
 				if e.Kind == EditRemoveLink {
-					gone := g.Link(e.Link)
-					trees[d], _, rebuilt = rep.LinkRemoved(g2, old, gone.A, gone.B, e.Link, m)
+					trees[d], _, rebuilt = rep.LinkRemoved(g2, old, e.Link)
 				} else {
-					trees[d], _, rebuilt = rep.LinkAdded(g2, old, LinkID(g2.NumLinks()-1))
+					trees[d], _, rebuilt = rep.LinkAdded(g2, old, g.AddTarget(e.A, e.B))
 				}
 				checkCanonicalAgainst(t, ctx, g2, nil, trees[d], ap)
 				calls++
@@ -427,7 +426,7 @@ func TestRepairerStructuralChains(t *testing.T) {
 			targets = []LinkID{LinkID(rng.Intn(g.NumLinks() - 1)), LinkID(g.NumLinks() - 1)}
 		}
 		var gone []Link
-		for i := len(targets) - 1; i >= 0; i-- { // highest first: the others keep their IDs
+		for i := len(targets) - 1; i >= 0; i-- {
 			if i > 0 && targets[i] == targets[i-1] {
 				continue
 			}
@@ -593,7 +592,7 @@ func TestThroughArcsSurviveEdits(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ctx := fmt.Sprintf("seed %d %v", seed, g)
 		checkThru(t, ctx, g)
-		wg, _, err := ApplyEdit(g, SetWeight(LinkID(rng.Intn(g.NumLinks())), palette(rng)))
+		wg, err := ApplyEdit(g, SetWeight(LinkID(rng.Intn(g.NumLinks())), palette(rng)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -606,7 +605,7 @@ func TestThroughArcsSurviveEdits(t *testing.T) {
 			v++
 		}
 		for _, e := range []Edit{RemoveLinkEdit(LinkID(rng.Intn(g.NumLinks()))), AddLinkEdit(u, v, palette(rng))} {
-			sg, _, err := ApplyEdit(wg, e)
+			sg, err := ApplyEdit(wg, e)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -135,11 +135,12 @@ func (r *SPTRepairer) setDist(v NodeID, d float64) {
 // old.Dest on the pre-edit graph — into the canonical tree on g, a frozen
 // graph (as ApplyEdit returns) that differs from the pre-edit one only by
 // link l's weight (previously oldW, now g.Weight(l)). When the tree is unaffected the original tree
-// is returned with changed == false.
+// is returned with changed == false; a removed link carries no path,
+// whatever its weight.
 func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64) (t *SPTree, changed bool) {
 	wNew := g.Weight(l)
 	link := g.Link(l)
-	if wNew == oldW || !old.Reachable(link.A) && !old.Reachable(link.B) {
+	if wNew == oldW || g.Removed(l) || !old.Reachable(link.A) && !old.Reachable(link.B) {
 		// With both endpoints in an unreachable component every candidate
 		// through l stays infinite.
 		r.stats.unchanged++
@@ -148,7 +149,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 	r.grow(g.NumNodes())
 	if wNew < oldW {
 		r.lowerDists(g, old, l)
-		return r.reselect(g, old, false, false)
+		return r.reselect(g, old, false)
 	}
 	// The child endpoint c routes over l; if neither endpoint does, no
 	// shortest path uses l and a worse l changes nothing (alternatives
@@ -159,7 +160,7 @@ func (r *SPTRepairer) WeightChange(g *Graph, old *SPTree, l LinkID, oldW float64
 		return old, false
 	}
 	r.raiseDists(g, old, c)
-	return r.reselect(g, old, false, true)
+	return r.reselect(g, old, true)
 }
 
 // LinkAdded is WeightChange for a link l that g has and the pre-edit graph
@@ -174,31 +175,22 @@ func (r *SPTRepairer) LinkAdded(g *Graph, old *SPTree, l LinkID) (t *SPTree, cha
 	return t, changed, false
 }
 
-// LinkRemoved is WeightChange for a link a–b, gone in old's link IDs, that
-// g no longer has: a raise to +Inf. linkMap takes old's link IDs to g's (see
-// ApplyEdit), so t is a new tree even when no parent moved (changed ==
-// false); the children cache follows it. A removal that cuts nodes off
-// old.Dest rebuilds the tree from scratch and reports it.
-func (r *SPTRepairer) LinkRemoved(g *Graph, old *SPTree, a, b NodeID, gone LinkID, linkMap []LinkID) (t *SPTree, changed, rebuilt bool) {
-	c := old.routesOver(a, b, gone)
-	t = RemapTreeLinks(old, linkMap)
-	if cc := r.kids[old.Dest]; cc != nil && cc.tree == old {
-		cc.tree = t
-	}
+// LinkRemoved is WeightChange for link l, live in old's graph and removed
+// in g: a raise to +Inf. A removal that cuts nodes off old.Dest rebuilds
+// the tree from scratch and reports it.
+func (r *SPTRepairer) LinkRemoved(g *Graph, old *SPTree, l LinkID) (t *SPTree, changed, rebuilt bool) {
+	link := g.Link(l)
+	c := old.routesOver(link.A, link.B, l)
 	if c == NoNode {
 		r.stats.unchanged++
-		return t, false, false
+		return old, false, false
 	}
-	// t is old in g's link IDs with c, the one node that routed over the
-	// removed link, left parentless; the cache must say the same before
-	// g's link table can name every other parent.
 	r.grow(g.NumNodes())
-	r.children(g, t).reparent(c, a^b^c, NoNode, t)
-	r.raiseDists(g, t, c)
+	r.raiseDists(g, old, c)
 	if len(r.order) < len(r.region) { // a bridge: part of the subtree is cut off
 		return r.Tree(g, old.Dest, nil), true, true
 	}
-	t, _ = r.reselect(g, t, true, true)
+	t, _ = r.reselect(g, old, true)
 	return t, true, false
 }
 
@@ -222,9 +214,8 @@ func (t *SPTree) routesOver(a, b NodeID, l LinkID) NodeID {
 // inside the region in the first place, while inside candidates only got
 // worse, so no outside parent can move; for a decrease the set lowerDists
 // collected — repairs the hop counts below them and materialises the
-// tree. own says old's NextLink plane is the caller's fresh copy, to be
-// written in place (LinkRemoved).
-func (r *SPTRepairer) reselect(g *Graph, old *SPTree, own, raised bool) (*SPTree, bool) {
+// tree.
+func (r *SPTRepairer) reselect(g *Graph, old *SPTree, raised bool) (*SPTree, bool) {
 	recheck := r.recheck
 	if raised {
 		recheck = r.region
@@ -298,9 +289,7 @@ func (r *SPTRepairer) reselect(g *Graph, old *SPTree, own, raised bool) (*SPTree
 	nt := &SPTree{Dest: old.Dest, Dist: dist, Hops: old.Hops, NextLink: old.NextLink}
 	cc := r.children(g, old)
 	if len(changes) > 0 {
-		if !own {
-			nt.NextLink = append([]LinkID(nil), old.NextLink...)
-		}
+		nt.NextLink = append([]LinkID(nil), old.NextLink...)
 		for _, c := range changes {
 			cc.reparent(c.v, old.NextNode(g, c.v), c.node, nt)
 			nt.NextLink[c.v] = c.link
@@ -567,18 +556,4 @@ func (r *SPTRepairer) cascadeHops(g *Graph, cc *childCache, nt *SPTree, oldHops 
 	}
 	r.chain = stack[:0]
 	return hops
-}
-
-// RemapTreeLinks rewrites a tree's NextLink column through a link-ID
-// mapping (see ApplyEdit), sharing every other array with the original.
-// It is the cheap half of surviving a link removal: trees that never used
-// the removed link keep their structure, only the IDs shift.
-func RemapTreeLinks(t *SPTree, linkMap []LinkID) *SPTree {
-	nl := append([]LinkID(nil), t.NextLink...)
-	for i, l := range nl {
-		if l != NoLink {
-			nl[i] = linkMap[l]
-		}
-	}
-	return &SPTree{Dest: t.Dest, Dist: t.Dist, Hops: t.Hops, NextLink: nl}
 }

@@ -35,7 +35,9 @@ type System struct {
 
 // FromLinkOrders constructs a rotation system from, per node, the cyclic
 // order of incident links. Every orders[n] must be a permutation of the
-// links incident to n (parallel links appear once each).
+// links of g's link table incident to n — parallel links appear once
+// each, and so does a removed link (graph.Graph.Removed), which keeps its
+// darts and its place in the embedding.
 func FromLinkOrders(g *graph.Graph, orders [][]graph.LinkID) (*System, error) {
 	if len(orders) != g.NumNodes() {
 		return nil, fmt.Errorf("rotation: %d orders for %d nodes", len(orders), g.NumNodes())
@@ -46,22 +48,24 @@ func FromLinkOrders(g *graph.Graph, orders [][]graph.LinkID) (*System, error) {
 		next:  make([]DartID, 2*g.NumLinks()),
 		prev:  make([]DartID, 2*g.NumLinks()),
 	}
+	degree := make([]int, g.NumNodes())
+	for _, l := range g.Links() {
+		degree[l.A]++
+		degree[l.B]++
+	}
+	seen := make([]bool, 2*g.NumLinks())
 	for n := 0; n < g.NumNodes(); n++ {
 		node := graph.NodeID(n)
-		incident := make(map[graph.LinkID]int, g.Degree(node))
-		for _, nb := range g.Neighbors(node) {
-			incident[nb.Link]++
-		}
-		if len(orders[n]) != g.Degree(node) {
-			return nil, fmt.Errorf("rotation: node %d order has %d links; degree is %d", n, len(orders[n]), g.Degree(node))
+		if len(orders[n]) != degree[n] {
+			return nil, fmt.Errorf("rotation: node %d order has %d links; degree is %d", n, len(orders[n]), degree[n])
 		}
 		darts := make([]DartID, 0, len(orders[n]))
 		for _, l := range orders[n] {
-			if incident[l] == 0 {
+			if l < 0 || int(l) >= g.NumLinks() || !g.Link(l).Incident(node) || seen[OutgoingDart(g, node, l)] {
 				return nil, fmt.Errorf("rotation: node %d order repeats or misses link %d", n, l)
 			}
-			incident[l]--
 			darts = append(darts, OutgoingDart(g, node, l))
+			seen[darts[len(darts)-1]] = true
 		}
 		s.order[n] = darts
 	}

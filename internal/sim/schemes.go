@@ -54,7 +54,7 @@ func (p *PRScheme) Name() string {
 
 // Init implements Scheme.
 func (p *PRScheme) Init(s *Simulator) {
-	p.state = dataplane.FromFailureSet(s.Graph().NumLinks(), s.KnownFailures())
+	p.state = p.FIB.LinkState(s.KnownFailures())
 }
 
 // Process implements Scheme.

@@ -166,17 +166,17 @@ func (n *Network) Compile() (*FIB, error) {
 // set — link weight changes, link additions, link removals — by delta
 // recompilation: only the destination trees, quantiser columns and FIB
 // columns the edits touch are recomputed; everything else is shared with
-// this network. The returned delta carries the patched FIB, the link-ID
-// mapping and the dirty-destination list; hand it to Engine.ApplyDelta
-// to hot-swap a running dataplane without dropping a packet. The result
-// is bit-identical to rebuilding the network from scratch over the
-// edited graph (differential-tested in internal/dataplane).
+// this network. The returned delta carries the patched FIB and the
+// dirty-destination list; hand it to Engine.ApplyDelta to hot-swap a
+// running dataplane without dropping a packet. The result is
+// bit-identical to rebuilding the network from scratch over the edited
+// graph (differential-tested in internal/dataplane).
 //
 // n itself is unchanged and remains fully usable.
 //
 // An edit set with no net effect — empty, or one that cancels out, like
-// a link added and removed in the same batch — returns (n, nil, nil):
-// the network is its own result and there is nothing to swap.
+// a weight set and then set back — returns (n, nil, nil): the network is
+// its own result and there is nothing to swap.
 func (n *Network) Update(edits ...Edit) (*Network, *TopologyDelta, error) {
 	fib, err := n.Compile()
 	if err != nil {
@@ -295,10 +295,15 @@ func (n *Network) Quantiser() *Quantiser { return n.quant }
 // otherwise.
 func (n *Network) WireCodec() WireCodec { return dataplane.CodecFor(n.quant.Bits()) }
 
-// Describe summarises the network for logs.
+// Describe summarises the network for logs. The link count is of live
+// links; the links an Update removed are counted apart.
 func (n *Network) Describe() string {
-	return fmt.Sprintf("%s: %d nodes, %d links, genus %d, %d header bits, %s codec",
-		n.name, n.g.NumNodes(), n.g.NumLinks(), n.Genus(), n.HeaderBits(), n.WireCodec())
+	links := fmt.Sprintf("%d links", n.g.NumLinks())
+	if removed := len(n.g.RemovedLinks()); removed > 0 {
+		links = fmt.Sprintf("%d links (%d removed)", n.g.NumLinks()-removed, removed)
+	}
+	return fmt.Sprintf("%s: %d nodes, %s, genus %d, %d header bits, %s codec",
+		n.name, n.g.NumNodes(), links, n.Genus(), n.HeaderBits(), n.WireCodec())
 }
 
 // SaveEmbedding serialises the network's rotation system in the textual

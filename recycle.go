@@ -62,8 +62,8 @@ type NodeID = graph.NodeID
 // LinkID identifies an undirected link of a Graph.
 type LinkID = graph.LinkID
 
-// NoLink is the invalid link index; a TopologyDelta's LinkMap maps
-// removed links to it.
+// NoLink is the invalid link index, returned by lookups that find no
+// link.
 const NoLink = graph.NoLink
 
 // FailureSet is a set of failed (bidirectional) links.
@@ -147,13 +147,11 @@ type FIB = dataplane.FIB
 // the compiled counterpart of FailureSet.
 type LinkState = dataplane.LinkState
 
-// NewLinkState returns an all-up link state sized for numLinks links.
-func NewLinkState(numLinks int) *LinkState { return dataplane.NewLinkState(numLinks) }
-
-// LinkStateFrom compiles a FailureSet (nil allowed) into a LinkState.
-func LinkStateFrom(numLinks int, f *FailureSet) *LinkState {
-	return dataplane.FromFailureSet(numLinks, f)
-}
+// LinkStateFrom compiles a FailureSet (nil for all up) into a LinkState
+// for fib. A link the network's graph has removed is down in it for good:
+// its darts keep their places in fib's cycle tables, so fib decides right
+// only under a state that holds it down.
+func LinkStateFrom(fib *FIB, f *FailureSet) *LinkState { return fib.LinkState(f) }
 
 // Packet is the dataplane engine's unit of work: one forwarding decision.
 type Packet = dataplane.Packet
@@ -317,8 +315,9 @@ func SetWeight(l LinkID, w float64) Edit { return graph.SetWeight(l, w) }
 // AddLink returns the edit adding an a–b link of weight w.
 func AddLink(a, b NodeID, w float64) Edit { return graph.AddLinkEdit(a, b, w) }
 
-// RemoveLink returns the edit removing link l (link IDs above it shift
-// down; the TopologyDelta's LinkMap records the renumbering).
+// RemoveLink returns the edit removing link l. No link ID moves: l stays
+// in the graph as a removed link, down for good, and an AddLink between
+// its endpoints revives it.
 func RemoveLink(l LinkID) Edit { return graph.RemoveLinkEdit(l) }
 
 // TopologyDelta is the product of one delta recompilation: the edited

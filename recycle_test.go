@@ -2,9 +2,11 @@ package recycle
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"recycle/internal/core"
 	"recycle/internal/dataplane"
 	"recycle/internal/rotation"
 	"recycle/internal/telemetry"
@@ -296,7 +298,7 @@ func TestUpdateFacade(t *testing.T) {
 	if eng.Close() != 1 {
 		t.Fatal("engine should have decided exactly one packet")
 	}
-	want := d.FIB.Decide(den, kc, NoDart, Header{}, NewLinkState(d.Graph.NumLinks()))
+	want := d.FIB.Decide(den, kc, NoDart, Header{}, LinkStateFrom(d.FIB, nil))
 	if !out.Pkts[0].OK || out.Pkts[0].Egress != want.Egress {
 		t.Fatalf("post-swap decision %+v; want egress %d", out.Pkts[0], want.Egress)
 	}
@@ -306,11 +308,14 @@ func TestUpdateFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d3.Structural || d3.LinkMap[drained] != NoLink {
-		t.Fatalf("structural delta: structural=%v map=%v", d3.Structural, d3.LinkMap)
+	if !d3.Structural || !n3.Graph().Removed(drained) {
+		t.Fatalf("structural delta: structural=%v removed=%v", d3.Structural, n3.Graph().RemovedLinks())
 	}
-	if n3.Graph().NumLinks() != n2.Graph().NumLinks() {
-		t.Fatalf("add+remove should keep the link count, got %d", n3.Graph().NumLinks())
+	if n3.Graph().NumLinks() != n2.Graph().NumLinks()+1 {
+		t.Fatalf("add+remove should append one link and keep the removed one, got %d links", n3.Graph().NumLinks())
+	}
+	if want := fmt.Sprintf("%d links (1 removed)", n2.Graph().NumLinks()); !strings.Contains(n3.Describe(), want) {
+		t.Fatalf("Describe = %q; want %q", n3.Describe(), want)
 	}
 	if res := n3.RouteIDs(den, kc, nil); !res.Delivered() || res.Hops() != 1 {
 		t.Fatalf("bypass link unused: %+v", res.Path())
@@ -323,11 +328,71 @@ func TestUpdateFacade(t *testing.T) {
 		t.Fatalf("empty Update = (%p, %v, %v); want (%p, nil, nil)", n4, d4, err, n3)
 	}
 	bypass := n3.Graph().FindLink(den, kc)
-	added := LinkID(n3.Graph().NumLinks()) // adds append at the end
-	n5, d5, err := n3.Update(AddLink(den, NodeID(0), 10), RemoveLink(added), SetWeight(bypass, n3.Graph().Weight(bypass)))
+	n5, d5, err := n3.Update(SetWeight(bypass, 7), SetWeight(bypass, n3.Graph().Weight(bypass)))
 	if err != nil || n5 != n3 || d5 != nil {
 		t.Fatalf("cancelling Update = (%p, %v, %v); want the original network back", n5, d5, err)
 	}
+	// A link added and removed again in one set stays behind, removed.
+	added := n3.Graph().AddTarget(den, NodeID(0))
+	n6, d6, err := n3.Update(AddLink(den, NodeID(0), 10), RemoveLink(added))
+	if err != nil || d6 == nil || !n6.Graph().Removed(added) {
+		t.Fatalf("add+remove Update = (%p, %v, %v); want link %d left removed", n6, d6, err, added)
+	}
+}
+
+// TestLinkStateFromHoldsRemovedLinkDown sweeps geant with every third
+// link removed in turn by Update, under every single further failure and
+// for all pairs, and pins that no FIB walk under a LinkStateFrom state
+// crosses the removed link. The removed link's darts stay in the FIB's
+// cycle tables, so a bare bitset of the failure set, which leaves the
+// link up, does cross it on some walks: the sweep counts those too, to
+// show it can see a crossing.
+func TestLinkStateFromHoldsRemovedLinkDown(t *testing.T) {
+	net, err := FromTopology("geant")
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossings := func(fib *FIB, st *LinkState, removed LinkID) int {
+		decide := func(node, dst NodeID, ingress DartID, hdr Header) core.Decision {
+			return fib.Decide(node, dst, ingress, hdr, st)
+		}
+		n := 0
+		for src := 0; src < fib.NumNodes(); src++ {
+			for dst := 0; dst < fib.NumNodes(); dst++ {
+				for _, s := range core.Walk(NodeID(src), NodeID(dst), fib.NumNodes(), fib.NumLinks(), decide, fib.Head).Steps {
+					if s.Egress != NoDart && rotation.LinkOf(s.Egress) == removed {
+						n++
+					}
+				}
+			}
+		}
+		return n
+	}
+	bare := 0
+	for l := LinkID(0); int(l) < net.Graph().NumLinks(); l += 3 {
+		n2, _, err := net.Update(RemoveLink(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fib, err := n2.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := LinkID(0); int(f) < fib.NumLinks(); f++ {
+			if f == l {
+				continue
+			}
+			fs := NewFailureSet(f)
+			if n := crossings(fib, LinkStateFrom(fib, fs), l); n != 0 {
+				t.Fatalf("link %d removed, link %d failed: %d hops cross the removed link", l, f, n)
+			}
+			bare += crossings(fib, dataplane.FromFailureSet(fib.NumLinks(), fs), l)
+		}
+	}
+	if bare == 0 {
+		t.Fatal("no walk under a bare failure-set bitset crossed a removed link; the sweep cannot see a crossing")
+	}
+	t.Logf("hops over a removed link under a bare failure-set bitset: %d", bare)
 }
 
 func TestEngineFacade(t *testing.T) {
@@ -408,7 +473,7 @@ func TestWireFacadeIPv6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := LinkStateFrom(net.Graph().NumLinks(), NewFailureSet(0))
+	st := LinkStateFrom(fib, NewFailureSet(0))
 	eg, v := fib.ForwardWire(0, NoDart, st, buf)
 	if v != WireForward || eg == NoDart {
 		t.Fatalf("verdict %v egress %d; want forward", v, eg)
